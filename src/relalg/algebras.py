@@ -8,6 +8,12 @@ projection (per fragment), negation (per fragment) and diagonal constants
 InsufficientSortsError; algebras with concrete, product or generated
 provenance can materialize higher sorts via extend().
 
+Concrete algebras are bitset algebras over an ordered list of universes
+(blocks): concrete() builds one block, and product() of concrete factors is a
+concrete algebra over their concatenated blocks, so lattice operations are
+plain bitwise ones and the rest run block by block.  The element cap guards
+where sorts are enumerated, plus eagerly in concrete() and extend().
+
 All algebras are immutable after construction; caches are lock-guarded so
 concurrent readers see consistent tables.
 """
@@ -32,6 +38,7 @@ from .relations import (
     Substitution,
     Universe,
     all_substitutions,
+    _exists_last_bits,
     _rel_apply_bits,
     delta as rel_delta,
     relation_literal,
@@ -174,25 +181,47 @@ def ensure_sort(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Concrete algebras of relations
+# Concrete algebras of relations and their products
 
 
 class ConcreteAlgebra(FiniteAlgebra):
-    """All relations over a fixed universe.  The element index of sort n IS
-    the relation's bitset, so canonical order is numeric bitset order."""
+    """Relations over an ordered list of universes, the blocks.  A sort-n
+    element is the concatenation of one sort-n bitset per block, first block
+    most significant; its index IS that integer, so canonical order is
+    numeric order.  Block sort sizes are powers of two, so this is also the
+    mixed-radix index of the tuple of block bitsets.  One block is the algebra
+    of all relations over a universe; several are the product of those."""
 
-    def __init__(self, universe: Universe, fragment: Fragment, max_sort: int,
-                 element_cap: int = DEFAULT_ELEMENT_CAP):
-        super().__init__(fragment, max_sort, element_cap, f"concrete({universe.size})")
-        self.universe = universe
-        if self.sort_size(max_sort) > element_cap:
-            raise ElementCapExceededError(
-                f"sort {max_sort} over universe of size {universe.size} has "
-                f"{self.sort_size(max_sort)} elements, cap is {element_cap}"
-            )
+    def __init__(self, blocks: Sequence[Universe], fragment: Fragment, max_sort: int,
+                 element_cap: int = DEFAULT_ELEMENT_CAP, provenance: str | None = None):
+        self.blocks = tuple(blocks)
+        if provenance is None:
+            provenance = f"concrete({self.blocks[0].size})"
+        super().__init__(fragment, max_sort, element_cap, provenance)
+
+    def _width(self, n: int) -> int:
+        return sum(u.size**n for u in self.blocks)
+
+    def _parts(self, n: int, a: int) -> list[int]:
+        """The block bitsets of a sort-n element, first block first."""
+        parts = []
+        for u in reversed(self.blocks):
+            width = u.size**n
+            parts.append(a & ((1 << width) - 1))
+            a >>= width
+        parts.reverse()
+        return parts
+
+    def _blockwise(self, n_in: int, n_out: int, a: int, kernel) -> int:
+        """Concatenate kernel(universe, block bits) over the blocks of a
+        sort-n_in element; each result is a sort-n_out block."""
+        out = 0
+        for u, bits in zip(self.blocks, self._parts(n_in, a)):
+            out = out << u.size**n_out | kernel(u, bits)
+        return out
 
     def sort_size(self, n: int) -> int:
-        return 1 << self.universe.size**n
+        return 1 << self._width(n)
 
     def zero(self, n: int) -> int:
         self._check_sort(n)
@@ -200,7 +229,7 @@ class ConcreteAlgebra(FiniteAlgebra):
 
     def one(self, n: int) -> int:
         self._check_sort(n)
-        return (1 << self.universe.size**n) - 1
+        return (1 << self._width(n)) - 1
 
     def meet(self, n: int, a: int, b: int) -> int:
         self._check_sort(n)
@@ -213,153 +242,90 @@ class ConcreteAlgebra(FiniteAlgebra):
     def neg(self, n: int, a: int) -> int:
         self._require("negation")
         self._check_sort(n)
-        return a ^ ((1 << self.universe.size**n) - 1)
+        return a ^ ((1 << self._width(n)) - 1)
 
     def subst(self, alpha: Substitution, a: int) -> int:
         self._check_sort(alpha.dom)
         self._check_sort(alpha.cod)
-        return _rel_apply_bits(alpha, self.universe.size, a)
+        return self._blockwise(alpha.dom, alpha.cod, a,
+                               lambda u, bits: _rel_apply_bits(alpha, u.size, bits))
 
     def exists(self, n: int, a: int) -> int:
         self._require("exists")
         self._check_sort(n)
         self._check_sort(n + 1)
-        size = self.universe.size
-        chunk = (1 << size) - 1
-        out = 0
-        for t in range(size**n):
-            if a >> (t * size) & chunk:
-                out |= 1 << t
-        return out
+        return self._blockwise(n + 1, n, a,
+                               lambda u, bits: _exists_last_bits(u.size, n + 1, bits))
 
     def delta(self, n: int, i: int, j: int) -> int:
         self._require("equality")
         self._check_sort(n)
-        return rel_delta(self.universe, n, i, j).bits
+        return self._blockwise(n, n, 0, lambda u, _: rel_delta(u, n, i, j).bits)
 
     def extend(self, new_max_sort: int) -> "ConcreteAlgebra":
         if new_max_sort <= self.max_sort:
             return self
-        return ConcreteAlgebra(self.universe, self.fragment, new_max_sort, self.element_cap)
-
-    def relation(self, n: int, a: int) -> Relation:
-        return Relation(self.universe, n, a)
-
-    def element_label(self, n: int, a: int) -> str:
-        return relation_literal(self.relation(n, a))
-
-
-def concrete(universe: Universe, fragment: Fragment, max_sort: int,
-             element_cap: int = DEFAULT_ELEMENT_CAP) -> ConcreteAlgebra:
-    return ConcreteAlgebra(universe, fragment, max_sort, element_cap)
-
-
-# ---------------------------------------------------------------------------
-# Products
-
-
-class ProductAlgebra(FiniteAlgebra):
-    """Componentwise product.  Sort-n elements encode component element tuples
-    in mixed radix, first factor most significant."""
-
-    def __init__(self, factors: Sequence[FiniteAlgebra], element_cap: int = DEFAULT_ELEMENT_CAP):
-        factors = list(factors)
-        if not factors:
-            raise ArityError("product needs at least one factor")
-        first = factors[0]
-        for f in factors[1:]:
-            if f.fragment != first.fragment:
-                raise FragmentError(
-                    f"product factors have different fragments {first.fragment} and {f.fragment}"
-                )
-            if f.max_sort != first.max_sort:
-                raise ArityError(
-                    f"product factors have different sort bounds {first.max_sort} and {f.max_sort}"
-                )
-        super().__init__(first.fragment, first.max_sort, element_cap,
-                         f"product({', '.join(f.provenance for f in factors)})")
-        self.factors = factors
-
-    def sort_size(self, n: int) -> int:
-        size = 1
-        for f in self.factors:
-            size *= f.sort_size(n)
-        return size
-
-    def decode(self, n: int, a: int) -> tuple[int, ...]:
-        out = [0] * len(self.factors)
-        for i in range(len(self.factors) - 1, -1, -1):
-            a, out[i] = divmod(a, self.factors[i].sort_size(n))
-        return tuple(out)
-
-    def encode(self, n: int, components: Sequence[int]) -> int:
-        a = 0
-        for f, c in zip(self.factors, components):
-            a = a * f.sort_size(n) + c
-        return a
-
-    def _map(self, n_in: int, n_out: int, a: int, op) -> int:
-        comps = self.decode(n_in, a)
-        return self.encode(n_out, [op(f, c) for f, c in zip(self.factors, comps)])
-
-    def zero(self, n: int) -> int:
-        self._check_sort(n)
-        return self.encode(n, [f.zero(n) for f in self.factors])
-
-    def one(self, n: int) -> int:
-        self._check_sort(n)
-        return self.encode(n, [f.one(n) for f in self.factors])
-
-    def meet(self, n: int, a: int, b: int) -> int:
-        self._check_sort(n)
-        ca, cb = self.decode(n, a), self.decode(n, b)
-        return self.encode(n, [f.meet(n, x, y) for f, x, y in zip(self.factors, ca, cb)])
-
-    def join(self, n: int, a: int, b: int) -> int:
-        self._check_sort(n)
-        ca, cb = self.decode(n, a), self.decode(n, b)
-        return self.encode(n, [f.join(n, x, y) for f, x, y in zip(self.factors, ca, cb)])
-
-    def neg(self, n: int, a: int) -> int:
-        self._require("negation")
-        self._check_sort(n)
-        return self._map(n, n, a, lambda f, c: f.neg(n, c))
-
-    def subst(self, alpha: Substitution, a: int) -> int:
-        self._check_sort(alpha.dom)
-        self._check_sort(alpha.cod)
-        return self._map(alpha.dom, alpha.cod, a, lambda f, c: f.subst(alpha, c))
-
-    def exists(self, n: int, a: int) -> int:
-        self._require("exists")
-        self._check_sort(n + 1)
-        return self._map(n + 1, n, a, lambda f, c: f.exists(n, c))
-
-    def delta(self, n: int, i: int, j: int) -> int:
-        self._require("equality")
-        self._check_sort(n)
-        return self.encode(n, [f.delta(n, i, j) for f in self.factors])
-
-    def extend(self, new_max_sort: int) -> "ProductAlgebra":
-        if new_max_sort <= self.max_sort:
-            return self
-        return ProductAlgebra([f.extend(new_max_sort) for f in self.factors], self.element_cap)
+        return _capped(ConcreteAlgebra(self.blocks, self.fragment, new_max_sort,
+                                       self.element_cap, self.provenance))
 
     def projection(self, i: int, bound: int | None = None) -> dict[int, list[int]]:
-        """The i-th projection as a per-sort element map."""
+        """The i-th block projection as a per-sort element map."""
         bound = self.max_sort if bound is None else bound
         return {
-            n: [self.decode(n, a)[i] for a in self.elements(n)]
+            n: [self._parts(n, a)[i] for a in self.elements(n)]
             for n in range(bound + 1)
         }
 
     def element_label(self, n: int, a: int) -> str:
-        comps = self.decode(n, a)
-        return "(" + ", ".join(f.element_label(n, c) for f, c in zip(self.factors, comps)) + ")"
+        labels = [relation_literal(Relation(u, n, bits))
+                  for u, bits in zip(self.blocks, self._parts(n, a))]
+        if self.provenance.startswith("product("):
+            return "(" + ", ".join(labels) + ")"
+        return labels[0]
 
 
-def product(factors: Sequence[FiniteAlgebra], element_cap: int = DEFAULT_ELEMENT_CAP) -> ProductAlgebra:
-    return ProductAlgebra(factors, element_cap)
+def _capped(algebra: ConcreteAlgebra) -> ConcreteAlgebra:
+    """Refuse, eagerly, a block whose top sort could never be enumerated.
+    Only the user-facing constructors guard; internal targets that are never
+    enumerated are built uncapped."""
+    n = algebra.max_sort
+    for u in algebra.blocks:
+        size = 1 << u.size**n
+        if size > algebra.element_cap:
+            raise ElementCapExceededError(
+                f"sort {n} over universe of size {u.size} has "
+                f"{size} elements, cap is {algebra.element_cap}"
+            )
+    return algebra
+
+
+def concrete(universe: Universe, fragment: Fragment, max_sort: int,
+             element_cap: int = DEFAULT_ELEMENT_CAP) -> ConcreteAlgebra:
+    return _capped(ConcreteAlgebra([universe], fragment, max_sort, element_cap))
+
+
+def product(factors: Sequence[ConcreteAlgebra],
+            element_cap: int = DEFAULT_ELEMENT_CAP) -> ConcreteAlgebra:
+    """Componentwise product of concrete algebras: the factors' blocks,
+    concatenated in order."""
+    factors = list(factors)
+    if not factors:
+        raise ArityError("product needs at least one factor")
+    first = factors[0]
+    for f in factors:
+        if not isinstance(f, ConcreteAlgebra):
+            raise TypeError(f"product factors must be concrete algebras, got {f.provenance}")
+        if f.fragment != first.fragment:
+            raise FragmentError(
+                f"product factors have different fragments {first.fragment} and {f.fragment}"
+            )
+        if f.max_sort != first.max_sort:
+            raise ArityError(
+                f"product factors have different sort bounds {first.max_sort} and {f.max_sort}"
+            )
+    return ConcreteAlgebra([u for f in factors for u in f.blocks], first.fragment,
+                           first.max_sort, element_cap,
+                           f"product({', '.join(f.provenance for f in factors)})")
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +407,6 @@ class GeneratedSubalgebra(FiniteAlgebra):
         self._witness = [
             [found[n][val] for val in self._to_parent[n]] for n in range(bound + 1)
         ]
-        # memo tables for the binary operations; closure-sized sorts make the
-        # per-call parent decode/encode the dominant cost otherwise
-        self._memo_meet: dict[tuple[int, int, int], int] = {}
-        self._memo_join: dict[tuple[int, int, int], int] = {}
 
     def sort_size(self, n: int) -> int:
         self._check_sort(n)
@@ -474,20 +436,10 @@ class GeneratedSubalgebra(FiniteAlgebra):
         return self._wrap(n, self.parent.one(n))
 
     def meet(self, n: int, a: int, b: int) -> int:
-        key = (n, a, b)
-        out = self._memo_meet.get(key)
-        if out is None:
-            out = self._wrap(n, self.parent.meet(n, self._to_parent[n][a], self._to_parent[n][b]))
-            self._memo_meet[key] = out
-        return out
+        return self._wrap(n, self.parent.meet(n, self._to_parent[n][a], self._to_parent[n][b]))
 
     def join(self, n: int, a: int, b: int) -> int:
-        key = (n, a, b)
-        out = self._memo_join.get(key)
-        if out is None:
-            out = self._wrap(n, self.parent.join(n, self._to_parent[n][a], self._to_parent[n][b]))
-            self._memo_join[key] = out
-        return out
+        return self._wrap(n, self.parent.join(n, self._to_parent[n][a], self._to_parent[n][b]))
 
     def neg(self, n: int, a: int) -> int:
         self._require("negation")
@@ -578,53 +530,55 @@ class TableAlgebra(FiniteAlgebra):
             if size <= 0:
                 raise FormatError(f"sort {n} has non-positive size {size}")
 
-            def check_elem(x, what):
-                if not isinstance(x, int) or not 0 <= x < size:
-                    raise FormatError(f"{what} of sort {n} out of range: {x!r}")
+        def check_elems(xs: list, n: int, what: str) -> None:
+            """Every entry must be an element index of sort n; a bool is not.
+            The all-valid case is checked in one pass of builtins."""
+            if set(map(type, xs)) <= {int} and (not xs or 0 <= min(xs) and max(xs) < self.sizes[n]):
+                return
+            bad = next(x for x in xs if type(x) is not int or not 0 <= x < self.sizes[n])
+            raise FormatError(f"{what} of sort {n} out of range: {bad!r}")
 
-            check_elem(self.zeros[n], "zero")
-            check_elem(self.ones[n], "one")
+        def check_table(table, n_in, n_out, what):
+            if len(table) != self.sizes[n_in]:
+                raise FormatError(f"{what} has wrong length")
+            check_elems(table, n_out, f"{what} entry")
+
+        for n, size in enumerate(self.sizes):
+            check_elems([self.zeros[n]], n, "zero")
+            check_elems([self.ones[n]], n, "one")
             for name, table in (("meet", self.meets[n]), ("join", self.joins[n])):
                 if len(table) != size or any(len(row) != size for row in table):
                     raise FormatError(f"{name} table of sort {n} is not {size}x{size}")
                 for row in table:
-                    for x in row:
-                        check_elem(x, f"{name} entry")
+                    check_elems(row, n, f"{name} entry")
         if self.fragment.negation:
             if self.negs is None or len(self.negs) != n_sorts:
                 raise FormatError("negation tables required for this fragment")
             for n, table in enumerate(self.negs):
-                if len(table) != self.sizes[n]:
-                    raise FormatError(f"negation table of sort {n} has wrong length")
+                check_table(table, n, n, f"negation table of sort {n}")
+        for alpha in self.substs:
+            if not (alpha.dom < n_sorts and alpha.cod < n_sorts):
+                raise FormatError(f"substitution {alpha} outside sorts 0..{self.max_sort}")
         for n in range(n_sorts):
             for k in range(n_sorts):
                 for alpha in all_substitutions(n, k):
                     table = self.substs.get(alpha)
                     if table is None:
                         raise FormatError(f"missing substitution table for {alpha}")
-                    if len(table) != self.sizes[n]:
-                        raise FormatError(f"substitution table for {alpha} has wrong length")
-                    for x in table:
-                        if not 0 <= x < self.sizes[k]:
-                            raise FormatError(f"substitution table for {alpha} out of range")
+                    check_table(table, n, k, f"substitution table for {alpha}")
         if self.fragment.exists:
             for n in range(n_sorts - 1):
                 table = self.exists_tables.get(n)
                 if table is None:
                     raise FormatError(f"missing projection table onto sort {n}")
-                if len(table) != self.sizes[n + 1]:
-                    raise FormatError(f"projection table onto sort {n} has wrong length")
-                for x in table:
-                    if not 0 <= x < self.sizes[n]:
-                        raise FormatError(f"projection table onto sort {n} out of range")
+                check_table(table, n + 1, n, f"projection table onto sort {n}")
         if self.fragment.equality:
             for n in range(n_sorts):
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
                         if (n, i, j) not in self.deltas:
                             raise FormatError(f"missing diagonal constant ({n},{i},{j})")
-                        if not 0 <= self.deltas[(n, i, j)] < self.sizes[n]:
-                            raise FormatError(f"diagonal constant ({n},{i},{j}) out of range")
+                        check_elems([self.deltas[(n, i, j)]], n, f"diagonal constant ({n},{i},{j})")
 
     def sort_size(self, n: int) -> int:
         self._check_sort(n)

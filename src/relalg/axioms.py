@@ -516,9 +516,10 @@ def gallery_pe_theory(bounds: Bounds | None = None) -> tuple[FiniteAlgebra, Chec
     a_bits = 0b011  # {0,1}
     b_bits = 0b110  # {1,2}
     pair = product([base, base])
-    e_r = pair.encode(1, [a_bits, b_bits])
-    e_a = pair.encode(1, [a_bits, a_bits])
-    e_b = pair.encode(1, [b_bits, b_bits])
+    # a sort-1 element of the pair: the first factor's 3 bits above the second's
+    e_r = a_bits << 3 | b_bits
+    e_a = a_bits << 3 | a_bits
+    e_b = b_bits << 3 | b_bits
     alg = generated_subalgebra(pair, [(1, e_r), (1, e_a), (1, e_b)], names=["R", "A", "B"])
     if alg.sort_size(0) != 2:
         raise AssertionError(f"generated algebra has {alg.sort_size(0)} sort-0 elements, expected 2")

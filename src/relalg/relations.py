@@ -225,13 +225,16 @@ def exists_last(r: Relation) -> Relation:
     """Project away the last coordinate: x in result iff xy in r for some y."""
     if r.arity < 1:
         raise ArityError("cannot project a relation of arity 0")
-    size = r.universe.size
+    return Relation(r.universe, r.arity - 1, _exists_last_bits(r.universe.size, r.arity, r.bits))
+
+
+def _exists_last_bits(size: int, arity: int, bits: int) -> int:
     chunk_mask = (1 << size) - 1
     out = 0
-    for t in range(size ** (r.arity - 1)):
-        if r.bits >> (t * size) & chunk_mask:
+    for t in range(size ** (arity - 1)):
+        if bits >> (t * size) & chunk_mask:
             out |= 1 << t
-    return Relation(r.universe, r.arity - 1, out)
+    return out
 
 
 def delta(universe: Universe, arity: int, i: int, j: int) -> Relation:

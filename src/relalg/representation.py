@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .algebras import (
+    ConcreteAlgebra,
     FiniteAlgebra,
     MorphismReport,
-    concrete,
     ensure_sort,
     is_injective,
     verify_morphism,
@@ -174,7 +174,8 @@ def recheck_model(model: FilterModel, mode: str | None = None) -> MorphismReport
     frag = model.algebra.fragment
     if mode is None:
         mode = "almost" if frag.exists else "full"
-    target = concrete(model.universe, frag, model.bound)
+    # the target is only operated on, never enumerated: no eager cap guard
+    target = ConcreteAlgebra([model.universe], frag, model.bound)
     return verify_morphism(model.fmap(), model.algebra, target, mode=mode,
                            max_sort=model.bound)
 

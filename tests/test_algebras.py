@@ -110,16 +110,33 @@ def test_product_mismatch_errors():
         product([concrete(Universe(1), PQF, 2), concrete(Universe(1), QF, 2)])
     with pytest.raises(ArityError):
         product([concrete(Universe(1), PQF, 1), concrete(Universe(1), PQF, 2)])
+    with pytest.raises(TypeError):
+        product([as_table_algebra(concrete(Universe(1), PQF, 1))])
+
+
+PRODUCT_CASES = [
+    [concrete(Universe(1), QF, 2), concrete(Universe(1), QF, 2)],
+    [concrete(Universe(1), FO.with_equality(), 2), concrete(Universe(2), FO.with_equality(), 2)],
+    [concrete(Universe(2), PE, 1), concrete(Universe(3), PE, 1), concrete(Universe(1), PE, 1)],
+]
 
 
 def test_product_projections_are_morphisms():
-    one = Universe(1)
-    factors = [concrete(one, QF, 2), concrete(one, QF, 2)]
-    alg = product(factors)
-    for i, factor in enumerate(factors):
-        fmap = alg.projection(i)
-        report = verify_morphism(fmap, alg, factor)
-        assert report.ok, report.violations
+    for factors in PRODUCT_CASES:
+        alg = product(factors)
+        fmaps = [alg.projection(i) for i in range(len(factors))]
+        for fmap, factor in zip(fmaps, factors):
+            report = verify_morphism(fmap, alg, factor)
+            assert report.ok, (alg.provenance, report.violations)
+        for n in range(alg.max_sort + 1):
+            # jointly injective, and the index is the mixed-radix value of the components
+            components = list(zip(*(fmap[n] for fmap in fmaps)))
+            assert len(set(components)) == alg.sort_size(n), alg.provenance
+            for a, comps in enumerate(components):
+                radix = 0
+                for factor, c in zip(factors, comps):
+                    radix = radix * factor.sort_size(n) + c
+                assert radix == a, alg.provenance
 
 
 def test_generated_closure_of_top():
@@ -258,14 +275,16 @@ def test_concurrent_readers_see_identical_tables():
 
 
 def test_table_algebra_validation():
-    base = as_table_algebra(concrete(Universe(1), PQF, 1))
     import json
 
-    data = json.loads(base.to_json())
-    del data["subst"]["1->1:[1]"]
-    with pytest.raises(FormatError):
-        TableAlgebra.from_json(json.dumps(data))
-    data2 = json.loads(base.to_json())
-    data2["sorts"][0]["meet"][0][0] = 99
-    with pytest.raises(FormatError):
-        TableAlgebra.from_json(json.dumps(data2))
+    text = as_table_algebra(concrete(Universe(1), QF, 1)).to_json()
+    TableAlgebra.from_json(text)
+    bad = [json.loads(text) for _ in range(5)]
+    del bad[0]["subst"]["1->1:[1]"]
+    bad[1]["sorts"][0]["meet"][0][0] = 99
+    bad[2]["sorts"][1]["neg"][0] = 99
+    bad[3]["sorts"][0]["zero"] = True  # a bool, not an element index
+    bad[4]["subst"]["5->5:[1,1,1,1,1]"] = [0, 1]  # a sort past max_sort 1
+    for data in bad:
+        with pytest.raises(FormatError):
+            TableAlgebra.from_json(json.dumps(data))

@@ -176,3 +176,16 @@ def test_table_algebra_file_round_trip(tmp_path):
     code, text = run_cli("primefilters", "--algebra", str(path), "--sort", "2")
     assert code == 0
     assert "4 prime filter(s)" in text
+
+
+def test_invalid_table_entry_exits_2(tmp_path):
+    from relalg import Universe, as_table_algebra, concrete
+    from relalg.fragments import QF
+
+    data = json.loads(as_table_algebra(concrete(Universe(1), QF, 1)).to_json())
+    data["sorts"][1]["neg"][0] = 99
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    code, _ = run_cli("axioms", "check", "--algebra", str(path), "--fragment", "qf",
+                      "--max-sort", "1")
+    assert code == 2

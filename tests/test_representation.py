@@ -132,6 +132,17 @@ def test_embed_qf_tables_with_extension():
     assert cert.verification.ok
 
 
+@pytest.mark.parametrize("frag", [PE, FO], ids=str)
+def test_embed_tables_past_the_element_cap(frag):
+    # the verification target at the master sort is never enumerated, so the
+    # element cap of the user-facing concrete() must not stop the embedding
+    tables = as_table_algebra(concrete(Universe(1), frag, 3), with_extension=True)
+    cert = embed(tables, scope=2)
+    assert cert.status == "full"
+    assert cert.injective
+    assert cert.verification.ok
+
+
 def test_embed_equality_variant():
     cert = embed(concrete(Universe(1), PQF.with_equality(), 2), scope=2)
     assert cert.status == "full"
