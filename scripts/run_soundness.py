@@ -2,7 +2,8 @@
 
 Runs every applicable axiom for each fragment on concrete(|W|) for the chosen
 universe sizes and sort bound, and prints one line per (universe, fragment,
-axiom).  This is the experiment behind acceptance criterion 1.
+axiom), then the number of failing runs; the elapsed time goes to stderr.
+This is the experiment behind acceptance criterion 1.
 
 Usage: python3 scripts/run_soundness.py [--sizes 0 1 2] [--max-sort 3] [--seed N]
 """
@@ -38,8 +39,9 @@ def main() -> int:
                 print(f"|W|={size}  {str(fragment):6}  axiom ({report.axiom:>2}): {verdict}  "
                       f"instances={report.instances_checked:>9}  mode={report.mode}")
                 failures += 0 if report.ok else 1
-    elapsed = time.monotonic() - started
-    print(f"total: {elapsed:.1f}s, {failures} failing axiom run(s)")
+    print(f"total: {failures} failing axiom run(s)")
+    # the time goes to stderr, so stdout is the same for every run of one seed
+    print(f"elapsed: {time.monotonic() - started:.1f}s", file=sys.stderr)
     return 1 if failures else 0
 
 

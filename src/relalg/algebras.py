@@ -21,6 +21,8 @@ concurrent readers see consistent tables.
 from __future__ import annotations
 
 import json
+import operator
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -65,9 +67,7 @@ class FiniteAlgebra:
         self.element_cap = element_cap
         self.provenance = provenance
         self._cache_lock = threading.Lock()
-        self._subst_cache: dict[Substitution, list[int]] = {}
-        self._exists_cache: dict[int, list[int]] = {}
-        self._neg_cache: dict[int, list[int]] = {}
+        self._tables: dict = {}  # substitutions by themselves, ("exists"|"neg", n)
 
     # -- sizes and guards ---------------------------------------------------
 
@@ -82,10 +82,10 @@ class FiniteAlgebra:
 
     def ensure_enumerable(self, n: int) -> None:
         self._check_sort(n)
-        if self.sort_size(n) > self.element_cap:
-            raise ElementCapExceededError(
-                f"sort {n} has {self.sort_size(n)} elements, cap is {self.element_cap}"
-            )
+        size = self.sort_size(n)
+        if size > self.element_cap:
+            shown = _power_text(size.bit_length() - 1) if size & (size - 1) == 0 else size
+            raise ElementCapExceededError(f"sort {n} has {shown} elements, cap is {self.element_cap}")
 
     def elements(self, n: int) -> range:
         self.ensure_enumerable(n)
@@ -122,6 +122,13 @@ class FiniteAlgebra:
     def leq(self, n: int, a: int, b: int) -> bool:
         return self.meet(n, a, b) == a
 
+    def meet_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
+        """meet(n, x, y) for each pair of two equally long columns."""
+        return [self.meet(n, x, y) for x, y in zip(xs, ys)]
+
+    def join_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
+        return [self.join(n, x, y) for x, y in zip(xs, ys)]
+
     def _require(self, feature: str) -> None:
         have = {"negation": self.fragment.negation, "exists": self.fragment.exists,
                 "equality": self.fragment.equality}[feature]
@@ -130,35 +137,23 @@ class FiniteAlgebra:
 
     # -- tables (for the schema checker; cached) -----------------------------
 
-    def subst_table(self, alpha: Substitution) -> list[int]:
+    def _table(self, key, build) -> list[int]:
         with self._cache_lock:
-            table = self._subst_cache.get(alpha)
-        if table is not None:
-            return table
-        table = [self.subst(alpha, a) for a in self.elements(alpha.dom)]
-        with self._cache_lock:
-            self._subst_cache[alpha] = table
+            table = self._tables.get(key)
+        if table is None:
+            table = build()
+            with self._cache_lock:
+                self._tables[key] = table
         return table
+
+    def subst_table(self, alpha: Substitution) -> list[int]:
+        return self._table(alpha, lambda: [self.subst(alpha, a) for a in self.elements(alpha.dom)])
 
     def exists_table(self, n: int) -> list[int]:
-        with self._cache_lock:
-            table = self._exists_cache.get(n)
-        if table is not None:
-            return table
-        table = [self.exists(n, a) for a in self.elements(n + 1)]
-        with self._cache_lock:
-            self._exists_cache[n] = table
-        return table
+        return self._table(("exists", n), lambda: [self.exists(n, a) for a in self.elements(n + 1)])
 
     def neg_table(self, n: int) -> list[int]:
-        with self._cache_lock:
-            table = self._neg_cache.get(n)
-        if table is not None:
-            return table
-        table = [self.neg(n, a) for a in self.elements(n)]
-        with self._cache_lock:
-            self._neg_cache[n] = table
-        return table
+        return self._table(("neg", n), lambda: [self.neg(n, a) for a in self.elements(n)])
 
     # -- extension ----------------------------------------------------------
 
@@ -239,6 +234,14 @@ class ConcreteAlgebra(FiniteAlgebra):
         self._check_sort(n)
         return a | b
 
+    def meet_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
+        self._check_sort(n)
+        return list(map(operator.and_, xs, ys))
+
+    def join_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
+        self._check_sort(n)
+        return list(map(operator.or_, xs, ys))
+
     def neg(self, n: int, a: int) -> int:
         self._require("negation")
         self._check_sort(n)
@@ -287,16 +290,26 @@ class ConcreteAlgebra(FiniteAlgebra):
 def _capped(algebra: ConcreteAlgebra) -> ConcreteAlgebra:
     """Refuse, eagerly, a block whose top sort could never be enumerated.
     Only the user-facing constructors guard; internal targets that are never
-    enumerated are built uncapped."""
+    enumerated are built uncapped.  The sizes are compared as bit widths:
+    2**width > cap exactly when width >= cap.bit_length()."""
     n = algebra.max_sort
     for u in algebra.blocks:
-        size = 1 << u.size**n
-        if size > algebra.element_cap:
+        width = u.size**n
+        if width >= max(algebra.element_cap, 0).bit_length():
             raise ElementCapExceededError(
                 f"sort {n} over universe of size {u.size} has "
-                f"{size} elements, cap is {algebra.element_cap}"
+                f"{_power_text(width)} elements, cap is {algebra.element_cap}"
             )
     return algebra
+
+
+def _power_text(width: int) -> str:
+    """2**width in decimal where Python will print it, else as the power.
+    2**width has more than L digits exactly when width >= (10**L).bit_length()."""
+    limit = sys.get_int_max_str_digits()
+    if limit and width >= (10**limit).bit_length():
+        return f"2**{width}"
+    return str(1 << width)
 
 
 def concrete(universe: Universe, fragment: Fragment, max_sort: int,
@@ -440,6 +453,21 @@ class GeneratedSubalgebra(FiniteAlgebra):
 
     def join(self, n: int, a: int, b: int) -> int:
         return self._wrap(n, self.parent.join(n, self._to_parent[n][a], self._to_parent[n][b]))
+
+    def meet_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
+        return self._lift_all(self.parent.meet_all, n, xs, ys)
+
+    def join_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
+        return self._lift_all(self.parent.join_all, n, xs, ys)
+
+    def _lift_all(self, parent_op, n: int, xs: list[int], ys: list[int]) -> list[int]:
+        """A batched parent operation on two columns of local indices."""
+        up = self._to_parent[n].__getitem__
+        vals = parent_op(n, list(map(up, xs)), list(map(up, ys)))
+        idx = list(map(self._from_parent[n].get, vals))
+        if None in idx:
+            self._wrap(n, vals[idx.index(None)])
+        return idx
 
     def neg(self, n: int, a: int) -> int:
         self._require("negation")
@@ -662,10 +690,10 @@ class TableAlgebra(FiniteAlgebra):
                 n_part, ij = key.split(":")
                 i_part, j_part = ij.split(",")
                 deltas[(int(n_part), int(i_part), int(j_part))] = val
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            return cls(fragment, max_sort, sizes, meets, joins, zeros, ones, substs,
+                       negs=negs, exists_tables=exists_tables, deltas=deltas, extension=extension)
+        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
             raise FormatError(f"bad algebra file: {exc!r}") from exc
-        return cls(fragment, max_sort, sizes, meets, joins, zeros, ones, substs,
-                   negs=negs, exists_tables=exists_tables, deltas=deltas, extension=extension)
 
     def to_json(self) -> str:
         sorts = []

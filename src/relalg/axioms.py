@@ -1,36 +1,48 @@
-"""Schema instantiation and bounded verification of the axiom list (0)-(13)
-against a finite algebra, plus the two counterexample galleries.
+"""The axiom list (0)-(13) as term clauses, checked in bounds against a
+finite algebra, plus the two counterexample galleries.
 
-Each axiom is a schema; checking enumerates all schema parameterizations in
-bounds (sorts, block shapes, substitution tuples) and, per parameterization,
-either every element tuple (when the tuple space fits the exhaustive cap) or
-a seeded uniform sample.  Violations carry enough structure to re-evaluate
-bit-exactly via replay_instance.
+A schema yields one Clause per parameterization in bounds (sorts, block
+shapes, substitution tuples): slot variables with their sorts, and labelled
+equations between terms of the operation signature (formulas.py, the
+``eval --syntax term`` grammar).  (1)-(13) are equations that must all hold.
+(0), the one non-equational schema, has a premise: where it holds, some
+equation must; reports label (0) apart.  Each term repeats its schema's
+operation sequence (folds start from 1 or 0; a <= b is meet(a, b) = a),
+since on tables that break the laws equivalent terms can disagree.
 
-Applicability: (0)-(4) everywhere; (5)-(6) need negation; (7)-(10) need
-projection; (11)-(13) need equality constants.  Axiom (0) is the single
-non-equational schema (its conclusion is a disjunction); the reports keep it
-labeled apart so equational-only runs can be read off.
+One evaluator runs a clause over batches of slot tuples: all of them when
+the space fits the exhaustive cap, else a seeded uniform sample.  A
+violation's params and slot values replay it bit-exactly through
+replay_instance, a batch of one.  Applicability: (0)-(4) everywhere;
+(5)-(6) need negation, (7)-(10) projection, (11)-(13) equality constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from functools import reduce
+from itertools import compress, islice, product as iproduct
 from math import prod
+from operator import eq, not_, or_
 from random import Random
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .algebras import FiniteAlgebra, concrete, generated_subalgebra, product
 from .errors import FragmentError
+from .formulas import And, Bot, Delta, Exists, Not, Or, Sub, Sym, Term, Top
 from .fragments import Fragment, PE, QF
 from .relations import (
     Substitution,
     Universe,
     all_substitutions,
     assoc_cylindrification,
+    compose,
     partitioning,
 )
+
+# Slot tuples per evaluator batch: large enough to amortize the per-term
+# work, small enough that no exhaustive space is ever materialized whole.
+BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,22 @@ class CheckReport:
         return not self.violations
 
 
+Equation = tuple[str, str, Term, Term]  # label, detail, lhs, rhs
+
+
+@dataclass(frozen=True)
+class Clause:
+    """One parameterization of a schema.  Without a premise, every equation
+    must hold, and the first that fails names a violation.  With a premise,
+    at least one equation must hold wherever the premise does, and the
+    premise's label and detail name a violation."""
+
+    params: dict
+    slots: tuple[Sym, ...]
+    equations: tuple[Equation, ...]
+    premise: Equation | None = None
+
+
 def applicable_axioms(fragment: Fragment) -> list[int]:
     out = [0, 1, 2, 3, 4]
     if fragment.negation:
@@ -80,49 +108,37 @@ def applicable_axioms(fragment: Fragment) -> list[int]:
     return out
 
 
-def _require_applicable(algebra: FiniteAlgebra, axiom: int) -> None:
-    if axiom not in applicable_axioms(algebra.fragment):
-        raise FragmentError(
-            f"axiom ({axiom}) is not applicable to fragment {algebra.fragment}"
-        )
-
-
-# A parameterization: (params dict, slot sorts, check).  The check receives
-# the element tuple and returns None or a (label, detail) pair.
-Param = tuple[dict, tuple[int, ...], Callable[[tuple[int, ...]], tuple[str, str] | None]]
-
-
 def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckReport:
-    _require_applicable(algebra, axiom)
-    params = list(_params_for(algebra, axiom, bounds))
+    if axiom not in applicable_axioms(algebra.fragment):
+        raise FragmentError(f"axiom ({axiom}) is not applicable to fragment {algebra.fragment}")
     rng = Random(bounds.seed)
     violations: list[SchemaInstance] = []
-    instances = 0
+    params = instances = 0
     sampled = False
-    for pdict, slots, check in params:
-        sizes = [algebra.sort_size(s) for s in slots]
-        space = prod(sizes)
-        if space <= bounds.exhaustive_cap:
-            element_iter: Iterator[tuple[int, ...]] = iproduct(*[range(sz) for sz in sizes])
+    for clause in _clauses(algebra, axiom, bounds):
+        params += 1
+        sorts = [slot.sort for slot in clause.slots]
+        sizes = [algebra.sort_size(s) for s in sorts]
+        if prod(sizes) <= bounds.exhaustive_cap:
+            rows: Iterator[tuple[int, ...]] = iproduct(*[range(sz) for sz in sizes])
         else:
             sampled = True
-            element_iter = (
-                tuple(rng.randrange(sz) for sz in sizes) for _ in range(bounds.samples)
-            )
-        for elems in element_iter:
-            instances += 1
-            hit = check(elems)
-            if hit is not None and len(violations) < bounds.violation_cap:
-                label, detail = hit
-                shown = ", ".join(
-                    algebra.element_label(s, v) for s, v in zip(slots, elems)
-                )
+            rows = (tuple(rng.randrange(sz) for sz in sizes) for _ in range(bounds.samples))
+        consts: dict = {}
+        while batch := list(islice(rows, BATCH)):
+            instances += len(batch)
+            columns = [list(col) for col in zip(*batch)]
+            for row, label, detail in _failures(algebra, clause, columns, len(batch), consts):
+                if len(violations) >= bounds.violation_cap:
+                    break
+                elems = batch[row]
+                shown = ", ".join(algebra.element_label(s, v) for s, v in zip(sorts, elems))
                 if shown:
                     detail = f"{detail}; elements: [{shown}]" if detail else f"elements: [{shown}]"
-                violations.append(SchemaInstance(axiom, label, pdict, tuple(elems), detail))
+                violations.append(SchemaInstance(axiom, label, clause.params, elems, detail))
     mode = "exhaustive" if not sampled else f"sampled(seed={bounds.seed},count={bounds.samples})"
     note = "non-Horn schema: conclusion is a disjunction" if axiom == 0 else ""
-    return CheckReport(axiom, str(algebra.fragment), mode, len(params), instances,
+    return CheckReport(axiom, str(algebra.fragment), mode, params, instances,
                        violations, bounds.seed, note)
 
 
@@ -133,19 +149,99 @@ def check_fragment(algebra: FiniteAlgebra, bounds: Bounds) -> list[CheckReport]:
 
 def replay_instance(algebra: FiniteAlgebra, instance: SchemaInstance, bounds: Bounds) -> bool:
     """Re-evaluate a reported violation; True when it reproduces."""
-    for pdict, _slots, check in _params_for(algebra, instance.axiom, bounds):
-        if pdict == instance.params:
-            return check(instance.slot_values) is not None
+    for clause in _clauses(algebra, instance.axiom, bounds):
+        if clause.params == instance.params:
+            columns = [[v] for v in instance.slot_values]
+            return bool(_failures(algebra, clause, columns, 1, {}))
     return False
 
 
 # ---------------------------------------------------------------------------
-# Parameterization generators
+# The batched evaluator
 
 
-def _params_for(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> Iterator[Param]:
-    gen = _GENERATORS[axiom]
-    yield from gen(algebra, min(bounds.max_sort, algebra.max_sort), bounds)
+def _failures(alg: FiniteAlgebra, clause: Clause, columns: list[list[int]], size: int,
+              consts: dict) -> list[tuple[int, str, str]]:
+    """(row, label, detail) for each row of the batch that violates the
+    clause, in row order.  consts keeps the values of slot-free subterms
+    across the batches of one clause."""
+    env: dict = dict(zip(clause.slots, columns))
+    if clause.premise is not None:
+        label, detail, lhs, rhs = clause.premise
+        holds = _holds(alg, lhs, rhs, env, consts, size)
+        rows = list(compress(range(size), holds))
+        env = {t: list(compress(col, holds)) for t, col in env.items()}
+        hit = [False] * len(rows)
+        for _, _, lhs, rhs in clause.equations:
+            hit = list(map(or_, hit, _holds(alg, lhs, rhs, env, consts, len(rows))))
+        return [(row, label, detail) for row in compress(rows, map(not_, hit))]
+    first: dict[int, tuple[str, str]] = {}
+    for label, detail, lhs, rhs in clause.equations:
+        holds = _holds(alg, lhs, rhs, env, consts, size)
+        if not all(holds):
+            for row in compress(range(size), map(not_, holds)):
+                first.setdefault(row, (label, detail))
+    return [(row, *first[row]) for row in sorted(first)]
+
+
+def _holds(alg: FiniteAlgebra, lhs: Term, rhs: Term, env: dict, consts: dict,
+           size: int) -> list[bool]:
+    """Whether lhs = rhs holds, row by row."""
+    x, y = (_value(alg, t, env, consts, size) for t in (lhs, rhs))
+    if x == y:
+        return [True] * size
+    return list(map(eq, _column(x, size), _column(y, size)))
+
+
+def _column(v: int | list[int], size: int) -> list[int]:
+    return v if isinstance(v, list) else [v] * size
+
+
+def _value(alg: FiniteAlgebra, t: Term, env: dict, consts: dict, size: int) -> int | list[int]:
+    """The value of t on a batch: one element when t has no slot variable
+    (kept in consts), else a column (kept in env)."""
+    if t in env:
+        return env[t]
+    if t in consts:
+        return consts[t]
+    match t:
+        case Top(n):
+            v = alg.one(n)
+        case Bot(n):
+            v = alg.zero(n)
+        case Delta(n, i, j):
+            v = alg.delta(n, i, j)
+        case Sub(alpha, child):
+            v = _lookup(alg.subst_table(alpha), _value(alg, child, env, consts, size))
+        case Not(child):
+            v = _lookup(alg.neg_table(t.sort), _value(alg, child, env, consts, size))
+        case Exists(child):
+            v = _lookup(alg.exists_table(t.sort), _value(alg, child, env, consts, size))
+        case And(left, right) | Or(left, right):
+            x, y = (_value(alg, u, env, consts, size) for u in (left, right))
+            if isinstance(x, list) or isinstance(y, list):
+                op = alg.meet_all if isinstance(t, And) else alg.join_all
+                v = op(t.sort, _column(x, size), _column(y, size))
+            else:
+                v = (alg.meet if isinstance(t, And) else alg.join)(t.sort, x, y)
+        case _:
+            raise TypeError(f"not a clause term: {t!r}")
+    (env if isinstance(v, list) else consts)[t] = v
+    return v
+
+
+def _lookup(table: list[int], v: int | list[int]) -> int | list[int]:
+    return list(map(table.__getitem__, v)) if isinstance(v, list) else table[v]
+
+
+# ---------------------------------------------------------------------------
+# The schemas, one clause per parameterization
+
+
+def _clauses(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> Iterator[Clause]:
+    schema = (_ax0, _ax1, _ax2, _ax3, _ax4, _ax5, _ax6,
+              _ax7, _ax8, _ax9, _ax10, _ax11, _ax12, _ax13)[axiom]
+    return schema(min(bounds.max_sort, algebra.max_sort), bounds)
 
 
 def _ser(alpha: Substitution) -> list:
@@ -160,315 +256,185 @@ def _shapes(max_sort: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
                 yield ks
 
 
-def _ax0(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
+def _ax0(n_max: int, bounds: Bounds) -> Iterator[Clause]:
     for ks in _shapes(n_max, bounds.max_blocks):
         n = sum(ks)
-        m = len(ks)
-        ctabs = [alg.subst_table(c) for c in partitioning(*ks)]
-        one_n, zero_n = alg.one(n), alg.zero(n)
-        pdict = {"shape": list(ks)}
-        slots = tuple(ks) + tuple(ks)
-
-        def check(elems, ks=ks, ctabs=ctabs, n=n, m=m, one_n=one_n, zero_n=zero_n):
-            lhs = one_n
-            for tab, r in zip(ctabs, elems[:m]):
-                lhs = alg.meet(n, lhs, tab[r])
-            rhs = zero_n
-            for tab, s in zip(ctabs, elems[m:]):
-                rhs = alg.join(n, rhs, tab[s])
-            if alg.meet(n, lhs, rhs) != lhs:
-                return None  # premise fails
-            for i in range(m):
-                if alg.leq(ks[i], elems[i], elems[m + i]):
-                    return None
-            return ("", f"blocks {list(ks)}: the join of the s-cylinders covers the "
-                        f"meet of the r-cylinders but no s_i >= r_i (slots list r then s)")
-
-        yield pdict, slots, check
+        rs = [Sym(f"r{i}", k) for i, k in enumerate(ks, start=1)]
+        ss = [Sym(f"s{i}", k) for i, k in enumerate(ks, start=1)]
+        cyls = partitioning(*ks)
+        lhs = reduce(And, (Sub(c, r) for c, r in zip(cyls, rs)), Top(n))
+        rhs = reduce(Or, (Sub(c, s) for c, s in zip(cyls, ss)), Bot(n))
+        detail = (f"blocks {list(ks)}: the join of the s-cylinders covers the "
+                  f"meet of the r-cylinders but no s_i >= r_i (slots list r then s)")
+        yield Clause({"shape": list(ks)}, (*rs, *ss),
+                     tuple(("", "", And(r, s), r) for r, s in zip(rs, ss)),
+                     premise=("", detail, And(lhs, rhs), lhs))
 
 
-def _ax1(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
+def _ax1(n_max: int, bounds: Bounds) -> Iterator[Clause]:
     for n in range(n_max + 1):
-        zero_n, one_n = alg.zero(n), alg.one(n)
-
-        def check(elems, n=n, zero_n=zero_n, one_n=one_n):
-            a, b, c = elems
-            meet, join = alg.meet, alg.join
-            if meet(n, a, b) != meet(n, b, a) or join(n, a, b) != join(n, b, a):
-                return ("commutativity", f"sort {n}")
-            if meet(n, a, meet(n, b, c)) != meet(n, meet(n, a, b), c):
-                return ("associativity", f"sort {n} (meet)")
-            if join(n, a, join(n, b, c)) != join(n, join(n, a, b), c):
-                return ("associativity", f"sort {n} (join)")
-            if meet(n, a, a) != a or join(n, a, a) != a:
-                return ("idempotence", f"sort {n}")
-            if meet(n, a, join(n, a, b)) != a or join(n, a, meet(n, a, b)) != a:
-                return ("absorption", f"sort {n}")
-            if join(n, zero_n, a) != a or meet(n, one_n, a) != a:
-                return ("bounds", f"sort {n}")
-            if meet(n, a, join(n, b, c)) != join(n, meet(n, a, b), meet(n, a, c)):
-                return ("distributivity", f"sort {n}")
-            if join(n, a, meet(n, b, c)) != meet(n, join(n, a, b), join(n, a, c)):
-                return ("distributivity", f"sort {n} (dual)")
-            return None
-
-        yield {"sort": n}, (n, n, n), check
+        a, b, c = Sym("a", n), Sym("b", n), Sym("c", n)
+        d = f"sort {n}"
+        yield Clause({"sort": n}, (a, b, c), (
+            ("commutativity", d, And(a, b), And(b, a)),
+            ("commutativity", d, Or(a, b), Or(b, a)),
+            ("associativity", f"{d} (meet)", And(a, And(b, c)), And(And(a, b), c)),
+            ("associativity", f"{d} (join)", Or(a, Or(b, c)), Or(Or(a, b), c)),
+            ("idempotence", d, And(a, a), a),
+            ("idempotence", d, Or(a, a), a),
+            ("absorption", d, And(a, Or(a, b)), a),
+            ("absorption", d, Or(a, And(a, b)), a),
+            ("bounds", d, Or(Bot(n), a), a),
+            ("bounds", d, And(Top(n), a), a),
+            ("distributivity", d, And(a, Or(b, c)), Or(And(a, b), And(a, c))),
+            ("distributivity", f"{d} (dual)", Or(a, And(b, c)), And(Or(a, b), Or(a, c))),
+        ))
 
 
-def _ax2(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
+def _ax2(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+    for n, k in iproduct(range(n_max + 1), repeat=2):
+        r, s = Sym("r", n), Sym("s", n)
+        for alpha in all_substitutions(n, k):
+            yield Clause({"alpha": _ser(alpha), "part": "constants"}, (), (
+                ("constants", "0 not preserved", Sub(alpha, Bot(n)), Bot(k)),
+                ("constants", "1 not preserved", Sub(alpha, Top(n)), Top(k)),
+            ))
+            d = f"sort {n}->{k}"
+            yield Clause({"alpha": _ser(alpha), "part": "binary"}, (r, s), (
+                ("join", d, Sub(alpha, Or(r, s)), Or(Sub(alpha, r), Sub(alpha, s))),
+                ("meet", d, Sub(alpha, And(r, s)), And(Sub(alpha, r), Sub(alpha, s))),
+            ))
+
+
+def _ax3(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+    for n, k in iproduct(range(n_max + 1), repeat=2):
+        r = Sym("r", n)
+        for alpha in all_substitutions(n, k):
+            for m in range(n_max + 1):
+                for beta in all_substitutions(k, m):
+                    yield Clause({"alpha": _ser(alpha), "beta": _ser(beta)}, (r,), (
+                        ("", "composite substitution differs",
+                         Sub(compose(beta, alpha), r), Sub(beta, Sub(alpha, r))),
+                    ))
+
+
+def _ax4(n_max: int, bounds: Bounds) -> Iterator[Clause]:
     for n in range(n_max + 1):
-        for k in range(n_max + 1):
-            for alpha in all_substitutions(n, k):
-                tab = alg.subst_table(alpha)
-
-                def check_const(elems, n=n, k=k, tab=tab):
-                    if tab[alg.zero(n)] != alg.zero(k):
-                        return ("constants", "0 not preserved")
-                    if tab[alg.one(n)] != alg.one(k):
-                        return ("constants", "1 not preserved")
-                    return None
-
-                yield {"alpha": _ser(alpha), "part": "constants"}, (), check_const
-
-                def check_pair(elems, n=n, k=k, tab=tab):
-                    r, s = elems
-                    if tab[alg.join(n, r, s)] != alg.join(k, tab[r], tab[s]):
-                        return ("join", f"sort {n}->{k}")
-                    if tab[alg.meet(n, r, s)] != alg.meet(k, tab[r], tab[s]):
-                        return ("meet", f"sort {n}->{k}")
-                    return None
-
-                yield {"alpha": _ser(alpha), "part": "binary"}, (n, n), check_pair
+        r = Sym("r", n)
+        yield Clause({"sort": n}, (r,), (
+            ("", "identity substitution moves an element", Sub(Substitution.identity(n), r), r),
+        ))
 
 
-def _ax3(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
-    from .relations import compose
+def _ax5(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+    for n, k in iproduct(range(n_max + 1), repeat=2):
+        r = Sym("r", n)
+        for alpha in all_substitutions(n, k):
+            yield Clause({"alpha": _ser(alpha)}, (r,), (
+                ("", "substitution does not commute with negation",
+                 Sub(alpha, Not(r)), Not(Sub(alpha, r))),
+            ))
 
+
+def _ax6(n_max: int, bounds: Bounds) -> Iterator[Clause]:
     for n in range(n_max + 1):
-        for k in range(n_max + 1):
-            for alpha in all_substitutions(n, k):
-                atab = alg.subst_table(alpha)
-                for m in range(n_max + 1):
-                    for beta in all_substitutions(k, m):
-                        btab = alg.subst_table(beta)
-                        ctab = alg.subst_table(compose(beta, alpha))
-
-                        def check(elems, atab=atab, btab=btab, ctab=ctab):
-                            (r,) = elems
-                            if ctab[r] != btab[atab[r]]:
-                                return ("", "composite substitution differs")
-                            return None
-
-                        yield {"alpha": _ser(alpha), "beta": _ser(beta)}, (n,), check
+        r = Sym("r", n)
+        yield Clause({"sort": n}, (r,), (
+            ("excluded-middle", f"sort {n}", Or(r, Not(r)), Top(n)),
+            ("non-contradiction", f"sort {n}", And(r, Not(r)), Bot(n)),
+        ))
 
 
-def _ax4(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
-    for n in range(n_max + 1):
-        tab = alg.subst_table(Substitution.identity(n))
-
-        def check(elems, tab=tab):
-            (r,) = elems
-            return None if tab[r] == r else ("", "identity substitution moves an element")
-
-        yield {"sort": n}, (n,), check
-
-
-def _ax5(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
-    for n in range(n_max + 1):
-        neg_n = alg.neg_table(n)
-        for k in range(n_max + 1):
-            neg_k = alg.neg_table(k)
-            for alpha in all_substitutions(n, k):
-                tab = alg.subst_table(alpha)
-
-                def check(elems, tab=tab, neg_n=neg_n, neg_k=neg_k):
-                    (r,) = elems
-                    if tab[neg_n[r]] != neg_k[tab[r]]:
-                        return ("", "substitution does not commute with negation")
-                    return None
-
-                yield {"alpha": _ser(alpha)}, (n,), check
-
-
-def _ax6(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
-    for n in range(n_max + 1):
-        neg_n = alg.neg_table(n)
-        zero_n, one_n = alg.zero(n), alg.one(n)
-
-        def check(elems, n=n, neg_n=neg_n, zero_n=zero_n, one_n=one_n):
-            (r,) = elems
-            if alg.join(n, r, neg_n[r]) != one_n:
-                return ("excluded-middle", f"sort {n}")
-            if alg.meet(n, r, neg_n[r]) != zero_n:
-                return ("non-contradiction", f"sort {n}")
-            return None
-
-        yield {"sort": n}, (n,), check
-
-
-def _ax7(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
+def _ax7(n_max: int, bounds: Bounds) -> Iterator[Clause]:
     for n in range(n_max):
-        ex = alg.exists_table(n)
-        zero_lo, zero_hi = alg.zero(n), alg.zero(n + 1)
-
-        def check_zero(elems, ex=ex, zero_lo=zero_lo, zero_hi=zero_hi):
-            if ex[zero_hi] != zero_lo:
-                return ("zero", "projection does not preserve 0")
-            return None
-
-        yield {"sort": n, "part": "zero"}, (), check_zero
-
-        def check_join(elems, n=n, ex=ex):
-            r, s = elems
-            if ex[alg.join(n + 1, r, s)] != alg.join(n, ex[r], ex[s]):
-                return ("join", "projection does not preserve joins")
-            return None
-
-        yield {"sort": n, "part": "join"}, (n + 1, n + 1), check_join
+        yield Clause({"sort": n, "part": "zero"}, (), (
+            ("zero", "projection does not preserve 0", Exists(Bot(n + 1)), Bot(n)),
+        ))
+        r, s = Sym("r", n + 1), Sym("s", n + 1)
+        yield Clause({"sort": n, "part": "join"}, (r, s), (
+            ("join", "projection does not preserve joins",
+             Exists(Or(r, s)), Or(Exists(r), Exists(s))),
+        ))
 
 
-def _ax8(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
+def _ax8(n_max: int, bounds: Bounds) -> Iterator[Clause]:
     for n in range(n_max):
-        ex = alg.exists_table(n)
-        ctab = alg.subst_table(assoc_cylindrification(n))
-
-        def check(elems, n=n, ex=ex, ctab=ctab):
-            (r,) = elems
-            if not alg.leq(n + 1, r, ctab[ex[r]]):
-                return ("", "element not below the cylinder of its projection")
-            return None
-
-        yield {"sort": n}, (n + 1,), check
+        r = Sym("r", n + 1)
+        yield Clause({"sort": n}, (r,), (
+            ("", "element not below the cylinder of its projection",
+             And(r, Sub(assoc_cylindrification(n), Exists(r))), r),
+        ))
 
 
-def _ax9(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
+def _ax9(n_max: int, bounds: Bounds) -> Iterator[Clause]:
     for n in range(n_max):
-        ex = alg.exists_table(n)
-        ctab = alg.subst_table(assoc_cylindrification(n))
-
-        def check(elems, n=n, ex=ex, ctab=ctab):
-            r, s = elems
-            if ex[alg.meet(n + 1, r, ctab[s])] != alg.meet(n, ex[r], s):
-                return ("", "projection of a cylinder-restricted element differs")
-            return None
-
-        yield {"sort": n}, (n + 1, n), check
+        r, s = Sym("r", n + 1), Sym("s", n)
+        yield Clause({"sort": n}, (r, s), (
+            ("", "projection of a cylinder-restricted element differs",
+             Exists(And(r, Sub(assoc_cylindrification(n), s))), And(Exists(r), s)),
+        ))
 
 
-def _ax10(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
+def _ax10(n_max: int, bounds: Bounds) -> Iterator[Clause]:
     for n_w in range(1, bounds.max_subst_count + 1):
         for m in range(n_max - n_w + 1):
             for ks in iproduct(range(n_max), repeat=n_w):
-                alpha_lists = [list(all_substitutions(k, m)) for k in ks]
-                if any(not lst for lst in alpha_lists):
-                    continue
-                for alphas in iproduct(*alpha_lists):
+                rs = tuple(Sym(f"r{i}", k + 1) for i, k in enumerate(ks, start=1))
+                for alphas in iproduct(*(all_substitutions(k, m) for k in ks)):
                     betas = [
                         Substitution(k + 1, m + n_w, alpha.map + (m + i,))
                         for i, (k, alpha) in enumerate(zip(ks, alphas), start=1)
                     ]
-                    btabs = [alg.subst_table(beta) for beta in betas]
-                    atabs = [alg.subst_table(alpha) for alpha in alphas]
-                    extabs = [alg.exists_table(k) for k in ks]
-                    chain = [alg.exists_table(lvl) for lvl in range(m, m + n_w)]
-                    one_hi, one_m = alg.one(m + n_w), alg.one(m)
-
-                    def check(elems, ks=ks, btabs=btabs, atabs=atabs, extabs=extabs,
-                              chain=chain, one_hi=one_hi, one_m=one_m, m=m, n_w=n_w):
-                        lhs = one_hi
-                        for btab, r in zip(btabs, elems):
-                            lhs = alg.meet(m + n_w, lhs, btab[r])
-                        for lvl in range(n_w - 1, -1, -1):
-                            lhs = chain[lvl][lhs]
-                        rhs = one_m
-                        for atab, extab, r in zip(atabs, extabs, elems):
-                            rhs = alg.meet(m, rhs, atab[extab[r]])
-                        if lhs != rhs:
-                            return ("", "batched projection differs from separate projections")
-                        return None
-
-                    yield (
-                        {"m": m, "ks": list(ks), "alphas": [_ser(a) for a in alphas]},
-                        tuple(k + 1 for k in ks),
-                        check,
-                    )
+                    lhs = reduce(And, (Sub(beta, r) for beta, r in zip(betas, rs)), Top(m + n_w))
+                    for _ in range(n_w):
+                        lhs = Exists(lhs)
+                    rhs = reduce(And, (Sub(a, Exists(r)) for a, r in zip(alphas, rs)), Top(m))
+                    yield Clause({"m": m, "ks": list(ks), "alphas": [_ser(a) for a in alphas]},
+                                 rs, (("", "batched projection differs from separate projections",
+                                       lhs, rhs),))
 
 
-def _ax11(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
+def _ax11(n_max: int, bounds: Bounds) -> Iterator[Clause]:
     for n in range(1, n_max + 1):
-        one_n = alg.one(n)
-        for i in range(1, n + 1):
-
-            def check_a(elems, n=n, i=i, one_n=one_n):
-                if alg.delta(n, i, i) != one_n:
-                    return ("11a", f"diagonal ({i},{i}) of sort {n} is not 1")
-                return None
-
-            yield {"sort": n, "part": "a", "i": i}, (), check_a
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-
-                def check_b(elems, n=n, i=i, j=j):
-                    if alg.delta(n, i, j) != alg.delta(n, j, i):
-                        return ("11b", f"diagonal of sort {n} not symmetric at ({i},{j})")
-                    return None
-
-                yield {"sort": n, "part": "b", "i": i, "j": j}, (), check_b
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-
-                    def check_c(elems, n=n, i=i, j=j, k=k):
-                        lhs = alg.meet(n, alg.delta(n, i, j), alg.delta(n, j, k))
-                        if not alg.leq(n, lhs, alg.delta(n, i, k)):
-                            return ("11c", f"diagonal transitivity fails at ({i},{j},{k}) of sort {n}")
-                        return None
-
-                    yield {"sort": n, "part": "c", "i": i, "j": j, "k": k}, (), check_c
+        idx = range(1, n + 1)
+        for i in idx:
+            yield Clause({"sort": n, "part": "a", "i": i}, (), (
+                ("11a", f"diagonal ({i},{i}) of sort {n} is not 1", Delta(n, i, i), Top(n)),
+            ))
+        for i, j in iproduct(idx, idx):
+            yield Clause({"sort": n, "part": "b", "i": i, "j": j}, (), (
+                ("11b", f"diagonal of sort {n} not symmetric at ({i},{j})",
+                 Delta(n, i, j), Delta(n, j, i)),
+            ))
+        for i, j, k in iproduct(idx, idx, idx):
+            both = And(Delta(n, i, j), Delta(n, j, k))
+            yield Clause({"sort": n, "part": "c", "i": i, "j": j, "k": k}, (), (
+                ("11c", f"diagonal transitivity fails at ({i},{j},{k}) of sort {n}",
+                 And(both, Delta(n, i, k)), both),
+            ))
 
 
-def _ax12(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
-    for k in range(n_max + 1):
-        for n in range(n_max + 1):
-            if n == 0 and k > 0:
-                continue
-            for alpha in all_substitutions(k, n):
-                atab = alg.subst_table(alpha)
-                for beta in all_substitutions(k, n):
-                    btab = alg.subst_table(beta)
-                    agree = alg.one(n)
-                    for l in range(k):
-                        agree = alg.meet(n, agree, alg.delta(n, alpha.map[l], beta.map[l]))
-
-                    def check(elems, n=n, atab=atab, btab=btab, agree=agree):
-                        (r,) = elems
-                        if alg.meet(n, atab[r], agree) != alg.meet(n, btab[r], agree):
-                            return ("", "substitutions differ under the agreement diagonal")
-                        return None
-
-                    yield {"alpha": _ser(alpha), "beta": _ser(beta)}, (k,), check
+def _ax12(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+    for k, n in iproduct(range(n_max + 1), repeat=2):
+        r = Sym("r", k)
+        for alpha in all_substitutions(k, n):
+            for beta in all_substitutions(k, n):
+                agree = reduce(And, (Delta(n, a, b) for a, b in zip(alpha.map, beta.map)), Top(n))
+                yield Clause({"alpha": _ser(alpha), "beta": _ser(beta)}, (r,), (
+                    ("", "substitutions differ under the agreement diagonal",
+                     And(Sub(alpha, r), agree), And(Sub(beta, r), agree)),
+                ))
 
 
-def _ax13(alg: FiniteAlgebra, n_max: int, bounds: Bounds) -> Iterator[Param]:
-    for k in range(1, n_max + 1):
-        for n in range(1, n_max + 1):
-            for alpha in all_substitutions(k, n):
-                tab = alg.subst_table(alpha)
-                for i in range(1, k + 1):
-                    for j in range(1, k + 1):
-
-                        def check(elems, k=k, n=n, alpha=alpha, tab=tab, i=i, j=j):
-                            if tab[alg.delta(k, i, j)] != alg.delta(n, alpha.map[i - 1], alpha.map[j - 1]):
-                                return ("", "substitution image of a diagonal differs")
-                            return None
-
-                        yield {"alpha": _ser(alpha), "i": i, "j": j}, (), check
-
-
-_GENERATORS = {
-    0: _ax0, 1: _ax1, 2: _ax2, 3: _ax3, 4: _ax4, 5: _ax5, 6: _ax6,
-    7: _ax7, 8: _ax8, 9: _ax9, 10: _ax10, 11: _ax11, 12: _ax12, 13: _ax13,
-}
+def _ax13(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+    for k, n in iproduct(range(1, n_max + 1), repeat=2):
+        for alpha in all_substitutions(k, n):
+            for i, j in iproduct(range(1, k + 1), repeat=2):
+                yield Clause({"alpha": _ser(alpha), "i": i, "j": j}, (), (
+                    ("", "substitution image of a diagonal differs",
+                     Sub(alpha, Delta(k, i, j)),
+                     Delta(n, alpha.map[i - 1], alpha.map[j - 1])),
+                ))
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except RelAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply to parse or evaluate", file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")
 
 

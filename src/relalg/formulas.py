@@ -617,11 +617,14 @@ class Structure:
             raise FormatError(f"bad structure file: {exc}") from exc
         if not isinstance(data, dict) or "universe" not in data:
             raise FormatError("structure file must be an object with a 'universe' key")
-        universe = Universe(int(data["universe"]))
-        rels = {}
-        for name, spec in data.get("relations", {}).items():
-            arity = int(spec["arity"])
-            rels[name] = Relation.from_tuples(universe, arity, [tuple(t) for t in spec.get("tuples", [])])
+        try:
+            universe = Universe(int(data["universe"]))
+            rels = {}
+            for name, spec in data.get("relations", {}).items():
+                arity = int(spec["arity"])
+                rels[name] = Relation.from_tuples(universe, arity, [tuple(t) for t in spec.get("tuples", [])])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad structure file: {exc!r}") from exc
         return cls(universe, rels)
 
     def to_json(self) -> str:

@@ -1,0 +1,89 @@
+"""Golden reports of the schema checker on table algebras that break the laws.
+
+Each algebra is the table presentation of concrete(Universe(k), fo+eq, 2),
+k in {1, 2}, with one table entry moved to the next element of its sort.
+Every report of check_fragment, under one exhaustive and one sampled Bounds,
+is pinned, one line per report, in axiom_reports_golden.jsonl: mode,
+parameterization and instance counts, and each violation's label, params,
+slot values and detail.  On
+algebras that break the laws, two equivalent ways of writing a schema can
+disagree, so these reports pin the exact operation sequence of each schema,
+which equation names a violation, and the sampled instance stream.
+
+Regenerate (only when a report is meant to change) with:
+
+    PYTHONPATH=src python tests/test_axioms_golden.py > tests/axiom_reports_golden.jsonl
+"""
+
+import json
+from pathlib import Path
+
+from relalg import Bounds, TableAlgebra, Universe, as_table_algebra, check_fragment, concrete
+from relalg.fragments import FO
+
+GOLDEN = Path(__file__).with_name("axiom_reports_golden.jsonl")
+
+# (name, the table row holding the entry, entry index, sort of the entry)
+CORRUPTIONS = [
+    ("meet sort 0", lambda d: d["sorts"][0]["meet"][0], 1, 0),
+    ("meet sort 1", lambda d: d["sorts"][1]["meet"][0], 1, 1),
+    ("join sort 2", lambda d: d["sorts"][2]["join"][1], 0, 2),
+    ("neg sort 1", lambda d: d["sorts"][1]["neg"], 1, 1),
+    ("subst 1->2:[2]", lambda d: d["subst"]["1->2:[2]"], 1, 2),
+    ("subst 2->1:[1,1]", lambda d: d["subst"]["2->1:[1,1]"], 2, 1),
+    ("identity 1->1:[1]", lambda d: d["subst"]["1->1:[1]"], 1, 1),
+    ("exists onto 1", lambda d: d["exists"]["1"], 3, 1),
+    ("exists onto 0", lambda d: d["exists"]["0"], 1, 0),
+    ("delta 2:1,2", lambda d: d["delta"], "2:1,2", 2),
+    ("delta 1:1,1", lambda d: d["delta"], "1:1,1", 1),
+]
+
+BOUNDS = {
+    "exhaustive": Bounds(max_sort=2),
+    "sampled": Bounds(max_sort=2, exhaustive_cap=64, samples=50, seed=7),
+}
+
+
+def broken_algebras():
+    for k in (1, 2):
+        base = as_table_algebra(concrete(Universe(k), FO.with_equality(), 2)).to_json()
+        sizes = [s["size"] for s in json.loads(base)["sorts"]]
+        for name, row_of, idx, sort in CORRUPTIONS:
+            data = json.loads(base)
+            row = row_of(data)
+            if isinstance(idx, int):
+                idx %= len(row)
+            row[idx] = (row[idx] + 1) % sizes[sort]
+            yield f"|W|={k} {name}", TableAlgebra.from_json(json.dumps(data))
+
+
+def golden_reports() -> list[dict]:
+    return [
+        {
+            "algebra": name,
+            "bounds": bounds_name,
+            "axiom": r.axiom,
+            "mode": r.mode,
+            "params": r.params_checked,
+            "instances": r.instances_checked,
+            "violations": [[v.label, v.params, list(v.slot_values), v.detail]
+                           for v in r.violations],
+        }
+        for name, algebra in broken_algebras()
+        for bounds_name, bounds in BOUNDS.items()
+        for r in check_fragment(algebra, bounds)
+    ]
+
+
+def test_broken_table_reports_match_golden():
+    expected = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    actual = golden_reports()
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got == want, (got["algebra"], got["bounds"], got["axiom"])
+    assert {r["axiom"] for r in expected if r["violations"]} == set(range(14))
+
+
+if __name__ == "__main__":
+    for report in golden_reports():
+        print(json.dumps(report, sort_keys=True))

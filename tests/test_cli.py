@@ -65,9 +65,18 @@ def test_eval_formula_file(structure_file, tmp_path):
     assert text.strip() == "arity=1 universe=2 {(0)}"
 
 
-def test_eval_malformed_formula_exits_2(structure_file):
+def test_eval_malformed_formula_exits_2(structure_file, tmp_path, capsys):
     code, _ = run_cli("eval", "--structure", structure_file, "[x] exists y (R1(x,y)")
     assert code == 2
+    # nesting deeper than the recursion limit: a one-line error, not a traceback
+    for name, text in [("bangs", "[x] " + "!" * 5000 + "R1(x,x)"),
+                       ("parens", "[x] " + "(" * 3000 + "R1(x,x)" + ")" * 3000)]:
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        capsys.readouterr()
+        code, _ = run_cli("eval", "--structure", structure_file, "--formula-file", str(path))
+        assert code == 2, name
+        assert capsys.readouterr().err.startswith("error: input nested too deeply")
 
 
 def test_eval_unknown_symbol_exits_2(structure_file):
@@ -78,6 +87,13 @@ def test_eval_unknown_symbol_exits_2(structure_file):
 def test_eval_missing_structure_exits_2(tmp_path):
     code, _ = run_cli("eval", "--structure", str(tmp_path / "nope.json"), "[x] true")
     assert code == 2
+    no_arity = {"universe": 2, "relations": {"R": {"tuples": [[0]]}}}
+    outside = {"universe": 2, "relations": {"R": {"arity": 1, "tuples": [[5]]}}}
+    for data in (no_arity, outside):
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(data))
+        code, _ = run_cli("eval", "--structure", str(path), "[x] true")
+        assert code == 2, data
 
 
 def test_axioms_check_concrete_passes():
@@ -182,10 +198,25 @@ def test_invalid_table_entry_exits_2(tmp_path):
     from relalg import Universe, as_table_algebra, concrete
     from relalg.fragments import QF
 
-    data = json.loads(as_table_algebra(concrete(Universe(1), QF, 1)).to_json())
-    data["sorts"][1]["neg"][0] = 99
-    path = tmp_path / "algebra.json"
-    path.write_text(json.dumps(data))
-    code, _ = run_cli("axioms", "check", "--algebra", str(path), "--fragment", "qf",
-                      "--max-sort", "1")
+    text = as_table_algebra(concrete(Universe(1), QF, 1)).to_json()
+    bad = [json.loads(text) for _ in range(3)]
+    bad[0]["sorts"][1]["neg"][0] = 99
+    bad[1]["sorts"][0]["size"] = "two"
+    bad[2]["sorts"][0]["meet"][0] = 0  # a row that is a number
+    for data in bad:
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(data))
+        code, _ = run_cli("axioms", "check", "--algebra", str(path), "--fragment", "qf",
+                          "--max-sort", "1")
+        assert code == 2, data
+
+
+def test_axioms_check_past_element_cap_exits_2(capsys):
+    # sort 14 over two points has 2**16384 elements, a number of more digits
+    # than Python prints in decimal
+    code, text = run_cli("axioms", "check", "--algebra", "builtin:concrete:2",
+                         "--max-sort", "14")
     assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "error: sort 14 over universe of size 2 has 2**16384 elements, cap is 1048576\n")

@@ -336,7 +336,7 @@ def test_structure_json_errors():
         Structure.from_json("not json")
     with pytest.raises(FormatError):
         Structure.from_json("[1,2]")
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         Structure.from_json('{"universe": 1, "relations": {"R": {"arity": 1, "tuples": [[7]]}}}')
 
 
