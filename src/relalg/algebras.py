@@ -294,19 +294,29 @@ def _capped(algebra: ConcreteAlgebra) -> ConcreteAlgebra:
     2**width > cap exactly when width >= cap.bit_length()."""
     n = algebra.max_sort
     for u in algebra.blocks:
-        width = u.size**n
-        if width >= max(algebra.element_cap, 0).bit_length():
+        if _power_at_least(u.size, n, max(algebra.element_cap, 0).bit_length()):
             raise ElementCapExceededError(
                 f"sort {n} over universe of size {u.size} has "
-                f"{_power_text(width)} elements, cap is {algebra.element_cap}"
+                f"{_power_text(u.size, n)} elements, cap is {algebra.element_cap}"
             )
     return algebra
 
 
-def _power_text(width: int) -> str:
-    """2**width in decimal where Python will print it, else as the power.
-    2**width has more than L digits exactly when width >= (10**L).bit_length()."""
+def _power_at_least(base: int, exponent: int, bound: int) -> bool:
+    """base**exponent >= bound, never building a power much past the bound:
+    for base >= 2, base**e >= 2**e > bound at e = bound.bit_length()."""
+    return base**min(exponent, bound.bit_length()) >= bound
+
+
+def _power_text(base: int, exponent: int = 1) -> str:
+    """2**width for width = base**exponent: in decimal where Python will
+    print it, else as 2**width, else, when the width itself has too many
+    digits, as 2**(base**exponent).  For Python's digit limit L, 2**width has
+    more than L digits exactly when width >= (10**L).bit_length()."""
     limit = sys.get_int_max_str_digits()
+    if limit and _power_at_least(base, exponent, 10**limit):
+        return f"2**({base}**{exponent})"
+    width = base**exponent
     if limit and width >= (10**limit).bit_length():
         return f"2**{width}"
     return str(1 << width)
@@ -628,6 +638,14 @@ class TableAlgebra(FiniteAlgebra):
         self._check_sort(n)
         return self.joins[n][a][b]
 
+    def meet_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
+        self._check_sort(n)
+        return _look_up_all(self.meets[n], xs, ys)
+
+    def join_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
+        self._check_sort(n)
+        return _look_up_all(self.joins[n], xs, ys)
+
     def neg(self, n: int, a: int) -> int:
         self._require("negation")
         self._check_sort(n)
@@ -722,6 +740,14 @@ class TableAlgebra(FiniteAlgebra):
         return json.dumps(data, sort_keys=True)
 
 
+def _look_up_all(table: list[list[int]], xs: list[int], ys: list[int]) -> list[int]:
+    """table[x][y] for each pair of two equally long columns; where xs
+    repeats one element, that is one row of the table."""
+    if xs and xs.count(xs[0]) == len(xs):
+        return list(map(table[xs[0]].__getitem__, ys))
+    return list(map(operator.getitem, map(table.__getitem__, xs), ys))
+
+
 def _subst_key(alpha: Substitution) -> str:
     return f"{alpha.dom}->{alpha.cod}:[{','.join(str(i) for i in alpha.map)}]"
 
@@ -752,8 +778,9 @@ def as_table_algebra(algebra: FiniteAlgebra, with_extension: bool = False,
         algebra.ensure_enumerable(n)
         size = algebra.sort_size(n)
         sizes.append(size)
-        meets.append([[algebra.meet(n, a, b) for b in range(size)] for a in range(size)])
-        joins.append([[algebra.join(n, a, b) for b in range(size)] for a in range(size)])
+        elems = list(range(size))
+        meets.append([algebra.meet_all(n, [a] * size, elems) for a in elems])
+        joins.append([algebra.join_all(n, [a] * size, elems) for a in elems])
         zeros.append(algebra.zero(n))
         ones.append(algebra.one(n))
         if negs is not None:

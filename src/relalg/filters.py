@@ -9,12 +9,21 @@ that witnesses the required separation.  The three amalgamation constructions
 (sum_filters, project_filter, witness_filter) build their filter/ideal pair
 from generators, extend to a prime filter, and by default re-verify their
 postconditions exhaustively.
+
+Verification is row-batched: SortLattice and is_prime_filter check every
+pair, but ask the algebra for one row at a time, the meets or joins of one
+element against a list of others in a single meet_all/join_all call.  Beyond
+the order rows (two int bitmasks per element), a check holds O(size) values
+per row and never a size x size operation table.
 """
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
 from typing import Sequence
 
 from .algebras import FiniteAlgebra, ensure_sort
@@ -73,15 +82,15 @@ class SortLattice:
 
     def _build_order(self) -> None:
         alg, n, size = self.algebra, self.sort, self.size
-        up = [0] * size
-        down = [0] * size
-        for a in range(size):
-            row = 0
-            for b in range(size):
-                if alg.meet(n, a, b) == a:
-                    row |= 1 << b
-                    down[b] |= 1 << a
-            up[a] = row
+        elems = list(range(size))
+        # up[a] holds the b with a^b = a (meet row a); down[b] the a with
+        # a^b = a (meet column b).
+        up = []
+        for a in elems:
+            row = [a] * size
+            up.append(_bitmask(map(operator.eq, alg.meet_all(n, row, elems), row)))
+        down = [_bitmask(map(operator.eq, alg.meet_all(n, elems, [b] * size), elems))
+                for b in elems]
         self.up = up
         self.down = down
         for a in range(size):
@@ -91,70 +100,85 @@ class SortLattice:
                 raise NotALatticeError(f"order not antisymmetric at sort-{n} element {a}")
             if not up[self.zero] >> a & 1 or not up[a] >> self.one & 1:
                 raise NotALatticeError(f"bounds fail at sort-{n} element {a}")
-        for a in range(size):
-            for b in range(size):
-                m = alg.meet(n, a, b)
-                if down[a] & down[b] != down[m]:
-                    raise NotALatticeError(
-                        f"meet of sort-{n} elements {a},{b} is not their greatest lower bound"
-                    )
-                j = alg.join(n, a, b)
-                if up[a] & up[b] != up[j]:
-                    raise NotALatticeError(
-                        f"join of sort-{n} elements {a},{b} is not their least upper bound"
-                    )
+        # Row a checks its pairs (a, b) with b >= a on the order rows.  Below
+        # the diagonal, (b, a) passed in row b, and since down- and up-sets
+        # determine their element, (a, b) passes exactly where meet and join
+        # commute on it.
+        for a in elems:
+            row = [a] * size
+            meets = alg.meet_all(n, row, elems)
+            joins = alg.join_all(n, row, elems)
+            before = elems[:a]
+            glb = list(map(operator.eq, meets[:a], alg.meet_all(n, before, row[:a])))
+            glb += map(operator.eq, map(down[a].__and__, down[a:]),
+                       map(down.__getitem__, meets[a:]))
+            lub = list(map(operator.eq, joins[:a], alg.join_all(n, before, row[:a])))
+            lub += map(operator.eq, map(up[a].__and__, up[a:]), map(up.__getitem__, joins[a:]))
+            if all(glb) and all(lub):
+                continue
+            b = next(b for b in elems if not (glb[b] and lub[b]))
+            if not glb[b]:
+                raise NotALatticeError(
+                    f"meet of sort-{n} elements {a},{b} is not their greatest lower bound"
+                )
+            raise NotALatticeError(
+                f"join of sort-{n} elements {a},{b} is not their least upper bound"
+            )
 
     def _find_join_irreducibles(self) -> None:
-        alg, n = self.algebra, self.sort
+        """j is join-irreducible when the join of the elements strictly below
+        it (0 for none) is not j.  Joins are verified least upper bounds by
+        now, so that join is the element whose up-set is the intersection of
+        theirs, and up-sets decide it."""
+        up, elems = self.up, range(self.size)
         irr = []
-        for j in range(self.size):
-            below = self.down[j] & ~(1 << j)
-            fold = self.zero
-            a = 0
-            rest = below
-            while rest:
-                if rest & 1:
-                    fold = alg.join(n, fold, a)
-                rest >>= 1
-                a += 1
-            if fold != j:
+        for j in elems:
+            below = compress(elems, _flags(self.down[j] & ~(1 << j)))
+            if reduce(operator.and_, map(up.__getitem__, below), up[self.zero]) != up[j]:
                 irr.append(j)
         self.join_irreducibles = tuple(irr)
 
     def _check_distributive(self) -> None:
-        alg, n = self.algebra, self.sort
+        alg, n, size = self.algebra, self.sort, self.size
+        elems = list(range(size))
         # ji_mask[a]: which join-irreducibles sit below a.
-        ji_mask = [0] * self.size
+        ji_mask = [0] * size
         for p, j in enumerate(self.join_irreducibles):
-            row = self.up[j]
-            a = 0
-            while row:
-                if row & 1:
-                    ji_mask[a] |= 1 << p
-                row >>= 1
-                a += 1
-        for a in range(self.size):
-            for b in range(self.size):
-                if ji_mask[alg.join(n, a, b)] != ji_mask[a] | ji_mask[b]:
-                    raise NotALatticeError(
-                        f"sort {n} is not distributive: join of {a},{b} gains "
-                        f"join-irreducibles below neither"
-                    )
+            for a in compress(elems, _flags(self.up[j])):
+                ji_mask[a] |= 1 << p
+        # Joins commute by now, so a failing pair (a, b) fails as (b, a) too
+        # and row a need only check b >= a.
+        for a in elems:
+            joins = alg.join_all(n, [a] * (size - a), elems[a:])
+            union = list(map(operator.eq, map(ji_mask.__getitem__, joins),
+                             map(ji_mask[a].__or__, ji_mask[a:])))
+            if not all(union):
+                b = a + union.index(False)
+                raise NotALatticeError(
+                    f"sort {n} is not distributive: join of {a},{b} gains "
+                    f"join-irreducibles below neither"
+                )
         self._ji_mask = ji_mask
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
 
     def up_set(self, a: int) -> frozenset[int]:
-        out = set()
-        row = self.up[a]
-        b = 0
-        while row:
-            if row & 1:
-                out.add(b)
-            row >>= 1
-            b += 1
-        return frozenset(out)
+        return frozenset(compress(range(self.size), _flags(self.up[a])))
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bitmask(flags) -> int:
+    """The int with bit i set where the i-th of the (nonempty) flags is true."""
+    return int(bytes(flags)[::-1].translate(_BINARY_DIGITS), 2)
+
+
+def _flags(mask: int) -> bytes:
+    """Byte i is bit i of the mask, up to its highest set bit."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
 
 
 _lattice_cache: "weakref.WeakKeyDictionary[FiniteAlgebra, dict[int, SortLattice]]" = (
@@ -178,24 +202,27 @@ def join_irreducibles(lattice: SortLattice) -> list[int]:
 
 def is_prime_filter(algebra: FiniteAlgebra, sort: int, members: frozenset[int] | set[int]) -> bool:
     """Direct primality predicate, independent of the join-irreducible route:
-    proper, upward-closed, meet-closed, and join-prime."""
+    proper, upward-closed, meet-closed, and join-prime.  Each clause runs over
+    the pairs on which it can fail, one batched row per element: no member
+    below a non-member, no meet of members outside, no join of non-members
+    inside."""
     size = algebra.sort_size(sort)
     if not members or algebra.zero(sort) in members:
         return False
     if any(not 0 <= a < size for a in members):
         return False
-    for a in members:
-        for b in range(size):
-            if algebra.leq(sort, a, b) and b not in members:
-                return False
-    for a in members:
-        for b in members:
-            if algebra.meet(sort, a, b) not in members:
-                return False
-    for a in range(size):
-        for b in range(size):
-            if algebra.join(sort, a, b) in members and a not in members and b not in members:
-                return False
+    members = frozenset(members)
+    inside = sorted(members)
+    outside = [b for b in range(size) if b not in members]
+    for a in inside:
+        if a in algebra.meet_all(sort, [a] * len(outside), outside):
+            return False
+    for a in inside:
+        if not members.issuperset(algebra.meet_all(sort, [a] * len(inside), inside)):
+            return False
+    for a in outside:
+        if not members.isdisjoint(algebra.join_all(sort, [a] * len(outside), outside)):
+            return False
     return True
 
 

@@ -2,6 +2,8 @@
 
 Everything here works on plain Python sets of tuples and never touches the
 bitset engine or its index encoding, so agreement is a genuine cross-check.
+The one exception, is_prime_filter_pairwise, asks an algebra for one scalar
+meet, join or order test per pair and never for a batch.
 """
 
 from itertools import product
@@ -41,3 +43,27 @@ def powerset_relations(size: int, arity: int):
     """Every relation of the given sort, as bitsets 0..2^(size^arity)-1."""
     u = Universe(size)
     return [Relation(u, arity, bits) for bits in range(1 << size**arity)]
+
+
+def is_prime_filter_pairwise(algebra, sort: int, members) -> bool:
+    """The primality predicate pair by pair, on a plain set of element
+    indices: proper, upward-closed, meet-closed and join-prime."""
+    members = set(members)
+    size = algebra.sort_size(sort)
+    if not members or algebra.zero(sort) in members:
+        return False
+    if any(not 0 <= a < size for a in members):
+        return False
+    for a in members:
+        for b in range(size):
+            if algebra.leq(sort, a, b) and b not in members:
+                return False
+    for a in members:
+        for b in members:
+            if algebra.meet(sort, a, b) not in members:
+                return False
+    for a in range(size):
+        for b in range(size):
+            if algebra.join(sort, a, b) in members and a not in members and b not in members:
+                return False
+    return True

@@ -28,7 +28,6 @@ from relalg import (
     gallery_diamond,
     gallery_pe_theory,
     generated_subalgebra,
-    is_prime_filter,
     kernel,
     master_filter_model,
     parse_fo,
@@ -46,7 +45,7 @@ from relalg.formulas import Sub, Sym
 from relalg.fragments import FO, PE, PQF, QF
 from relalg.relations import partitioning
 
-from oracles import as_set, from_set
+from oracles import as_set, from_set, is_prime_filter_pairwise
 
 
 ACCEPTANCE_SEED = 20260810
@@ -120,7 +119,7 @@ def test_criterion_2_compiler_oracle():
 
 
 def _prime_subset_oracle(algebra, sort):
-    """Exact set of prime filters by direct predicate: full subset enumeration
+    """Exact set of prime filters by the pairwise predicate: full subset enumeration
     when feasible, principal up-sets otherwise (prime filters in a finite
     lattice are principal: the meet of the members is a member)."""
     size = algebra.sort_size(sort)
@@ -128,14 +127,14 @@ def _prime_subset_oracle(algebra, sort):
     if size <= 16:
         for mask in range(1, 1 << size):
             members = frozenset(a for a in range(size) if mask >> a & 1)
-            if is_prime_filter(algebra, sort, members):
+            if is_prime_filter_pairwise(algebra, sort, members):
                 found.add(members)
     else:
         for g in algebra.elements(sort):
             members = frozenset(
                 b for b in algebra.elements(sort) if algebra.leq(sort, g, b)
             )
-            if is_prime_filter(algebra, sort, members):
+            if is_prime_filter_pairwise(algebra, sort, members):
                 found.add(members)
     return found
 

@@ -245,6 +245,34 @@ def test_table_algebra_round_trip():
     assert again.exists(1, 0b1001) == base.exists(1, 0b1001)
 
 
+def test_as_table_algebra_tables_match_per_pair_ops():
+    for base in (concrete(Universe(3), FO, 2),
+                 generated_subalgebra(concrete(Universe(2), PQF, 2), [(1, 0b01), (2, 0b0110)])):
+        tables = as_table_algebra(base)
+        for n in range(3):
+            elems = base.elements(n)
+            assert tables.meets[n] == [[base.meet(n, a, b) for b in elems] for a in elems]
+            assert tables.joins[n] == [[base.join(n, a, b) for b in elems] for a in elems]
+
+
+def test_batched_meet_join_match_per_pair_ops():
+    rng = Random(4)
+    base = concrete(Universe(2), PQF, 2)
+    algebras = [base, product([base, concrete(Universe(1), PQF, 2)]),
+                generated_subalgebra(base, [(1, 0b01), (2, 0b0110)]), as_table_algebra(base)]
+    for alg in algebras:
+        for n in range(3):
+            size = alg.sort_size(n)
+            for xs in ([rng.randrange(size) for _ in range(40)], [rng.randrange(size)] * 40, []):
+                ys = [rng.randrange(size) for _ in xs]
+                assert alg.meet_all(n, xs, ys) == [alg.meet(n, x, y) for x, y in zip(xs, ys)]
+                assert alg.join_all(n, xs, ys) == [alg.join(n, x, y) for x, y in zip(xs, ys)]
+        with pytest.raises(Exception) as scalar:
+            alg.meet(3, 0, 0)
+        with pytest.raises(scalar.type):
+            alg.meet_all(3, [0], [0])
+
+
 def test_table_algebra_no_extension_fails_loudly():
     tables = as_table_algebra(concrete(Universe(1), PQF, 1))
     with pytest.raises(InsufficientSortsError):

@@ -220,3 +220,19 @@ def test_axioms_check_past_element_cap_exits_2(capsys):
     assert text == ""
     assert capsys.readouterr().err == (
         "error: sort 14 over universe of size 2 has 2**16384 elements, cap is 1048576\n")
+    # sort 14285 has 2**(2**14285) elements, and the width 2**14285 is itself
+    # a number of more digits than Python prints in decimal
+    code, text = run_cli("axioms", "check", "--algebra", "builtin:concrete:2",
+                         "--max-sort", "14285")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "error: sort 14285 over universe of size 2 has 2**(2**14285) elements, "
+        "cap is 1048576\n")
+    # the refusal never builds the width 3**(10**9)
+    code, text = run_cli("axioms", "check", "--algebra", "builtin:concrete:3",
+                         "--max-sort", "1000000000")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: sort 1000000000 over universe of size 3 has 2**(3**1000000000) elements, "
+        "cap is 1048576\n")

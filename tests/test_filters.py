@@ -1,3 +1,4 @@
+import json
 from random import Random
 
 import pytest
@@ -11,6 +12,7 @@ from relalg import (
     Substitution,
     TableAlgebra,
     Universe,
+    as_table_algebra,
     concrete,
     extend_to_prime,
     gallery_diamond,
@@ -26,6 +28,8 @@ from relalg import (
 )
 from relalg.filters import NotALatticeError, SortLattice, complement_max
 from relalg.fragments import PE, PQF
+
+from oracles import is_prime_filter_pairwise
 
 
 W2 = Universe(2)
@@ -44,16 +48,16 @@ def chain_algebra(length):
     return TableAlgebra(PQF, 0, [size], [meet], [join], [0], [size - 1], {ident: list(range(size))})
 
 
-def all_prime_subsets(algebra, sort):
-    """Oracle: every subset of the sort passing the direct primality predicate."""
-    size = algebra.sort_size(sort)
+def all_subsets(size):
     assert size <= 16
-    found = set()
-    for mask in range(1, 1 << size):
-        members = frozenset(a for a in range(size) if mask >> a & 1)
-        if is_prime_filter(algebra, sort, members):
-            found.add(members)
-    return found
+    for mask in range(1 << size):
+        yield frozenset(a for a in range(size) if mask >> a & 1)
+
+
+def all_prime_subsets(algebra, sort):
+    """Oracle: every subset of the sort passing the pairwise primality predicate."""
+    return {members for members in all_subsets(algebra.sort_size(sort))
+            if is_prime_filter_pairwise(algebra, sort, members)}
 
 
 def test_join_irreducibles_boolean_sort1():
@@ -349,3 +353,38 @@ def test_generated_subalgebra_duality_sample():
                 continue
             lat = sort_lattice(alg, sort)
             assert all_prime_subsets(alg, sort) == {pf.members for pf in prime_filters(lat)}
+
+
+def corrupted(algebra, sort, op, a, b):
+    """The table form of the algebra with one meet or join entry moved to the
+    next element of its sort."""
+    data = json.loads(as_table_algebra(algebra).to_json())
+    row = data["sorts"][sort][op][a]
+    row[b] = (row[b] + 1) % len(row)
+    return TableAlgebra.from_json(json.dumps(data))
+
+
+def test_is_prime_filter_matches_pairwise_oracle_on_every_subset():
+    diamond, _ = gallery_diamond()
+    w2 = concrete(W2, PQF, 2)
+    algebras = [chain_algebra(length) for length in (1, 2, 3, 5)]
+    algebras += [diamond, concrete(Universe(0), PQF, 2), concrete(Universe(1), PQF, 2), w2]
+    algebras += [as_table_algebra(alg) for alg in algebras]
+    algebras += [generated_subalgebra(w2, [(1, 0b01), (2, 0b0110)]),
+                 generated_subalgebra(concrete(Universe(3), PQF, 1), [(1, 0b011), (1, 0b110)])]
+    algebras += [corrupted(chain_algebra(4), 0, "join", 1, 2),
+                 corrupted(chain_algebra(4), 0, "meet", 3, 3),
+                 corrupted(diamond, 1, "join", 1, 2),
+                 corrupted(w2, 1, "meet", 1, 2),
+                 corrupted(w2, 2, "join", 5, 9),
+                 corrupted(w2, 2, "meet", 15, 6)]
+    sorts = 0
+    for alg in algebras:
+        for sort in range(alg.max_sort + 1):
+            if alg.sort_size(sort) > 16:
+                continue
+            sorts += 1
+            for members in all_subsets(alg.sort_size(sort)):
+                assert is_prime_filter(alg, sort, members) == \
+                    is_prime_filter_pairwise(alg, sort, members), (alg.provenance, sort, members)
+    assert sorts == 51
