@@ -74,6 +74,7 @@ from .filters import (
     join_irreducibles,
     prime_filters,
     project_filter,
+    pullback,
     pullback_filter,
     sort_lattice,
     sum_filters,

@@ -47,6 +47,7 @@ from .relations import (
 )
 
 DEFAULT_ELEMENT_CAP = 1 << 20
+MORPHISM_VIOLATION_CAP = 5  # violations a MorphismReport lists
 
 
 class FiniteAlgebra:
@@ -168,11 +169,6 @@ class FiniteAlgebra:
 
     def element_label(self, n: int, a: int) -> str:
         return str(a)
-
-
-def ensure_sort(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
-    """The algebra itself, or a lazily extended copy carrying sort n."""
-    return algebra if n <= algebra.max_sort else algebra.extend(n)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +455,11 @@ class GeneratedSubalgebra(FiniteAlgebra):
         return self._wrap(n, self.parent.one(n))
 
     def meet(self, n: int, a: int, b: int) -> int:
+        self._check_sort(n)
         return self._wrap(n, self.parent.meet(n, self._to_parent[n][a], self._to_parent[n][b]))
 
     def join(self, n: int, a: int, b: int) -> int:
+        self._check_sort(n)
         return self._wrap(n, self.parent.join(n, self._to_parent[n][a], self._to_parent[n][b]))
 
     def meet_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
@@ -472,6 +470,7 @@ class GeneratedSubalgebra(FiniteAlgebra):
 
     def _lift_all(self, parent_op, n: int, xs: list[int], ys: list[int]) -> list[int]:
         """A batched parent operation on two columns of local indices."""
+        self._check_sort(n)
         up = self._to_parent[n].__getitem__
         vals = parent_op(n, list(map(up, xs)), list(map(up, ys)))
         idx = list(map(self._from_parent[n].get, vals))
@@ -481,6 +480,7 @@ class GeneratedSubalgebra(FiniteAlgebra):
 
     def neg(self, n: int, a: int) -> int:
         self._require("negation")
+        self._check_sort(n)
         return self._wrap(n, self.parent.neg(n, self._to_parent[n][a]))
 
     def subst(self, alpha: Substitution, a: int) -> int:
@@ -490,6 +490,7 @@ class GeneratedSubalgebra(FiniteAlgebra):
 
     def exists(self, n: int, a: int) -> int:
         self._require("exists")
+        self._check_sort(n)
         self._check_sort(n + 1)
         return self._wrap(n, self.parent.exists(n, self._to_parent[n + 1][a]))
 
@@ -658,6 +659,7 @@ class TableAlgebra(FiniteAlgebra):
 
     def exists(self, n: int, a: int) -> int:
         self._require("exists")
+        self._check_sort(n)
         self._check_sort(n + 1)
         return self.exists_tables[n][a]
 
@@ -821,8 +823,7 @@ class MorphismReport:
 
 
 def verify_morphism(fmap: dict[int, Sequence[int]], src: FiniteAlgebra, dst: FiniteAlgebra,
-                    mode: str = "full", max_sort: int | None = None,
-                    violation_cap: int = 5) -> MorphismReport:
+                    mode: str = "full", max_sort: int | None = None) -> MorphismReport:
     """Check that the per-sort element map preserves constants, lattice
     operations, substitutions, and the fragment's extra symbols.  mode
     "almost" demands only the containment exists(f(r)) <= f(exists(r)) for
@@ -835,7 +836,7 @@ def verify_morphism(fmap: dict[int, Sequence[int]], src: FiniteAlgebra, dst: Fin
     checks = 0
 
     def bad(msg: str) -> None:
-        if len(violations) < violation_cap:
+        if len(violations) < MORPHISM_VIOLATION_CAP:
             violations.append(msg)
 
     for n in range(bound + 1):

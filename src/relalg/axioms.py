@@ -43,6 +43,10 @@ from .relations import (
 # Slot tuples per evaluator batch: large enough to amortize the per-term
 # work, small enough that no exhaustive space is ever materialized whole.
 BATCH = 4096
+# Schema (0) takes up to MAX_BLOCKS blocks; schema (10) packs up to
+# MAX_WITNESSES witness requests.
+MAX_BLOCKS = 3
+MAX_WITNESSES = 2
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,6 @@ class Bounds:
     exhaustive_cap: int = 10**6
     samples: int = 10**5
     seed: int = 0
-    max_blocks: int = 3
-    max_subst_count: int = 2
     violation_cap: int = 5
 
 
@@ -241,23 +243,23 @@ def _lookup(table: list[int], v: int | list[int]) -> int | list[int]:
 def _clauses(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> Iterator[Clause]:
     schema = (_ax0, _ax1, _ax2, _ax3, _ax4, _ax5, _ax6,
               _ax7, _ax8, _ax9, _ax10, _ax11, _ax12, _ax13)[axiom]
-    return schema(min(bounds.max_sort, algebra.max_sort), bounds)
+    return schema(min(bounds.max_sort, algebra.max_sort))
 
 
 def _ser(alpha: Substitution) -> list:
     return [alpha.dom, alpha.cod, list(alpha.map)]
 
 
-def _shapes(max_sort: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
+def _shapes(max_sort: int) -> Iterator[tuple[int, ...]]:
     yield ()
-    for m in range(1, max_blocks + 1):
+    for m in range(1, MAX_BLOCKS + 1):
         for ks in iproduct(range(max_sort + 1), repeat=m):
             if sum(ks) <= max_sort:
                 yield ks
 
 
-def _ax0(n_max: int, bounds: Bounds) -> Iterator[Clause]:
-    for ks in _shapes(n_max, bounds.max_blocks):
+def _ax0(n_max: int) -> Iterator[Clause]:
+    for ks in _shapes(n_max):
         n = sum(ks)
         rs = [Sym(f"r{i}", k) for i, k in enumerate(ks, start=1)]
         ss = [Sym(f"s{i}", k) for i, k in enumerate(ks, start=1)]
@@ -271,7 +273,7 @@ def _ax0(n_max: int, bounds: Bounds) -> Iterator[Clause]:
                      premise=("", detail, And(lhs, rhs), lhs))
 
 
-def _ax1(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+def _ax1(n_max: int) -> Iterator[Clause]:
     for n in range(n_max + 1):
         a, b, c = Sym("a", n), Sym("b", n), Sym("c", n)
         d = f"sort {n}"
@@ -291,7 +293,7 @@ def _ax1(n_max: int, bounds: Bounds) -> Iterator[Clause]:
         ))
 
 
-def _ax2(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+def _ax2(n_max: int) -> Iterator[Clause]:
     for n, k in iproduct(range(n_max + 1), repeat=2):
         r, s = Sym("r", n), Sym("s", n)
         for alpha in all_substitutions(n, k):
@@ -306,7 +308,7 @@ def _ax2(n_max: int, bounds: Bounds) -> Iterator[Clause]:
             ))
 
 
-def _ax3(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+def _ax3(n_max: int) -> Iterator[Clause]:
     for n, k in iproduct(range(n_max + 1), repeat=2):
         r = Sym("r", n)
         for alpha in all_substitutions(n, k):
@@ -318,7 +320,7 @@ def _ax3(n_max: int, bounds: Bounds) -> Iterator[Clause]:
                     ))
 
 
-def _ax4(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+def _ax4(n_max: int) -> Iterator[Clause]:
     for n in range(n_max + 1):
         r = Sym("r", n)
         yield Clause({"sort": n}, (r,), (
@@ -326,7 +328,7 @@ def _ax4(n_max: int, bounds: Bounds) -> Iterator[Clause]:
         ))
 
 
-def _ax5(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+def _ax5(n_max: int) -> Iterator[Clause]:
     for n, k in iproduct(range(n_max + 1), repeat=2):
         r = Sym("r", n)
         for alpha in all_substitutions(n, k):
@@ -336,7 +338,7 @@ def _ax5(n_max: int, bounds: Bounds) -> Iterator[Clause]:
             ))
 
 
-def _ax6(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+def _ax6(n_max: int) -> Iterator[Clause]:
     for n in range(n_max + 1):
         r = Sym("r", n)
         yield Clause({"sort": n}, (r,), (
@@ -345,7 +347,7 @@ def _ax6(n_max: int, bounds: Bounds) -> Iterator[Clause]:
         ))
 
 
-def _ax7(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+def _ax7(n_max: int) -> Iterator[Clause]:
     for n in range(n_max):
         yield Clause({"sort": n, "part": "zero"}, (), (
             ("zero", "projection does not preserve 0", Exists(Bot(n + 1)), Bot(n)),
@@ -357,7 +359,7 @@ def _ax7(n_max: int, bounds: Bounds) -> Iterator[Clause]:
         ))
 
 
-def _ax8(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+def _ax8(n_max: int) -> Iterator[Clause]:
     for n in range(n_max):
         r = Sym("r", n + 1)
         yield Clause({"sort": n}, (r,), (
@@ -366,7 +368,7 @@ def _ax8(n_max: int, bounds: Bounds) -> Iterator[Clause]:
         ))
 
 
-def _ax9(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+def _ax9(n_max: int) -> Iterator[Clause]:
     for n in range(n_max):
         r, s = Sym("r", n + 1), Sym("s", n)
         yield Clause({"sort": n}, (r, s), (
@@ -375,8 +377,8 @@ def _ax9(n_max: int, bounds: Bounds) -> Iterator[Clause]:
         ))
 
 
-def _ax10(n_max: int, bounds: Bounds) -> Iterator[Clause]:
-    for n_w in range(1, bounds.max_subst_count + 1):
+def _ax10(n_max: int) -> Iterator[Clause]:
+    for n_w in range(1, MAX_WITNESSES + 1):
         for m in range(n_max - n_w + 1):
             for ks in iproduct(range(n_max), repeat=n_w):
                 rs = tuple(Sym(f"r{i}", k + 1) for i, k in enumerate(ks, start=1))
@@ -394,7 +396,7 @@ def _ax10(n_max: int, bounds: Bounds) -> Iterator[Clause]:
                                        lhs, rhs),))
 
 
-def _ax11(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+def _ax11(n_max: int) -> Iterator[Clause]:
     for n in range(1, n_max + 1):
         idx = range(1, n + 1)
         for i in idx:
@@ -414,7 +416,7 @@ def _ax11(n_max: int, bounds: Bounds) -> Iterator[Clause]:
             ))
 
 
-def _ax12(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+def _ax12(n_max: int) -> Iterator[Clause]:
     for k, n in iproduct(range(n_max + 1), repeat=2):
         r = Sym("r", k)
         for alpha in all_substitutions(k, n):
@@ -426,7 +428,7 @@ def _ax12(n_max: int, bounds: Bounds) -> Iterator[Clause]:
                 ))
 
 
-def _ax13(n_max: int, bounds: Bounds) -> Iterator[Clause]:
+def _ax13(n_max: int) -> Iterator[Clause]:
     for k, n in iproduct(range(1, n_max + 1), repeat=2):
         for alpha in all_substitutions(k, n):
             for i, j in iproduct(range(1, k + 1), repeat=2):

@@ -2,13 +2,18 @@
 verified on construction, join-irreducibles are computed, and prime filters
 are realized as their principal up-sets.
 
+Membership in a prime filter is decided by PrimeFilter.__contains__ for one
+element and by pullback for a whole sort: pullback(algebra, F, alpha) is the
+set alpha*F of sort-alpha.dom elements r with alpha(r) in F, read off the
+algebra's cached substitution table.
+
 Every filter and ideal here is principal (the lattices are finite), stored by
 generator.  Prime-filter existence arguments are replaced by a deterministic
 choice: the least join-irreducible in the algebra's canonical element order
 that witnesses the required separation.  The three amalgamation constructions
 (sum_filters, project_filter, witness_filter) build their filter/ideal pair
 from generators, extend to a prime filter, and by default re-verify their
-postconditions exhaustively.
+postconditions exhaustively, as set comparisons of pullbacks.
 
 Verification is row-batched: SortLattice and is_prime_filter check every
 pair, but ask the algebra for one row at a time, the meets or joins of one
@@ -23,10 +28,10 @@ import operator
 import weakref
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import compress, count
 from typing import Sequence
 
-from .algebras import FiniteAlgebra, ensure_sort
+from .algebras import FiniteAlgebra
 from .errors import ObstructionError, PreconditionError, RelAlgError
 from .relations import Substitution, assoc_cylindrification, partitioning
 
@@ -275,14 +280,22 @@ def extend_to_prime(lattice: SortLattice, filt: PrincipalFilter,
     raise AssertionError("distributive lattice without a separating join-irreducible")
 
 
+def pullback(algebra: FiniteAlgebra, filt: PrimeFilter, alpha: Substitution) -> frozenset[int]:
+    """alpha*F: the sort-alpha.dom elements r with alpha(r) in the filter."""
+    if alpha.cod != filt.sort:
+        raise PreconditionError(f"substitution {alpha} does not land in the "
+                                f"filter's sort {filt.sort}")
+    return frozenset(compress(count(), map(filt.members.__contains__, algebra.subst_table(alpha))))
+
+
 def complement_max(algebra: FiniteAlgebra, pf: PrimeFilter) -> int:
     """Largest non-member: the complement of a prime filter is a principal
     ideal, generated by the join of all non-members."""
     out = algebra.zero(pf.sort)
     for a in algebra.elements(pf.sort):
-        if a not in pf.members:
+        if a not in pf:
             out = algebra.join(pf.sort, out, a)
-    if out in pf.members:
+    if out in pf:
         raise AssertionError("complement of a prime filter must be join-closed")
     return out
 
@@ -295,7 +308,7 @@ def sum_filters(filters: Sequence[PrimeFilter], algebra: FiniteAlgebra,
     pair is not disjoint."""
     ks = [f.sort for f in filters]
     n = sum(ks)
-    alg = ensure_sort(algebra, n)
+    alg = algebra.extend(n)
     blocks = partitioning(*ks)
     gen_f = alg.one(n)
     gen_i = alg.zero(n)
@@ -317,11 +330,10 @@ def sum_filters(filters: Sequence[PrimeFilter], algebra: FiniteAlgebra,
     master = extend_to_prime(lattice, PrincipalFilter(n, gen_f), PrincipalIdeal(n, gen_i))
     if verify:
         for pf, c in zip(filters, blocks):
-            for r in alg.elements(pf.sort):
-                if (alg.subst(c, r) in master.members) != (r in pf.members):
-                    raise AssertionError(
-                        f"master filter postcondition fails at block sort {pf.sort}, element {r}"
-                    )
+            differ = pullback(alg, master, c) ^ pf.members
+            if differ:
+                raise AssertionError(f"master filter postcondition fails at block sort "
+                                     f"{pf.sort}, element {min(differ)}")
     return master
 
 
@@ -331,8 +343,8 @@ def project_filter(algebra: FiniteAlgebra, filt: PrimeFilter, r: int,
     associated cylindrification is the given filter.  Requires exists(r) in
     the filter."""
     n = filt.sort
-    alg = ensure_sort(algebra, n + 1)
-    if alg.exists(n, r) not in filt.members:
+    alg = algebra.extend(n + 1)
+    if alg.exists(n, r) not in filt:
         raise PreconditionError(
             f"projection of element {r} does not belong to the sort-{n} filter"
         )
@@ -351,11 +363,11 @@ def project_filter(algebra: FiniteAlgebra, filt: PrimeFilter, r: int,
     lattice = sort_lattice(alg, n + 1)
     lifted = extend_to_prime(lattice, PrincipalFilter(n + 1, gen_f), PrincipalIdeal(n + 1, gen_i))
     if verify:
-        if r not in lifted.members:
+        if r not in lifted:
             raise AssertionError("lifted filter lost its defining element")
-        for u in alg.elements(n):
-            if (alg.subst(c, u) in lifted.members) != (u in filt.members):
-                raise AssertionError(f"pullback of the lifted filter differs at element {u}")
+        differ = pullback(alg, lifted, c) ^ filt.members
+        if differ:
+            raise AssertionError(f"pullback of the lifted filter differs at element {min(differ)}")
     return lifted
 
 
@@ -366,10 +378,7 @@ def pullback_filter(algebra: FiniteAlgebra, above: PrimeFilter,
     if above.sort < 1:
         raise PreconditionError("cannot pull a sort-0 filter back")
     n = above.sort - 1
-    c = assoc_cylindrification(n)
-    members = frozenset(
-        u for u in algebra.elements(n) if algebra.subst(c, u) in above.members
-    )
+    members = pullback(algebra, above, assoc_cylindrification(n))
     return prime_filter_from_members(algebra, n, members, verify=verify)
 
 
@@ -388,7 +397,7 @@ def witness_filter(algebra: FiniteAlgebra, base: PrimeFilter,
     """
     m = base.sort
     n_w = len(pairs)
-    alg = ensure_sort(algebra, m + n_w)
+    alg = algebra.extend(m + n_w)
     betas = []
     for i, (g, alpha) in enumerate(pairs, start=1):
         if alpha.cod != m:
@@ -397,11 +406,7 @@ def witness_filter(algebra: FiniteAlgebra, base: PrimeFilter,
         if g.sort != alpha.dom + 1:
             raise PreconditionError(f"witness request {i}: filter sort {g.sort} does not "
                                     f"extend the selected subtuple of length {alpha.dom}")
-        image = frozenset(
-            r for r in alg.elements(alpha.dom) if alg.subst(alpha, r) in base.members
-        )
-        pulled = pullback_filter(alg, g, verify=False)
-        if pulled.members != image:
+        if pullback_filter(alg, g, verify=False).members != pullback(alg, base, alpha):
             raise PreconditionError(
                 f"witness request {i}: the requested filter does not pull back to "
                 f"the type of the selected subtuple"
@@ -425,11 +430,11 @@ def witness_filter(algebra: FiniteAlgebra, base: PrimeFilter,
     packed = extend_to_prime(lattice, PrincipalFilter(m + n_w, gen_f),
                              PrincipalIdeal(m + n_w, gen_i))
     if verify:
-        for r in alg.elements(m):
-            if (alg.subst(beta0, r) in packed.members) != (r in base.members):
-                raise AssertionError(f"packed filter condition (I) fails at element {r}")
+        differ = pullback(alg, packed, beta0) ^ base.members
+        if differ:
+            raise AssertionError(f"packed filter condition (I) fails at element {min(differ)}")
         for (g, _), beta in zip(pairs, betas):
-            for r in g.members:
-                if alg.subst(beta, r) not in packed.members:
-                    raise AssertionError(f"packed filter condition (II) fails at element {r}")
+            missing = g.members - pullback(alg, packed, beta)
+            if missing:
+                raise AssertionError(f"packed filter condition (II) fails at element {min(missing)}")
     return packed

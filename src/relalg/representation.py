@@ -2,10 +2,12 @@
 
 A prime filter F on sort n induces a map into the relations over an n-point
 universe: the tuple picked out by an index map alpha belongs to the image of r
-exactly when alpha(r) lands in F.  With equality constants present, positions
-are first merged along the diagonal memberships of F.  This map is a morphism
-for the substitution/lattice (and negation) symbols and at least almost
-morphic for projection.
+exactly when alpha(r) lands in F.  So a model is read off its filter by
+pullback: what holds of a tuple is the set alpha*F (filters.pullback), and its
+type is that set as a prime filter.  With equality constants present,
+positions are first merged along the diagonal memberships of F.  This map is
+a morphism for the substitution/lattice (and negation) symbols and at least
+almost morphic for projection.
 
 Embeddings are built by separating every pair of distinct elements with one
 prime filter each, packing the chosen family into a single master filter on
@@ -24,8 +26,8 @@ from .algebras import (
     ConcreteAlgebra,
     FiniteAlgebra,
     MorphismReport,
-    ensure_sort,
     is_injective,
+    kernel,
     verify_morphism,
 )
 from .errors import IllDefinedMapError, PreconditionError
@@ -33,6 +35,7 @@ from .filters import (
     PrimeFilter,
     prime_filter_from_members,
     prime_filters,
+    pullback,
     pullback_filter,
     sort_lattice,
     sum_filters,
@@ -62,18 +65,15 @@ class FilterModel:
     def fmap(self) -> dict[int, list[int]]:
         return {n: [rel.bits for rel in rels] for n, rels in self.phi.items()}
 
+    def satisfied(self, tup: tuple[int, ...]) -> frozenset[int]:
+        """Everything holding of the given universe tuple: the pullback of the
+        filter along the tuple's representative positions."""
+        gamma = Substitution(len(tup), self.filter.sort, tuple(self.reps[q] for q in tup))
+        return pullback(self.algebra, self.filter, gamma)
+
     def type_of(self, tup: tuple[int, ...]) -> PrimeFilter:
         """The prime filter of everything holding of the given universe tuple."""
-        gamma = Substitution(len(tup), self.filter.sort, tuple(self.reps[q] for q in tup))
-        members = frozenset(
-            r for r in self.algebra.elements(len(tup))
-            if self.algebra.subst(gamma, r) in self.filter.members
-        )
-        return prime_filter_from_members(self.algebra, len(tup), members, verify=False)
-
-    def holds(self, sort: int, r: int, tup: tuple[int, ...]) -> bool:
-        gamma = Substitution(sort, self.filter.sort, tuple(self.reps[q] for q in tup))
-        return self.algebra.subst(gamma, r) in self.filter.members
+        return prime_filter_from_members(self.algebra, len(tup), self.satisfied(tup), verify=False)
 
 
 @dataclass
@@ -88,37 +88,23 @@ def filter_to_morphism(algebra: FiniteAlgebra, filt: PrimeFilter,
     bound.  With equality, positions i and j merge exactly when the diagonal
     constant (i,j) belongs to the filter; well-definedness of the merged map
     is checked and an ambiguity is reported with the witnessing pair."""
-    n = filt.sort
     frag = algebra.fragment
-    if frag.equality:
-        class_of = _merge_positions(algebra, filt)
-    else:
-        class_of = tuple(range(n))
+    class_of = _merge_positions(algebra, filt) if frag.equality else tuple(range(filt.sort))
     w = max(class_of, default=-1) + 1
-    reps = []
-    for q in range(w):
-        reps.append(class_of.index(q) + 1)
-    reps = tuple(reps)
+    reps = tuple(class_of.index(q) + 1 for q in range(w))
     universe = Universe(w)
     bound = algebra.max_sort if up_to is None else min(up_to, algebra.max_sort)
 
     if frag.equality and verify:
         _check_well_defined(algebra, filt, class_of, bound)
 
-    phi: dict[int, list[Relation]] = {}
+    model = FilterModel(algebra, filt, universe, class_of, reps, {})
     for k in range(bound + 1):
-        rels = []
-        tuples = list(iproduct(range(w), repeat=k))
-        gammas = [Substitution(k, n, tuple(reps[q] for q in tup)) for tup in tuples]
-        for r in algebra.elements(k):
-            bits = 0
-            for t, gamma in enumerate(gammas):
-                if algebra.subst(gamma, r) in filt.members:
-                    bits |= 1 << t
-            rels.append(Relation(universe, k, bits))
-        phi[k] = rels
-
-    model = FilterModel(algebra, filt, universe, class_of, reps, phi)
+        bits = [0] * len(algebra.elements(k))
+        for t, tup in enumerate(iproduct(range(w), repeat=k)):
+            for r in model.satisfied(tup):
+                bits[r] |= 1 << t
+        model.phi[k] = [Relation(universe, k, b) for b in bits]
     if verify:
         model.verification = recheck_model(model)
         if not model.verification.ok:
@@ -140,7 +126,7 @@ def _merge_positions(algebra: FiniteAlgebra, filt: PrimeFilter) -> tuple[int, ..
 
     for i in range(n):
         for j in range(i + 1, n):
-            if algebra.delta(n, i + 1, j + 1) in filt.members:
+            if algebra.delta(n, i + 1, j + 1) in filt:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
@@ -153,14 +139,14 @@ def _check_well_defined(algebra: FiniteAlgebra, filt: PrimeFilter,
                         class_of: tuple[int, ...], bound: int) -> None:
     n = filt.sort
     for k in range(bound + 1):
-        by_pattern: dict[tuple[int, ...], tuple[Substitution, list[bool]]] = {}
+        by_pattern: dict[tuple[int, ...], tuple[Substitution, frozenset[int]]] = {}
         for alpha in all_substitutions(k, n):
             pattern = tuple(class_of[i - 1] for i in alpha.map)
-            memberships = [algebra.subst(alpha, r) in filt.members for r in algebra.elements(k)]
+            pulled = pullback(algebra, filt, alpha)
             seen = by_pattern.get(pattern)
             if seen is None:
-                by_pattern[pattern] = (alpha, memberships)
-            elif seen[1] != memberships:
+                by_pattern[pattern] = (alpha, pulled)
+            elif seen[1] != pulled:
                 raise IllDefinedMapError(
                     f"merged positions make the sort-{k} map ambiguous",
                     alpha=seen[0], beta=alpha,
@@ -232,8 +218,7 @@ def master_filter_model(algebra: FiniteAlgebra, scope: int,
     if scope > algebra.max_sort:
         raise PreconditionError(f"scope {scope} exceeds sort bound {algebra.max_sort}")
     family = separating_family(algebra, scope)
-    master_sort = sum(pf.sort for pf in family)
-    ext = ensure_sort(algebra, master_sort)
+    ext = algebra.extend(sum(pf.sort for pf in family))
     master = sum_filters(family, ext, verify=verify)
     model = filter_to_morphism(ext, master, verify=verify, up_to=algebra.max_sort)
     return model, family
@@ -305,20 +290,15 @@ def find_obligations(model: FilterModel, bound: int) -> list[tuple[tuple[int, ..
     out = []
     for length in range(bound):
         target = length + 1
-        lattice = sort_lattice(alg, target)
-        candidates = []
-        for g in prime_filters(lattice):
-            candidates.append((g, pullback_filter(alg, g, verify=False).members))
+        candidates = [(g, pullback_filter(alg, g, verify=False).members)
+                      for g in prime_filters(sort_lattice(alg, target))]
         for tup in iproduct(range(w), repeat=length):
             p = model.type_of(tup)
-            for g, pulled in candidates:
-                if pulled != p.members:
-                    continue
-                if not any(
-                    all(model.holds(target, r, tup + (b,)) for r in g.members)
-                    for b in range(w)
-                ):
-                    out.append((tup, g))
+            extending = [g for g, pulled in candidates if pulled == p.members]
+            if extending:
+                realized = [model.satisfied(tup + (b,)) for b in range(w)]
+                out += [(tup, g) for g in extending
+                        if not any(g.members <= sat for sat in realized)]
     return out
 
 
@@ -329,13 +309,9 @@ def witness_stage(model: FilterModel, obligations, bound: int,
     the next stage model.  The previous universe embeds via the packed
     positions; its literal diagram is preserved and checked."""
     w = model.universe.size
-    alg = ensure_sort(model.algebra, w + len(obligations))
-    full = tuple(range(w))
-    base = model.type_of(full)
-    pairs = []
-    for tup, g in obligations:
-        alpha = Substitution(len(tup), w, tuple(q + 1 for q in tup))
-        pairs.append((g, alpha))
+    alg = model.algebra.extend(w + len(obligations))
+    base = model.type_of(tuple(range(w)))
+    pairs = [(g, Substitution(len(tup), w, tuple(q + 1 for q in tup))) for tup, g in obligations]
     packed = witness_filter(alg, base, pairs, verify=verify)
     stage = filter_to_morphism(alg, packed, verify=verify, up_to=bound)
     new = WitnessModel(
@@ -398,17 +374,14 @@ def saturate(algebra: FiniteAlgebra, start: FilterModel, rounds: int,
         )
         if verify and not report.ok:
             raise AssertionError("saturated model failed the exact morphism check")
+    start_map, final_map = start.fmap(), model.fmap()
     for n in range(bound + 1):
-        start_f = start.fmap()[n]
-        final_f = model.fmap()[n]
-        for a in range(len(final_f)):
-            for b in range(a + 1, len(final_f)):
-                if final_f[a] == final_f[b] and start_f[a] != start_f[b]:
-                    raise AssertionError(
-                        f"saturation identified sort-{n} elements {a},{b} that the "
-                        f"starting map distinguished"
-                    )
-    injective = is_injective(model.fmap(), range(bound + 1))
+        merged = kernel(final_map, n) - kernel(start_map, n)
+        if merged:
+            a, b = min(merged)
+            raise AssertionError(f"saturation identified sort-{n} elements {a},{b} that the "
+                                 f"starting map distinguished")
+    injective = is_injective(final_map, range(bound + 1))
     transcript.append(f"injective on sorts 0..{bound}: {injective}")
     return EmbeddingCertificate(
         status=status,

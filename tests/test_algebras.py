@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -267,10 +268,24 @@ def test_batched_meet_join_match_per_pair_ops():
                 ys = [rng.randrange(size) for _ in xs]
                 assert alg.meet_all(n, xs, ys) == [alg.meet(n, x, y) for x, y in zip(xs, ys)]
                 assert alg.join_all(n, xs, ys) == [alg.join(n, x, y) for x, y in zip(xs, ys)]
-        with pytest.raises(Exception) as scalar:
+        with pytest.raises(InsufficientSortsError):
             alg.meet(3, 0, 0)
-        with pytest.raises(scalar.type):
+        with pytest.raises(InsufficientSortsError):
             alg.meet_all(3, [0], [0])
+
+
+def test_operations_outside_the_sort_bounds_name_the_algebra():
+    base = concrete(Universe(2), FO, 2)
+    algebras = [base, product([base, concrete(Universe(1), FO, 2)]),
+                generated_subalgebra(base, [(1, 0b01), (2, 0b0110)]), as_table_algebra(base)]
+    for alg in algebras:
+        for n in (-1, alg.max_sort + 1):
+            calls = [lambda: alg.meet(n, 0, 0), lambda: alg.join(n, 0, 0),
+                     lambda: alg.neg(n, 0), lambda: alg.meet_all(n, [0], [0]),
+                     lambda: alg.join_all(n, [0], [0]), lambda: alg.exists(n, 0)]
+            for call in calls:
+                with pytest.raises(InsufficientSortsError, match=re.escape(f"({alg.provenance})")):
+                    call()
 
 
 def test_table_algebra_no_extension_fails_loudly():

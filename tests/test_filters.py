@@ -21,6 +21,7 @@ from relalg import (
     join_irreducibles,
     prime_filters,
     project_filter,
+    pullback,
     pullback_filter,
     sort_lattice,
     sum_filters,
@@ -257,6 +258,21 @@ def test_pullback_recovers_last_block_of_sum():
     back2 = frozenset(r for r in alg.elements(1) if alg.subst(c2, r) in master.members)
     assert back1 == f1.members
     assert back2 == f2.members
+
+
+def test_pullback_is_the_inverse_image_along_every_substitution():
+    from relalg.relations import all_substitutions
+
+    base = concrete(W2, PE, 2)
+    for alg in (base, as_table_algebra(base), generated_subalgebra(base, [(1, 0b01)])):
+        for n in range(3):
+            for pf in prime_filters(sort_lattice(alg, n)):
+                for k in range(3):
+                    for alpha in all_substitutions(k, n):
+                        assert pullback(alg, pf, alpha) == frozenset(
+                            r for r in alg.elements(k) if alg.subst(alpha, r) in pf)
+        with pytest.raises(PreconditionError):
+            pullback(alg, prime_filters(sort_lattice(alg, 1))[0], Substitution.identity(2))
 
 
 def test_witness_filter_no_pairs_is_base():
