@@ -236,3 +236,24 @@ def test_axioms_check_past_element_cap_exits_2(capsys):
     assert capsys.readouterr().err == (
         "error: sort 1000000000 over universe of size 3 has 2**(3**1000000000) elements, "
         "cap is 1048576\n")
+
+
+def test_eval_deeply_nested_input_from_a_file(tmp_path, capsys):
+    from test_formulas import DEEP_FORMULA, DEEP_LITERALS, DEEP_TERMS
+
+    structure = tmp_path / "structure.json"
+    structure.write_text(json.dumps({"universe": 2, "relations": {"P": {"arity": 1, "tuples": [[0]]}}}))
+    path = tmp_path / "formula.txt"
+    for name, text in DEEP_TERMS.items():
+        path.write_text(text)
+        code, out = run_cli("eval", "--structure", str(structure), "--syntax", "term",
+                            "--mode", "compiled", "--formula-file", str(path))
+        assert (code, out.strip()) == (0, DEEP_LITERALS[name]), name
+    path.write_text(DEEP_FORMULA)
+    code, out = run_cli("eval", "--structure", str(structure), "--formula-file", str(path))
+    assert (code, out.strip()) == (0, "arity=1 universe=2 {(0)}")
+    path.write_text("[x] " + "!" * 5000 + "P(x)")
+    capsys.readouterr()
+    code, _ = run_cli("eval", "--structure", str(structure), "--formula-file", str(path))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: input nested too deeply")

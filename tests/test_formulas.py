@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -349,3 +350,39 @@ def test_term_sort_invariants():
         Exists(Top(0))
     with pytest.raises(ArityError):
         Delta(2, 1, 3)
+
+
+def test_eval_term_unknown_symbol_and_arity_mismatch():
+    u = Universe(2)
+    structure = Structure(u, {"P": from_set(2, 1, [(0,)])})
+    with pytest.raises(FormatError, match=re.escape("structure does not interpret symbol 'Q'")):
+        eval_term(parse_term("and(P, Q)", Signature((("P", 1), ("Q", 1)))), structure)
+    with pytest.raises(ArityError, match=re.escape(
+            "symbol P has arity 1 in the structure, term expects 2")):
+        eval_term(parse_term("exists(P)", Signature((("P", 2),))), structure)
+
+
+# Terms and formulas nested 900 deep evaluate as they did before the term
+# evaluator was shared with the axiom checker; deeper ones end in RecursionError.
+DEPTH = 900
+DEEP_TERMS = {
+    "not chain": "not(" * DEPTH + "P" + ")" * DEPTH,
+    "odd not chain": "not(" * (DEPTH - 1) + "P" + ")" * (DEPTH - 1),
+    "and chain": "and(P, " * DEPTH + "P" + ")" * DEPTH,
+    "and of two deep copies": "and({0}, {0})".format("not(" * DEPTH + "P" + ")" * DEPTH),
+}
+DEEP_LITERALS = {"not chain": "arity=1 universe=2 {(0)}",
+                 "odd not chain": "arity=1 universe=2 {(1)}",
+                 "and chain": "arity=1 universe=2 {(0)}",
+                 "and of two deep copies": "arity=1 universe=2 {(0)}"}
+DEEP_FORMULA = "[x] " + "!" * DEPTH + "P(x)"
+
+
+def test_eval_deeply_nested_terms_and_formulas():
+    structure = Structure(Universe(2), {"P": from_set(2, 1, [(0,)])})
+    sig = structure.signature()
+    for name, text in DEEP_TERMS.items():
+        assert str(eval_term(parse_term(text, sig), structure)) == DEEP_LITERALS[name], name
+    formula = parse_fo(DEEP_FORMULA, sig)
+    assert str(eval_term(compile_fo(formula), structure)) == "arity=1 universe=2 {(0)}"
+    assert str(eval_fo_naive(formula, structure)) == "arity=1 universe=2 {(0)}"
