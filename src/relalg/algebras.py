@@ -168,6 +168,7 @@ class FiniteAlgebra:
     # -- reporting ----------------------------------------------------------
 
     def element_label(self, n: int, a: int) -> str:
+        self._check_sort(n)
         return str(a)
 
 
@@ -212,6 +213,7 @@ class ConcreteAlgebra(FiniteAlgebra):
         return out
 
     def sort_size(self, n: int) -> int:
+        self._check_sort(n)
         return 1 << self._width(n)
 
     def zero(self, n: int) -> int:
@@ -276,6 +278,7 @@ class ConcreteAlgebra(FiniteAlgebra):
         }
 
     def element_label(self, n: int, a: int) -> str:
+        self._check_sort(n)
         labels = [relation_literal(Relation(u, n, bits))
                   for u, bits in zip(self.blocks, self._parts(n, a))]
         if self.provenance.startswith("product("):
@@ -412,9 +415,7 @@ class GeneratedSubalgebra(FiniteAlgebra):
                 add(n - 1, parent.exists(n - 1, val), f"exists({term})")
             for k in range(bound + 1):
                 for alpha in all_substitutions(n, k):
-                    entries = ",".join(str(i) for i in alpha.map)
-                    arrow = "" if alpha.cod == max(alpha.map, default=0) else f"->{alpha.cod}"
-                    add(k, parent.subst(alpha, val), f"sub [{entries}]{arrow} {term}")
+                    add(k, parent.subst(alpha, val), f"{alpha.term_prefix()} {term}")
             for other, other_term in list(found[n].items()):
                 add(n, parent.meet(n, val, other), f"and({term}, {other_term})")
                 add(n, parent.join(n, val, other), f"or({term}, {other_term})")
@@ -432,12 +433,15 @@ class GeneratedSubalgebra(FiniteAlgebra):
         return len(self._to_parent[n])
 
     def to_parent(self, n: int, a: int) -> int:
+        self._check_sort(n)
         return self._to_parent[n][a]
 
     def from_parent(self, n: int, val: int) -> int:
+        self._check_sort(n)
         return self._from_parent[n][val]
 
     def witness_term(self, n: int, a: int) -> str:
+        self._check_sort(n)
         return self._witness[n][a]
 
     def _wrap(self, n: int, val: int) -> int:
@@ -520,7 +524,7 @@ class GeneratedSubalgebra(FiniteAlgebra):
         return bigger
 
     def element_label(self, n: int, a: int) -> str:
-        return self._witness[n][a]
+        return self.witness_term(n, a)
 
 
 def generated_subalgebra(parent: FiniteAlgebra, generators: Sequence[tuple[int, int]],

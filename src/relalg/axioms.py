@@ -10,11 +10,14 @@ equation must; reports label (0) apart.  Each term repeats its schema's
 operation sequence (folds start from 1 or 0; a <= b is meet(a, b) = a),
 since on tables that break the laws equivalent terms can disagree.
 
-One evaluator runs a clause over batches of slot tuples: all of them when
-the space fits the exhaustive cap, else a seeded uniform sample.  A
-violation's params and slot values replay it bit-exactly through
-replay_instance, a batch of one.  Applicability: (0)-(4) everywhere;
-(5)-(6) need negation, (7)-(10) projection, (11)-(13) equality constants.
+A clause runs over batches of slot tuples: all of them when the space fits
+the exhaustive cap, else a seeded uniform sample.  Its terms go through
+formulas.term_value, the one term evaluator, which eval_term also runs on
+structures: slot columns through the algebra's tables, slot-free terms
+through its scalar operations.  A violation's params and slot values replay
+it bit-exactly through replay_instance, a batch of one.  Applicability:
+(0)-(4) everywhere; (5)-(6) need negation, (7)-(10) projection, (11)-(13)
+equality constants.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Iterator
 
 from .algebras import FiniteAlgebra, concrete, generated_subalgebra, product
 from .errors import FragmentError
-from .formulas import And, Bot, Delta, Exists, Not, Or, Sub, Sym, Term, Top
+from .formulas import And, Bot, Delta, Exists, Not, Or, Sub, Sym, Term, Top, as_column, term_value
 from .fragments import Fragment, PE, QF
 from .relations import (
     Substitution,
@@ -159,7 +162,7 @@ def replay_instance(algebra: FiniteAlgebra, instance: SchemaInstance, bounds: Bo
 
 
 # ---------------------------------------------------------------------------
-# The batched evaluator
+# Clauses on batches of slot tuples
 
 
 def _failures(alg: FiniteAlgebra, clause: Clause, columns: list[list[int]], size: int,
@@ -167,12 +170,12 @@ def _failures(alg: FiniteAlgebra, clause: Clause, columns: list[list[int]], size
     """(row, label, detail) for each row of the batch that violates the
     clause, in row order.  consts keeps the values of slot-free subterms
     across the batches of one clause."""
-    env: dict = dict(zip(clause.slots, columns))
+    env = {id(slot): col for slot, col in zip(clause.slots, columns)}
     if clause.premise is not None:
         label, detail, lhs, rhs = clause.premise
         holds = _holds(alg, lhs, rhs, env, consts, size)
         rows = list(compress(range(size), holds))
-        env = {t: list(compress(col, holds)) for t, col in env.items()}
+        env = {key: list(compress(col, holds)) for key, col in env.items()}
         hit = [False] * len(rows)
         for _, _, lhs, rhs in clause.equations:
             hit = list(map(or_, hit, _holds(alg, lhs, rhs, env, consts, len(rows))))
@@ -189,51 +192,11 @@ def _failures(alg: FiniteAlgebra, clause: Clause, columns: list[list[int]], size
 def _holds(alg: FiniteAlgebra, lhs: Term, rhs: Term, env: dict, consts: dict,
            size: int) -> list[bool]:
     """Whether lhs = rhs holds, row by row."""
-    x, y = (_value(alg, t, env, consts, size) for t in (lhs, rhs))
+    x = term_value(alg, lhs, env, consts, size)
+    y = term_value(alg, rhs, env, consts, size)
     if x == y:
         return [True] * size
-    return list(map(eq, _column(x, size), _column(y, size)))
-
-
-def _column(v: int | list[int], size: int) -> list[int]:
-    return v if isinstance(v, list) else [v] * size
-
-
-def _value(alg: FiniteAlgebra, t: Term, env: dict, consts: dict, size: int) -> int | list[int]:
-    """The value of t on a batch: one element when t has no slot variable
-    (kept in consts), else a column (kept in env)."""
-    if t in env:
-        return env[t]
-    if t in consts:
-        return consts[t]
-    match t:
-        case Top(n):
-            v = alg.one(n)
-        case Bot(n):
-            v = alg.zero(n)
-        case Delta(n, i, j):
-            v = alg.delta(n, i, j)
-        case Sub(alpha, child):
-            v = _lookup(alg.subst_table(alpha), _value(alg, child, env, consts, size))
-        case Not(child):
-            v = _lookup(alg.neg_table(t.sort), _value(alg, child, env, consts, size))
-        case Exists(child):
-            v = _lookup(alg.exists_table(t.sort), _value(alg, child, env, consts, size))
-        case And(left, right) | Or(left, right):
-            x, y = (_value(alg, u, env, consts, size) for u in (left, right))
-            if isinstance(x, list) or isinstance(y, list):
-                op = alg.meet_all if isinstance(t, And) else alg.join_all
-                v = op(t.sort, _column(x, size), _column(y, size))
-            else:
-                v = (alg.meet if isinstance(t, And) else alg.join)(t.sort, x, y)
-        case _:
-            raise TypeError(f"not a clause term: {t!r}")
-    (env if isinstance(v, list) else consts)[t] = v
-    return v
-
-
-def _lookup(table: list[int], v: int | list[int]) -> int | list[int]:
-    return list(map(table.__getitem__, v)) if isinstance(v, list) else table[v]
+    return list(map(eq, as_column(x, size), as_column(y, size)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
 """Formula DSL: free-algebra terms, surface first-order formulas with variable
-contexts, a compiler from the surface syntax to terms, and two independent
-evaluators (the compiled pipeline and a naive satisfaction checker).
+contexts, a compiler from the surface syntax to terms, the one term evaluator
+and an independent naive satisfaction checker.
+
+The term evaluator, term_value, runs a term in any finite algebra on a batch
+of slot values; axioms.py runs its clauses through it.  A structure over W
+assigns its symbols elements of the algebra of all relations over W, and
+eval_term is term_value there.  eval_fo_naive enumerates tuples and witnesses
+instead: it is the oracle the compiled pipeline is checked against.
 
 Term grammar (v1, one-based indices):
 
@@ -32,21 +38,10 @@ import re
 from dataclasses import dataclass, field
 from random import Random
 
+from .algebras import ConcreteAlgebra, FiniteAlgebra
 from .errors import ArityError, FormatError, FragmentError, UniverseMismatchError
-from .fragments import Fragment
-from .relations import (
-    Relation,
-    Substitution,
-    Universe,
-    bottom,
-    complement,
-    delta,
-    exists_last,
-    join,
-    meet,
-    rel_apply,
-    top,
-)
+from .fragments import FO, Fragment
+from .relations import Relation, Substitution, Universe
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,7 @@ class Signature:
 
 
 class Term:
-    sort: int
+    sort: int  # a field of the leaves; set once by __post_init__ in the other nodes
 
 
 @dataclass(frozen=True)
@@ -97,10 +92,7 @@ class Sub(Term):
     def __post_init__(self) -> None:
         if self.child.sort != self.alpha.dom:
             raise ArityError(f"substitution {self.alpha} applied to term of sort {self.child.sort}")
-
-    @property
-    def sort(self) -> int:  # type: ignore[override]
-        return self.alpha.cod
+        object.__setattr__(self, "sort", self.alpha.cod)
 
 
 @dataclass(frozen=True)
@@ -121,10 +113,7 @@ class And(Term):
     def __post_init__(self) -> None:
         if self.left.sort != self.right.sort:
             raise ArityError(f"conjunction of sorts {self.left.sort} and {self.right.sort}")
-
-    @property
-    def sort(self) -> int:  # type: ignore[override]
-        return self.left.sort
+        object.__setattr__(self, "sort", self.left.sort)
 
 
 @dataclass(frozen=True)
@@ -135,19 +124,15 @@ class Or(Term):
     def __post_init__(self) -> None:
         if self.left.sort != self.right.sort:
             raise ArityError(f"disjunction of sorts {self.left.sort} and {self.right.sort}")
-
-    @property
-    def sort(self) -> int:  # type: ignore[override]
-        return self.left.sort
+        object.__setattr__(self, "sort", self.left.sort)
 
 
 @dataclass(frozen=True)
 class Not(Term):
     child: Term
 
-    @property
-    def sort(self) -> int:  # type: ignore[override]
-        return self.child.sort
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sort", self.child.sort)
 
 
 @dataclass(frozen=True)
@@ -157,10 +142,7 @@ class Exists(Term):
     def __post_init__(self) -> None:
         if self.child.sort < 1:
             raise ArityError("projection of a sort-0 term")
-
-    @property
-    def sort(self) -> int:  # type: ignore[override]
-        return self.child.sort - 1
+        object.__setattr__(self, "sort", self.child.sort - 1)
 
 
 @dataclass(frozen=True)
@@ -304,9 +286,7 @@ def print_term(t: Term) -> str:
     if isinstance(t, Sym):
         return t.name
     if isinstance(t, Sub):
-        entries = ",".join(str(i) for i in t.alpha.map)
-        arrow = "" if t.alpha.cod == max(t.alpha.map, default=0) else f"->{t.alpha.cod}"
-        return f"sub [{entries}]{arrow} {print_term(t.child)}"
+        return f"{t.alpha.term_prefix()} {print_term(t.child)}"
     if isinstance(t, And):
         return f"and({print_term(t.left)}, {print_term(t.right)})"
     if isinstance(t, Or):
@@ -593,7 +573,7 @@ def _compile(node: FONode, k: int, frag: Fragment | None) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Structures and the two evaluators
+# Structures, the term evaluator and the naive oracle
 
 
 @dataclass(frozen=True)
@@ -641,31 +621,76 @@ class Structure:
 
 
 def eval_term(t: Term, structure: Structure) -> Relation:
-    u = structure.universe
-    if isinstance(t, Sym):
-        rel = structure.relations.get(t.name)
-        if rel is None:
-            raise FormatError(f"structure does not interpret symbol {t.name!r}")
-        if rel.arity != t.sort:
-            raise ArityError(f"symbol {t.name} has arity {rel.arity} in the structure, term expects {t.sort}")
-        return rel
-    if isinstance(t, Sub):
-        return rel_apply(t.alpha, eval_term(t.child, structure))
-    if isinstance(t, Top):
-        return top(u, t.sort)
-    if isinstance(t, Bot):
-        return bottom(u, t.sort)
-    if isinstance(t, And):
-        return meet(eval_term(t.left, structure), eval_term(t.right, structure))
-    if isinstance(t, Or):
-        return join(eval_term(t.left, structure), eval_term(t.right, structure))
-    if isinstance(t, Not):
-        return complement(eval_term(t.child, structure))
-    if isinstance(t, Exists):
-        return exists_last(eval_term(t.child, structure))
-    if isinstance(t, Delta):
-        return delta(u, t.sort, t.i, t.j)
-    raise TypeError(f"not a term: {t!r}")
+    """t run by term_value in the algebra of all relations over the universe,
+    up to the largest sort in t, with each symbol's relation as a constant.
+    Symbols are checked left to right, so the first bad one is reported."""
+    symbols: dict[int, int] = {}
+    max_sort, stack = 0, [t]
+    while stack:
+        node = stack.pop()
+        max_sort = max(max_sort, node.sort)
+        if isinstance(node, Sym):
+            rel = structure.relations.get(node.name)
+            if rel is None:
+                raise FormatError(f"structure does not interpret symbol {node.name!r}")
+            if rel.arity != node.sort:
+                raise ArityError(f"symbol {node.name} has arity {rel.arity} in the structure, "
+                                 f"term expects {node.sort}")
+            symbols[id(node)] = rel.bits
+        else:
+            stack.extend(reversed([c for c in vars(node).values() if isinstance(c, Term)]))
+    algebra = ConcreteAlgebra([structure.universe], FO.with_equality(), max_sort)
+    return Relation(structure.universe, t.sort, term_value(algebra, t, {}, symbols, 1))
+
+
+def term_value(alg: FiniteAlgebra, t: Term, env: dict, consts: dict, size: int) -> int | list[int]:
+    """The value of t in alg on a batch of size rows.  env maps id(slot) to
+    its column, one element per row; a term over a slot is a column too, read
+    off the algebra's cached tables and batched meet and join.  A slot-free
+    term is one element from the scalar operations, so its sorts are never
+    tabulated.  Values are memoized by id(t), columns in env and elements in
+    consts: a term's hash recurses through all of it, two frames a level."""
+    key = id(t)
+    if key in env:
+        return env[key]
+    if key in consts:
+        return consts[key]
+    match t:
+        case Top(n):
+            v = alg.one(n)
+        case Bot(n):
+            v = alg.zero(n)
+        case Delta(n, i, j):
+            v = alg.delta(n, i, j)
+        case Sub(alpha, child):
+            x = term_value(alg, child, env, consts, size)
+            v = _lookup(alg.subst_table(alpha), x) if isinstance(x, list) else alg.subst(alpha, x)
+        case Not(child):
+            x = term_value(alg, child, env, consts, size)
+            v = _lookup(alg.neg_table(t.sort), x) if isinstance(x, list) else alg.neg(t.sort, x)
+        case Exists(child):
+            x = term_value(alg, child, env, consts, size)
+            v = _lookup(alg.exists_table(t.sort), x) if isinstance(x, list) else alg.exists(t.sort, x)
+        case And(left, right) | Or(left, right):
+            x = term_value(alg, left, env, consts, size)
+            y = term_value(alg, right, env, consts, size)
+            if isinstance(x, list) or isinstance(y, list):
+                op = alg.meet_all if isinstance(t, And) else alg.join_all
+                v = op(t.sort, as_column(x, size), as_column(y, size))
+            else:
+                v = (alg.meet if isinstance(t, And) else alg.join)(t.sort, x, y)
+        case _:
+            raise TypeError(f"no value for term {t!r}")
+    (env if isinstance(v, list) else consts)[key] = v
+    return v
+
+
+def as_column(v: int | list[int], size: int) -> list[int]:
+    return v if isinstance(v, list) else [v] * size
+
+
+def _lookup(table: list[int], column: list[int]) -> list[int]:
+    return list(map(table.__getitem__, column))
 
 
 def eval_fo_naive(f: FOFormula, structure: Structure) -> Relation:

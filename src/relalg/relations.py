@@ -79,6 +79,12 @@ class Substitution:
     def __str__(self) -> str:
         return f"[{','.join(str(i) for i in self.map)}]:{self.dom}->{self.cod}"
 
+    def term_prefix(self) -> str:
+        """'sub [i1,...,in]' in the term grammar, with '->k' exactly where the
+        parser's default codomain, the largest index (0 if none), is wrong."""
+        arrow = "" if self.cod == max(self.map, default=0) else f"->{self.cod}"
+        return f"sub [{','.join(str(i) for i in self.map)}]{arrow}"
+
 
 def all_substitutions(dom: int, cod: int) -> Iterator[Substitution]:
     """All index maps {1..dom} -> {1..cod}, in lexicographic order."""

@@ -282,7 +282,11 @@ def test_operations_outside_the_sort_bounds_name_the_algebra():
         for n in (-1, alg.max_sort + 1):
             calls = [lambda: alg.meet(n, 0, 0), lambda: alg.join(n, 0, 0),
                      lambda: alg.neg(n, 0), lambda: alg.meet_all(n, [0], [0]),
-                     lambda: alg.join_all(n, [0], [0]), lambda: alg.exists(n, 0)]
+                     lambda: alg.join_all(n, [0], [0]), lambda: alg.exists(n, 0),
+                     lambda: alg.sort_size(n), lambda: alg.element_label(n, 0)]
+            if alg.provenance.startswith("generated("):
+                calls += [lambda: alg.to_parent(n, 0), lambda: alg.from_parent(n, 0),
+                          lambda: alg.witness_term(n, 0)]
             for call in calls:
                 with pytest.raises(InsufficientSortsError, match=re.escape(f"({alg.provenance})")):
                     call()
