@@ -265,9 +265,10 @@ def _ax2(n_max: int) -> Iterator[Clause]:
                 ("constants", "1 not preserved", Sub(alpha, Top(n)), Top(k)),
             ))
             d = f"sort {n}->{k}"
+            ar, as_ = Sub(alpha, r), Sub(alpha, s)  # one object each, so evaluated once
             yield Clause({"alpha": _ser(alpha), "part": "binary"}, (r, s), (
-                ("join", d, Sub(alpha, Or(r, s)), Or(Sub(alpha, r), Sub(alpha, s))),
-                ("meet", d, Sub(alpha, And(r, s)), And(Sub(alpha, r), Sub(alpha, s))),
+                ("join", d, Sub(alpha, Or(r, s)), Or(ar, as_)),
+                ("meet", d, Sub(alpha, And(r, s)), And(ar, as_)),
             ))
 
 
