@@ -265,7 +265,7 @@ def _ax2(n_max: int) -> Iterator[Clause]:
                 ("constants", "1 not preserved", Sub(alpha, Top(n)), Top(k)),
             ))
             d = f"sort {n}->{k}"
-            ar, as_ = Sub(alpha, r), Sub(alpha, s)  # one object each, so evaluated once
+            ar, as_ = Sub(alpha, r), Sub(alpha, s)  # shared: values are memoized by identity
             yield Clause({"alpha": _ser(alpha), "part": "binary"}, (r, s), (
                 ("join", d, Sub(alpha, Or(r, s)), Or(ar, as_)),
                 ("meet", d, Sub(alpha, And(r, s)), And(ar, as_)),
