@@ -61,13 +61,12 @@ from .algebras import (
     generated_subalgebra,
     is_injective,
     kernel,
+    operations,
     product,
     verify_morphism,
 )
 from .filters import (
     PrimeFilter,
-    PrincipalFilter,
-    PrincipalIdeal,
     SortLattice,
     extend_to_prime,
     is_prime_filter,
@@ -94,7 +93,6 @@ from .axioms import (
 from .representation import (
     EmbeddingCertificate,
     FilterModel,
-    WitnessModel,
     embed,
     filter_to_morphism,
     find_obligations,

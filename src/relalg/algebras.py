@@ -4,9 +4,10 @@ An algebra carries sorts 0..max_sort; sort n is a finite list of elements
 addressed by indices 0..size-1.  Operation symbols: the lattice constants and
 operations on every sort, all substitutions between in-bounds sorts,
 projection (per fragment), negation (per fragment) and diagonal constants
-(per fragment).  Operations whose sorts exceed the bound raise
-InsufficientSortsError; algebras with concrete, product or generated
-provenance can materialize higher sorts via extend().
+(per fragment).  operations() lists them, one key per symbol.  Operations
+whose sorts exceed the bound raise InsufficientSortsError; algebras with
+concrete, product or generated provenance can materialize higher sorts via
+extend().
 
 Concrete algebras are bitset algebras over an ordered list of universes
 (blocks): concrete() builds one block, and product() of concrete factors is a
@@ -14,8 +15,11 @@ concrete algebra over their concatenated blocks, so lattice operations are
 plain bitwise ones and the rest run block by block.  The element cap guards
 where sorts are enumerated, plus eagerly in concrete() and extend().
 
-All algebras are immutable after construction; caches are lock-guarded so
-concurrent readers see consistent tables.
+A table algebra is one table per symbol key.  Every algebra has one store,
+FiniteAlgebra.cached: operation tables under their symbol keys (a table
+algebra's given tables, or tables built on first use) and the sort lattices
+of filters.sort_lattice.  All algebras are immutable after construction; the
+store is lock-guarded so concurrent readers see consistent tables.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import operator
 import sys
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -68,7 +73,7 @@ class FiniteAlgebra:
         self.element_cap = element_cap
         self.provenance = provenance
         self._cache_lock = threading.Lock()
-        self._tables: dict = {}  # substitutions by themselves, ("exists"|"neg", n)
+        self._tables: dict = {}  # see cached()
 
     # -- sizes and guards ---------------------------------------------------
 
@@ -136,25 +141,30 @@ class FiniteAlgebra:
         if not have:
             raise FragmentError(f"{feature} not available in fragment {self.fragment}")
 
-    # -- tables (for the schema checker; cached) -----------------------------
+    # -- the per-algebra store ------------------------------------------------
 
-    def _table(self, key, build) -> list[int]:
+    def cached(self, key, build):
+        """The value stored under key, built on first use; the first value
+        stored wins.  This is the algebra's one store: operation tables under
+        their symbol's key (see operations()), sort lattices under
+        ("lattice", n)."""
         with self._cache_lock:
-            table = self._tables.get(key)
-        if table is None:
-            table = build()
+            value = self._tables.get(key)
+        if value is None:
+            value = build()
             with self._cache_lock:
-                self._tables[key] = table
-        return table
+                value = self._tables.setdefault(key, value)
+        return value
 
     def subst_table(self, alpha: Substitution) -> list[int]:
-        return self._table(alpha, lambda: [self.subst(alpha, a) for a in self.elements(alpha.dom)])
+        return self.cached(("subst", alpha),
+                           lambda: [self.subst(alpha, a) for a in self.elements(alpha.dom)])
 
     def exists_table(self, n: int) -> list[int]:
-        return self._table(("exists", n), lambda: [self.exists(n, a) for a in self.elements(n + 1)])
+        return self.cached(("exists", n), lambda: [self.exists(n, a) for a in self.elements(n + 1)])
 
     def neg_table(self, n: int) -> list[int]:
-        return self._table(("neg", n), lambda: [self.neg(n, a) for a in self.elements(n)])
+        return self.cached(("neg", n), lambda: [self.neg(n, a) for a in self.elements(n)])
 
     # -- extension ----------------------------------------------------------
 
@@ -537,91 +547,88 @@ def generated_subalgebra(parent: FiniteAlgebra, generators: Sequence[tuple[int, 
 # Explicit table presentations
 
 
-class TableAlgebra(FiniteAlgebra):
-    """Operation tables given explicitly.  Cannot materialize sorts above the
-    bound unless a backing algebra was attached at construction."""
+def operations(fragment: Fragment, max_sort: int):
+    """Each operation symbol within sorts 0..max_sort once, as (key, argument
+    sorts, result sort).  A key is the method name followed by its leading
+    arguments, so getattr(alg, key[0])(*key[1:], *args) applies the symbol."""
+    sorts = range(max_sort + 1)
+    for n in sorts:
+        yield ("zero", n), (), n
+        yield ("one", n), (), n
+        yield ("meet", n), (n, n), n
+        yield ("join", n), (n, n), n
+        if fragment.negation:
+            yield ("neg", n), (n,), n
+        if fragment.equality:
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    yield ("delta", n, i, j), (), n
+    for n in sorts:
+        for k in sorts:
+            for alpha in all_substitutions(n, k):
+                yield ("subst", alpha), (n,), k
+    if fragment.exists:
+        for n in range(max_sort):
+            yield ("exists", n), (n + 1,), n
 
-    def __init__(self, fragment: Fragment, max_sort: int, sizes: Sequence[int],
-                 meets: Sequence[Sequence[Sequence[int]]],
-                 joins: Sequence[Sequence[Sequence[int]]],
-                 zeros: Sequence[int], ones: Sequence[int],
-                 substs: dict[Substitution, Sequence[int]],
-                 negs: Sequence[Sequence[int]] | None = None,
-                 exists_tables: dict[int, Sequence[int]] | None = None,
-                 deltas: dict[tuple[int, int, int], int] | None = None,
+
+def _symbol(key) -> str:
+    return " ".join(map(str, key))
+
+
+class TableAlgebra(FiniteAlgebra):
+    """One table per operation symbol, keyed as in operations(): an element
+    for a constant, a list over the argument sort for a unary symbol, and
+    rows for meet and join.  The given tables are validated, copied into the
+    algebra's store and read from there by the operations and the *_table
+    accessors.  Cannot materialize sorts above the bound unless a backing
+    algebra was attached at construction."""
+
+    def __init__(self, fragment: Fragment, max_sort: int, sizes: Sequence[int], tables: dict,
                  extension: FiniteAlgebra | None = None,
                  element_cap: int = DEFAULT_ELEMENT_CAP):
         super().__init__(fragment, max_sort, element_cap, "tables")
         self.sizes = [int(s) for s in sizes]
-        self.meets = [[list(row) for row in t] for t in meets]
-        self.joins = [[list(row) for row in t] for t in joins]
-        self.zeros = list(zeros)
-        self.ones = list(ones)
-        self.substs = {a: list(t) for a, t in substs.items()}
-        self.negs = [list(t) for t in negs] if negs is not None else None
-        self.exists_tables = {int(n): list(t) for n, t in (exists_tables or {}).items()}
-        self.deltas = dict(deltas or {})
         self._extension = extension
-        self._validate()
-
-    def _validate(self) -> None:
-        n_sorts = self.max_sort + 1
-        if not (len(self.sizes) == len(self.meets) == len(self.joins)
-                == len(self.zeros) == len(self.ones) == n_sorts):
-            raise FormatError(f"expected data for {n_sorts} sorts")
+        if len(self.sizes) != max_sort + 1:
+            raise FormatError(f"expected data for {max_sort + 1} sorts")
         for n, size in enumerate(self.sizes):
             if size <= 0:
                 raise FormatError(f"sort {n} has non-positive size {size}")
+        for key, arg_sorts, result in operations(fragment, max_sort):
+            if key not in tables:
+                raise FormatError(f"missing table for {_symbol(key)}")
+            self._tables[key] = self._checked(key, tables[key], arg_sorts, result)
+        # Projection and diagonal tables outside the signature are kept,
+        # unchecked, for to_json alone; no operation or accessor serves them.
+        self._unchecked = {key: t for key, t in tables.items() if key not in self._tables}
+        for key in self._unchecked:
+            if key[0] not in ("exists", "delta"):
+                raise FormatError(f"{_symbol(key)} is outside the signature of "
+                                  f"{fragment} up to sort {max_sort}")
 
-        def check_elems(xs: list, n: int, what: str) -> None:
-            """Every entry must be an element index of sort n; a bool is not.
-            The all-valid case is checked in one pass of builtins."""
-            if set(map(type, xs)) <= {int} and (not xs or 0 <= min(xs) and max(xs) < self.sizes[n]):
-                return
-            bad = next(x for x in xs if type(x) is not int or not 0 <= x < self.sizes[n])
-            raise FormatError(f"{what} of sort {n} out of range: {bad!r}")
-
-        def check_table(table, n_in, n_out, what):
-            if len(table) != self.sizes[n_in]:
-                raise FormatError(f"{what} has wrong length")
-            check_elems(table, n_out, f"{what} entry")
-
-        for n, size in enumerate(self.sizes):
-            check_elems([self.zeros[n]], n, "zero")
-            check_elems([self.ones[n]], n, "one")
-            for name, table in (("meet", self.meets[n]), ("join", self.joins[n])):
-                if len(table) != size or any(len(row) != size for row in table):
-                    raise FormatError(f"{name} table of sort {n} is not {size}x{size}")
-                for row in table:
-                    check_elems(row, n, f"{name} entry")
-        if self.fragment.negation:
-            if self.negs is None or len(self.negs) != n_sorts:
-                raise FormatError("negation tables required for this fragment")
-            for n, table in enumerate(self.negs):
-                check_table(table, n, n, f"negation table of sort {n}")
-        for alpha in self.substs:
-            if not (alpha.dom < n_sorts and alpha.cod < n_sorts):
-                raise FormatError(f"substitution {alpha} outside sorts 0..{self.max_sort}")
-        for n in range(n_sorts):
-            for k in range(n_sorts):
-                for alpha in all_substitutions(n, k):
-                    table = self.substs.get(alpha)
-                    if table is None:
-                        raise FormatError(f"missing substitution table for {alpha}")
-                    check_table(table, n, k, f"substitution table for {alpha}")
-        if self.fragment.exists:
-            for n in range(n_sorts - 1):
-                table = self.exists_tables.get(n)
-                if table is None:
-                    raise FormatError(f"missing projection table onto sort {n}")
-                check_table(table, n + 1, n, f"projection table onto sort {n}")
-        if self.fragment.equality:
-            for n in range(n_sorts):
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        if (n, i, j) not in self.deltas:
-                            raise FormatError(f"missing diagonal constant ({n},{i},{j})")
-                        check_elems([self.deltas[(n, i, j)]], n, f"diagonal constant ({n},{i},{j})")
+    def _checked(self, key, table, arg_sorts, result):
+        """A copy of the given table, made by arity and seen as rows: its
+        shape must follow the argument sorts, and its entries must be element
+        indices of the result sort; a bool is not one.  A valid row is
+        checked in one pass of builtins."""
+        if len(arg_sorts) == 2:
+            table = rows = [list(row) for row in table]
+            shape = (self.sizes[arg_sorts[0]], self.sizes[arg_sorts[1]])
+        elif arg_sorts:
+            table = list(table)
+            rows, shape = [table], (1, self.sizes[arg_sorts[0]])
+        else:
+            rows, shape = [[table]], (1, 1)
+        if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+            raise FormatError(f"table for {_symbol(key)} has the wrong shape")
+        size = self.sizes[result]
+        for row in rows:
+            if not (set(map(type, row)) <= {int} and 0 <= min(row) and max(row) < size):
+                bad = next(x for x in row if type(x) is not int or not 0 <= x < size)
+                raise FormatError(f"table for {_symbol(key)} has an entry outside "
+                                  f"sort {result}: {bad!r}")
+        return table
 
     def sort_size(self, n: int) -> int:
         self._check_sort(n)
@@ -629,53 +636,51 @@ class TableAlgebra(FiniteAlgebra):
 
     def zero(self, n: int) -> int:
         self._check_sort(n)
-        return self.zeros[n]
+        return self._tables[("zero", n)]
 
     def one(self, n: int) -> int:
         self._check_sort(n)
-        return self.ones[n]
+        return self._tables[("one", n)]
 
     def meet(self, n: int, a: int, b: int) -> int:
         self._check_sort(n)
-        return self.meets[n][a][b]
+        return self._tables[("meet", n)][a][b]
 
     def join(self, n: int, a: int, b: int) -> int:
         self._check_sort(n)
-        return self.joins[n][a][b]
+        return self._tables[("join", n)][a][b]
 
     def meet_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
         self._check_sort(n)
-        return _look_up_all(self.meets[n], xs, ys)
+        return _look_up_all(self._tables[("meet", n)], xs, ys)
 
     def join_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
         self._check_sort(n)
-        return _look_up_all(self.joins[n], xs, ys)
+        return _look_up_all(self._tables[("join", n)], xs, ys)
 
     def neg(self, n: int, a: int) -> int:
         self._require("negation")
         self._check_sort(n)
-        return self.negs[n][a]
+        return self._tables[("neg", n)][a]
 
     def subst(self, alpha: Substitution, a: int) -> int:
         self._check_sort(alpha.dom)
         self._check_sort(alpha.cod)
-        return self.substs[alpha][a]
+        return self._tables[("subst", alpha)][a]
 
     def exists(self, n: int, a: int) -> int:
         self._require("exists")
         self._check_sort(n)
         self._check_sort(n + 1)
-        return self.exists_tables[n][a]
+        return self._tables[("exists", n)][a]
 
     def delta(self, n: int, i: int, j: int) -> int:
         self._require("equality")
         self._check_sort(n)
-        return self.deltas[(n, i, j)]
-
-    def subst_table(self, alpha: Substitution) -> list[int]:
-        self._check_sort(alpha.dom)
-        self._check_sort(alpha.cod)
-        return self.substs[alpha]
+        value = self._tables.get(("delta", n, i, j))
+        if value is None:
+            raise ArityError(f"diagonal indices ({i},{j}) outside 1..{n}")
+        return value
 
     def extend(self, new_max_sort: int) -> "TableAlgebra":
         if new_max_sort <= self.max_sort:
@@ -691,6 +696,9 @@ class TableAlgebra(FiniteAlgebra):
 
     @classmethod
     def from_json(cls, text: str, extension: FiniteAlgebra | None = None) -> "TableAlgebra":
+        """Read the file format: per-sort size, meet, join, zero, one and (with
+        negation) neg entries, and "subst", "exists" and "delta" sections
+        keyed "dom->cod:[map]", "n" and "n:i,j"."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -699,50 +707,35 @@ class TableAlgebra(FiniteAlgebra):
             fragment = parse_fragment(data["fragment"])
             max_sort = int(data["max_sort"])
             sorts = data["sorts"]
-            sizes = [s["size"] for s in sorts]
-            meets = [s["meet"] for s in sorts]
-            joins = [s["join"] for s in sorts]
-            zeros = [s["zero"] for s in sorts]
-            ones = [s["one"] for s in sorts]
-            negs = [s["neg"] for s in sorts] if fragment.negation else None
-            substs = {}
+            kinds = ("zero", "one", "meet", "join") + (("neg",) if fragment.negation else ())
+            tables = {(kind, n): entry[kind] for n, entry in enumerate(sorts) for kind in kinds}
             for key, table in data.get("subst", {}).items():
-                substs[_parse_subst_key(key)] = table
-            exists_tables = {int(k): v for k, v in data.get("exists", {}).items()}
-            deltas = {}
-            for key, val in data.get("delta", {}).items():
+                tables[("subst", _parse_subst_key(key))] = table
+            for key, table in data.get("exists", {}).items():
+                tables[("exists", int(key))] = table
+            for key, value in data.get("delta", {}).items():
                 n_part, ij = key.split(":")
                 i_part, j_part = ij.split(",")
-                deltas[(int(n_part), int(i_part), int(j_part))] = val
-            return cls(fragment, max_sort, sizes, meets, joins, zeros, ones, substs,
-                       negs=negs, exists_tables=exists_tables, deltas=deltas, extension=extension)
+                tables[("delta", int(n_part), int(i_part), int(j_part))] = value
+            return cls(fragment, max_sort, [entry["size"] for entry in sorts], tables,
+                       extension=extension)
         except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
             raise FormatError(f"bad algebra file: {exc!r}") from exc
 
     def to_json(self) -> str:
-        sorts = []
-        for n in range(self.max_sort + 1):
-            entry = {
-                "size": self.sizes[n],
-                "meet": self.meets[n],
-                "join": self.joins[n],
-                "zero": self.zeros[n],
-                "one": self.ones[n],
-            }
-            if self.negs is not None:
-                entry["neg"] = self.negs[n]
-            sorts.append(entry)
-        data = {
-            "fragment": str(self.fragment),
-            "max_sort": self.max_sort,
-            "sorts": sorts,
-            "subst": {_subst_key(a): t for a, t in sorted(self.substs.items(),
-                                                          key=lambda kv: _subst_key(kv[0]))},
-        }
-        if self.exists_tables:
-            data["exists"] = {str(n): t for n, t in sorted(self.exists_tables.items())}
-        if self.deltas:
-            data["delta"] = {f"{n}:{i},{j}": v for (n, i, j), v in sorted(self.deltas.items())}
+        sorts = [{"size": size} for size in self.sizes]
+        data = {"fragment": str(self.fragment), "max_sort": self.max_sort, "sorts": sorts,
+                "subst": {}}
+        symbols = {key: self._tables[key] for key, _, _ in operations(self.fragment, self.max_sort)}
+        for (name, *args), table in {**symbols, **self._unchecked}.items():
+            if name == "subst":
+                data["subst"][_subst_key(args[0])] = table
+            elif name == "exists":
+                data.setdefault("exists", {})[str(args[0])] = table
+            elif name == "delta":
+                data.setdefault("delta", {})["{}:{},{}".format(*args)] = table
+            else:
+                sorts[args[0]][name] = table
         return json.dumps(data, sort_keys=True)
 
 
@@ -773,43 +766,26 @@ def _parse_subst_key(key: str) -> Substitution:
 
 def as_table_algebra(algebra: FiniteAlgebra, with_extension: bool = False,
                      element_cap: int = DEFAULT_ELEMENT_CAP) -> TableAlgebra:
-    """Re-present an algebra as anonymous operation tables.  With
-    with_extension=True the original is kept as a backing so higher sorts can
-    still be materialized (as tables) on demand."""
-    n_sorts = algebra.max_sort + 1
+    """Re-present an algebra as anonymous operation tables, one per symbol.
+    With with_extension=True the original is kept as a backing so higher
+    sorts can still be materialized (as tables) on demand."""
     sizes = []
-    meets, joins, zeros, ones = [], [], [], []
-    negs = [] if algebra.fragment.negation else None
-    for n in range(n_sorts):
+    for n in range(algebra.max_sort + 1):
         algebra.ensure_enumerable(n)
-        size = algebra.sort_size(n)
-        sizes.append(size)
-        elems = list(range(size))
-        meets.append([algebra.meet_all(n, [a] * size, elems) for a in elems])
-        joins.append([algebra.join_all(n, [a] * size, elems) for a in elems])
-        zeros.append(algebra.zero(n))
-        ones.append(algebra.one(n))
-        if negs is not None:
-            negs.append([algebra.neg(n, a) for a in range(size)])
-    substs = {}
-    for n in range(n_sorts):
-        for k in range(n_sorts):
-            for alpha in all_substitutions(n, k):
-                substs[alpha] = list(algebra.subst_table(alpha))
-    exists_tables = {}
-    if algebra.fragment.exists:
-        for n in range(n_sorts - 1):
-            exists_tables[n] = [algebra.exists(n, a) for a in algebra.elements(n + 1)]
-    deltas = {}
-    if algebra.fragment.equality:
-        for n in range(n_sorts):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    deltas[(n, i, j)] = algebra.delta(n, i, j)
-    return TableAlgebra(algebra.fragment, algebra.max_sort, sizes, meets, joins,
-                        zeros, ones, substs, negs=negs, exists_tables=exists_tables,
-                        deltas=deltas, extension=algebra if with_extension else None,
-                        element_cap=element_cap)
+        sizes.append(algebra.sort_size(n))
+    tables = {}
+    for key, arg_sorts, _ in operations(algebra.fragment, algebra.max_sort):
+        name, params = key[0], key[1:]
+        if len(arg_sorts) == 2:  # meet and join: one batched row per element
+            batch, elems = getattr(algebra, name + "_all"), list(range(sizes[arg_sorts[0]]))
+            tables[key] = [batch(*params, [a] * len(elems), elems) for a in elems]
+        elif arg_sorts:
+            op = partial(getattr(algebra, name), *params)
+            tables[key] = list(map(op, range(sizes[arg_sorts[0]])))
+        else:
+            tables[key] = getattr(algebra, name)(*params)
+    return TableAlgebra(algebra.fragment, algebra.max_sort, sizes, tables,
+                        extension=algebra if with_extension else None, element_cap=element_cap)
 
 
 # ---------------------------------------------------------------------------

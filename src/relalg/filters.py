@@ -7,13 +7,17 @@ element and by pullback for a whole sort: pullback(algebra, F, alpha) is the
 set alpha*F of sort-alpha.dom elements r with alpha(r) in F, read off the
 algebra's cached substitution table.
 
-Every filter and ideal here is principal (the lattices are finite), stored by
-generator.  Prime-filter existence arguments are replaced by a deterministic
-choice: the least join-irreducible in the algebra's canonical element order
-that witnesses the required separation.  The three amalgamation constructions
-(sum_filters, project_filter, witness_filter) build their filter/ideal pair
-from generators, extend to a prime filter, and by default re-verify their
-postconditions exhaustively, as set comparisons of pullbacks.
+Every filter and ideal here is principal (the lattices are finite), so it is
+given by its generator, a plain element.  Prime-filter existence arguments
+are replaced by a deterministic choice: the least join-irreducible in the
+algebra's canonical element order that witnesses the required separation.
+The three amalgamation constructions (sum_filters, project_filter,
+witness_filter) build their filter/ideal generators, extend to a prime
+filter, and by default re-verify their postconditions exhaustively, as set
+comparisons of pullbacks.
+
+sort_lattice keeps each SortLattice in its algebra's store (see
+FiniteAlgebra.cached), so a lattice lives exactly as long as its algebra.
 
 Verification is row-batched: SortLattice and is_prime_filter check every
 pair, but ask the algebra for one row at a time, the meets or joins of one
@@ -25,7 +29,6 @@ per row and never a size x size operation table.
 from __future__ import annotations
 
 import operator
-import weakref
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count
@@ -34,18 +37,6 @@ from typing import Sequence
 from .algebras import FiniteAlgebra
 from .errors import ObstructionError, PreconditionError, RelAlgError
 from .relations import Substitution, assoc_cylindrification, partitioning
-
-
-@dataclass(frozen=True)
-class PrincipalFilter:
-    sort: int
-    generator: int
-
-
-@dataclass(frozen=True)
-class PrincipalIdeal:
-    sort: int
-    generator: int
 
 
 @dataclass(frozen=True)
@@ -186,18 +177,9 @@ def _flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
 
 
-_lattice_cache: "weakref.WeakKeyDictionary[FiniteAlgebra, dict[int, SortLattice]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def sort_lattice(algebra: FiniteAlgebra, sort: int) -> SortLattice:
-    per_alg = _lattice_cache.setdefault(algebra, {})
-    lattice = per_alg.get(sort)
-    if lattice is None:
-        lattice = SortLattice(algebra, sort)
-        per_alg[sort] = lattice
-    return lattice
+    """The sort's lattice, kept in the algebra's own store."""
+    return algebra.cached(("lattice", sort), lambda: SortLattice(algebra, sort))
 
 
 def join_irreducibles(lattice: SortLattice) -> list[int]:
@@ -262,20 +244,18 @@ def prime_filter_from_members(algebra: FiniteAlgebra, sort: int, members,
     return PrimeFilter(sort, gen, members)
 
 
-def extend_to_prime(lattice: SortLattice, filt: PrincipalFilter,
-                    ideal: PrincipalIdeal) -> PrimeFilter:
-    """A prime filter containing the filter and missing the ideal: the up-set
-    of the least join-irreducible below gen(filter) but not below gen(ideal).
-    Requires gen(filter) not below gen(ideal)."""
-    if filt.sort != lattice.sort or ideal.sort != lattice.sort:
-        raise PreconditionError("filter/ideal sort does not match the lattice")
-    if lattice.leq(filt.generator, ideal.generator):
+def extend_to_prime(lattice: SortLattice, gen_f: int, gen_i: int) -> PrimeFilter:
+    """A prime filter containing the principal filter generated by gen_f and
+    missing the principal ideal generated by gen_i: the up-set of the least
+    join-irreducible below gen_f but not below gen_i.  Requires gen_f not
+    below gen_i."""
+    if lattice.leq(gen_f, gen_i):
         raise PreconditionError(
-            f"filter generator {filt.generator} lies below ideal generator "
-            f"{ideal.generator}; no separating prime filter exists"
+            f"filter generator {gen_f} lies below ideal generator "
+            f"{gen_i}; no separating prime filter exists"
         )
     for j in lattice.join_irreducibles:
-        if lattice.leq(j, filt.generator) and not lattice.leq(j, ideal.generator):
+        if lattice.leq(j, gen_f) and not lattice.leq(j, gen_i):
             return PrimeFilter(lattice.sort, j, lattice.up_set(j))
     raise AssertionError("distributive lattice without a separating join-irreducible")
 
@@ -326,8 +306,7 @@ def sum_filters(filters: Sequence[PrimeFilter], algebra: FiniteAlgebra,
             r_elems=[f.generator for f in filters],
             s_elems=maxes,
         )
-    lattice = sort_lattice(alg, n)
-    master = extend_to_prime(lattice, PrincipalFilter(n, gen_f), PrincipalIdeal(n, gen_i))
+    master = extend_to_prime(sort_lattice(alg, n), gen_f, gen_i)
     if verify:
         for pf, c in zip(filters, blocks):
             differ = pullback(alg, master, c) ^ pf.members
@@ -360,8 +339,7 @@ def project_filter(algebra: FiniteAlgebra, filt: PrimeFilter, r: int,
             r_elems=[filt.generator, r],
             s_elems=[gen_i],
         )
-    lattice = sort_lattice(alg, n + 1)
-    lifted = extend_to_prime(lattice, PrincipalFilter(n + 1, gen_f), PrincipalIdeal(n + 1, gen_i))
+    lifted = extend_to_prime(sort_lattice(alg, n + 1), gen_f, gen_i)
     if verify:
         if r not in lifted:
             raise AssertionError("lifted filter lost its defining element")
@@ -426,9 +404,7 @@ def witness_filter(algebra: FiniteAlgebra, base: PrimeFilter,
             r_elems=[base.generator] + [g.generator for g, _ in pairs],
             s_elems=[gen_i],
         )
-    lattice = sort_lattice(alg, m + n_w)
-    packed = extend_to_prime(lattice, PrincipalFilter(m + n_w, gen_f),
-                             PrincipalIdeal(m + n_w, gen_i))
+    packed = extend_to_prime(sort_lattice(alg, m + n_w), gen_f, gen_i)
     if verify:
         differ = pullback(alg, packed, beta0) ^ base.members
         if differ:

@@ -623,11 +623,16 @@ class Structure:
 def eval_term(t: Term, structure: Structure) -> Relation:
     """t run by term_value in the algebra of all relations over the universe,
     up to the largest sort in t, with each symbol's relation as a constant.
-    Symbols are checked left to right, so the first bad one is reported."""
+    Symbols are checked left to right, so the first bad one is reported; a
+    shared subterm is walked once, on its first visit."""
     symbols: dict[int, int] = {}
+    seen: set[int] = set()
     max_sort, stack = 0, [t]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         max_sort = max(max_sort, node.sort)
         if isinstance(node, Sym):
             rel = structure.relations.get(node.name)

@@ -76,12 +76,6 @@ class FilterModel:
         return prime_filter_from_members(self.algebra, len(tup), self.satisfied(tup), verify=False)
 
 
-@dataclass
-class WitnessModel(FilterModel):
-    stage: int = 0
-    obligations: list = field(default_factory=list)
-
-
 def filter_to_morphism(algebra: FiniteAlgebra, filt: PrimeFilter,
                        verify: bool = True, up_to: int | None = None) -> FilterModel:
     """Build the model induced by a prime filter, for all sorts up to the
@@ -303,7 +297,7 @@ def find_obligations(model: FilterModel, bound: int) -> list[tuple[tuple[int, ..
 
 
 def witness_stage(model: FilterModel, obligations, bound: int,
-                  verify: bool = True) -> WitnessModel:
+                  verify: bool = True) -> FilterModel:
     """One saturation round: pack the whole current universe and every
     obligation into a single filter on sort (universe + batch), and read off
     the next stage model.  The previous universe embeds via the packed
@@ -313,14 +307,7 @@ def witness_stage(model: FilterModel, obligations, bound: int,
     base = model.type_of(tuple(range(w)))
     pairs = [(g, Substitution(len(tup), w, tuple(q + 1 for q in tup))) for tup, g in obligations]
     packed = witness_filter(alg, base, pairs, verify=verify)
-    stage = filter_to_morphism(alg, packed, verify=verify, up_to=bound)
-    new = WitnessModel(
-        algebra=stage.algebra, filter=stage.filter, universe=stage.universe,
-        class_of=stage.class_of, reps=stage.reps, phi=stage.phi,
-        verification=stage.verification,
-        stage=(model.stage + 1 if isinstance(model, WitnessModel) else 1),
-        obligations=list(obligations),
-    )
+    new = filter_to_morphism(alg, packed, verify=verify, up_to=bound)
     embed_old = [new.class_of[q] for q in range(w)]
     if len(set(embed_old)) != w:
         raise AssertionError("stage construction merged previously distinct elements")

@@ -1,3 +1,4 @@
+import json
 import re
 from random import Random
 
@@ -17,6 +18,7 @@ from relalg import (
     generated_subalgebra,
     is_injective,
     kernel,
+    operations,
     product,
     verify_morphism,
 )
@@ -249,11 +251,11 @@ def test_table_algebra_round_trip():
 def test_as_table_algebra_tables_match_per_pair_ops():
     for base in (concrete(Universe(3), FO, 2),
                  generated_subalgebra(concrete(Universe(2), PQF, 2), [(1, 0b01), (2, 0b0110)])):
-        tables = as_table_algebra(base)
+        sorts = json.loads(as_table_algebra(base).to_json())["sorts"]
         for n in range(3):
             elems = base.elements(n)
-            assert tables.meets[n] == [[base.meet(n, a, b) for b in elems] for a in elems]
-            assert tables.joins[n] == [[base.join(n, a, b) for b in elems] for a in elems]
+            assert sorts[n]["meet"] == [[base.meet(n, a, b) for b in elems] for a in elems]
+            assert sorts[n]["join"] == [[base.join(n, a, b) for b in elems] for a in elems]
 
 
 def test_batched_meet_join_match_per_pair_ops():
@@ -290,6 +292,53 @@ def test_operations_outside_the_sort_bounds_name_the_algebra():
             for call in calls:
                 with pytest.raises(InsufficientSortsError, match=re.escape(f"({alg.provenance})")):
                     call()
+
+
+def test_operations_key_every_symbol_once():
+    alg = concrete(Universe(2), FO.with_equality(), 2)
+    symbols = list(operations(alg.fragment, alg.max_sort))
+    keys = [key for key, _, _ in symbols]
+    assert len(keys) == len(set(keys)) == 5 * 3 + 5 + 11 + 2  # 5 deltas, 11 substitutions
+    for key, arg_sorts, result in symbols:
+        value = getattr(alg, key[0])(*key[1:], *(alg.one(n) for n in arg_sorts))
+        assert 0 <= value < alg.sort_size(result)
+    assert [key for key, _, _ in operations(PQF, 0)] == \
+        [("zero", 0), ("one", 0), ("meet", 0), ("join", 0), ("subst", Substitution(0, 0, ()))]
+
+
+def test_table_algebra_serves_its_given_tables():
+    data = json.loads(as_table_algebra(concrete(Universe(2), FO, 2)).to_json())
+    tables = TableAlgebra.from_json(json.dumps(data))
+    alpha = Substitution(1, 2, (2,))
+    for table, given in ((lambda: tables.neg_table(1), data["sorts"][1]["neg"]),
+                         (lambda: tables.exists_table(1), data["exists"]["1"]),
+                         (lambda: tables.subst_table(alpha), data["subst"]["1->2:[2]"])):
+        assert table() is table()
+        assert table() == given
+    tables.neg = tables.exists = tables.subst = None  # a rebuild would call them
+    assert tables.neg_table(2) == data["sorts"][2]["neg"]
+
+
+def test_table_algebra_never_serves_unchecked_tables():
+    text = as_table_algebra(concrete(Universe(2), QF.with_equality(), 2)).to_json()
+    data = json.loads(text)
+    data["exists"] = {"0": [0, 1, 0, 1], "7": [99]}
+    data["delta"]["1:2,2"] = 0
+    tables = TableAlgebra.from_json(json.dumps(data))
+    assert json.loads(tables.to_json()) == data
+    with pytest.raises(FragmentError):
+        tables.exists_table(0)
+    with pytest.raises(ArityError):
+        tables.delta(1, 2, 2)
+    data["fragment"] = "pqf+eq"
+    without_negation = TableAlgebra.from_json(json.dumps(data))
+    with pytest.raises(FragmentError):
+        without_negation.neg_table(1)
+    assert "neg" not in json.loads(without_negation.to_json())["sorts"][1]
+    with pytest.raises(FormatError):
+        TableAlgebra(PQF, 0, [1], {("zero", 0): 0, ("one", 0): 0, ("meet", 0): [[0]],
+                                   ("join", 0): [[0]], ("subst", Substitution(0, 0, ())): [0],
+                                   ("meet", 1): [[0]]})
 
 
 def test_table_algebra_no_extension_fails_loudly():

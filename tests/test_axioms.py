@@ -121,7 +121,8 @@ def test_corrupted_meet_table_fails_axiom_one():
 def test_degenerate_sort0_fails_axiom_zero_empty_family():
     # one-element sort 0 means 0 = 1, which the empty block family forbids
     ident = Substitution(0, 0, ())
-    degenerate = TableAlgebra(PQF, 0, [1], [[[0]]], [[[0]]], [0], [0], {ident: [0]})
+    degenerate = TableAlgebra(PQF, 0, [1], {("zero", 0): 0, ("one", 0): 0, ("meet", 0): [[0]],
+                                            ("join", 0): [[0]], ("subst", ident): [0]})
     report = check_axiom(degenerate, 0, Bounds(max_sort=0))
     assert not report.ok
     assert report.violations[0].params == {"shape": []}
@@ -177,6 +178,7 @@ def test_violation_replay_on_sampled_run():
 
 def test_violation_cap_limits_collection():
     ident = Substitution(0, 0, ())
-    degenerate = TableAlgebra(PQF, 0, [1], [[[0]]], [[[0]]], [0], [0], {ident: [0]})
+    degenerate = TableAlgebra(PQF, 0, [1], {("zero", 0): 0, ("one", 0): 0, ("meet", 0): [[0]],
+                                            ("join", 0): [[0]], ("subst", ident): [0]})
     report = check_axiom(degenerate, 0, Bounds(max_sort=0, violation_cap=2))
     assert len(report.violations) <= 2

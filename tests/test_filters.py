@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from random import Random
 
 import pytest
@@ -6,8 +8,6 @@ import pytest
 from relalg import (
     ObstructionError,
     PreconditionError,
-    PrincipalFilter,
-    PrincipalIdeal,
     Relation,
     Substitution,
     TableAlgebra,
@@ -46,7 +46,8 @@ def chain_algebra(length):
     meet = [[min(a, b) for b in range(size)] for a in range(size)]
     join = [[max(a, b) for b in range(size)] for a in range(size)]
     ident = Substitution(0, 0, ())
-    return TableAlgebra(PQF, 0, [size], [meet], [join], [0], [size - 1], {ident: list(range(size))})
+    return TableAlgebra(PQF, 0, [size], {("meet", 0): meet, ("join", 0): join, ("zero", 0): 0,
+                                         ("one", 0): size - 1, ("subst", ident): list(range(size))})
 
 
 def all_subsets(size):
@@ -112,7 +113,7 @@ def test_prime_filters_match_subset_oracle_small_concretes():
 def test_extend_to_prime_least_tie_break():
     alg = concrete(W2, PQF, 1)
     lat = sort_lattice(alg, 1)
-    pf = extend_to_prime(lat, PrincipalFilter(1, alg.one(1)), PrincipalIdeal(1, alg.zero(1)))
+    pf = extend_to_prime(lat, alg.one(1), alg.zero(1))
     assert pf.generator == bits(2, 1, [(0,)])  # least join-irreducible in canonical order
 
 
@@ -120,7 +121,7 @@ def test_extend_to_prime_diamond():
     alg, _ = gallery_diamond()
     lat = sort_lattice(alg, 1)
     a, b = 1, 2
-    pf = extend_to_prime(lat, PrincipalFilter(1, a), PrincipalIdeal(1, b))
+    pf = extend_to_prime(lat, a, b)
     assert pf.generator == a
     assert b not in pf.members
 
@@ -134,7 +135,7 @@ def test_extend_to_prime_contains_filter_misses_ideal():
         i = rng.randrange(16)
         if alg.leq(2, f, i):
             continue
-        pf = extend_to_prime(lat, PrincipalFilter(2, f), PrincipalIdeal(2, i))
+        pf = extend_to_prime(lat, f, i)
         assert all(x in pf.members for x in lat.up_set(f))
         assert all(not alg.leq(2, x, i) for x in pf.members)
 
@@ -143,7 +144,16 @@ def test_extend_to_prime_rejects_overlap():
     alg = concrete(W2, PQF, 1)
     lat = sort_lattice(alg, 1)
     with pytest.raises(PreconditionError):
-        extend_to_prime(lat, PrincipalFilter(1, alg.zero(1)), PrincipalIdeal(1, alg.one(1)))
+        extend_to_prime(lat, alg.zero(1), alg.one(1))
+
+
+def test_sort_lattice_does_not_keep_its_algebra_alive():
+    alg = as_table_algebra(concrete(W2, PQF, 2))
+    sort_lattice(alg, 2)
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
 
 
 def test_complement_max_is_largest_nonmember():
@@ -339,7 +349,8 @@ def test_non_distributive_lattice_rejected():
     meet = [[mt(a, b) for b in range(size)] for a in range(size)]
     join = [[jn(a, b) for b in range(size)] for a in range(size)]
     ident = Substitution(0, 0, ())
-    alg = TableAlgebra(PQF, 0, [size], [meet], [join], [0], [4], {ident: list(range(size))})
+    alg = TableAlgebra(PQF, 0, [size], {("meet", 0): meet, ("join", 0): join, ("zero", 0): 0,
+                                        ("one", 0): 4, ("subst", ident): list(range(size))})
     with pytest.raises(NotALatticeError) as exc:
         SortLattice(alg, 0)
     assert "distributive" in str(exc.value)

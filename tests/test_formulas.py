@@ -362,6 +362,23 @@ def test_eval_term_unknown_symbol_and_arity_mismatch():
         eval_term(parse_term("exists(P)", Signature((("P", 2),))), structure)
 
 
+def test_eval_term_walks_a_shared_subterm_once():
+    class CountingGets(dict):
+        gets = 0
+
+        def get(self, *args):
+            CountingGets.gets += 1
+            return super().get(*args)
+
+    u = Universe(2)
+    structure = Structure(u, CountingGets(P=from_set(2, 1, [(0,)])))
+    term = Sym("P", 1)
+    for _ in range(12):
+        term = And(term, term)
+    assert str(eval_term(term, structure)) == "arity=1 universe=2 {(0)}"
+    assert CountingGets.gets == 1
+
+
 # Terms and formulas nested 900 deep evaluate as they did before the term
 # evaluator was shared with the axiom checker; deeper ones end in RecursionError.
 DEPTH = 900

@@ -39,8 +39,9 @@ CHECKS = ("not idempotent", "not antisymmetric", "bounds fail", "greatest lower 
 
 def one_sort_tables(meet, join, zero, one) -> TableAlgebra:
     size = len(meet)
-    return TableAlgebra(PQF, 0, [size], [meet], [join], [zero], [one],
-                        {Substitution(0, 0, ()): list(range(size))})
+    return TableAlgebra(PQF, 0, [size], {("meet", 0): meet, ("join", 0): join, ("zero", 0): zero,
+                                         ("one", 0): one,
+                                         ("subst", Substitution(0, 0, ())): list(range(size))})
 
 
 def chain(length: int) -> TableAlgebra:

@@ -247,7 +247,7 @@ def test_witness_stage_preserves_diagram():
     assert len(obligations) == 2
     stage = witness_stage(start, obligations, 2)  # asserts preservation internally
     assert stage.universe.size == 3
-    assert stage.stage == 1
+    assert stage.filter.sort == start.universe.size + len(obligations)  # one packed filter
     assert not find_obligations(stage, 2)
 
 
