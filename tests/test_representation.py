@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from relalg import (
@@ -280,3 +282,33 @@ def test_certificates_are_deterministic():
     m1, _ = master_filter_model(pe, scope=2)
     m2, _ = master_filter_model(pe, scope=2)
     assert saturate(pe, m1, rounds=3) == saturate(pe, m2, rounds=3)
+
+
+def test_unmet_pullback_of_a_broken_table_exits_2(tmp_path, capsys):
+    # The obligation search and witness_filter read the pullback of a prime
+    # filter one sort down; a table that maps sort 0 into sort 1 wrongly
+    # makes that pullback empty, which is refused as a usage error rather
+    # than ending in a failed morphism check.
+    import json
+
+    from relalg import Substitution, TableAlgebra, witness_filter
+    from relalg.cli import main
+
+    data = json.loads(as_table_algebra(concrete(Universe(1), PE, 2)).to_json())
+    data["subst"]["0->1:[]"] = [0, 0]
+    alg = TableAlgebra.from_json(json.dumps(data))
+    message = "empty member set is not a filter on sort 0"
+    with pytest.raises(PreconditionError) as exc:
+        embed(alg, 0)
+    assert str(exc.value) == message
+    b0 = prime_filters(sort_lattice(alg, 0))[0]
+    g = prime_filters(sort_lattice(alg, 1))[0]
+    with pytest.raises(PreconditionError) as exc:
+        witness_filter(alg, b0, [(g, Substitution(0, 0, ()))])
+    assert str(exc.value) == message
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    out = io.StringIO()
+    assert main(["embed", "--algebra", str(path), "--scope", "0"], out=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
