@@ -136,9 +136,7 @@ class FiniteAlgebra:
         return [self.join(n, x, y) for x, y in zip(xs, ys)]
 
     def _require(self, feature: str) -> None:
-        have = {"negation": self.fragment.negation, "exists": self.fragment.exists,
-                "equality": self.fragment.equality}[feature]
-        if not have:
+        if not getattr(self.fragment, feature):
             raise FragmentError(f"{feature} not available in fragment {self.fragment}")
 
     # -- the per-algebra store ------------------------------------------------
@@ -336,8 +334,7 @@ def concrete(universe: Universe, fragment: Fragment, max_sort: int,
     return _capped(ConcreteAlgebra([universe], fragment, max_sort, element_cap))
 
 
-def product(factors: Sequence[ConcreteAlgebra],
-            element_cap: int = DEFAULT_ELEMENT_CAP) -> ConcreteAlgebra:
+def product(factors: Sequence[ConcreteAlgebra]) -> ConcreteAlgebra:
     """Componentwise product of concrete algebras: the factors' blocks,
     concatenated in order."""
     factors = list(factors)
@@ -356,8 +353,8 @@ def product(factors: Sequence[ConcreteAlgebra],
                 f"product factors have different sort bounds {first.max_sort} and {f.max_sort}"
             )
     return ConcreteAlgebra([u for f in factors for u in f.blocks], first.fragment,
-                           first.max_sort, element_cap,
-                           f"product({', '.join(f.provenance for f in factors)})")
+                           first.max_sort,
+                           provenance=f"product({', '.join(f.provenance for f in factors)})")
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +370,8 @@ class GeneratedSubalgebra(FiniteAlgebra):
     term grammar over the generator names."""
 
     def __init__(self, parent: FiniteAlgebra, generators: Sequence[tuple[int, int]],
-                 names: Sequence[str] | None = None,
-                 element_cap: int = DEFAULT_ELEMENT_CAP):
-        super().__init__(parent.fragment, parent.max_sort, element_cap,
+                 names: Sequence[str] | None = None):
+        super().__init__(parent.fragment, parent.max_sort, DEFAULT_ELEMENT_CAP,
                          f"generated({parent.provenance})")
         self.parent = parent
         self.generators = tuple((int(s), int(g)) for s, g in generators)
@@ -520,10 +516,8 @@ class GeneratedSubalgebra(FiniteAlgebra):
         indices would shift, so we refuse instead."""
         if new_max_sort <= self.max_sort:
             return self
-        bigger = GeneratedSubalgebra(
-            self.parent.extend(new_max_sort), self.generators, self.generator_names,
-            self.element_cap,
-        )
+        bigger = GeneratedSubalgebra(self.parent.extend(new_max_sort), self.generators,
+                                     self.generator_names)
         for n in range(self.max_sort + 1):
             if bigger._to_parent[n] != self._to_parent[n]:
                 raise InsufficientSortsError(
@@ -538,9 +532,8 @@ class GeneratedSubalgebra(FiniteAlgebra):
 
 
 def generated_subalgebra(parent: FiniteAlgebra, generators: Sequence[tuple[int, int]],
-                         names: Sequence[str] | None = None,
-                         element_cap: int = DEFAULT_ELEMENT_CAP) -> GeneratedSubalgebra:
-    return GeneratedSubalgebra(parent, generators, names, element_cap)
+                         names: Sequence[str] | None = None) -> GeneratedSubalgebra:
+    return GeneratedSubalgebra(parent, generators, names)
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +578,17 @@ class TableAlgebra(FiniteAlgebra):
     algebra was attached at construction."""
 
     def __init__(self, fragment: Fragment, max_sort: int, sizes: Sequence[int], tables: dict,
-                 extension: FiniteAlgebra | None = None,
-                 element_cap: int = DEFAULT_ELEMENT_CAP):
-        super().__init__(fragment, max_sort, element_cap, "tables")
-        self.sizes = [int(s) for s in sizes]
+                 extension: FiniteAlgebra | None = None):
+        if type(max_sort) is not int:
+            raise FormatError(f"max_sort is not an integer: {max_sort!r}")
+        super().__init__(fragment, max_sort, DEFAULT_ELEMENT_CAP, "tables")
+        self.sizes = list(sizes)
         self._extension = extension
         if len(self.sizes) != max_sort + 1:
             raise FormatError(f"expected data for {max_sort + 1} sorts")
         for n, size in enumerate(self.sizes):
+            if type(size) is not int:
+                raise FormatError(f"sort {n} has a size that is not an integer: {size!r}")
             if size <= 0:
                 raise FormatError(f"sort {n} has non-positive size {size}")
         for key, arg_sorts, result in operations(fragment, max_sort):
@@ -689,13 +685,12 @@ class TableAlgebra(FiniteAlgebra):
             raise InsufficientSortsError(
                 f"table algebra has no sorts above {self.max_sort}"
             )
-        return as_table_algebra(self._extension.extend(new_max_sort), with_extension=True,
-                                element_cap=self.element_cap)
+        return as_table_algebra(self._extension.extend(new_max_sort), with_extension=True)
 
     # -- JSON ----------------------------------------------------------------
 
     @classmethod
-    def from_json(cls, text: str, extension: FiniteAlgebra | None = None) -> "TableAlgebra":
+    def from_json(cls, text: str) -> "TableAlgebra":
         """Read the file format: per-sort size, meet, join, zero, one and (with
         negation) neg entries, and "subst", "exists" and "delta" sections
         keyed "dom->cod:[map]", "n" and "n:i,j"."""
@@ -705,7 +700,7 @@ class TableAlgebra(FiniteAlgebra):
             raise FormatError(f"bad algebra file: {exc}") from exc
         try:
             fragment = parse_fragment(data["fragment"])
-            max_sort = int(data["max_sort"])
+            max_sort = data["max_sort"]
             sorts = data["sorts"]
             kinds = ("zero", "one", "meet", "join") + (("neg",) if fragment.negation else ())
             tables = {(kind, n): entry[kind] for n, entry in enumerate(sorts) for kind in kinds}
@@ -717,8 +712,7 @@ class TableAlgebra(FiniteAlgebra):
                 n_part, ij = key.split(":")
                 i_part, j_part = ij.split(",")
                 tables[("delta", int(n_part), int(i_part), int(j_part))] = value
-            return cls(fragment, max_sort, [entry["size"] for entry in sorts], tables,
-                       extension=extension)
+            return cls(fragment, max_sort, [entry["size"] for entry in sorts], tables)
         except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
             raise FormatError(f"bad algebra file: {exc!r}") from exc
 
@@ -764,8 +758,7 @@ def _parse_subst_key(key: str) -> Substitution:
     return Substitution(int(dom_s), int(cod_s), entries)
 
 
-def as_table_algebra(algebra: FiniteAlgebra, with_extension: bool = False,
-                     element_cap: int = DEFAULT_ELEMENT_CAP) -> TableAlgebra:
+def as_table_algebra(algebra: FiniteAlgebra, with_extension: bool = False) -> TableAlgebra:
     """Re-present an algebra as anonymous operation tables, one per symbol.
     With with_extension=True the original is kept as a backing so higher
     sorts can still be materialized (as tables) on demand."""
@@ -785,7 +778,7 @@ def as_table_algebra(algebra: FiniteAlgebra, with_extension: bool = False,
         else:
             tables[key] = getattr(algebra, name)(*params)
     return TableAlgebra(algebra.fragment, algebra.max_sort, sizes, tables,
-                        extension=algebra if with_extension else None, element_cap=element_cap)
+                        extension=algebra if with_extension else None)
 
 
 # ---------------------------------------------------------------------------
@@ -803,15 +796,14 @@ class MorphismReport:
 
 
 def verify_morphism(fmap: dict[int, Sequence[int]], src: FiniteAlgebra, dst: FiniteAlgebra,
-                    mode: str = "full", max_sort: int | None = None) -> MorphismReport:
+                    mode: str = "full") -> MorphismReport:
     """Check that the per-sort element map preserves constants, lattice
     operations, substitutions, and the fragment's extra symbols.  mode
     "almost" demands only the containment exists(f(r)) <= f(exists(r)) for
     projection instead of equality."""
     if mode not in ("full", "almost"):
         raise ValueError(f"unknown mode {mode!r}")
-    bound = src.max_sort if max_sort is None else min(max_sort, src.max_sort)
-    bound = min(bound, dst.max_sort)
+    bound = min(src.max_sort, dst.max_sort)
     violations: list[str] = []
     checks = 0
 

@@ -407,13 +407,13 @@ def _ax13(n_max: int) -> Iterator[Clause]:
 # Galleries
 
 
-def gallery_diamond(bounds: Bounds | None = None) -> tuple[FiniteAlgebra, CheckReport]:
+def gallery_diamond() -> tuple[FiniteAlgebra, CheckReport]:
     """Product of two one-point quantifier-free algebras: every sort is the
     four-element diamond 0 < a,b < 1.  The equational axioms all hold (it is a
     product), the non-Horn schema fails: with the two unary blocks,
     c1(b) v c2(0) >= c1(a) ^ c2(b) yet b is not above a and 0 is not above b.
     """
-    bounds = bounds or Bounds(max_sort=2)
+    bounds = Bounds(max_sort=2)
     one_point = Universe(1)
     alg = product([concrete(one_point, QF, 2), concrete(one_point, QF, 2)])
     a, b = 1, 2  # the incomparable middle elements of sort 1, canonical order
@@ -435,14 +435,14 @@ def gallery_diamond(bounds: Bounds | None = None) -> tuple[FiniteAlgebra, CheckR
     return alg, report
 
 
-def gallery_pe_theory(bounds: Bounds | None = None) -> tuple[FiniteAlgebra, CheckReport]:
+def gallery_pe_theory() -> tuple[FiniteAlgebra, CheckReport]:
     """A positive-existential algebra with exactly two sort-0 elements that
     still fails the non-Horn schema.  Two structures over {0,1,2} interpret
     A={0,1}, B={1,2} and R as A in the first and B in the second; the
     subalgebra of the product generated by R, A, B satisfies the equational
     laws but c1(A) ^ c2(B) <= c1(R) v c2(R) with A and B both not below R.
     """
-    bounds = bounds or Bounds(max_sort=2)
+    bounds = Bounds(max_sort=2)
     three = Universe(3)
     base = concrete(three, PE, 2)
     a_bits = 0b011  # {0,1}

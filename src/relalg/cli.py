@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .algebras import FiniteAlgebra, TableAlgebra, concrete
 from .axioms import (
@@ -40,25 +39,13 @@ from .relations import Universe, relation_literal
 from .representation import embed
 
 
-@dataclass
-class Config:
-    seed: int = 0
-    exhaustive_cap: int = 10**6
-    samples: int = 10**5
-    element_cap: int = 1 << 20
-    fmt: str = "text"
-
-    def bounds(self, max_sort: int) -> Bounds:
-        return Bounds(max_sort=max_sort, exhaustive_cap=self.exhaustive_cap,
-                      samples=self.samples, seed=self.seed)
-
-
-def _load_algebra(spec: str, fragment: str, max_sort: int, config: Config) -> FiniteAlgebra:
+def _load_algebra(args: argparse.Namespace, max_sort: int) -> FiniteAlgebra:
+    spec = args.algebra
     if spec.startswith("builtin:"):
         parts = spec.split(":")
         if parts[1] == "concrete" and len(parts) == 3:
-            return concrete(Universe(int(parts[2])), parse_fragment(fragment), max_sort,
-                            element_cap=config.element_cap)
+            return concrete(Universe(int(parts[2])), parse_fragment(args.fragment), max_sort,
+                            element_cap=args.element_cap)
         if parts[1] == "diamond" and len(parts) == 2:
             return gallery_diamond()[0]
         if parts[1] in ("pe-theory", "pe_theory") and len(parts) == 2:
@@ -104,7 +91,7 @@ def _report_json(report: CheckReport) -> str:
     )
 
 
-def _cmd_eval(args: argparse.Namespace, config: Config, out) -> int:
+def _cmd_eval(args: argparse.Namespace, out) -> int:
     with open(args.structure, "r", encoding="utf-8") as fh:
         structure = Structure.from_json(fh.read())
     signature = structure.signature()
@@ -136,12 +123,13 @@ def _cmd_eval(args: argparse.Namespace, config: Config, out) -> int:
     return 0
 
 
-def _cmd_axioms(args: argparse.Namespace, config: Config, out) -> int:
-    algebra = _load_algebra(args.algebra, args.fragment, args.max_sort, config)
-    bounds = config.bounds(args.max_sort)
+def _cmd_axioms(args: argparse.Namespace, out) -> int:
+    algebra = _load_algebra(args, args.max_sort)
+    bounds = Bounds(max_sort=args.max_sort, exhaustive_cap=args.exhaustive_cap,
+                    samples=args.samples, seed=args.seed)
     reports = check_fragment(algebra, bounds)
     failed = [r for r in reports if not r.ok]
-    if config.fmt == "jsonl":
+    if args.format == "jsonl":
         for report in reports:
             print(_report_json(report), file=out)
     else:
@@ -157,8 +145,8 @@ def _cmd_axioms(args: argparse.Namespace, config: Config, out) -> int:
     return 1 if failed else 0
 
 
-def _cmd_primefilters(args: argparse.Namespace, config: Config, out) -> int:
-    algebra = _load_algebra(args.algebra, args.fragment, max(args.sort, args.max_sort), config)
+def _cmd_primefilters(args: argparse.Namespace, out) -> int:
+    algebra = _load_algebra(args, max(args.sort, args.max_sort))
     lattice = sort_lattice(algebra, args.sort)
     filters = prime_filters(lattice)
     print(f"sort {args.sort}: {lattice.size} elements, "
@@ -172,8 +160,8 @@ def _cmd_primefilters(args: argparse.Namespace, config: Config, out) -> int:
     return 0
 
 
-def _cmd_embed(args: argparse.Namespace, config: Config, out) -> int:
-    algebra = _load_algebra(args.algebra, args.fragment, args.max_sort, config)
+def _cmd_embed(args: argparse.Namespace, out) -> int:
+    algebra = _load_algebra(args, args.max_sort)
     try:
         cert = embed(algebra, args.scope, rounds=args.rounds)
     except ObstructionError as exc:
@@ -182,7 +170,7 @@ def _cmd_embed(args: argparse.Namespace, config: Config, out) -> int:
             print(f"  blocks: {list(exc.shape)}  r={list(exc.r_elems)}  s={list(exc.s_elems)}",
                   file=out)
         return 1
-    if config.fmt == "jsonl":
+    if args.format == "jsonl":
         print(json.dumps({
             "status": cert.status, "fragment": cert.fragment, "scope": cert.scope,
             "target_size": cert.target_size, "injective": cert.injective,
@@ -203,7 +191,7 @@ def _cmd_embed(args: argparse.Namespace, config: Config, out) -> int:
     return 0 if cert.status == "full" else 1
 
 
-def _cmd_gallery(args: argparse.Namespace, config: Config, out) -> int:
+def _cmd_gallery(args: argparse.Namespace, out) -> int:
     if args.which == "diamond":
         algebra, report = gallery_diamond()
         names = {0: "0", 1: "a", 2: "b", 3: "1"}
@@ -276,19 +264,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
     p_gallery.add_argument("which", choices=["diamond", "pe-theory"])
 
     args = parser.parse_args(argv)
-    config = Config(seed=args.seed, exhaustive_cap=args.exhaustive_cap,
-                    samples=args.samples, element_cap=args.element_cap, fmt=args.format)
+    handlers = {"eval": _cmd_eval, "axioms": _cmd_axioms, "primefilters": _cmd_primefilters,
+                "embed": _cmd_embed, "gallery": _cmd_gallery}
     try:
-        if args.command == "eval":
-            return _cmd_eval(args, config, out)
-        if args.command == "axioms":
-            return _cmd_axioms(args, config, out)
-        if args.command == "primefilters":
-            return _cmd_primefilters(args, config, out)
-        if args.command == "embed":
-            return _cmd_embed(args, config, out)
-        if args.command == "gallery":
-            return _cmd_gallery(args, config, out)
+        return handlers[args.command](args, out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -298,7 +277,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except RecursionError:
         print("error: input nested too deeply to parse or evaluate", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

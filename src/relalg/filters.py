@@ -13,8 +13,8 @@ are replaced by a deterministic choice: the least join-irreducible in the
 algebra's canonical element order that witnesses the required separation.
 The three amalgamation constructions (sum_filters, project_filter,
 witness_filter) build their filter/ideal generators, extend to a prime
-filter, and by default re-verify their postconditions exhaustively, as set
-comparisons of pullbacks.
+filter, and re-verify their postconditions exhaustively, as set comparisons
+of pullbacks.
 
 sort_lattice keeps each SortLattice in its algebra's store (see
 FiniteAlgebra.cached), so a lattice lives exactly as long as its algebra.
@@ -280,8 +280,7 @@ def complement_max(algebra: FiniteAlgebra, pf: PrimeFilter) -> int:
     return out
 
 
-def sum_filters(filters: Sequence[PrimeFilter], algebra: FiniteAlgebra,
-                verify: bool = True) -> PrimeFilter:
+def sum_filters(filters: Sequence[PrimeFilter], algebra: FiniteAlgebra) -> PrimeFilter:
     """One master prime filter G on the sum sort, encoding the given family
     blockwise: c_i(r) in G iff r in F^i for the partitioning cylindrifications
     c_i.  Fails with an axiom-(0) obstruction when the blockwise filter/ideal
@@ -307,17 +306,15 @@ def sum_filters(filters: Sequence[PrimeFilter], algebra: FiniteAlgebra,
             s_elems=maxes,
         )
     master = extend_to_prime(sort_lattice(alg, n), gen_f, gen_i)
-    if verify:
-        for pf, c in zip(filters, blocks):
-            differ = pullback(alg, master, c) ^ pf.members
-            if differ:
-                raise AssertionError(f"master filter postcondition fails at block sort "
-                                     f"{pf.sort}, element {min(differ)}")
+    for pf, c in zip(filters, blocks):
+        differ = pullback(alg, master, c) ^ pf.members
+        if differ:
+            raise AssertionError(f"master filter postcondition fails at block sort "
+                                 f"{pf.sort}, element {min(differ)}")
     return master
 
 
-def project_filter(algebra: FiniteAlgebra, filt: PrimeFilter, r: int,
-                   verify: bool = True) -> PrimeFilter:
+def project_filter(algebra: FiniteAlgebra, filt: PrimeFilter, r: int) -> PrimeFilter:
     """A prime filter G one sort up with r in G whose pullback along the
     associated cylindrification is the given filter.  Requires exists(r) in
     the filter."""
@@ -340,29 +337,34 @@ def project_filter(algebra: FiniteAlgebra, filt: PrimeFilter, r: int,
             s_elems=[gen_i],
         )
     lifted = extend_to_prime(sort_lattice(alg, n + 1), gen_f, gen_i)
-    if verify:
-        if r not in lifted:
-            raise AssertionError("lifted filter lost its defining element")
-        differ = pullback(alg, lifted, c) ^ filt.members
-        if differ:
-            raise AssertionError(f"pullback of the lifted filter differs at element {min(differ)}")
+    if r not in lifted:
+        raise AssertionError("lifted filter lost its defining element")
+    differ = pullback(alg, lifted, c) ^ filt.members
+    if differ:
+        raise AssertionError(f"pullback of the lifted filter differs at element {min(differ)}")
     return lifted
 
 
-def pullback_filter(algebra: FiniteAlgebra, above: PrimeFilter,
-                    verify: bool = True) -> PrimeFilter:
+def pullback_filter(algebra: FiniteAlgebra, above: PrimeFilter) -> PrimeFilter:
     """The inverse image along the associated cylindrification; always a prime
     filter one sort down."""
     if above.sort < 1:
         raise PreconditionError("cannot pull a sort-0 filter back")
     n = above.sort - 1
     members = pullback(algebra, above, assoc_cylindrification(n))
-    return prime_filter_from_members(algebra, n, members, verify=verify)
+    return prime_filter_from_members(algebra, n, members)
+
+
+def _pullback_filter_members(algebra: FiniteAlgebra, above: PrimeFilter) -> frozenset[int]:
+    """The members of pullback_filter on a filter above sort 0, unchecked for
+    primality; an empty or not meet-closed pullback is still refused."""
+    n = above.sort - 1
+    members = pullback(algebra, above, assoc_cylindrification(n))
+    return prime_filter_from_members(algebra, n, members, verify=False).members
 
 
 def witness_filter(algebra: FiniteAlgebra, base: PrimeFilter,
-                   pairs: Sequence[tuple[PrimeFilter, Substitution]],
-                   verify: bool = True) -> PrimeFilter:
+                   pairs: Sequence[tuple[PrimeFilter, Substitution]]) -> PrimeFilter:
     """A prime filter H on sort m+n packing the base type (sort m) together
     with n witness requests.  Each pair (G_i, alpha_i) asks for a fresh last
     coordinate realizing G_i over the subtuple selected by alpha_i; the
@@ -384,7 +386,7 @@ def witness_filter(algebra: FiniteAlgebra, base: PrimeFilter,
         if g.sort != alpha.dom + 1:
             raise PreconditionError(f"witness request {i}: filter sort {g.sort} does not "
                                     f"extend the selected subtuple of length {alpha.dom}")
-        if pullback_filter(alg, g, verify=False).members != pullback(alg, base, alpha):
+        if _pullback_filter_members(alg, g) != pullback(alg, base, alpha):
             raise PreconditionError(
                 f"witness request {i}: the requested filter does not pull back to "
                 f"the type of the selected subtuple"
@@ -405,12 +407,11 @@ def witness_filter(algebra: FiniteAlgebra, base: PrimeFilter,
             s_elems=[gen_i],
         )
     packed = extend_to_prime(sort_lattice(alg, m + n_w), gen_f, gen_i)
-    if verify:
-        differ = pullback(alg, packed, beta0) ^ base.members
-        if differ:
-            raise AssertionError(f"packed filter condition (I) fails at element {min(differ)}")
-        for (g, _), beta in zip(pairs, betas):
-            missing = g.members - pullback(alg, packed, beta)
-            if missing:
-                raise AssertionError(f"packed filter condition (II) fails at element {min(missing)}")
+    differ = pullback(alg, packed, beta0) ^ base.members
+    if differ:
+        raise AssertionError(f"packed filter condition (I) fails at element {min(differ)}")
+    for (g, _), beta in zip(pairs, betas):
+        missing = g.members - pullback(alg, packed, beta)
+        if missing:
+            raise AssertionError(f"packed filter condition (II) fails at element {min(missing)}")
     return packed

@@ -598,10 +598,10 @@ class Structure:
         if not isinstance(data, dict) or "universe" not in data:
             raise FormatError("structure file must be an object with a 'universe' key")
         try:
-            universe = Universe(int(data["universe"]))
+            universe = Universe(_json_int(data["universe"], "universe"))
             rels = {}
             for name, spec in data.get("relations", {}).items():
-                arity = int(spec["arity"])
+                arity = _json_int(spec["arity"], f"arity of {name}")
                 rels[name] = Relation.from_tuples(universe, arity, [tuple(t) for t in spec.get("tuples", [])])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad structure file: {exc!r}") from exc
@@ -618,6 +618,12 @@ class Structure:
             },
             sort_keys=True,
         )
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise FormatError(f"bad structure file: {what} is not an integer: {value!r}")
+    return value
 
 
 def eval_term(t: Term, structure: Structure) -> Relation:

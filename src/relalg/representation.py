@@ -36,7 +36,7 @@ from .filters import (
     prime_filter_from_members,
     prime_filters,
     pullback,
-    pullback_filter,
+    _pullback_filter_members,
     sort_lattice,
     sum_filters,
     witness_filter,
@@ -77,7 +77,7 @@ class FilterModel:
 
 
 def filter_to_morphism(algebra: FiniteAlgebra, filt: PrimeFilter,
-                       verify: bool = True, up_to: int | None = None) -> FilterModel:
+                       up_to: int | None = None) -> FilterModel:
     """Build the model induced by a prime filter, for all sorts up to the
     bound.  With equality, positions i and j merge exactly when the diagonal
     constant (i,j) belongs to the filter; well-definedness of the merged map
@@ -89,7 +89,7 @@ def filter_to_morphism(algebra: FiniteAlgebra, filt: PrimeFilter,
     universe = Universe(w)
     bound = algebra.max_sort if up_to is None else min(up_to, algebra.max_sort)
 
-    if frag.equality and verify:
+    if frag.equality:
         _check_well_defined(algebra, filt, class_of, bound)
 
     model = FilterModel(algebra, filt, universe, class_of, reps, {})
@@ -99,12 +99,11 @@ def filter_to_morphism(algebra: FiniteAlgebra, filt: PrimeFilter,
             for r in model.satisfied(tup):
                 bits[r] |= 1 << t
         model.phi[k] = [Relation(universe, k, b) for b in bits]
-    if verify:
-        model.verification = recheck_model(model)
-        if not model.verification.ok:
-            raise AssertionError(
-                "filter-induced map failed verification: " + "; ".join(model.verification.violations)
-            )
+    model.verification = recheck_model(model)
+    if not model.verification.ok:
+        raise AssertionError(
+            "filter-induced map failed verification: " + "; ".join(model.verification.violations)
+        )
     return model
 
 
@@ -156,22 +155,20 @@ def recheck_model(model: FilterModel, mode: str | None = None) -> MorphismReport
         mode = "almost" if frag.exists else "full"
     # the target is only operated on, never enumerated: no eager cap guard
     target = ConcreteAlgebra([model.universe], frag, model.bound)
-    return verify_morphism(model.fmap(), model.algebra, target, mode=mode,
-                           max_sort=model.bound)
+    return verify_morphism(model.fmap(), model.algebra, target, mode=mode)
 
 
 # ---------------------------------------------------------------------------
 # Separation and master-filter embeddings
 
 
-def separate(algebra: FiniteAlgebra, sort: int, r: int, s: int,
-             verify: bool = True) -> FilterModel:
+def separate(algebra: FiniteAlgebra, sort: int, r: int, s: int) -> FilterModel:
     """A model distinguishing two distinct same-sort elements, built from the
     least join-irreducible lying below exactly one of them."""
     if r == s:
         raise PreconditionError("cannot separate an element from itself")
     pf = separating_filter(algebra, sort, r, s)
-    model = filter_to_morphism(algebra, pf, verify=verify)
+    model = filter_to_morphism(algebra, pf)
     if model.phi[sort][r] == model.phi[sort][s]:
         raise AssertionError("separating filter did not separate")
     return model
@@ -203,8 +200,7 @@ def separating_family(algebra: FiniteAlgebra, scope: int) -> list[PrimeFilter]:
     return family
 
 
-def master_filter_model(algebra: FiniteAlgebra, scope: int,
-                        verify: bool = True) -> tuple[FilterModel, list[PrimeFilter]]:
+def master_filter_model(algebra: FiniteAlgebra, scope: int) -> tuple[FilterModel, list[PrimeFilter]]:
     """Pack one separating filter per pair into a master filter and read off
     the induced model; it distinguishes all elements in sorts up to the scope.
     For fragments with projection this is the one-to-one almost morphism that
@@ -213,8 +209,8 @@ def master_filter_model(algebra: FiniteAlgebra, scope: int,
         raise PreconditionError(f"scope {scope} exceeds sort bound {algebra.max_sort}")
     family = separating_family(algebra, scope)
     ext = algebra.extend(sum(pf.sort for pf in family))
-    master = sum_filters(family, ext, verify=verify)
-    model = filter_to_morphism(ext, master, verify=verify, up_to=algebra.max_sort)
+    master = sum_filters(family, ext)
+    model = filter_to_morphism(ext, master, up_to=algebra.max_sort)
     return model, family
 
 
@@ -232,8 +228,7 @@ class EmbeddingCertificate:
     verification: MorphismReport | None = None
 
 
-def embed(algebra: FiniteAlgebra, scope: int, rounds: int = 5,
-          verify: bool = True) -> EmbeddingCertificate:
+def embed(algebra: FiniteAlgebra, scope: int, rounds: int = 5) -> EmbeddingCertificate:
     """Constructive embedding into a concrete algebra of relations, verified.
 
     Without projection in the fragment the master-filter model is already a
@@ -242,7 +237,7 @@ def embed(algebra: FiniteAlgebra, scope: int, rounds: int = 5,
     Raises ObstructionError (axiom 0) when the master filter cannot exist and
     InsufficientSortsError when the needed sorts cannot be materialized.
     """
-    model, family = master_filter_model(algebra, scope, verify=verify)
+    model, family = master_filter_model(algebra, scope)
     transcript = [
         f"separating family: {len(family)} prime filter(s) on sorts "
         f"{[pf.sort for pf in family]}",
@@ -250,11 +245,11 @@ def embed(algebra: FiniteAlgebra, scope: int, rounds: int = 5,
         f"generator {model.filter.generator}",
     ]
     if algebra.fragment.exists:
-        cert = saturate(algebra, model, rounds, verify=verify)
+        cert = saturate(algebra, model, rounds)
         cert.transcript = transcript + cert.transcript
         cert.scope = scope
         return cert
-    report = model.verification if model.verification is not None else recheck_model(model)
+    report = model.verification
     injective = is_injective(model.fmap(), range(scope + 1))
     transcript.append(f"morphic conditions checked: {report.checks}, violations: {len(report.violations)}")
     transcript.append(f"injective on sorts 0..{scope}: {injective}")
@@ -284,7 +279,7 @@ def find_obligations(model: FilterModel, bound: int) -> list[tuple[tuple[int, ..
     out = []
     for length in range(bound):
         target = length + 1
-        candidates = [(g, pullback_filter(alg, g, verify=False).members)
+        candidates = [(g, _pullback_filter_members(alg, g))
                       for g in prime_filters(sort_lattice(alg, target))]
         for tup in iproduct(range(w), repeat=length):
             p = model.type_of(tup)
@@ -296,8 +291,7 @@ def find_obligations(model: FilterModel, bound: int) -> list[tuple[tuple[int, ..
     return out
 
 
-def witness_stage(model: FilterModel, obligations, bound: int,
-                  verify: bool = True) -> FilterModel:
+def witness_stage(model: FilterModel, obligations, bound: int) -> FilterModel:
     """One saturation round: pack the whole current universe and every
     obligation into a single filter on sort (universe + batch), and read off
     the next stage model.  The previous universe embeds via the packed
@@ -306,28 +300,26 @@ def witness_stage(model: FilterModel, obligations, bound: int,
     alg = model.algebra.extend(w + len(obligations))
     base = model.type_of(tuple(range(w)))
     pairs = [(g, Substitution(len(tup), w, tuple(q + 1 for q in tup))) for tup, g in obligations]
-    packed = witness_filter(alg, base, pairs, verify=verify)
-    new = filter_to_morphism(alg, packed, verify=verify, up_to=bound)
+    packed = witness_filter(alg, base, pairs)
+    new = filter_to_morphism(alg, packed, up_to=bound)
     embed_old = [new.class_of[q] for q in range(w)]
     if len(set(embed_old)) != w:
         raise AssertionError("stage construction merged previously distinct elements")
-    if verify:
-        for k in range(bound + 1):
-            for r in model.algebra.elements(k):
-                old_rel = model.phi[k][r]
-                new_rel = new.phi[k][r]
-                for tup in iproduct(range(w), repeat=k):
-                    mapped = tuple(embed_old[q] for q in tup)
-                    if old_rel.contains(tup) != new_rel.contains(mapped):
-                        raise AssertionError(
-                            f"stage construction changed the diagram at sort {k}, "
-                            f"element {r}, tuple {tup}"
-                        )
+    for k in range(bound + 1):
+        for r in model.algebra.elements(k):
+            old_rel = model.phi[k][r]
+            new_rel = new.phi[k][r]
+            for tup in iproduct(range(w), repeat=k):
+                mapped = tuple(embed_old[q] for q in tup)
+                if old_rel.contains(tup) != new_rel.contains(mapped):
+                    raise AssertionError(
+                        f"stage construction changed the diagram at sort {k}, "
+                        f"element {r}, tuple {tup}"
+                    )
     return new
 
 
-def saturate(algebra: FiniteAlgebra, start: FilterModel, rounds: int,
-             verify: bool = True) -> EmbeddingCertificate:
+def saturate(algebra: FiniteAlgebra, start: FilterModel, rounds: int) -> EmbeddingCertificate:
     """Run witness rounds until projection is exact or the budget is spent.
     Status "full" certificates are complete verified morphisms; "almost"
     status lists the outstanding obligations honestly.  The final map never
@@ -345,7 +337,7 @@ def saturate(algebra: FiniteAlgebra, start: FilterModel, rounds: int,
         if built >= rounds:
             status = "almost"
             break
-        model = witness_stage(model, obligations, bound, verify=verify)
+        model = witness_stage(model, obligations, bound)
         built += 1
         transcript.append(f"round {built}: universe grew to {model.universe.size}")
 
@@ -359,7 +351,7 @@ def saturate(algebra: FiniteAlgebra, start: FilterModel, rounds: int,
         transcript.append(
             f"exact morphism check: {report.checks} checks, {len(report.violations)} violation(s)"
         )
-        if verify and not report.ok:
+        if not report.ok:
             raise AssertionError("saturated model failed the exact morphism check")
     start_map, final_map = start.fmap(), model.fmap()
     for n in range(bound + 1):

@@ -189,7 +189,7 @@ def test_criterion_4_master_filter_postcondition():
     for sorts in ((1, 1), (1, 2), (2, 1)):
         for f1 in filters_by_sort[sorts[0]]:
             for f2 in filters_by_sort[sorts[1]]:
-                master = sum_filters([f1, f2], algebra, verify=True)
+                master = sum_filters([f1, f2], algebra)
                 target = sorts[0] + sorts[1]
                 assert target <= 4
                 blocks = partitioning(*sorts)
@@ -211,7 +211,7 @@ def test_criterion_5_filter_model_family():
             algebra = concrete(Universe(size), fragment, 2)
             for sort in range(3):
                 for pf in prime_filters(sort_lattice(algebra, sort)):
-                    model = filter_to_morphism(algebra, pf, verify=True)
+                    model = filter_to_morphism(algebra, pf)
                     assert model.verification.ok, (size, str(fragment), sort, pf)
                     if fragment.exists:
                         target = concrete(model.universe, fragment, 2)
@@ -269,7 +269,7 @@ def test_criterion_7_embedding_round_trip():
         assert cert.verification is not None and cert.verification.ok
         fmap = {n: [rel.bits for rel in rels] for n, rels in cert.phi.items()}
         target = concrete(Universe(cert.target_size), fragment, 2)
-        report = verify_morphism(fmap, tables, target, max_sort=2)
+        report = verify_morphism(fmap, tables, target)
         assert report.ok
         for n in range(3):
             assert len(set(fmap[n])) == len(fmap[n])

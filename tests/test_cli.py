@@ -89,7 +89,10 @@ def test_eval_missing_structure_exits_2(tmp_path):
     assert code == 2
     no_arity = {"universe": 2, "relations": {"R": {"tuples": [[0]]}}}
     outside = {"universe": 2, "relations": {"R": {"arity": 1, "tuples": [[5]]}}}
-    for data in (no_arity, outside):
+    # numbers that are not integers are refused, not truncated
+    fractional_universe = {"universe": 2.9, "relations": {}}
+    fractional_arity = {"universe": 2, "relations": {"R": {"arity": 1.5, "tuples": [[0]]}}}
+    for data in (no_arity, outside, fractional_universe, fractional_arity):
         path = tmp_path / "structure.json"
         path.write_text(json.dumps(data))
         code, _ = run_cli("eval", "--structure", str(path), "[x] true")
@@ -199,10 +202,14 @@ def test_invalid_table_entry_exits_2(tmp_path):
     from relalg.fragments import QF
 
     text = as_table_algebra(concrete(Universe(1), QF, 1)).to_json()
-    bad = [json.loads(text) for _ in range(3)]
+    bad = [json.loads(text) for _ in range(6)]
     bad[0]["sorts"][1]["neg"][0] = 99
     bad[1]["sorts"][0]["size"] = "two"
     bad[2]["sorts"][0]["meet"][0] = 0  # a row that is a number
+    # sizes and the sort bound are JSON integers, not numbers int() accepts
+    bad[3]["sorts"][0]["size"] = 2.7
+    bad[4]["max_sort"] = 1.9
+    bad[5]["sorts"][0]["size"] = "2"
     for data in bad:
         path = tmp_path / "algebra.json"
         path.write_text(json.dumps(data))

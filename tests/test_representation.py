@@ -122,7 +122,7 @@ def test_embed_pqf_tables_with_extension():
     # transported tables agree with the original on scoped sorts
     fmap = {n: [rel.bits for rel in rels] for n, rels in cert.phi.items()}
     target = concrete(Universe(cert.target_size), PQF, 2)
-    assert verify_morphism(fmap, tables, target, max_sort=2).ok
+    assert verify_morphism(fmap, tables, target).ok
 
 
 def test_embed_qf_tables_with_extension():
