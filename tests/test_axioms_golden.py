@@ -10,18 +10,34 @@ algebras that break the laws, two equivalent ways of writing a schema can
 disagree, so these reports pin the exact operation sequence of each schema,
 which equation names a violation, and the sampled instance stream.
 
+A second golden, axiom_sampled_golden.jsonl, pins sampled reports whose
+draws span several evaluator batches (10,000 samples per clause) on sorts whose
+sizes are not powers of two: the pe-theory gallery algebra (sorts of 2, 10
+and 706 elements) and the |W|=2 table with a broken sort-1 meet.
+
 Regenerate (only when a report is meant to change) with:
 
     PYTHONPATH=src python tests/test_axioms_golden.py > tests/axiom_reports_golden.jsonl
+    PYTHONPATH=src python tests/test_axioms_golden.py sampled > tests/axiom_sampled_golden.jsonl
 """
 
 import json
+import sys
 from pathlib import Path
 
-from relalg import Bounds, TableAlgebra, Universe, as_table_algebra, check_fragment, concrete
+from relalg import (
+    Bounds,
+    TableAlgebra,
+    Universe,
+    as_table_algebra,
+    check_fragment,
+    concrete,
+    gallery_pe_theory,
+)
 from relalg.fragments import FO
 
 GOLDEN = Path(__file__).with_name("axiom_reports_golden.jsonl")
+SAMPLED_GOLDEN = Path(__file__).with_name("axiom_sampled_golden.jsonl")
 
 # (name, the table row holding the entry, entry index, sort of the entry)
 CORRUPTIONS = [
@@ -42,6 +58,7 @@ BOUNDS = {
     "exhaustive": Bounds(max_sort=2),
     "sampled": Bounds(max_sort=2, exhaustive_cap=64, samples=50, seed=7),
 }
+SAMPLED_BOUNDS = {"sampled 10k": Bounds(max_sort=2, exhaustive_cap=64, samples=10_000, seed=7)}
 
 
 def broken_algebras():
@@ -57,7 +74,12 @@ def broken_algebras():
             yield f"|W|={k} {name}", TableAlgebra.from_json(json.dumps(data))
 
 
-def golden_reports() -> list[dict]:
+def sampled_algebras():
+    yield "pe-theory gallery", gallery_pe_theory()[0]
+    yield next((name, alg) for name, alg in broken_algebras() if name == "|W|=2 meet sort 1")
+
+
+def golden_reports(algebras=broken_algebras, bounds_set=BOUNDS) -> list[dict]:
     return [
         {
             "algebra": name,
@@ -69,10 +91,14 @@ def golden_reports() -> list[dict]:
             "violations": [[v.label, v.params, list(v.slot_values), v.detail]
                            for v in r.violations],
         }
-        for name, algebra in broken_algebras()
-        for bounds_name, bounds in BOUNDS.items()
+        for name, algebra in algebras()
+        for bounds_name, bounds in bounds_set.items()
         for r in check_fragment(algebra, bounds)
     ]
+
+
+def sampled_golden_reports() -> list[dict]:
+    return golden_reports(sampled_algebras, SAMPLED_BOUNDS)
 
 
 def test_broken_table_reports_match_golden():
@@ -84,6 +110,18 @@ def test_broken_table_reports_match_golden():
     assert {r["axiom"] for r in expected if r["violations"]} == set(range(14))
 
 
+def test_sampled_reports_across_batches_match_golden():
+    expected = [json.loads(line) for line in SAMPLED_GOLDEN.read_text().splitlines()]
+    actual = sampled_golden_reports()
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got == want, (got["algebra"], got["bounds"], got["axiom"])
+    assert all(r["mode"].startswith("sampled") for r in expected if r["axiom"] in (0, 1, 2))
+    assert {r["algebra"] for r in expected if r["violations"]} == {
+        "pe-theory gallery", "|W|=2 meet sort 1"}
+
+
 if __name__ == "__main__":
-    for report in golden_reports():
+    reports = sampled_golden_reports() if sys.argv[1:] == ["sampled"] else golden_reports()
+    for report in reports:
         print(json.dumps(report, sort_keys=True))
