@@ -10,8 +10,11 @@ equation must; reports label (0) apart.  Each term repeats its schema's
 operation sequence (folds start from 1 or 0; a <= b is meet(a, b) = a),
 since on tables that break the laws equivalent terms can disagree.
 
-A clause runs over batches of slot tuples: all of them when the space fits
-the exhaustive cap, else a seeded uniform sample.  Its terms go through
+A clause runs over batches of slot tuples, held as one column per slot: all
+of them when the space fits the exhaustive cap, else a seeded uniform sample.
+A sample is the stream of Random(seed).randrange(n), drawn row by row and
+slot by slot through randrange's own getrandbits loop, one generator per
+check_axiom shared by its clauses.  A clause's terms go through
 formulas.term_value, the one term evaluator, which eval_term also runs on
 structures: slot columns through the algebra's tables, slot-free terms
 through its scalar operations.  A violation's params and slot values replay
@@ -125,18 +128,17 @@ def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckRepo
         sorts = [slot.sort for slot in clause.slots]
         sizes = [algebra.sort_size(s) for s in sorts]
         if prod(sizes) <= bounds.exhaustive_cap:
-            rows: Iterator[tuple[int, ...]] = iproduct(*[range(sz) for sz in sizes])
+            batches = _exhaustive_batches(sizes)
         else:
             sampled = True
-            rows = (tuple(rng.randrange(sz) for sz in sizes) for _ in range(bounds.samples))
+            batches = _sampled_batches(sizes, bounds.samples, rng)
         consts: dict = {}
-        while batch := list(islice(rows, BATCH)):
-            instances += len(batch)
-            columns = [list(col) for col in zip(*batch)]
-            for row, label, detail in _failures(algebra, clause, columns, len(batch), consts):
+        for columns, size in batches:
+            instances += size
+            for row, label, detail in _failures(algebra, clause, columns, size, consts):
                 if len(violations) >= bounds.violation_cap:
                     break
-                elems = batch[row]
+                elems = tuple(col[row] for col in columns)
                 shown = ", ".join(algebra.element_label(s, v) for s, v in zip(sorts, elems))
                 if shown:
                     detail = f"{detail}; elements: [{shown}]" if detail else f"elements: [{shown}]"
@@ -163,6 +165,35 @@ def replay_instance(algebra: FiniteAlgebra, instance: SchemaInstance, bounds: Bo
 
 # ---------------------------------------------------------------------------
 # Clauses on batches of slot tuples
+
+
+def _exhaustive_batches(sizes: list[int]) -> Iterator[tuple[list[list[int]], int]]:
+    """Every slot tuple, in lexicographic order, as (columns, size) batches."""
+    rows = iproduct(*[range(n) for n in sizes])
+    while batch := list(islice(rows, BATCH)):
+        yield [list(col) for col in zip(*batch)], len(batch)
+
+
+def _sampled_batches(sizes: list[int], count: int,
+                     rng: Random) -> Iterator[tuple[list[list[int]], int]]:
+    """count uniform slot tuples as (columns, size) batches, drawn row by row
+    and slot by slot.  Each draw is CPython's randrange(n) inlined (its
+    _randbelow_with_getrandbits): getrandbits(n.bit_length()) until the value
+    is below n.  So the values, and the generator's state after them, are
+    those of rng.randrange(n) called slot by slot."""
+    getrandbits = rng.getrandbits
+    slots = [(n, n.bit_length()) for n in sizes]
+    width = len(slots)
+    for start in range(0, count, BATCH):
+        size = min(BATCH, count - start)
+        flat: list[int] = []
+        append = flat.append
+        for n, k in slots * size:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            append(r)
+        yield [flat[j::width] for j in range(width)], size
 
 
 def _failures(alg: FiniteAlgebra, clause: Clause, columns: list[list[int]], size: int,

@@ -602,7 +602,9 @@ class Structure:
             rels = {}
             for name, spec in data.get("relations", {}).items():
                 arity = _json_int(spec["arity"], f"arity of {name}")
-                rels[name] = Relation.from_tuples(universe, arity, [tuple(t) for t in spec.get("tuples", [])])
+                tuples = [tuple(_json_int(x, f"element of {name}") for x in t)
+                          for t in spec.get("tuples", [])]
+                rels[name] = Relation.from_tuples(universe, arity, tuples)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad structure file: {exc!r}") from exc
         return cls(universe, rels)

@@ -1,4 +1,5 @@
 import json
+from random import Random
 
 import pytest
 
@@ -16,6 +17,7 @@ from relalg import (
     generated_subalgebra,
     replay_instance,
 )
+from relalg.axioms import BATCH, _sampled_batches
 from relalg.fragments import FO, PE, PQF, QF, parse_fragment
 
 
@@ -182,3 +184,29 @@ def test_violation_cap_limits_collection():
                                             ("join", 0): [[0]], ("subst", ident): [0]})
     report = check_axiom(degenerate, 0, Bounds(max_sort=0, violation_cap=2))
     assert len(report.violations) <= 2
+
+
+# Odd and table-sized sorts; every power of two up to 2**16, whose draws take
+# one bit more than its values need, so about half are drawn again; and sizes
+# of one (2**32 - 1), two (2**32) and three (2**64 + 1) 32-bit words.
+DRAW_SIZES = [1, 2, 3, 5, 7, 10, 706, *(2**e for e in range(1, 17)),
+              2**32 - 1, 2**32, 2**64 + 1]
+
+
+@pytest.mark.parametrize("count", [1, BATCH, BATCH + 1, 10_000])
+def test_sampled_draws_are_the_randrange_stream(count):
+    """The sampler's columns read, row by row, as Random(seed).randrange(n)
+    slot by slot, and leave the generator where randrange leaves it.  Two
+    clauses in a row share one generator, as in check_axiom."""
+    rng, ref = Random(2024), Random(2024)
+    for sizes in (DRAW_SIZES, [706, 1, 2**32, 10]):
+        batches = list(_sampled_batches(sizes, count, rng))
+        assert [size for _, size in batches] == [min(BATCH, count - start)
+                                                 for start in range(0, count, BATCH)]
+        assert all(len(col) == size for cols, size in batches for col in cols)
+        rows = [row for cols, _ in batches for row in zip(*cols)]
+        assert rows == [tuple(ref.randrange(n) for n in sizes) for _ in range(count)]
+        assert rng.getstate() == ref.getstate()
+    slot_free = list(_sampled_batches([], count, rng))  # rows without slots draw nothing
+    assert sum(size for _, size in slot_free) == count and all(cols == [] for cols, _ in slot_free)
+    assert rng.getstate() == ref.getstate()

@@ -101,21 +101,21 @@ def sampled_golden_reports() -> list[dict]:
     return golden_reports(sampled_algebras, SAMPLED_BOUNDS)
 
 
-def test_broken_table_reports_match_golden():
-    expected = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
-    actual = golden_reports()
+def assert_matches(golden: Path, actual: list[dict]) -> list[dict]:
+    expected = [json.loads(line) for line in golden.read_text().splitlines()]
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert got == want, (got["algebra"], got["bounds"], got["axiom"])
+    return expected
+
+
+def test_broken_table_reports_match_golden():
+    expected = assert_matches(GOLDEN, golden_reports())
     assert {r["axiom"] for r in expected if r["violations"]} == set(range(14))
 
 
 def test_sampled_reports_across_batches_match_golden():
-    expected = [json.loads(line) for line in SAMPLED_GOLDEN.read_text().splitlines()]
-    actual = sampled_golden_reports()
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert got == want, (got["algebra"], got["bounds"], got["axiom"])
+    expected = assert_matches(SAMPLED_GOLDEN, sampled_golden_reports())
     assert all(r["mode"].startswith("sampled") for r in expected if r["axiom"] in (0, 1, 2))
     assert {r["algebra"] for r in expected if r["violations"]} == {
         "pe-theory gallery", "|W|=2 meet sort 1"}

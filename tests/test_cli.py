@@ -92,7 +92,11 @@ def test_eval_missing_structure_exits_2(tmp_path):
     # numbers that are not integers are refused, not truncated
     fractional_universe = {"universe": 2.9, "relations": {}}
     fractional_arity = {"universe": 2, "relations": {"R": {"arity": 1.5, "tuples": [[0]]}}}
-    for data in (no_arity, outside, fractional_universe, fractional_arity):
+    # tuple elements are JSON integers: true is not element 1, nor 1.0
+    bool_element = {"universe": 2, "relations": {"R": {"arity": 1, "tuples": [[True]]}}}
+    float_element = {"universe": 2, "relations": {"R": {"arity": 1, "tuples": [[1.0]]}}}
+    for data in (no_arity, outside, fractional_universe, fractional_arity,
+                 bool_element, float_element):
         path = tmp_path / "structure.json"
         path.write_text(json.dumps(data))
         code, _ = run_cli("eval", "--structure", str(path), "[x] true")
