@@ -1,4 +1,5 @@
 import json
+from itertools import islice, product as iproduct
 from random import Random
 
 import pytest
@@ -17,7 +18,7 @@ from relalg import (
     generated_subalgebra,
     replay_instance,
 )
-from relalg.axioms import BATCH, _sampled_batches
+from relalg.axioms import BATCH, _exhaustive_batches, _sampled_batches
 from relalg.fragments import FO, PE, PQF, QF, parse_fragment
 
 
@@ -210,3 +211,21 @@ def test_sampled_draws_are_the_randrange_stream(count):
     slot_free = list(_sampled_batches([], count, rng))  # rows without slots draw nothing
     assert sum(size for _, size in slot_free) == count and all(cols == [] for cols, _ in slot_free)
     assert rng.getstate() == ref.getstate()
+
+
+def _reference_batches(sizes):
+    rows = iproduct(*[range(n) for n in sizes])
+    while batch := list(islice(rows, BATCH)):
+        yield [list(col) for col in zip(*batch)], len(batch)
+
+
+@pytest.mark.parametrize("sizes", [[], [1], [3], [4096], [4097], [706, 706],
+                                   [2, 256, 2, 256], [2, 70000, 2], [5, 7, 11, 13]])
+def test_exhaustive_batches_are_the_transposed_product(sizes):
+    """Batch by batch, the exhaustive columns and sizes equal the row tuples
+    of itertools.product, in lexicographic order, cut every BATCH rows and
+    transposed."""
+    got = _exhaustive_batches(sizes)
+    for want in _reference_batches(sizes):
+        assert next(got) == want
+    assert next(got, None) is None
