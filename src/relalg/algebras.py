@@ -422,9 +422,16 @@ class GeneratedSubalgebra(FiniteAlgebra):
             for k in range(bound + 1):
                 for alpha in all_substitutions(n, k):
                     add(k, parent.subst(alpha, val), f"{alpha.term_prefix()} {term}")
-            for other, other_term in list(found[n].items()):
-                add(n, parent.meet(n, val, other), f"and({term}, {other_term})")
-                add(n, parent.join(n, val, other), f"or({term}, {other_term})")
+            seen = found[n]
+            others = list(seen)
+            row = [val] * len(others)
+            meets = parent.meet_all(n, row, others)
+            joins = parent.join_all(n, row, others)
+            for other, m, j in zip(others, meets, joins):
+                if m not in seen:
+                    add(n, m, f"and({term}, {seen[other]})")
+                if j not in seen:
+                    add(n, j, f"or({term}, {seen[other]})")
 
         self._to_parent = [sorted(found[n]) for n in range(bound + 1)]
         self._from_parent = [
@@ -483,10 +490,11 @@ class GeneratedSubalgebra(FiniteAlgebra):
         self._check_sort(n)
         up = self._to_parent[n].__getitem__
         vals = parent_op(n, list(map(up, xs)), list(map(up, ys)))
-        idx = list(map(self._from_parent[n].get, vals))
-        if None in idx:
-            self._wrap(n, vals[idx.index(None)])
-        return idx
+        try:
+            return list(map(self._from_parent[n].__getitem__, vals))
+        except KeyError as missing:
+            self._wrap(n, missing.args[0])  # raises: the first value outside the closure
+            raise
 
     def neg(self, n: int, a: int) -> int:
         self._require("negation")

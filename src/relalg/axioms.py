@@ -27,14 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, islice, product as iproduct
+from itertools import chain, compress, product as iproduct
 from math import prod
 from operator import eq, not_, or_
 from random import Random
 from typing import Iterator
 
 from .algebras import FiniteAlgebra, concrete, generated_subalgebra, product
-from .errors import FragmentError
+from .errors import FragmentError, PreconditionError
 from .formulas import And, Bot, Delta, Exists, Not, Or, Sub, Sym, Term, Top, as_column, term_value
 from .fragments import Fragment, PE, QF
 from .relations import (
@@ -49,6 +49,11 @@ from .relations import (
 # Slot tuples per evaluator batch: large enough to amortize the per-term
 # work, small enough that no exhaustive space is ever materialized whole.
 BATCH = 4096
+# An exhaustive slot column whose runs of equal values are at most SHORT_RUN
+# long and which repeats within PATTERN rows is sliced from a list built once
+# per clause; longer runs are cheaper to join.
+SHORT_RUN = 64
+PATTERN = 1 << 18
 # Schema (0) takes up to MAX_BLOCKS blocks; schema (10) packs up to
 # MAX_WITNESSES witness requests.
 MAX_BLOCKS = 3
@@ -62,6 +67,13 @@ class Bounds:
     samples: int = 10**5
     seed: int = 0
     violation_cap: int = 5
+
+    def __post_init__(self) -> None:
+        # zero samples would check nothing, a zero cap would keep no violation:
+        # either way every sampled check would pass
+        for name in ("samples", "violation_cap"):
+            if getattr(self, name) < 1:
+                raise PreconditionError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -168,10 +180,42 @@ def replay_instance(algebra: FiniteAlgebra, instance: SchemaInstance, bounds: Bo
 
 
 def _exhaustive_batches(sizes: list[int]) -> Iterator[tuple[list[list[int]], int]]:
-    """Every slot tuple, in lexicographic order, as (columns, size) batches."""
-    rows = iproduct(*[range(n) for n in sizes])
-    while batch := list(islice(rows, BATCH)):
-        yield [list(col) for col in zip(*batch)], len(batch)
+    """Every slot tuple, in lexicographic order, as (columns, size) batches.
+    Row i holds (i // stride) % n in a slot of n elements, stride being the
+    product of the later slots' sizes: runs of stride equal values, repeating
+    with period n * stride.  Where runs are short and the period is at most
+    PATTERN rows, the period is built once, as a pattern at least a batch
+    long, and each batch slices it cyclically.  Any other slot is joined from
+    its runs: [v] * run, or consecutive values where the stride is 1."""
+    total = prod(sizes)
+    slots = []
+    for j, n in enumerate(sizes):
+        stride = prod(sizes[j + 1:])
+        pattern = None
+        if stride <= SHORT_RUN and n * stride <= PATTERN:
+            pattern = (list(range(n)) if stride == 1
+                       else list(chain.from_iterable([v] * stride for v in range(n))))
+            pattern *= -(-min(total, BATCH) // len(pattern))
+        slots.append((n, stride, pattern))
+    for start in range(0, total, BATCH):
+        stop = min(start + BATCH, total)
+        columns = []
+        for n, stride, pattern in slots:
+            if pattern is not None:
+                off = start % len(pattern)
+                col = pattern[off:off + stop - start]
+                col += pattern[:stop - start - len(col)]
+            else:
+                col = []
+                i = start
+                while i < stop:
+                    v, off = divmod(i, stride)
+                    v %= n
+                    run = min(n - v if stride == 1 else stride - off, stop - i)
+                    col += range(v, v + run) if stride == 1 else [v] * run
+                    i += run
+            columns.append(col)
+        yield columns, stop - start
 
 
 def _sampled_batches(sizes: list[int], count: int,

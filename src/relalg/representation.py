@@ -205,6 +205,8 @@ def master_filter_model(algebra: FiniteAlgebra, scope: int) -> tuple[FilterModel
     the induced model; it distinguishes all elements in sorts up to the scope.
     For fragments with projection this is the one-to-one almost morphism that
     saturation starts from."""
+    if scope < 0:
+        raise PreconditionError(f"scope must be >= 0, got {scope}")
     if scope > algebra.max_sort:
         raise PreconditionError(f"scope {scope} exceeds sort bound {algebra.max_sort}")
     family = separating_family(algebra, scope)
@@ -237,6 +239,8 @@ def embed(algebra: FiniteAlgebra, scope: int, rounds: int = 5) -> EmbeddingCerti
     Raises ObstructionError (axiom 0) when the master filter cannot exist and
     InsufficientSortsError when the needed sorts cannot be materialized.
     """
+    if rounds < 0:
+        raise PreconditionError(f"rounds must be >= 0, got {rounds}")
     model, family = master_filter_model(algebra, scope)
     transcript = [
         f"separating family: {len(family)} prime filter(s) on sorts "

@@ -7,6 +7,7 @@ import pytest
 from relalg import (
     Bounds,
     FragmentError,
+    PreconditionError,
     Substitution,
     TableAlgebra,
     Universe,
@@ -177,6 +178,12 @@ def test_violation_replay_on_sampled_run():
     assert not report.ok
     for inst in report.violations:
         assert replay_instance(broken, inst, bounds)
+
+
+@pytest.mark.parametrize("field", ["samples", "violation_cap"])
+def test_vacuous_bounds_rejected(field, diamond):
+    with pytest.raises(PreconditionError, match=f"{field} must be >= 1, got 0"):
+        check_axiom(diamond[0], 0, Bounds(max_sort=2, **{field: 0}))
 
 
 def test_violation_cap_limits_collection():

@@ -268,3 +268,27 @@ def test_eval_deeply_nested_input_from_a_file(tmp_path, capsys):
     code, _ = run_cli("eval", "--structure", str(structure), "--formula-file", str(path))
     assert code == 2
     assert capsys.readouterr().err.startswith("error: input nested too deeply")
+
+
+@pytest.mark.parametrize("argv", [
+    ("axioms", "check", "--algebra", "builtin:concrete:1", "--max-sort", "1",
+     "--samples", "0", "--exhaustive-cap", "0"),
+    ("axioms", "check", "--algebra", "builtin:concrete:1", "--max-sort", "1", "--samples", "-5"),
+    ("embed", "--algebra", "builtin:concrete:1", "--fragment", "pqf", "--max-sort", "1",
+     "--scope", "-1"),
+    ("embed", "--algebra", "builtin:concrete:1", "--fragment", "pe", "--max-sort", "1",
+     "--scope", "1", "--rounds", "-1"),
+])
+def test_vacuous_bounds_exit_2(argv, capsys):
+    """A run that could check nothing is refused, not passed."""
+    code, text = run_cli(*argv)
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_embed_scope_zero_is_valid():
+    code, text = run_cli("embed", "--algebra", "builtin:concrete:1", "--fragment", "pqf",
+                         "--max-sort", "1", "--scope", "0")
+    assert code == 0
+    assert "injective on sorts 0..0: True" in text
