@@ -367,7 +367,10 @@ class GeneratedSubalgebra(FiniteAlgebra):
     Elements are identified by their parent value; the local index is the rank
     in parent canonical order.  Each element records the first witnessing term
     found by breadth-first closure (generators in input order), written in the
-    term grammar over the generator names."""
+    term grammar over the generator names.  The closure is batched row by row:
+    a dequeued element meets and joins a snapshot of its sort in one
+    meet_all and one join_all call, adding new values in snapshot order, meet
+    before join."""
 
     def __init__(self, parent: FiniteAlgebra, generators: Sequence[tuple[int, int]],
                  names: Sequence[str] | None = None):

@@ -12,15 +12,16 @@ since on tables that break the laws equivalent terms can disagree.
 
 A clause runs over batches of slot tuples, held as one column per slot: all
 of them when the space fits the exhaustive cap, else a seeded uniform sample.
-A sample is the stream of Random(seed).randrange(n), drawn row by row and
-slot by slot through randrange's own getrandbits loop, one generator per
-check_axiom shared by its clauses.  A clause's terms go through
-formulas.term_value, the one term evaluator, which eval_term also runs on
-structures: slot columns through the algebra's tables, slot-free terms
-through its scalar operations.  A violation's params and slot values replay
-it bit-exactly through replay_instance, a batch of one.  Applicability:
-(0)-(4) everywhere; (5)-(6) need negation, (7)-(10) projection, (11)-(13)
-equality constants.
+Exhaustive columns are built directly, in lexicographic row order, from
+per-slot patterns and runs of equal values.  A sample is the stream of
+Random(seed).randrange(n), drawn row by row and slot by slot through
+randrange's own getrandbits loop, one generator per check_axiom shared by its
+clauses.  A clause's terms go through formulas.term_value, the one term
+evaluator, which eval_term also runs on structures: slot columns through the
+algebra's tables, slot-free terms through its scalar operations.  A
+violation's params and slot values replay it bit-exactly through
+replay_instance, a batch of one.  Applicability: (0)-(4) everywhere; (5)-(6)
+need negation, (7)-(10) projection, (11)-(13) equality constants.
 """
 
 from __future__ import annotations
@@ -69,11 +70,11 @@ class Bounds:
     violation_cap: int = 5
 
     def __post_init__(self) -> None:
-        # zero samples would check nothing, a zero cap would keep no violation:
-        # either way every sampled check would pass
-        for name in ("samples", "violation_cap"):
-            if getattr(self, name) < 1:
-                raise PreconditionError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # below these a check passes vacuously: no sort is in bounds, a
+        # sampled clause checks nothing, or no violation can be kept
+        for name, least in (("max_sort", 0), ("samples", 1), ("violation_cap", 1)):
+            if getattr(self, name) < least:
+                raise PreconditionError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass

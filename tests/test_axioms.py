@@ -180,10 +180,11 @@ def test_violation_replay_on_sampled_run():
         assert replay_instance(broken, inst, bounds)
 
 
-@pytest.mark.parametrize("field", ["samples", "violation_cap"])
-def test_vacuous_bounds_rejected(field, diamond):
-    with pytest.raises(PreconditionError, match=f"{field} must be >= 1, got 0"):
-        check_axiom(diamond[0], 0, Bounds(max_sort=2, **{field: 0}))
+@pytest.mark.parametrize("field, value, least", [("max_sort", -1, 0), ("samples", 0, 1),
+                                                 ("violation_cap", 0, 1)])
+def test_vacuous_bounds_rejected(field, value, least, diamond):
+    with pytest.raises(PreconditionError, match=f"{field} must be >= {least}, got {value}"):
+        check_axiom(diamond[0], 0, Bounds(**{"max_sort": 2, field: value}))
 
 
 def test_violation_cap_limits_collection():

@@ -274,6 +274,7 @@ def test_eval_deeply_nested_input_from_a_file(tmp_path, capsys):
     ("axioms", "check", "--algebra", "builtin:concrete:1", "--max-sort", "1",
      "--samples", "0", "--exhaustive-cap", "0"),
     ("axioms", "check", "--algebra", "builtin:concrete:1", "--max-sort", "1", "--samples", "-5"),
+    ("axioms", "check", "--algebra", "builtin:diamond", "--max-sort", "-1"),
     ("embed", "--algebra", "builtin:concrete:1", "--fragment", "pqf", "--max-sort", "1",
      "--scope", "-1"),
     ("embed", "--algebra", "builtin:concrete:1", "--fragment", "pe", "--max-sort", "1",
