@@ -22,7 +22,7 @@ def test_run_soundness_stdout_is_reproducible():
     assert runs[0].stderr.decode().startswith("elapsed: ")
 
 
-@pytest.mark.parametrize("name", ["run_embeddings", "run_gallery"])
+@pytest.mark.parametrize("name", ["run_embeddings", "run_gallery", "run_soundness"])
 def test_script_stdout_matches_golden(name):
     """Default arguments; the goldens are tests/<name>.out."""
     run = run_script(f"{name}.py", check=False)
