@@ -17,8 +17,9 @@ where sorts are enumerated, plus eagerly in concrete() and extend().
 
 A table algebra is one table per symbol key.  Every algebra has one store,
 FiniteAlgebra.cached: operation tables under their symbol keys (a table
-algebra's given tables, or tables built on first use) and the sort lattices
-of filters.sort_lattice.  All algebras are immutable after construction; the
+algebra's given tables, or tables built on first use), a concrete algebra's
+plane index lists under ("planes", *key), and the sort lattices of
+filters.sort_lattice.  All algebras are immutable after construction; the
 store is lock-guarded so concurrent readers see consistent tables.
 """
 
@@ -46,6 +47,7 @@ from .relations import (
     Universe,
     all_substitutions,
     _exists_last_bits,
+    _index_map,
     _rel_apply_bits,
     delta as rel_delta,
     relation_literal,
@@ -144,7 +146,8 @@ class FiniteAlgebra:
     def cached(self, key, build):
         """The value stored under key, built on first use; the first value
         stored wins.  This is the algebra's one store: operation tables under
-        their symbol's key (see operations()), sort lattices under
+        their symbol's key (see operations()), a concrete algebra's plane
+        index lists under ("planes", *key), sort lattices under
         ("lattice", n)."""
         with self._cache_lock:
             value = self._tables.get(key)
@@ -199,7 +202,8 @@ class ConcreteAlgebra(FiniteAlgebra):
             provenance = f"concrete({self.blocks[0].size})"
         super().__init__(fragment, max_sort, element_cap, provenance)
 
-    def _width(self, n: int) -> int:
+    def width(self, n: int) -> int:
+        """The number of bits of a sort-n element."""
         return sum(u.size**n for u in self.blocks)
 
     def _parts(self, n: int, a: int) -> list[int]:
@@ -222,7 +226,7 @@ class ConcreteAlgebra(FiniteAlgebra):
 
     def sort_size(self, n: int) -> int:
         self._check_sort(n)
-        return 1 << self._width(n)
+        return 1 << self.width(n)
 
     def zero(self, n: int) -> int:
         self._check_sort(n)
@@ -230,7 +234,7 @@ class ConcreteAlgebra(FiniteAlgebra):
 
     def one(self, n: int) -> int:
         self._check_sort(n)
-        return (1 << self._width(n)) - 1
+        return (1 << self.width(n)) - 1
 
     def meet(self, n: int, a: int, b: int) -> int:
         self._check_sort(n)
@@ -251,7 +255,7 @@ class ConcreteAlgebra(FiniteAlgebra):
     def neg(self, n: int, a: int) -> int:
         self._require("negation")
         self._check_sort(n)
-        return a ^ ((1 << self._width(n)) - 1)
+        return a ^ ((1 << self.width(n)) - 1)
 
     def subst(self, alpha: Substitution, a: int) -> int:
         self._check_sort(alpha.dom)
@@ -270,6 +274,33 @@ class ConcreteAlgebra(FiniteAlgebra):
         self._require("equality")
         self._check_sort(n)
         return self._blockwise(n, n, 0, lambda u, _: rel_delta(u, n, i, j).bits)
+
+    def subst_planes(self, alpha: Substitution) -> list[int]:
+        """For each bit of subst(alpha, a), lowest first, the bit of a it
+        copies: relations._index_map, block by block from the last block."""
+        def build() -> list[int]:
+            self._check_sort(alpha.dom)
+            self._check_sort(alpha.cod)
+            out, low = [], 0
+            for u in reversed(self.blocks):
+                out += [low + i for i in _index_map(alpha, u.size)]
+                low += u.size**alpha.dom
+            return out
+        return self.cached(("planes", "subst", alpha), build)
+
+    def exists_planes(self, n: int) -> list[range]:
+        """For each bit of exists(n, a), lowest first, the bits of a whose OR
+        it is: the |U| tuples that extend it by one coordinate, per block."""
+        def build() -> list[range]:
+            self._require("exists")
+            self._check_sort(n)
+            self._check_sort(n + 1)
+            out, low = [], 0
+            for u in reversed(self.blocks):
+                out += [range(low + t * u.size, low + (t + 1) * u.size) for t in range(u.size**n)]
+                low += u.size ** (n + 1)
+            return out
+        return self.cached(("planes", "exists", n), build)
 
     def extend(self, new_max_sort: int) -> "ConcreteAlgebra":
         if new_max_sort <= self.max_sort:

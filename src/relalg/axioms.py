@@ -10,37 +10,47 @@ equation must; reports label (0) apart.  Each term repeats its schema's
 operation sequence (folds start from 1 or 0; a <= b is meet(a, b) = a),
 since on tables that break the laws equivalent terms can disagree.
 
-A clause runs over batches of slot tuples, held as one column per slot: all
-of them when the space fits the exhaustive cap, else a seeded uniform sample.
-Exhaustive columns are built directly, in lexicographic row order, from
+A clause runs over batches of slot tuples: all of them when the space fits
+the exhaustive cap, else a seeded uniform sample.  On a concrete algebra (a
+concrete() or a product()) a batch holds each slot as bit planes, plane p
+being the int whose bit r is bit p of row r's element; elsewhere it holds
+one column of elements per slot.  Exhaustive batches run in lexicographic
+row order.  Concrete sorts have 2**w elements, so plane p of a slot is bit
+e + p of the row index, e the later slots' widths: a fixed pattern below
+BATCH's bit, the batch start's bit above.  Exhaustive columns are built from
 per-slot patterns and runs of equal values.  A sample is the stream of
-Random(seed).randrange(n), drawn row by row and slot by slot through
-randrange's own getrandbits loop, one generator per check_axiom shared by its
-clauses.  A clause's terms go through formulas.term_value, the one term
-evaluator, which eval_term also runs on structures: slot columns through the
-algebra's tables, slot-free terms through its scalar operations.  A
-violation's params and slot values replay it bit-exactly through
-replay_instance, a batch of one.  Applicability: (0)-(4) everywhere; (5)-(6)
-need negation, (7)-(10) projection, (11)-(13) equality constants.
+Random(seed).randrange(n), drawn into columns row by row and slot by slot
+through randrange's own getrandbits loop, one generator per check_axiom
+shared by its clauses; on a concrete algebra each column is then transposed
+to planes by byte lanes (relations._transpose).  A clause's terms go through
+formulas.term_value, the one term evaluator, which eval_term also runs on
+structures: batched slot values through the batch's representation, slot-free
+terms through the algebra's scalar operations.  An equation's failing rows
+are a row mask, and so is a premise.  A violation's params and slot values
+replay it bit-exactly through replay_instance, a batch of one, which refuses
+values that do not fit the clause's slots.  Applicability: (0)-(4)
+everywhere; (5)-(6) need negation, (7)-(10) projection, (11)-(13) equality
+constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, product as iproduct
+from itertools import chain, compress, count, product as iproduct
 from math import prod
-from operator import eq, not_, or_
 from random import Random
 from typing import Iterator
 
-from .algebras import FiniteAlgebra, concrete, generated_subalgebra, product
+from .algebras import ConcreteAlgebra, FiniteAlgebra, concrete, generated_subalgebra, product
 from .errors import FragmentError, PreconditionError
-from .formulas import And, Bot, Delta, Exists, Not, Or, Sub, Sym, Term, Top, as_column, term_value
+from .formulas import (And, Bot, Columns, Delta, Exists, Not, Or, Planes, Sub, Sym, Term, Top,
+                       Values, term_value)
 from .fragments import Fragment, PE, QF
 from .relations import (
     Substitution,
     Universe,
+    _flags,
     all_substitutions,
     assoc_cylindrification,
     compose,
@@ -55,6 +65,10 @@ BATCH = 4096
 # per clause; longer runs are cheaper to join.
 SHORT_RUN = 64
 PATTERN = 1 << 18
+# _ROW_BITS[b] has bit r set where r has bit b, for the rows r of a batch:
+# runs of 2**b zeros and ones, the unit run pair repeated by one division.
+_ROW_BITS = [(((1 << (1 << b)) - 1) << (1 << b)) * ((1 << BATCH) - 1) // ((1 << (2 << b)) - 1)
+             for b in range(BATCH.bit_length() - 1)]
 # Schema (0) takes up to MAX_BLOCKS blocks; schema (10) packs up to
 # MAX_WITNESSES witness requests.
 MAX_BLOCKS = 3
@@ -130,8 +144,7 @@ def applicable_axioms(fragment: Fragment) -> list[int]:
 
 
 def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckReport:
-    if axiom not in applicable_axioms(algebra.fragment):
-        raise FragmentError(f"axiom ({axiom}) is not applicable to fragment {algebra.fragment}")
+    _require_applicable(algebra, axiom)
     rng = Random(bounds.seed)
     violations: list[SchemaInstance] = []
     params = instances = 0
@@ -141,17 +154,17 @@ def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckRepo
         sorts = [slot.sort for slot in clause.slots]
         sizes = [algebra.sort_size(s) for s in sorts]
         if prod(sizes) <= bounds.exhaustive_cap:
-            batches = _exhaustive_batches(sizes)
+            batches = _exhaustive(algebra, sizes)
         else:
             sampled = True
-            batches = _sampled_batches(sizes, bounds.samples, rng)
+            batches = _sampled(algebra, sorts, sizes, bounds.samples, rng)
         consts: dict = {}
-        for columns, size in batches:
-            instances += size
-            for row, label, detail in _failures(algebra, clause, columns, size, consts):
+        for values, slot_values in batches:
+            instances += values.size
+            for row, label, detail in _failures(values, clause, slot_values, consts):
                 if len(violations) >= bounds.violation_cap:
                     break
-                elems = tuple(col[row] for col in columns)
+                elems = tuple(values.element(v, row) for v in slot_values)
                 shown = ", ".join(algebra.element_label(s, v) for s, v in zip(sorts, elems))
                 if shown:
                     detail = f"{detail}; elements: [{shown}]" if detail else f"elements: [{shown}]"
@@ -168,12 +181,32 @@ def check_fragment(algebra: FiniteAlgebra, bounds: Bounds) -> list[CheckReport]:
 
 
 def replay_instance(algebra: FiniteAlgebra, instance: SchemaInstance, bounds: Bounds) -> bool:
-    """Re-evaluate a reported violation; True when it reproduces."""
+    """Re-evaluate a reported violation; True when it reproduces, False when
+    no clause in bounds has its params.  An axiom outside the algebra's
+    fragment, or slot values that do not fit the clause's slots, are refused."""
+    _require_applicable(algebra, instance.axiom)
     for clause in _clauses(algebra, instance.axiom, bounds):
         if clause.params == instance.params:
-            columns = [[v] for v in instance.slot_values]
-            return bool(_failures(algebra, clause, columns, 1, {}))
+            given = instance.slot_values
+            if len(given) != len(clause.slots):
+                raise PreconditionError(f"axiom ({instance.axiom}) with params {clause.params} "
+                                        f"has {len(clause.slots)} slots, got {len(given)} values")
+            for i, (slot, v) in enumerate(zip(clause.slots, given), start=1):
+                size = algebra.sort_size(slot.sort)
+                if type(v) is not int or not 0 <= v < size:
+                    wide = type(v) is int and v.bit_length() > 64  # too long to print
+                    shown = f"a {v.bit_length()}-bit int" if wide else repr(v)
+                    raise PreconditionError(f"slot {i} holds an element of sort {slot.sort}, "
+                                            f"an index below {size}, got {shown}")
+            values = _values(algebra, 1)
+            slot_values = [values.column(slot.sort, [v]) for slot, v in zip(clause.slots, given)]
+            return bool(_failures(values, clause, slot_values, {}))
     return False
+
+
+def _require_applicable(algebra: FiniteAlgebra, axiom: int) -> None:
+    if axiom not in applicable_axioms(algebra.fragment):
+        raise FragmentError(f"axiom ({axiom}) is not applicable to fragment {algebra.fragment}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,38 +274,91 @@ def _sampled_batches(sizes: list[int], count: int,
         yield [flat[j::width] for j in range(width)], size
 
 
-def _failures(alg: FiniteAlgebra, clause: Clause, columns: list[list[int]], size: int,
+def _values(algebra: FiniteAlgebra, size: int) -> Values:
+    """How a batch of size rows holds its values: bit planes on a concrete
+    algebra, columns elsewhere."""
+    return (Planes if isinstance(algebra, ConcreteAlgebra) else Columns)(algebra, size)
+
+
+def _exhaustive(algebra: FiniteAlgebra, sizes: list[int]) -> Iterator[tuple[Values, list]]:
+    """Every slot tuple, in lexicographic order, as (values, slot values)
+    batches: planes straight from the row index on a concrete algebra, whose
+    sorts have 2**width elements, columns elsewhere."""
+    if isinstance(algebra, ConcreteAlgebra):
+        widths = [n.bit_length() - 1 for n in sizes]
+        for planes, size in _row_planes(widths):
+            yield Planes(algebra, size), planes
+    else:
+        for columns, size in _exhaustive_batches(sizes):
+            yield Columns(algebra, size), columns
+
+
+def _sampled(algebra: FiniteAlgebra, sorts: list[int], sizes: list[int], samples: int,
+             rng: Random) -> Iterator[tuple[Values, list]]:
+    """The sample of _sampled_batches as (values, slot values) batches; on a
+    concrete algebra each drawn column is transposed to planes."""
+    for columns, size in _sampled_batches(sizes, samples, rng):
+        values = _values(algebra, size)
+        yield values, [values.column(s, col) for s, col in zip(sorts, columns)]
+
+
+def _row_planes(widths: list[int]) -> Iterator[tuple[list[list[int]], int]]:
+    """Every slot tuple over sorts of 2**w elements, in lexicographic order,
+    as (planes per slot, size) batches.  Row i holds i >> e & (2**w - 1) in a
+    slot, e being the sum of the later slots' widths, so plane p of the slot
+    is bit e + p of the row index.  Batches start at multiples of BATCH, a
+    power of two: below its bit the row bit follows the fixed pattern
+    _ROW_BITS, above it is the start's bit, set on every row or on none."""
+    total = sum(widths)
+    for start in range(0, 1 << total, BATCH):
+        size = min(BATCH, (1 << total) - start)
+        rows = (1 << size) - 1
+        bits = [_ROW_BITS[b] & rows if b < len(_ROW_BITS) else rows if start >> b & 1 else 0
+                for b in range(total)]
+        planes, low = [], total
+        for w in widths:
+            low -= w
+            planes.append(bits[low:low + w])
+        yield planes, size
+
+
+def _failures(values: Values, clause: Clause, slot_values: list[list[int]],
               consts: dict) -> list[tuple[int, str, str]]:
     """(row, label, detail) for each row of the batch that violates the
-    clause, in row order.  consts keeps the values of slot-free subterms
-    across the batches of one clause."""
-    env = {id(slot): col for slot, col in zip(clause.slots, columns)}
+    clause, in row order: where the premise holds and no equation does, or
+    where an equation fails first, each set of rows a row mask.  consts
+    keeps the values of slot-free subterms across the batches of one clause."""
+    env = dict(zip(map(id, clause.slots), slot_values))
     if clause.premise is not None:
         label, detail, lhs, rhs = clause.premise
-        holds = _holds(alg, lhs, rhs, env, consts, size)
-        rows = list(compress(range(size), holds))
-        env = {key: list(compress(col, holds)) for key, col in env.items()}
-        hit = [False] * len(rows)
+        bad = values.rows & ~_differ(values, lhs, rhs, env, consts)
         for _, _, lhs, rhs in clause.equations:
-            hit = list(map(or_, hit, _holds(alg, lhs, rhs, env, consts, len(rows))))
-        return [(row, label, detail) for row in compress(rows, map(not_, hit))]
-    first: dict[int, tuple[str, str]] = {}
+            if not bad:
+                break
+            bad &= _differ(values, lhs, rhs, env, consts)
+        return [(row, label, detail) for row in _rows(bad)]
+    failures, seen = [], 0
     for label, detail, lhs, rhs in clause.equations:
-        holds = _holds(alg, lhs, rhs, env, consts, size)
-        if not all(holds):
-            for row in compress(range(size), map(not_, holds)):
-                first.setdefault(row, (label, detail))
-    return [(row, *first[row]) for row in sorted(first)]
+        new = _differ(values, lhs, rhs, env, consts) & ~seen
+        if new:
+            failures += [(row, label, detail) for row in _rows(new)]
+            seen |= new
+    return sorted(failures)
 
 
-def _holds(alg: FiniteAlgebra, lhs: Term, rhs: Term, env: dict, consts: dict,
-           size: int) -> list[bool]:
-    """Whether lhs = rhs holds, row by row."""
-    x = term_value(alg, lhs, env, consts, size)
-    y = term_value(alg, rhs, env, consts, size)
+def _differ(values: Values, lhs: Term, rhs: Term, env: dict, consts: dict) -> int:
+    """The row mask of the rows where lhs = rhs fails."""
+    x = term_value(values, lhs, env, consts)
+    y = term_value(values, rhs, env, consts)
     if x == y:
-        return [True] * size
-    return list(map(eq, as_column(x, size), as_column(y, size)))
+        return 0
+    if not isinstance(x, list) and not isinstance(y, list):
+        return values.rows
+    return values.differ(values.lift(lhs.sort, x), values.lift(rhs.sort, y))
+
+
+def _rows(mask: int) -> list[int]:
+    return list(compress(count(), _flags(mask)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .algebras import FiniteAlgebra
 from .errors import ObstructionError, PreconditionError, RelAlgError
-from .relations import Substitution, assoc_cylindrification, partitioning
+from .relations import Substitution, _bitmask, _flags, assoc_cylindrification, partitioning
 
 
 @dataclass(frozen=True)
@@ -161,20 +161,6 @@ class SortLattice:
 
     def up_set(self, a: int) -> frozenset[int]:
         return frozenset(compress(range(self.size), _flags(self.up[a])))
-
-
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bitmask(flags) -> int:
-    """The int with bit i set where the i-th of the (nonempty) flags is true."""
-    return int(bytes(flags)[::-1].translate(_BINARY_DIGITS), 2)
-
-
-def _flags(mask: int) -> bytes:
-    """Byte i is bit i of the mask, up to its highest set bit."""
-    return bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
 
 
 def sort_lattice(algebra: FiniteAlgebra, sort: int) -> SortLattice:

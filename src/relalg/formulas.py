@@ -3,9 +3,14 @@ contexts, a compiler from the surface syntax to terms, the one term evaluator
 and an independent naive satisfaction checker.
 
 The term evaluator, term_value, runs a term in any finite algebra on a batch
-of slot values; axioms.py runs its clauses through it.  A structure over W
-assigns its symbols elements of the algebra of all relations over W, and
-eval_term is term_value there.  eval_fo_naive enumerates tuples and witnesses
+of slot values; axioms.py runs its clauses through it.  The batch's Values
+say how batched values are held and operated on: Columns, one element per
+row through the algebra's tables, fit any algebra; Planes, one int per bit of
+a concrete algebra's elements with bit r for row r, turn substitution into a
+reordering of planes, projection into ORs of plane groups and meet, join and
+negation into bitwise operations, and never tabulate a sort.  A structure
+over W assigns its symbols elements of the algebra of all relations over W,
+and eval_term is term_value there.  eval_fo_naive enumerates tuples and witnesses
 instead: it is the oracle the compiled pipeline is checked against.
 
 Term grammar (v1, one-based indices):
@@ -36,12 +41,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, ne, or_, xor
 from random import Random
 
 from .algebras import ConcreteAlgebra, FiniteAlgebra
 from .errors import ArityError, FormatError, FragmentError, UniverseMismatchError
 from .fragments import FO, Fragment
-from .relations import Relation, Substitution, Universe
+from .relations import Relation, Substitution, Universe, _bitmask, _transpose
 
 
 @dataclass(frozen=True)
@@ -653,21 +660,23 @@ def eval_term(t: Term, structure: Structure) -> Relation:
         else:
             stack.extend(reversed([c for c in vars(node).values() if isinstance(c, Term)]))
     algebra = ConcreteAlgebra([structure.universe], FO.with_equality(), max_sort)
-    return Relation(structure.universe, t.sort, term_value(algebra, t, {}, symbols, 1))
+    return Relation(structure.universe, t.sort, term_value(Planes(algebra, 1), t, {}, symbols))
 
 
-def term_value(alg: FiniteAlgebra, t: Term, env: dict, consts: dict, size: int) -> int | list[int]:
-    """The value of t in alg on a batch of size rows.  env maps id(slot) to
-    its column, one element per row; a term over a slot is a column too, read
-    off the algebra's cached tables and batched meet and join.  A slot-free
-    term is one element from the scalar operations, so its sorts are never
-    tabulated.  Values are memoized by id(t), columns in env and elements in
+def term_value(values: "Values", t: Term, env: dict, consts: dict) -> int | list[int]:
+    """The value of t in values.alg on a batch of values.size rows.  env maps
+    id(slot) to its batched value, a list in the representation of values
+    (Columns or Planes), and a term over a slot is batched too.  A slot-free
+    term is one element from the algebra's scalar operations, so its sorts
+    are never tabulated, and is broadcast where it meets a batched value.
+    Values are memoized by id(t), batched ones in env and elements in
     consts: a term's hash recurses through all of it, two frames a level."""
     key = id(t)
     if key in env:
         return env[key]
     if key in consts:
         return consts[key]
+    alg = values.alg
     match t:
         case Top(n):
             v = alg.one(n)
@@ -676,30 +685,111 @@ def term_value(alg: FiniteAlgebra, t: Term, env: dict, consts: dict, size: int) 
         case Delta(n, i, j):
             v = alg.delta(n, i, j)
         case Sub(alpha, child):
-            x = term_value(alg, child, env, consts, size)
-            v = _lookup(alg.subst_table(alpha), x) if isinstance(x, list) else alg.subst(alpha, x)
+            x = term_value(values, child, env, consts)
+            v = values.subst(alpha, x) if isinstance(x, list) else alg.subst(alpha, x)
         case Not(child):
-            x = term_value(alg, child, env, consts, size)
-            v = _lookup(alg.neg_table(t.sort), x) if isinstance(x, list) else alg.neg(t.sort, x)
+            x = term_value(values, child, env, consts)
+            v = values.neg(t.sort, x) if isinstance(x, list) else alg.neg(t.sort, x)
         case Exists(child):
-            x = term_value(alg, child, env, consts, size)
-            v = _lookup(alg.exists_table(t.sort), x) if isinstance(x, list) else alg.exists(t.sort, x)
+            x = term_value(values, child, env, consts)
+            v = values.exists(t.sort, x) if isinstance(x, list) else alg.exists(t.sort, x)
         case And(left, right) | Or(left, right):
-            x = term_value(alg, left, env, consts, size)
-            y = term_value(alg, right, env, consts, size)
+            x = term_value(values, left, env, consts)
+            y = term_value(values, right, env, consts)
+            name = "meet" if isinstance(t, And) else "join"
             if isinstance(x, list) or isinstance(y, list):
-                op = alg.meet_all if isinstance(t, And) else alg.join_all
-                v = op(t.sort, as_column(x, size), as_column(y, size))
+                v = getattr(values, name)(t.sort, values.lift(t.sort, x), values.lift(t.sort, y))
             else:
-                v = (alg.meet if isinstance(t, And) else alg.join)(t.sort, x, y)
+                v = getattr(alg, name)(t.sort, x, y)
         case _:
             raise TypeError(f"no value for term {t!r}")
     (env if isinstance(v, list) else consts)[key] = v
     return v
 
 
-def as_column(v: int | list[int], size: int) -> list[int]:
-    return v if isinstance(v, list) else [v] * size
+class Values:
+    """How the values of a batch of size rows in alg are held: a subclass
+    lifts, reads and operates on them, term_value walks the term."""
+
+    def __init__(self, alg: FiniteAlgebra, size: int):
+        self.alg, self.size = alg, size
+        self.rows = (1 << size) - 1  # the row mask: bit r for row r
+
+
+class Columns(Values):
+    """Batched values as columns: a list of one element per row, read off
+    the algebra's cached tables and its batched meet and join.  Any finite
+    algebra's values can be columns."""
+
+    def lift(self, n: int, v: int | list[int]) -> list[int]:
+        """A batched value as it is; a sort-n element broadcast to every row."""
+        return v if isinstance(v, list) else [v] * self.size
+
+    def column(self, n: int, column: list[int]) -> list[int]:
+        """The batched value of a column of sort-n elements."""
+        return column
+
+    def element(self, v: list[int], row: int) -> int:
+        return v[row]
+
+    def subst(self, alpha: Substitution, x: list[int]) -> list[int]:
+        return _lookup(self.alg.subst_table(alpha), x)
+
+    def neg(self, n: int, x: list[int]) -> list[int]:
+        return _lookup(self.alg.neg_table(n), x)
+
+    def exists(self, n: int, x: list[int]) -> list[int]:
+        return _lookup(self.alg.exists_table(n), x)
+
+    def meet(self, n: int, x: list[int], y: list[int]) -> list[int]:
+        return self.alg.meet_all(n, x, y)
+
+    def join(self, n: int, x: list[int], y: list[int]) -> list[int]:
+        return self.alg.join_all(n, x, y)
+
+    def differ(self, x: list[int], y: list[int]) -> int:
+        """The row mask of the rows where x and y differ."""
+        return _bitmask(map(ne, x, y))
+
+
+class Planes(Values):
+    """Batched values of a concrete algebra as bit planes: a sort-n value is
+    width(n) ints, plane p holding bit p of every row's element, bit r for
+    row r.  Substitution reorders planes, projection ORs groups of them (the
+    algebra's plane index lists), negation flips them against the row mask,
+    meet and join combine them pairwise; no sort is ever tabulated."""
+
+    alg: ConcreteAlgebra
+
+    def lift(self, n: int, v: int | list[int]) -> list[int]:
+        if isinstance(v, list):
+            return v
+        rows = self.rows
+        return [rows if v >> p & 1 else 0 for p in range(self.alg.width(n))]
+
+    def column(self, n: int, column: list[int]) -> list[int]:
+        return _transpose(column, self.alg.width(n))
+
+    def element(self, v: list[int], row: int) -> int:
+        return sum((plane >> row & 1) << p for p, plane in enumerate(v))
+
+    def subst(self, alpha: Substitution, x: list[int]) -> list[int]:
+        return list(map(x.__getitem__, self.alg.subst_planes(alpha)))
+
+    def neg(self, n: int, x: list[int]) -> list[int]:
+        return list(map(self.rows.__xor__, x))
+
+    def exists(self, n: int, x: list[int]) -> list[int]:
+        return [reduce(or_, map(x.__getitem__, bits), 0) for bits in self.alg.exists_planes(n)]
+
+    def meet(self, n: int, x: list[int], y: list[int]) -> list[int]:
+        return list(map(and_, x, y))
+
+    def join(self, n: int, x: list[int], y: list[int]) -> list[int]:
+        return list(map(or_, x, y))
+
+    def differ(self, x: list[int], y: list[int]) -> int:
+        return reduce(or_, map(xor, x, y), 0)
 
 
 def _lookup(table: list[int], column: list[int]) -> list[int]:

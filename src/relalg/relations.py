@@ -13,6 +13,8 @@ All surface syntax uses 1-based indices; conversion to 0-based is internal.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
@@ -254,6 +256,52 @@ def delta(universe: Universe, arity: int, i: int, j: int) -> Relation:
         if t[i - 1] == t[j - 1]:
             bits |= 1 << idx
     return Relation(universe, arity, bits)
+
+
+# ---------------------------------------------------------------------------
+# Bit planes: a batch of values as one int per bit, bit r for row r
+
+# _DIGITS[p] maps each byte to the binary digit (ASCII) of its bit p: runs
+# of 2**p zeros and ones.
+_DIGITS = [(b"0" * (1 << p) + b"1" * (1 << p)) * (128 >> p) for p in range(8)]
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+# The array type code of the narrowest item that holds k bytes, k <= 8.
+_LANE_CODES = {k: next(c for c in "BHILQ" if array(c).itemsize >= k) for k in range(1, 9)}
+
+
+def _bitmask(flags) -> int:
+    """The int with bit i set where the i-th of the (nonempty) flags is true."""
+    return int(bytes(flags)[::-1].translate(_DIGITS[0]), 2)
+
+
+def _flags(mask: int) -> bytes:
+    """Byte i is bit i of the mask, up to its highest set bit."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
+
+
+def _transpose(column: Sequence[int], width: int) -> list[int]:
+    """The bit planes of a nonempty column of values below 2**width: plane p
+    has bit r set where column[r] has bit p.  Each value becomes k
+    little-endian bytes (an array item up to 64 bits, to_bytes above), and
+    the whole string is reversed: then every k-th byte from k-1-j on is byte
+    j of each value, last row first, and one translate per bit turns those
+    bytes into the binary digits of a plane."""
+    k = (width + 7) // 8
+    if not k:
+        return []
+    if k <= 8:
+        items = array(_LANE_CODES[k], column)
+        if sys.byteorder == "big":
+            items.byteswap()
+        data, k = items.tobytes()[::-1], items.itemsize
+    else:
+        data = b"".join([v.to_bytes(k, "little") for v in column])[::-1]
+    planes = []
+    for p in range(width):
+        if p % 8 == 0:
+            lane = data[k - 1 - p // 8::k]
+        planes.append(int(lane.translate(_DIGITS[p % 8]), 2))
+    return planes
 
 
 def partitioning(*arities: int) -> list[Substitution]:

@@ -3,11 +3,14 @@ from itertools import islice, product as iproduct
 from random import Random
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from relalg import (
     Bounds,
     FragmentError,
     PreconditionError,
+    SchemaInstance,
     Substitution,
     TableAlgebra,
     Universe,
@@ -17,10 +20,12 @@ from relalg import (
     check_fragment,
     concrete,
     generated_subalgebra,
+    product,
     replay_instance,
 )
-from relalg.axioms import BATCH, _exhaustive_batches, _sampled_batches
+from relalg.axioms import BATCH, _exhaustive_batches, _row_planes, _sampled_batches
 from relalg.fragments import FO, PE, PQF, QF, parse_fragment
+from relalg.relations import _transpose
 
 
 B2 = Bounds(max_sort=2, seed=11, samples=2000)
@@ -227,8 +232,11 @@ def _reference_batches(sizes):
         yield [list(col) for col in zip(*batch)], len(batch)
 
 
-@pytest.mark.parametrize("sizes", [[], [1], [3], [4096], [4097], [706, 706],
-                                   [2, 256, 2, 256], [2, 70000, 2], [5, 7, 11, 13]])
+EXHAUSTIVE_SIZES = [[], [1], [3], [4096], [4097], [706, 706], [2, 256, 2, 256], [2, 70000, 2],
+                    [5, 7, 11, 13]]
+
+
+@pytest.mark.parametrize("sizes", EXHAUSTIVE_SIZES)
 def test_exhaustive_batches_are_the_transposed_product(sizes):
     """Batch by batch, the exhaustive columns and sizes equal the row tuples
     of itertools.product, in lexicographic order, cut every BATCH rows and
@@ -237,3 +245,103 @@ def test_exhaustive_batches_are_the_transposed_product(sizes):
     for want in _reference_batches(sizes):
         assert next(got) == want
     assert next(got, None) is None
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 130), st.one_of(st.just(1), st.integers(2, BATCH)), st.integers(0, 2**32))
+def test_transpose_matches_per_element_bits(width, size, draw_seed):
+    """Plane p of a column has bit r set exactly where the column's value in
+    row r has bit p: row 0 is the lowest bit, not the highest."""
+    rng = Random(draw_seed)
+    top = (1 << width) - 1
+    column = [rng.choice((0, top, rng.getrandbits(width))) for _ in range(size)]
+    want = [sum((v >> p & 1) << r for r, v in enumerate(column)) for p in range(width)]
+    assert _transpose(column, width) == want
+
+
+@pytest.mark.parametrize("sizes", EXHAUSTIVE_SIZES)
+def test_row_planes_are_the_transposed_exhaustive_columns(sizes):
+    """Concrete sorts have 2**w elements: with each size rounded up to a
+    power of two, the planes read off the row index are, batch by batch, the
+    transposed exhaustive columns."""
+    sizes = [1 << (n - 1).bit_length() for n in sizes]
+    widths = [n.bit_length() - 1 for n in sizes]
+    got = _row_planes(widths)
+    for columns, size in _exhaustive_batches(sizes):
+        assert next(got) == ([_transpose(col, w) for col, w in zip(columns, widths)], size)
+    assert next(got, None) is None
+
+
+def _same_reports(algebra, axiom, bounds):
+    """check_axiom on a concrete algebra, through bit planes, and on its
+    tables, through columns, report the same checks and violations."""
+    planes = check_axiom(algebra, axiom, bounds)
+    columns = check_axiom(as_table_algebra(algebra), axiom, bounds)
+    assert (planes.mode, planes.params_checked, planes.instances_checked) == (
+        columns.mode, columns.params_checked, columns.instances_checked)
+    assert [(v.label, v.params, v.slot_values) for v in planes.violations] == [
+        (v.label, v.params, v.slot_values) for v in columns.violations]
+    return planes
+
+
+FRAGMENTS = [PQF, QF, PE, FO, FO.with_equality(), parse_fragment("pqf+eq")]
+
+
+@seed(11)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_planes_and_columns_give_the_same_reports(data):
+    """Concrete algebras and products of one or two blocks, |W| <= 3 and at
+    most 9 bits at the top sort: every axiom is drawn alike, then a fragment
+    it applies to."""
+    axiom = data.draw(st.integers(0, 13))
+    frag = data.draw(st.sampled_from([f for f in FRAGMENTS if axiom in applicable_axioms(f)]))
+    max_sort = data.draw(st.integers(0, 2))
+    universes = data.draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=1, max_size=2))
+    assume(sum(u**max_sort for u in universes) <= 9)
+    factors = [concrete(Universe(u), frag, max_sort) for u in universes]
+    algebra = (factors[0] if len(factors) == 1 and data.draw(st.booleans())
+               else product(factors))
+    bounds = Bounds(max_sort=max_sort, exhaustive_cap=data.draw(st.sampled_from([0, 64, 10**6])),
+                    samples=data.draw(st.sampled_from([1, 100, 1000])),
+                    seed=data.draw(st.integers(0, 2**16)))
+    _same_reports(algebra, axiom, bounds)
+
+
+@pytest.mark.parametrize("cap", [0, 10**6])
+def test_pe_product_fails_axiom_zero_alike_through_planes_and_columns(cap):
+    algebra = product([concrete(Universe(2), PE, 2), concrete(Universe(1), PE, 2)])
+    report = _same_reports(algebra, 0, Bounds(max_sort=2, exhaustive_cap=cap, samples=3000,
+                                              violation_cap=50))
+    assert report.violations
+    for instance in report.violations:
+        assert replay_instance(algebra, instance, B2)
+
+
+def _replay_algebras():
+    base = concrete(Universe(2), PQF, 2)
+    return {"concrete": base, "table": as_table_algebra(base),
+            "generated": generated_subalgebra(base, [(1, 0b01)])}
+
+
+@pytest.mark.parametrize("kind", ["concrete", "table", "generated"])
+def test_replay_refuses_instances_that_do_not_fit(kind):
+    algebra = _replay_algebras()[kind]
+    with pytest.raises(FragmentError, match=r"axiom \(5\) is not applicable to fragment pqf"):
+        replay_instance(algebra, SchemaInstance(5, "", {"alpha": [1, 1, [1]]}, (0,)), B2)
+    bad = [
+        (SchemaInstance(1, "", {"sort": 1}, (999, 0, 0)), "slot 1 .* got 999"),
+        (SchemaInstance(1, "", {"sort": 1}, (0, 0, -1)), "slot 3 .* got -1"),
+        (SchemaInstance(4, "", {"sort": 1}, (999,)), "slot 1 .* got 999"),
+        (SchemaInstance(4, "", {"sort": 1}, (0, 1)), "has 1 slots, got 2 values"),
+        (SchemaInstance(4, "", {"sort": 1}, ()), "has 1 slots, got 0 values"),
+        (SchemaInstance(4, "", {"sort": 1}, (True,)), "slot 1 .* got True"),
+        (SchemaInstance(4, "", {"sort": 1}, (10**5000,)), "slot 1 .* got a 16610-bit int"),
+    ]
+    for instance, message in bad:
+        with pytest.raises(PreconditionError, match=message):
+            replay_instance(algebra, instance, B2)
+    # an instance that fits but holds does not reproduce; unknown params find no clause
+    assert not replay_instance(algebra, SchemaInstance(1, "", {"sort": 1}, (1, 0, 1)), B2)
+    assert not replay_instance(algebra, SchemaInstance(4, "", {"sort": 9}, (0,)), B2)

@@ -128,6 +128,19 @@ def test_axioms_check_jsonl():
     assert all(entry["ok"] for entry in lines)
 
 
+def test_axioms_check_concrete_two_exhaustive_to_sort_three():
+    """Every instance of every axiom on concrete(2) up to sort 3, with no
+    sampling: axioms (0) and (1) alone have 3.9 and 16.8 million."""
+    code, text = run_cli("axioms", "check", "--algebra", "builtin:concrete:2",
+                         "--fragment", "fo+eq", "--max-sort", "3",
+                         "--exhaustive-cap", "100000000", "--format", "jsonl")
+    assert code == 0
+    lines = [json.loads(line) for line in text.strip().splitlines()]
+    assert [(e["axiom"], e["ok"], e["mode"]) for e in lines] == [
+        (ax, True, "exhaustive") for ax in range(14)]
+    assert [e["instances"] for e in lines[:2]] == [3_865_061, 16_781_384]
+
+
 def test_axioms_check_reports_reproduce_byte_for_byte():
     args = ("--seed", "123", "axioms", "check", "--algebra", "builtin:concrete:2",
             "--fragment", "pqf", "--max-sort", "2", "--exhaustive-cap", "100",
