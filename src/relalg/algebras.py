@@ -18,9 +18,10 @@ where sorts are enumerated, plus eagerly in concrete() and extend().
 A table algebra is one table per symbol key.  Every algebra has one store,
 FiniteAlgebra.cached: operation tables under their symbol keys (a table
 algebra's given tables, or tables built on first use), a concrete algebra's
-plane index lists under ("planes", *key), and the sort lattices of
-filters.sort_lattice.  All algebras are immutable after construction; the
-store is lock-guarded so concurrent readers see consistent tables.
+diagonals and plane index lists under ("planes", *key), and the sort
+lattices of filters.sort_lattice.  All algebras are immutable after
+construction; the store is lock-guarded so concurrent readers see consistent
+tables.
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ class FiniteAlgebra:
     def cached(self, key, build):
         """The value stored under key, built on first use; the first value
         stored wins.  This is the algebra's one store: operation tables under
-        their symbol's key (see operations()), a concrete algebra's plane
-        index lists under ("planes", *key), sort lattices under
-        ("lattice", n)."""
+        their symbol's key (see operations()), a concrete algebra's diagonals
+        under theirs and its plane index lists under ("planes", *key), sort
+        lattices under ("lattice", n)."""
         with self._cache_lock:
             value = self._tables.get(key)
         if value is None:
@@ -273,7 +274,9 @@ class ConcreteAlgebra(FiniteAlgebra):
     def delta(self, n: int, i: int, j: int) -> int:
         self._require("equality")
         self._check_sort(n)
-        return self._blockwise(n, n, 0, lambda u, _: rel_delta(u, n, i, j).bits)
+        # relations.delta's index check raises before a bad key is stored
+        return self.cached(("delta", n, i, j), lambda: self._blockwise(
+            n, n, 0, lambda u, _: rel_delta(u, n, i, j).bits))
 
     def subst_planes(self, alpha: Substitution) -> list[int]:
         """For each bit of subst(alpha, a), lowest first, the bit of a it
@@ -401,7 +404,9 @@ class GeneratedSubalgebra(FiniteAlgebra):
     term grammar over the generator names.  The closure is batched row by row:
     a dequeued element meets and joins a snapshot of its sort in one
     meet_all and one join_all call, adding new values in snapshot order, meet
-    before join."""
+    before join.  In a concrete parent, axioms.py evaluates clauses on the
+    parent's planes (formulas.ParentPlanes) and maps only violations back;
+    meet_all and join_all here serve filters.py and as_table_algebra."""
 
     def __init__(self, parent: FiniteAlgebra, generators: Sequence[tuple[int, int]],
                  names: Sequence[str] | None = None):

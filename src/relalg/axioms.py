@@ -13,16 +13,18 @@ since on tables that break the laws equivalent terms can disagree.
 A clause runs over batches of slot tuples: all of them when the space fits
 the exhaustive cap, else a seeded uniform sample.  On a concrete algebra (a
 concrete() or a product()) a batch holds each slot as bit planes, plane p
-being the int whose bit r is bit p of row r's element; elsewhere it holds
-one column of elements per slot.  Exhaustive batches run in lexicographic
-row order.  Concrete sorts have 2**w elements, so plane p of a slot is bit
-e + p of the row index, e the later slots' widths: a fixed pattern below
-BATCH's bit, the batch start's bit above.  Exhaustive columns are built from
-per-slot patterns and runs of equal values.  A sample is the stream of
+being the int whose bit r is bit p of row r's element; on a subalgebra
+generated in one, the planes of its parent values; elsewhere one column of
+elements per slot.  Exhaustive batches run in lexicographic row order.
+Concrete sorts have 2**w elements, so plane p of a slot is bit e + p of the
+row index, e the later slots' widths: a fixed pattern below BATCH's bit, the
+batch start's bit above.  Other exhaustive columns are built from per-slot
+patterns and runs of equal values.  A sample is the stream of
 Random(seed).randrange(n), drawn into columns row by row and slot by slot
 through randrange's own getrandbits loop, one generator per check_axiom
-shared by its clauses; on a concrete algebra each column is then transposed
-to planes by byte lanes (relations._transpose).  A clause's terms go through
+shared by its clauses.  For planes, a column is mapped up to parent values
+if generated and transposed by byte lanes (relations._transpose); only a
+violation's elements are mapped back.  A clause's terms go through
 formulas.term_value, the one term evaluator, which eval_term also runs on
 structures: batched slot values through the batch's representation, slot-free
 terms through the algebra's scalar operations.  An equation's failing rows
@@ -42,10 +44,11 @@ from math import prod
 from random import Random
 from typing import Iterator
 
-from .algebras import ConcreteAlgebra, FiniteAlgebra, concrete, generated_subalgebra, product
+from .algebras import (ConcreteAlgebra, FiniteAlgebra, GeneratedSubalgebra, concrete,
+                       generated_subalgebra, product)
 from .errors import FragmentError, PreconditionError
-from .formulas import (And, Bot, Columns, Delta, Exists, Not, Or, Planes, Sub, Sym, Term, Top,
-                       Values, term_value)
+from .formulas import (And, Bot, Columns, Delta, Exists, Not, Or, ParentPlanes, Planes, Sub,
+                       Sym, Term, Top, Values, term_value)
 from .fragments import Fragment, PE, QF
 from .relations import (
     Substitution,
@@ -154,17 +157,17 @@ def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckRepo
         sorts = [slot.sort for slot in clause.slots]
         sizes = [algebra.sort_size(s) for s in sorts]
         if prod(sizes) <= bounds.exhaustive_cap:
-            batches = _exhaustive(algebra, sizes)
+            batches = _exhaustive(algebra, sorts, sizes)
         else:
             sampled = True
-            batches = _sampled(algebra, sorts, sizes, bounds.samples, rng)
+            batches = _from_columns(algebra, sorts, _sampled_batches(sizes, bounds.samples, rng))
         consts: dict = {}
         for values, slot_values in batches:
             instances += values.size
             for row, label, detail in _failures(values, clause, slot_values, consts):
                 if len(violations) >= bounds.violation_cap:
                     break
-                elems = tuple(values.element(v, row) for v in slot_values)
+                elems = tuple(values.element(s, v, row) for s, v in zip(sorts, slot_values))
                 shown = ", ".join(algebra.element_label(s, v) for s, v in zip(sorts, elems))
                 if shown:
                     detail = f"{detail}; elements: [{shown}]" if detail else f"elements: [{shown}]"
@@ -276,28 +279,35 @@ def _sampled_batches(sizes: list[int], count: int,
 
 def _values(algebra: FiniteAlgebra, size: int) -> Values:
     """How a batch of size rows holds its values: bit planes on a concrete
-    algebra, columns elsewhere."""
-    return (Planes if isinstance(algebra, ConcreteAlgebra) else Columns)(algebra, size)
+    algebra, its parent's planes on a subalgebra generated in one, columns
+    elsewhere."""
+    if isinstance(algebra, ConcreteAlgebra):
+        return Planes(algebra, size)
+    if isinstance(algebra, GeneratedSubalgebra) and isinstance(algebra.parent, ConcreteAlgebra):
+        return ParentPlanes(algebra, size)
+    return Columns(algebra, size)
 
 
-def _exhaustive(algebra: FiniteAlgebra, sizes: list[int]) -> Iterator[tuple[Values, list]]:
+def _exhaustive(algebra: FiniteAlgebra, sorts: list[int],
+                sizes: list[int]) -> Iterator[tuple[Values, list]]:
     """Every slot tuple, in lexicographic order, as (values, slot values)
     batches: planes straight from the row index on a concrete algebra, whose
-    sorts have 2**width elements, columns elsewhere."""
+    sorts have 2**width elements, the columns of _exhaustive_batches
+    elsewhere."""
     if isinstance(algebra, ConcreteAlgebra):
         widths = [n.bit_length() - 1 for n in sizes]
         for planes, size in _row_planes(widths):
             yield Planes(algebra, size), planes
     else:
-        for columns, size in _exhaustive_batches(sizes):
-            yield Columns(algebra, size), columns
+        yield from _from_columns(algebra, sorts, _exhaustive_batches(sizes))
 
 
-def _sampled(algebra: FiniteAlgebra, sorts: list[int], sizes: list[int], samples: int,
-             rng: Random) -> Iterator[tuple[Values, list]]:
-    """The sample of _sampled_batches as (values, slot values) batches; on a
-    concrete algebra each drawn column is transposed to planes."""
-    for columns, size in _sampled_batches(sizes, samples, rng):
+def _from_columns(algebra: FiniteAlgebra, sorts: list[int], batches: Iterator[tuple[list, int]]
+                  ) -> Iterator[tuple[Values, list]]:
+    """(columns, size) batches of slot elements as (values, slot values)
+    batches: each column in the representation _values picks, transposed to
+    planes where it picks planes."""
+    for columns, size in batches:
         values = _values(algebra, size)
         yield values, [values.column(s, col) for s, col in zip(sorts, columns)]
 

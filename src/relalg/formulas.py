@@ -8,10 +8,12 @@ say how batched values are held and operated on: Columns, one element per
 row through the algebra's tables, fit any algebra; Planes, one int per bit of
 a concrete algebra's elements with bit r for row r, turn substitution into a
 reordering of planes, projection into ORs of plane groups and meet, join and
-negation into bitwise operations, and never tabulate a sort.  A structure
-over W assigns its symbols elements of the algebra of all relations over W,
-and eval_term is term_value there.  eval_fo_naive enumerates tuples and witnesses
-instead: it is the oracle the compiled pipeline is checked against.
+negation into bitwise operations, and never tabulate a sort; ParentPlanes
+hold a subalgebra generated in a concrete algebra as its parent's planes.  A
+structure over W assigns its symbols elements of the algebra of all
+relations over W, and eval_term is term_value there.  eval_fo_naive
+enumerates tuples and witnesses instead: it is the oracle the compiled
+pipeline is checked against.
 
 Term grammar (v1, one-based indices):
 
@@ -45,7 +47,7 @@ from functools import reduce
 from operator import and_, ne, or_, xor
 from random import Random
 
-from .algebras import ConcreteAlgebra, FiniteAlgebra
+from .algebras import ConcreteAlgebra, FiniteAlgebra, GeneratedSubalgebra
 from .errors import ArityError, FormatError, FragmentError, UniverseMismatchError
 from .fragments import FO, Fragment
 from .relations import Relation, Substitution, Universe, _bitmask, _transpose
@@ -729,7 +731,8 @@ class Columns(Values):
         """The batched value of a column of sort-n elements."""
         return column
 
-    def element(self, v: list[int], row: int) -> int:
+    def element(self, n: int, v: list[int], row: int) -> int:
+        """The sort-n element a batched value holds at a row."""
         return v[row]
 
     def subst(self, alpha: Substitution, x: list[int]) -> list[int]:
@@ -757,7 +760,8 @@ class Planes(Values):
     width(n) ints, plane p holding bit p of every row's element, bit r for
     row r.  Substitution reorders planes, projection ORs groups of them (the
     algebra's plane index lists), negation flips them against the row mask,
-    meet and join combine them pairwise; no sort is ever tabulated."""
+    meet and join combine them pairwise; no sort is ever tabulated.
+    ParentPlanes extend them to subalgebras generated in a concrete algebra."""
 
     alg: ConcreteAlgebra
 
@@ -770,7 +774,7 @@ class Planes(Values):
     def column(self, n: int, column: list[int]) -> list[int]:
         return _transpose(column, self.alg.width(n))
 
-    def element(self, v: list[int], row: int) -> int:
+    def element(self, n: int, v: list[int], row: int) -> int:
         return sum((plane >> row & 1) << p for p, plane in enumerate(v))
 
     def subst(self, alpha: Substitution, x: list[int]) -> list[int]:
@@ -790,6 +794,23 @@ class Planes(Values):
 
     def differ(self, x: list[int], y: list[int]) -> int:
         return reduce(or_, map(xor, x, y), 0)
+
+
+class ParentPlanes(Planes):
+    """A subalgebra generated in a concrete algebra as planes of parent
+    values, alg being the parent: local indices map up, a bijection onto the
+    closure, so the same rows fail; a row's element maps back down through
+    the closure check."""
+
+    def __init__(self, sub: GeneratedSubalgebra, size: int):
+        super().__init__(sub.parent, size)
+        self.sub = sub
+
+    def column(self, n: int, column: list[int]) -> list[int]:
+        return super().column(n, _lookup(self.sub._to_parent[n], column))
+
+    def element(self, n: int, v: list[int], row: int) -> int:
+        return self.sub._wrap(n, super().element(n, v, row))
 
 
 def _lookup(table: list[int], column: list[int]) -> list[int]:

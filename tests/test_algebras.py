@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import product as iproduct
 from random import Random
 
 import pytest
@@ -23,7 +24,7 @@ from relalg import (
     verify_morphism,
 )
 from relalg.fragments import FO, PE, PQF, QF
-from relalg.relations import all_substitutions
+from relalg.relations import all_substitutions, delta as rel_delta
 
 
 def test_concrete_sort_sizes():
@@ -78,6 +79,26 @@ def test_out_of_bounds_operations():
         pqf.exists(1, 0)
     with pytest.raises(FragmentError):
         pqf.delta(2, 1, 2)
+
+
+def test_concrete_diagonals_are_stored_and_still_guarded():
+    """Each diagonal is built once into the algebra's store under its symbol
+    key; every call still checks the sort and the indices."""
+    eq = FO.with_equality()
+    alg = product([concrete(Universe(2), eq, 2), concrete(Universe(3), eq, 2)])
+    for n in range(3):
+        for i, j in iproduct(range(1, n + 1), repeat=2):
+            value = alg.delta(n, i, j)
+            assert value == rel_delta(Universe(2), n, i, j).bits << 3**n | rel_delta(
+                Universe(3), n, i, j).bits
+            assert alg.cached(("delta", n, i, j), None) == value  # stored: nothing is built
+            assert alg.delta(n, i, j) == value
+    for _ in range(2):
+        for i, j in [(1, 3), (0, 1), (2, -1)]:
+            with pytest.raises(ArityError, match=rf"diagonal indices \({i},{j}\) outside 1..2"):
+                alg.delta(2, i, j)
+        with pytest.raises(InsufficientSortsError):
+            alg.delta(3, 1, 1)
 
 
 def test_product_diamond():

@@ -274,8 +274,9 @@ def test_row_planes_are_the_transposed_exhaustive_columns(sizes):
 
 
 def _same_reports(algebra, axiom, bounds):
-    """check_axiom on a concrete algebra, through bit planes, and on its
-    tables, through columns, report the same checks and violations."""
+    """check_axiom on a concrete algebra or a subalgebra generated in one,
+    through bit planes, and on its tables, through columns, report the same
+    checks and violations."""
     planes = check_axiom(algebra, axiom, bounds)
     columns = check_axiom(as_table_algebra(algebra), axiom, bounds)
     assert (planes.mode, planes.params_checked, planes.instances_checked) == (
@@ -288,14 +289,10 @@ def _same_reports(algebra, axiom, bounds):
 FRAGMENTS = [PQF, QF, PE, FO, FO.with_equality(), parse_fragment("pqf+eq")]
 
 
-@seed(11)
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_planes_and_columns_give_the_same_reports(data):
-    """Concrete algebras and products of one or two blocks, |W| <= 3 and at
-    most 9 bits at the top sort: every axiom is drawn alike, then a fragment
-    it applies to."""
-    axiom = data.draw(st.integers(0, 13))
+def _draw_concrete(data, axiom):
+    """A concrete algebra or product of one or two blocks, |W| <= 3 and at
+    most 9 bits at the top sort, in a fragment the axiom applies to, and
+    bounds."""
     frag = data.draw(st.sampled_from([f for f in FRAGMENTS if axiom in applicable_axioms(f)]))
     max_sort = data.draw(st.integers(0, 2))
     universes = data.draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=1, max_size=2))
@@ -306,7 +303,32 @@ def test_planes_and_columns_give_the_same_reports(data):
     bounds = Bounds(max_sort=max_sort, exhaustive_cap=data.draw(st.sampled_from([0, 64, 10**6])),
                     samples=data.draw(st.sampled_from([1, 100, 1000])),
                     seed=data.draw(st.integers(0, 2**16)))
+    return algebra, bounds
+
+
+@seed(11)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_planes_and_columns_give_the_same_reports(data):
+    """Every axiom is drawn alike."""
+    axiom = data.draw(st.integers(0, 13))
+    algebra, bounds = _draw_concrete(data, axiom)
     _same_reports(algebra, axiom, bounds)
+
+
+@seed(12)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parent_planes_and_columns_give_the_same_reports(data):
+    """A subalgebra generated by one to three elements of a concrete algebra
+    or product runs on the parent's planes and reports as its tables do.
+    Axiom (0), the one such a subalgebra can fail, is drawn half the time."""
+    axiom = data.draw(st.one_of(st.just(0), st.integers(1, 13)))
+    parent, bounds = _draw_concrete(data, axiom)
+    rng = data.draw(st.randoms(use_true_random=False))
+    sorts = [rng.randint(0, parent.max_sort) for _ in range(rng.randint(1, 3))]
+    generators = [(n, rng.randrange(parent.sort_size(n))) for n in sorts]
+    _same_reports(generated_subalgebra(parent, generators), axiom, bounds)
 
 
 @pytest.mark.parametrize("cap", [0, 10**6])

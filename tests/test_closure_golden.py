@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from relalg import gallery_pe_theory
+from relalg import Bounds, check_axiom, gallery_pe_theory
 
 GOLDEN = Path(__file__).with_name("pe_closure_golden.jsonl")
 
@@ -49,6 +49,24 @@ def test_batched_op_names_first_value_outside_the_closure():
     finally:
         alg._from_parent[n].update(saved)
     assert alg.meet_all(n, xs, ys) == xs
+
+
+def test_violation_names_its_first_element_outside_the_closure():
+    """check_axiom evaluates the gallery algebra in its parent's planes and
+    maps only a violation's elements back, through the same closure check."""
+    alg, _ = gallery_pe_theory()
+    bounds = Bounds(max_sort=2, samples=1000)
+    first = check_axiom(alg, 0, bounds).violations[0]
+    n = first.params["shape"][0]  # the sort of slot r1
+    value = alg.to_parent(n, first.slot_values[0])
+    saved = alg._from_parent[n].pop(value)
+    try:
+        with pytest.raises(AssertionError) as info:
+            check_axiom(alg, 0, bounds)
+        assert str(info.value) == f"closure not closed: sort {n} value {value}"
+    finally:
+        alg._from_parent[n][value] = saved
+    assert check_axiom(alg, 0, bounds).violations[0] == first
 
 
 if __name__ == "__main__":
