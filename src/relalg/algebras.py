@@ -4,10 +4,10 @@ An algebra carries sorts 0..max_sort; sort n is a finite list of elements
 addressed by indices 0..size-1.  Operation symbols: the lattice constants and
 operations on every sort, all substitutions between in-bounds sorts,
 projection (per fragment), negation (per fragment) and diagonal constants
-(per fragment).  operations() lists them, one key per symbol.  Operations
-whose sorts exceed the bound raise InsufficientSortsError; algebras with
-concrete, product or generated provenance can materialize higher sorts via
-extend().
+(per fragment).  operations() lists them, one key per symbol; the table
+algebras and verify_morphism read that list.  Operations whose sorts exceed
+the bound raise InsufficientSortsError; algebras with concrete, product or
+generated provenance can materialize higher sorts via extend().
 
 Concrete algebras are bitset algebras over an ordered list of universes
 (blocks): concrete() builds one block, and product() of concrete factors is a
@@ -32,6 +32,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product as iproduct
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -842,69 +843,51 @@ class MorphismReport:
         return self.ok
 
 
+# How verify_morphism words a symbol it finds not preserved: the positional
+# format arguments are the symbol's key parameters, then its arguments, and
+# sorts holds the argument sorts.
+_MORPHISM_MESSAGES = {
+    "zero": "constant 0 of sort {0} not preserved",
+    "one": "constant 1 of sort {0} not preserved",
+    "join": "join of sort-{0} elements {1},{2} not preserved",
+    "meet": "meet of sort-{0} elements {1},{2} not preserved",
+    "neg": "negation of sort-{0} element {1} not preserved",
+    "delta": "diagonal ({0},{1},{2}) not preserved",
+    "subst": "substitution {0} at sort-{0.dom} element {1} not preserved",
+    "exists": "projection of sort-{sorts[0]} element {1} not preserved",
+    "containment": "projection containment fails at sort-{sorts[0]} element {1}",
+}
+
+
 def verify_morphism(fmap: dict[int, Sequence[int]], src: FiniteAlgebra, dst: FiniteAlgebra,
                     mode: str = "full") -> MorphismReport:
-    """Check that the per-sort element map preserves constants, lattice
-    operations, substitutions, and the fragment's extra symbols.  mode
-    "almost" demands only the containment exists(f(r)) <= f(exists(r)) for
-    projection instead of equality."""
+    """Check that the per-sort element map preserves every symbol that
+    operations() lists for src's fragment, on every argument tuple.  join and
+    meet are checked together, pair by pair.  mode "almost" demands only the
+    containment exists(f(r)) <= f(exists(r)) for projection instead of
+    equality."""
     if mode not in ("full", "almost"):
         raise ValueError(f"unknown mode {mode!r}")
-    bound = min(src.max_sort, dst.max_sort)
     violations: list[str] = []
     checks = 0
-
-    def bad(msg: str) -> None:
-        if len(violations) < MORPHISM_VIOLATION_CAP:
-            violations.append(msg)
-
-    for n in range(bound + 1):
-        f = fmap[n]
-        checks += 2
-        if f[src.zero(n)] != dst.zero(n):
-            bad(f"constant 0 of sort {n} not preserved")
-        if f[src.one(n)] != dst.one(n):
-            bad(f"constant 1 of sort {n} not preserved")
-        for a in src.elements(n):
-            for b in src.elements(n):
-                checks += 2
-                if f[src.join(n, a, b)] != dst.join(n, f[a], f[b]):
-                    bad(f"join of sort-{n} elements {a},{b} not preserved")
-                if f[src.meet(n, a, b)] != dst.meet(n, f[a], f[b]):
-                    bad(f"meet of sort-{n} elements {a},{b} not preserved")
-        if src.fragment.negation:
-            for a in src.elements(n):
+    for key, arg_sorts, result in operations(src.fragment, min(src.max_sort, dst.max_sort)):
+        if key[0] == "meet":
+            continue
+        f, params = fmap[result], key[1:]
+        ops = [(name, partial(getattr(src, name), *params), partial(getattr(dst, name), *params))
+               for name in (("join", "meet") if key[0] == "join" else key[:1])]
+        for args in iproduct(*map(src.elements, arg_sorts)):
+            images = [fmap[s][a] for s, a in zip(arg_sorts, args)]
+            for name, op, image_op in ops:
                 checks += 1
-                if f[src.neg(n, a)] != dst.neg(n, f[a]):
-                    bad(f"negation of sort-{n} element {a} not preserved")
-        if src.fragment.equality:
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    checks += 1
-                    if f[src.delta(n, i, j)] != dst.delta(n, i, j):
-                        bad(f"diagonal ({n},{i},{j}) not preserved")
-    for n in range(bound + 1):
-        for k in range(bound + 1):
-            for alpha in all_substitutions(n, k):
-                fk = fmap[k]
-                fn = fmap[n]
-                for a in src.elements(n):
-                    checks += 1
-                    if fk[src.subst(alpha, a)] != dst.subst(alpha, fn[a]):
-                        bad(f"substitution {alpha} at sort-{n} element {a} not preserved")
-    if src.fragment.exists:
-        for n in range(bound):
-            f_lo, f_hi = fmap[n], fmap[n + 1]
-            for a in src.elements(n + 1):
-                checks += 1
-                lhs = dst.exists(n, f_hi[a])
-                rhs = f_lo[src.exists(n, a)]
-                if mode == "full":
-                    if lhs != rhs:
-                        bad(f"projection of sort-{n + 1} element {a} not preserved")
+                value, target = f[op(*args)], image_op(*images)
+                if name == "exists" and mode == "almost":
+                    name, held = "containment", dst.leq(result, target, value)
                 else:
-                    if not dst.leq(n, lhs, rhs):
-                        bad(f"projection containment fails at sort-{n + 1} element {a}")
+                    held = value == target
+                if not held and len(violations) < MORPHISM_VIOLATION_CAP:
+                    violations.append(_MORPHISM_MESSAGES[name].format(
+                        *params, *args, sorts=arg_sorts))
     return MorphismReport(not violations, checks, violations)
 
 

@@ -44,7 +44,12 @@ def _load_algebra(args: argparse.Namespace, max_sort: int) -> FiniteAlgebra:
     if spec.startswith("builtin:"):
         parts = spec.split(":")
         if parts[1] == "concrete" and len(parts) == 3:
-            return concrete(Universe(int(parts[2])), parse_fragment(args.fragment), max_sort,
+            try:
+                universe = Universe(int(parts[2]))
+            except ValueError:
+                raise RelAlgError(f"universe size is not a non-negative integer: "
+                                  f"{parts[2]!r}") from None
+            return concrete(universe, parse_fragment(args.fragment), max_sort,
                             element_cap=args.element_cap)
         if parts[1] == "diamond" and len(parts) == 2:
             return gallery_diamond()[0]

@@ -292,9 +292,13 @@ def test_eval_deeply_nested_input_from_a_file(tmp_path, capsys):
      "--scope", "-1"),
     ("embed", "--algebra", "builtin:concrete:1", "--fragment", "pe", "--max-sort", "1",
      "--scope", "1", "--rounds", "-1"),
+    ("axioms", "check", "--algebra", "builtin:concrete:x"),
+    ("axioms", "check", "--algebra", "builtin:concrete:"),
+    ("axioms", "check", "--algebra", "builtin:concrete:-1"),
 ])
 def test_vacuous_bounds_exit_2(argv, capsys):
-    """A run that could check nothing is refused, not passed."""
+    """A run that could check nothing, or over a universe size that is not a
+    non-negative integer, is refused with one error line, not passed."""
     code, text = run_cli(*argv)
     assert (code, text) == (2, "")
     err = capsys.readouterr().err

@@ -1,21 +1,27 @@
 import io
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from relalg import (
+    Bounds,
     InsufficientSortsError,
     ObstructionError,
     PreconditionError,
     Relation,
     Universe,
     as_table_algebra,
+    check_fragment,
     concrete,
     embed,
     filter_to_morphism,
     find_obligations,
+    generated_subalgebra,
     kernel,
     master_filter_model,
     prime_filters,
+    product,
     saturate,
     separate,
     sort_lattice,
@@ -312,3 +318,55 @@ def test_unmet_pullback_of_a_broken_table_exits_2(tmp_path, capsys):
     assert main(["embed", "--algebra", str(path), "--scope", "0"], out=out) == 2
     assert out.getvalue() == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# (|W|, max_sort) of the concrete factors the representability oracle draws from
+ORACLE_SHAPES = [(1, 2), (2, 1)]
+
+
+@seed(13)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_subalgebras_of_concrete_algebras_are_representable(data):
+    """A subalgebra of a concrete algebra is representable by construction:
+    it passes every axiom, and embed certifies it.  Without projection the
+    certificate is full and injective; with projection it is full, or almost
+    with its witness requests listed, and never an obstruction.  Products
+    are not representable in general: a subalgebra of a product of two
+    concrete algebras passes axioms (1)-(13), while (0) may fail."""
+    size, max_sort = data.draw(st.sampled_from(ORACLE_SHAPES))
+    fragment = data.draw(st.sampled_from([f for base in (PQF, QF, PE, FO)
+                                          for f in (base, base.with_equality())]))
+    factors = [concrete(Universe(size), fragment, max_sort)
+               for _ in range(data.draw(st.integers(1, 2)))]
+    parent = factors[0] if len(factors) == 1 else product(factors)
+    generators = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        n = data.draw(st.integers(0, max_sort))
+        generators.append((n, data.draw(st.integers(0, parent.sort_size(n) - 1))))
+    alg = generated_subalgebra(parent, generators)
+    failing = [r.axiom for r in check_fragment(alg, Bounds(max_sort=max_sort)) if not r.ok]
+    if len(factors) == 2:
+        assert failing in ([], [0]), (generators, failing)
+        return
+    assert failing == [], (generators, failing)
+    cert = embed(alg, scope=max_sort)
+    if cert.status == "full":
+        assert cert.injective and cert.verification.ok, generators
+    else:
+        assert fragment.exists and cert.obligations, generators
+
+
+def test_a_subalgebra_of_a_product_can_fail_axiom_zero():
+    """Why the oracle does not expect products to embed: this subalgebra of
+    concrete(W1) x concrete(W2) fails axiom (0), exhaustively, and nothing
+    else, so embed meets the obstruction."""
+    fragment = FO.with_equality()
+    parent = product([concrete(Universe(1), fragment, 1), concrete(W2, fragment, 1)])
+    alg = generated_subalgebra(parent, [(1, 4), (0, 3), (1, 6)])
+    reports = check_fragment(alg, Bounds(max_sort=1))
+    assert [r.axiom for r in reports if not r.ok] == [0]
+    assert reports[0].mode == "exhaustive"
+    assert reports[0].violations[0].params == {"shape": [0, 0]}
+    with pytest.raises(ObstructionError):
+        embed(alg, scope=1)
