@@ -15,10 +15,16 @@ draws span several evaluator batches (10,000 samples per clause) on sorts whose
 sizes are not powers of two: the pe-theory gallery algebra (sorts of 2, 10
 and 706 elements) and the |W|=2 table with a broken sort-1 meet.
 
+A third, axiom_exhaustive_golden.jsonl, pins the pe-theory gallery algebra's
+reports at the default exhaustive cap, where every clause of (2)-(4) and
+(7)-(10), and the small shapes of (0), run exhaustively over its 706-element
+sort 2.
+
 Regenerate (only when a report is meant to change) with:
 
     PYTHONPATH=src python tests/test_axioms_golden.py > tests/axiom_reports_golden.jsonl
     PYTHONPATH=src python tests/test_axioms_golden.py sampled > tests/axiom_sampled_golden.jsonl
+    PYTHONPATH=src python tests/test_axioms_golden.py exhaustive > tests/axiom_exhaustive_golden.jsonl
 """
 
 import json
@@ -38,6 +44,7 @@ from relalg.fragments import FO
 
 GOLDEN = Path(__file__).with_name("axiom_reports_golden.jsonl")
 SAMPLED_GOLDEN = Path(__file__).with_name("axiom_sampled_golden.jsonl")
+EXHAUSTIVE_GOLDEN = Path(__file__).with_name("axiom_exhaustive_golden.jsonl")
 
 # (name, the table row holding the entry, entry index, sort of the entry)
 CORRUPTIONS = [
@@ -59,6 +66,7 @@ BOUNDS = {
     "sampled": Bounds(max_sort=2, exhaustive_cap=64, samples=50, seed=7),
 }
 SAMPLED_BOUNDS = {"sampled 10k": Bounds(max_sort=2, exhaustive_cap=64, samples=10_000, seed=7)}
+EXHAUSTIVE_BOUNDS = {"default cap": Bounds(max_sort=2, samples=10_000, seed=7)}
 
 
 def broken_algebras():
@@ -101,6 +109,11 @@ def sampled_golden_reports() -> list[dict]:
     return golden_reports(sampled_algebras, SAMPLED_BOUNDS)
 
 
+def exhaustive_golden_reports() -> list[dict]:
+    return golden_reports(lambda: [("pe-theory gallery", gallery_pe_theory()[0])],
+                          EXHAUSTIVE_BOUNDS)
+
+
 def assert_matches(golden: Path, actual: list[dict]) -> list[dict]:
     expected = [json.loads(line) for line in golden.read_text().splitlines()]
     assert len(actual) == len(expected)
@@ -121,7 +134,15 @@ def test_sampled_reports_across_batches_match_golden():
         "pe-theory gallery", "|W|=2 meet sort 1"}
 
 
+def test_pe_theory_reports_at_the_default_cap_match_golden():
+    expected = assert_matches(EXHAUSTIVE_GOLDEN, exhaustive_golden_reports())
+    assert [r["axiom"] for r in expected] == [0, 1, 2, 3, 4, 7, 8, 9, 10]
+    assert [r["axiom"] for r in expected if r["mode"] == "exhaustive"] == [2, 3, 4, 7, 8, 9, 10]
+    assert [r["axiom"] for r in expected if r["violations"]] == [0]
+
+
 if __name__ == "__main__":
-    reports = sampled_golden_reports() if sys.argv[1:] == ["sampled"] else golden_reports()
+    kinds = {"sampled": sampled_golden_reports, "exhaustive": exhaustive_golden_reports}
+    reports = kinds[sys.argv[1]]() if sys.argv[1:] else golden_reports()
     for report in reports:
         print(json.dumps(report, sort_keys=True))
