@@ -18,13 +18,15 @@ generated in one, the planes of its parent values; elsewhere one column of
 elements per slot.  Exhaustive batches run in lexicographic row order.
 Concrete sorts have 2**w elements, so plane p of a slot is bit e + p of the
 row index, e the later slots' widths: a fixed pattern below BATCH's bit, the
-batch start's bit above.  Other exhaustive columns are built from per-slot
-patterns and runs of equal values.  A sample is the stream of
-Random(seed).randrange(n), drawn into columns row by row and slot by slot
-through randrange's own getrandbits loop, one generator per check_axiom
-shared by its clauses.  For planes, a column is mapped up to parent values
-if generated and transposed by byte lanes (relations._transpose); only a
-violation's elements are mapped back.  A clause's terms go through
+batch start's bit above.  A generated slot's parent planes are one period
+transposed per clause and sliced by shifts, or ORed from long runs' row
+masks.  Other exhaustive columns are built from per-slot patterns and runs of
+equal values.  A sample is the stream of Random(seed).randrange(n), drawn
+into columns row by row and slot by slot through randrange's own getrandbits
+loop, one generator per check_axiom shared by its clauses.  For planes, any
+other column is mapped up to parent values if generated and transposed by
+byte lanes (relations._transpose); only a violation's elements are mapped
+back.  A clause's terms go through
 formulas.term_value, the one term evaluator, which eval_term also runs on
 structures: batched slot values through the batch's representation, slot-free
 terms through the algebra's scalar operations.  An equation's failing rows
@@ -54,6 +56,7 @@ from .relations import (
     Substitution,
     Universe,
     _flags,
+    _transpose,
     all_substitutions,
     assoc_cylindrification,
     compose,
@@ -65,7 +68,7 @@ from .relations import (
 BATCH = 4096
 # An exhaustive slot column whose runs of equal values are at most SHORT_RUN
 # long and which repeats within PATTERN rows is sliced from a list built once
-# per clause; longer runs are cheaper to join.
+# per clause; longer runs are cheaper to join, or to OR in as row masks.
 SHORT_RUN = 64
 PATTERN = 1 << 18
 # _ROW_BITS[b] has bit r set where r has bit b, for the rows r of a batch:
@@ -244,15 +247,22 @@ def _exhaustive_batches(sizes: list[int]) -> Iterator[tuple[list[list[int]], int
                 col += pattern[:stop - start - len(col)]
             else:
                 col = []
-                i = start
-                while i < stop:
-                    v, off = divmod(i, stride)
-                    v %= n
-                    run = min(n - v if stride == 1 else stride - off, stop - i)
+                for _, v, run in _runs(n, stride, start, stop):
                     col += range(v, v + run) if stride == 1 else [v] * run
-                    i += run
             columns.append(col)
         yield columns, stop - start
+
+
+def _runs(n: int, stride: int, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
+    """(row, value, length) of each run of rows start..stop in a slot of n
+    elements: equal values, or consecutive ones from value where stride is 1."""
+    i = start
+    while i < stop:
+        v, off = divmod(i, stride)
+        v %= n
+        run = min(n - v if stride == 1 else stride - off, stop - i)
+        yield i, v, run
+        i += run
 
 
 def _sampled_batches(sizes: list[int], count: int,
@@ -292,12 +302,18 @@ def _exhaustive(algebra: FiniteAlgebra, sorts: list[int],
                 sizes: list[int]) -> Iterator[tuple[Values, list]]:
     """Every slot tuple, in lexicographic order, as (values, slot values)
     batches: planes straight from the row index on a concrete algebra, whose
-    sorts have 2**width elements, the columns of _exhaustive_batches
+    sorts have 2**width elements; parent planes built per clause or from runs
+    on a subalgebra generated in one; the columns of _exhaustive_batches
     elsewhere."""
     if isinstance(algebra, ConcreteAlgebra):
         widths = [n.bit_length() - 1 for n in sizes]
         for planes, size in _row_planes(widths):
             yield Planes(algebra, size), planes
+    elif isinstance(algebra, GeneratedSubalgebra) and isinstance(algebra.parent, ConcreteAlgebra):
+        ups = [algebra._to_parent[s] for s in sorts]
+        widths = [algebra.parent.width(s) for s in sorts]
+        for planes, size in _parent_row_planes(ups, widths, sizes):
+            yield ParentPlanes(algebra, size), planes
     else:
         yield from _from_columns(algebra, sorts, _exhaustive_batches(sizes))
 
@@ -330,6 +346,50 @@ def _row_planes(widths: list[int]) -> Iterator[tuple[list[list[int]], int]]:
             low -= w
             planes.append(bits[low:low + w])
         yield planes, size
+
+
+def _parent_row_planes(ups: list[list[int]], widths: list[int], sizes: list[int]
+                       ) -> Iterator[tuple[list[list[int]], int]]:
+    """Every slot tuple, in lexicographic order, as (planes per slot, size)
+    batches of parent values: row i holds ups[j][(i // stride) % n] in slot j,
+    widths[j] bits wide.  A slot that repeats within PATTERN rows transposes
+    one period once, doubled until each batch is a shifted slice of it; one
+    with runs of SHORT_RUN rows or more ORs each run's row mask into its
+    value's planes; any other is mapped up and transposed batch by batch."""
+    total = prod(sizes)
+    slots = []
+    for j, (up, w, n) in enumerate(zip(ups, widths, sizes)):
+        stride = prod(sizes[j + 1:])
+        period, repeated = n * stride, None
+        if period <= PATTERN:
+            col = up if stride == 1 else list(chain.from_iterable([u] * stride for u in up))
+            repeated = _transpose(col, w)
+            need, reach = min(total, period + BATCH - 1), period
+            while reach < need:
+                repeated = [p | p << reach for p in repeated]
+                reach *= 2
+        slots.append((up, w, n, stride, period, repeated))
+    for start in range(0, total, BATCH):
+        stop = min(start + BATCH, total)
+        rows = (1 << stop - start) - 1
+        batch = []
+        for up, w, n, stride, period, repeated in slots:
+            if repeated is not None:
+                off = start % period
+                planes = [p >> off & rows for p in repeated]
+            elif stride >= SHORT_RUN:
+                planes = [0] * w
+                for i, v, run in _runs(n, stride, start, stop):
+                    mask = ((1 << run) - 1) << i - start
+                    for p in compress(count(), _flags(up[v])):
+                        planes[p] |= mask
+            else:
+                col = []
+                for _, v, run in _runs(n, stride, start, stop):
+                    col += up[v:v + run] if stride == 1 else [up[v]] * run
+                planes = _transpose(col, w)
+            batch.append(planes)
+        yield batch, stop - start
 
 
 def _failures(values: Values, clause: Clause, slot_values: list[list[int]],

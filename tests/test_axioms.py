@@ -1,5 +1,6 @@
 import json
 from itertools import islice, product as iproduct
+from math import prod
 from random import Random
 
 import pytest
@@ -23,7 +24,8 @@ from relalg import (
     product,
     replay_instance,
 )
-from relalg.axioms import BATCH, _exhaustive_batches, _row_planes, _sampled_batches
+from relalg.axioms import (BATCH, PATTERN, SHORT_RUN, _exhaustive_batches, _parent_row_planes,
+                           _row_planes, _sampled_batches)
 from relalg.fragments import FO, PE, PQF, QF, parse_fragment
 from relalg.relations import _transpose
 
@@ -271,6 +273,39 @@ def test_row_planes_are_the_transposed_exhaustive_columns(sizes):
     for columns, size in _exhaustive_batches(sizes):
         assert next(got) == ([_transpose(col, w) for col, w in zip(columns, widths)], size)
     assert next(got, None) is None
+
+
+# (sizes, widths): periods within PATTERN, some sliced past their first copy
+# (2049, 5000), runs of SHORT_RUN or more rows (706, 706), short runs of a
+# period beyond PATTERN (270000 at stride 1, 5000 at stride 60); partial last
+# batches, runs across batch boundaries, size-1 slots and width-0 sorts.
+PARENT_CASES = [([], []), ([1], [0]), ([3], [2]), ([5, 2049], [3, 12]), ([3, 5000], [2, 13]),
+                ([5, 7, 11, 13], [3, 18, 4, 70]), ([2, 10, 2, 10], [2, 6, 2, 6]),
+                ([706, 706], [18, 18]), ([706, 1, 706], [18, 0, 18]), ([270000], [20]),
+                ([5000, 60], [13, 6])]
+
+
+@pytest.mark.parametrize("sizes, widths", PARENT_CASES)
+def test_parent_row_planes_are_the_transposed_mapped_up_columns(sizes, widths):
+    """Planes of parent values built once per clause or from runs are, batch
+    by batch, the exhaustive columns mapped up and transposed."""
+    rng = Random(len(sizes) * 1009 + sum(sizes))
+    ups = [[rng.getrandbits(w) for _ in range(n)] for n, w in zip(sizes, widths)]
+    got = _parent_row_planes(ups, widths, sizes)
+    for columns, size in _exhaustive_batches(sizes):
+        want = [_transpose([up[v] for v in col], w) for up, col, w in zip(ups, columns, widths)]
+        assert next(got) == (want, size)
+    assert next(got, None) is None
+
+
+def test_parent_cases_reach_every_branch():
+    """Some slot of the cases above repeats within PATTERN, one has long runs
+    and a period beyond it, and one has short runs and a period beyond it,
+    at stride 1 and above."""
+    slots = [(n, prod(sizes[j + 1:])) for sizes, _ in PARENT_CASES for j, n in enumerate(sizes)]
+    assert any(n * stride <= PATTERN for n, stride in slots)
+    assert any(n * stride > PATTERN and stride >= SHORT_RUN for n, stride in slots)
+    assert {stride for n, stride in slots if n * stride > PATTERN and stride < SHORT_RUN} == {1, 60}
 
 
 def _same_reports(algebra, axiom, bounds):

@@ -141,6 +141,23 @@ def test_axioms_check_concrete_two_exhaustive_to_sort_three():
     assert [e["instances"] for e in lines[:2]] == [3_865_061, 16_781_384]
 
 
+def test_axioms_check_pe_theory_exhaustive_to_sort_two():
+    """On the pe-theory gallery algebra (sorts of 2, 10 and 706 elements),
+    axiom (0) fails over all of its 28.5 million instances; (1), with 706**3
+    tuples at sort 2, stays sampled, and the rest hold exhaustively."""
+    code, text = run_cli("axioms", "check", "--algebra", "builtin:pe-theory",
+                         "--fragment", "pe", "--max-sort", "2", "--samples", "10000",
+                         "--exhaustive-cap", "100000000", "--format", "jsonl")
+    assert code == 1
+    lines = [json.loads(line) for line in text.strip().splitlines()]
+    assert [(e["axiom"], e["ok"], e["mode"]) for e in lines] == [
+        (0, False, "exhaustive"), (1, True, "sampled(seed=0,count=10000)")] + [
+        (ax, True, "exhaustive") for ax in (2, 3, 4, 7, 8, 9, 10)]
+    assert lines[0]["instances"] == 28_546_637
+    first = lines[0]["violations"][0]
+    assert (first["params"], first["elements"]) == ({"shape": [1, 1]}, [2, 3, 1, 1])
+
+
 def test_axioms_check_reports_reproduce_byte_for_byte():
     args = ("--seed", "123", "axioms", "check", "--algebra", "builtin:concrete:2",
             "--fragment", "pqf", "--max-sort", "2", "--exhaustive-cap", "100",
