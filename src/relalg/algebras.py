@@ -405,9 +405,10 @@ class GeneratedSubalgebra(FiniteAlgebra):
     term grammar over the generator names.  The closure is batched row by row:
     a dequeued element meets and joins a snapshot of its sort in one
     meet_all and one join_all call, adding new values in snapshot order, meet
-    before join.  In a concrete parent, axioms.py evaluates clauses on the
-    parent's planes (formulas.ParentPlanes) and maps only violations back;
-    meet_all and join_all here serve filters.py and as_table_algebra."""
+    before join.  In a concrete parent, axioms.py runs clauses in the parent,
+    on the images of the elements (_to_parent), and maps only violations back
+    through _wrap; meet_all and join_all here serve filters.py and
+    as_table_algebra."""
 
     def __init__(self, parent: FiniteAlgebra, generators: Sequence[tuple[int, int]],
                  names: Sequence[str] | None = None):

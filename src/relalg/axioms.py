@@ -11,30 +11,28 @@ operation sequence (folds start from 1 or 0; a <= b is meet(a, b) = a),
 since on tables that break the laws equivalent terms can disagree.
 
 A clause runs over batches of slot tuples: all of them when the space fits
-the exhaustive cap, else a seeded uniform sample.  On a concrete algebra (a
-concrete() or a product()) a batch holds each slot as bit planes, plane p
-being the int whose bit r is bit p of row r's element; on a subalgebra
-generated in one, the planes of its parent values; elsewhere one column of
-elements per slot.  Exhaustive batches run in lexicographic row order.
-Concrete sorts have 2**w elements, so plane p of a slot is bit e + p of the
-row index, e the later slots' widths: a fixed pattern below BATCH's bit, the
-batch start's bit above.  A generated slot's parent planes are one period
-transposed per clause and sliced by shifts, or ORed from long runs' row
-masks.  Other exhaustive columns are built from per-slot patterns and runs of
+the exhaustive cap, else a seeded uniform sample.  A subalgebra generated in
+a concrete algebra (a concrete() or a product()) runs its clauses in that
+parent, on its elements' images; any other algebra in itself (_host).  In a
+concrete host a batch holds each slot as bit planes, plane p being the int
+whose bit r is bit p of row r's element; elsewhere one column of elements
+per slot.  Exhaustive batches run in lexicographic row order.  A concrete
+sort has 2**w elements, so plane p of a slot is bit e + p of the row index,
+e the later slots' widths; a mapped-up slot's planes are built per clause
+where they repeat or run long; exhaustive columns are joined from runs of
 equal values.  A sample is the stream of Random(seed).randrange(n), drawn
 into columns row by row and slot by slot through randrange's own getrandbits
-loop, one generator per check_axiom shared by its clauses.  For planes, any
-other column is mapped up to parent values if generated and transposed by
-byte lanes (relations._transpose); only a violation's elements are mapped
-back.  A clause's terms go through
-formulas.term_value, the one term evaluator, which eval_term also runs on
-structures: batched slot values through the batch's representation, slot-free
-terms through the algebra's scalar operations.  An equation's failing rows
-are a row mask, and so is a premise.  A violation's params and slot values
-replay it bit-exactly through replay_instance, a batch of one, which refuses
-values that do not fit the clause's slots.  Applicability: (0)-(4)
-everywhere; (5)-(6) need negation, (7)-(10) projection, (11)-(13) equality
-constants.
+loop, one generator per check_axiom shared by its clauses.  Other columns
+are mapped up to the host and, for planes, transposed by byte lanes
+(relations._transpose); only a violation's elements are mapped back, through
+the closure check.  A clause's terms go through formulas.term_value, the
+one term evaluator, which eval_term also runs on structures: batched slot
+values through the batch's representation, slot-free terms through the
+host's scalar operations.  An equation's failing rows are a row mask, and so
+is a premise.  A violation's params and slot values replay it bit-exactly
+through replay_instance, a batch of one, which refuses values that do not
+fit the clause's slots.  Applicability: (0)-(4) everywhere; (5)-(6) need
+negation, (7)-(10) projection, (11)-(13) equality constants.
 """
 
 from __future__ import annotations
@@ -44,13 +42,13 @@ from functools import reduce
 from itertools import chain, compress, count, product as iproduct
 from math import prod
 from random import Random
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .algebras import (ConcreteAlgebra, FiniteAlgebra, GeneratedSubalgebra, concrete,
                        generated_subalgebra, product)
 from .errors import FragmentError, PreconditionError
-from .formulas import (And, Bot, Columns, Delta, Exists, Not, Or, ParentPlanes, Planes, Sub,
-                       Sym, Term, Top, Values, term_value)
+from .formulas import (And, Bot, Columns, Delta, Exists, Not, Or, Planes, Sub, Sym, Term, Top,
+                       Values, _lookup, term_value)
 from .fragments import Fragment, PE, QF
 from .relations import (
     Substitution,
@@ -66,9 +64,9 @@ from .relations import (
 # Slot tuples per evaluator batch: large enough to amortize the per-term
 # work, small enough that no exhaustive space is ever materialized whole.
 BATCH = 4096
-# An exhaustive slot column whose runs of equal values are at most SHORT_RUN
-# long and which repeats within PATTERN rows is sliced from a list built once
-# per clause; longer runs are cheaper to join, or to OR in as row masks.
+# A mapped-up exhaustive slot that repeats within PATTERN rows has its planes
+# built once per clause and sliced; one whose runs of equal values are at
+# least SHORT_RUN rows long ORs each run in as a row mask instead.
 SHORT_RUN = 64
 PATTERN = 1 << 18
 # _ROW_BITS[b] has bit r set where r has bit b, for the rows r of a batch:
@@ -151,6 +149,7 @@ def applicable_axioms(fragment: Fragment) -> list[int]:
 
 def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckReport:
     _require_applicable(algebra, axiom)
+    host, to_parent = _host(algebra)
     rng = Random(bounds.seed)
     violations: list[SchemaInstance] = []
     params = instances = 0
@@ -160,10 +159,11 @@ def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckRepo
         sorts = [slot.sort for slot in clause.slots]
         sizes = [algebra.sort_size(s) for s in sorts]
         if prod(sizes) <= bounds.exhaustive_cap:
-            batches = _exhaustive(algebra, sorts, sizes)
+            batches = _exhaustive(host, to_parent, sorts, sizes)
         else:
             sampled = True
-            batches = _from_columns(algebra, sorts, _sampled_batches(sizes, bounds.samples, rng))
+            batches = _from_columns(host, to_parent, sorts,
+                                    _sampled_batches(sizes, bounds.samples, rng))
         consts: dict = {}
         for values, slot_values in batches:
             instances += values.size
@@ -171,6 +171,8 @@ def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckRepo
                 if len(violations) >= bounds.violation_cap:
                     break
                 elems = tuple(values.element(s, v, row) for s, v in zip(sorts, slot_values))
+                if to_parent is not None:
+                    elems = tuple(map(algebra._wrap, sorts, elems))
                 shown = ", ".join(algebra.element_label(s, v) for s, v in zip(sorts, elems))
                 if shown:
                     detail = f"{detail}; elements: [{shown}]" if detail else f"elements: [{shown}]"
@@ -204,8 +206,9 @@ def replay_instance(algebra: FiniteAlgebra, instance: SchemaInstance, bounds: Bo
                     shown = f"a {v.bit_length()}-bit int" if wide else repr(v)
                     raise PreconditionError(f"slot {i} holds an element of sort {slot.sort}, "
                                             f"an index below {size}, got {shown}")
-            values = _values(algebra, 1)
-            slot_values = [values.column(slot.sort, [v]) for slot, v in zip(clause.slots, given)]
+            sorts = [slot.sort for slot in clause.slots]
+            batch = [[v] for v in given], 1
+            (values, slot_values), = _from_columns(*_host(algebra), sorts, [batch])
             return bool(_failures(values, clause, slot_values, {}))
     return False
 
@@ -223,32 +226,17 @@ def _exhaustive_batches(sizes: list[int]) -> Iterator[tuple[list[list[int]], int
     """Every slot tuple, in lexicographic order, as (columns, size) batches.
     Row i holds (i // stride) % n in a slot of n elements, stride being the
     product of the later slots' sizes: runs of stride equal values, repeating
-    with period n * stride.  Where runs are short and the period is at most
-    PATTERN rows, the period is built once, as a pattern at least a batch
-    long, and each batch slices it cyclically.  Any other slot is joined from
-    its runs: [v] * run, or consecutive values where the stride is 1."""
+    with period n * stride.  Each column is joined from its runs: [v] * run,
+    or consecutive values where the stride is 1."""
     total = prod(sizes)
-    slots = []
-    for j, n in enumerate(sizes):
-        stride = prod(sizes[j + 1:])
-        pattern = None
-        if stride <= SHORT_RUN and n * stride <= PATTERN:
-            pattern = (list(range(n)) if stride == 1
-                       else list(chain.from_iterable([v] * stride for v in range(n))))
-            pattern *= -(-min(total, BATCH) // len(pattern))
-        slots.append((n, stride, pattern))
     for start in range(0, total, BATCH):
         stop = min(start + BATCH, total)
-        columns = []
-        for n, stride, pattern in slots:
-            if pattern is not None:
-                off = start % len(pattern)
-                col = pattern[off:off + stop - start]
-                col += pattern[:stop - start - len(col)]
-            else:
-                col = []
-                for _, v, run in _runs(n, stride, start, stop):
-                    col += range(v, v + run) if stride == 1 else [v] * run
+        columns, stride = [], total
+        for n in sizes:
+            stride //= n
+            col = []
+            for _, v, run in _runs(n, stride, start, stop):
+                col += range(v, v + run) if stride == 1 else [v] * run
             columns.append(col)
         yield columns, stop - start
 
@@ -287,81 +275,65 @@ def _sampled_batches(sizes: list[int], count: int,
         yield [flat[j::width] for j in range(width)], size
 
 
-def _values(algebra: FiniteAlgebra, size: int) -> Values:
-    """How a batch of size rows holds its values: bit planes on a concrete
-    algebra, its parent's planes on a subalgebra generated in one, columns
-    elsewhere."""
-    if isinstance(algebra, ConcreteAlgebra):
-        return Planes(algebra, size)
+def _host(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, list[list[int]] | None]:
+    """Where algebra's clauses run, and each sort's map of local indices up to
+    it: a subalgebra generated in a concrete algebra runs in its parent, on
+    its elements' images (so the same rows fail); any other in itself."""
     if isinstance(algebra, GeneratedSubalgebra) and isinstance(algebra.parent, ConcreteAlgebra):
-        return ParentPlanes(algebra, size)
-    return Columns(algebra, size)
+        return algebra.parent, algebra._to_parent
+    return algebra, None
 
 
-def _exhaustive(algebra: FiniteAlgebra, sorts: list[int],
+def _values(host: FiniteAlgebra, size: int) -> Values:
+    """How a batch of size rows holds its values: bit planes in a concrete
+    host, columns elsewhere."""
+    return Planes(host, size) if isinstance(host, ConcreteAlgebra) else Columns(host, size)
+
+
+def _exhaustive(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: list[int],
                 sizes: list[int]) -> Iterator[tuple[Values, list]]:
     """Every slot tuple, in lexicographic order, as (values, slot values)
-    batches: planes straight from the row index on a concrete algebra, whose
-    sorts have 2**width elements; parent planes built per clause or from runs
-    on a subalgebra generated in one; the columns of _exhaustive_batches
-    elsewhere."""
-    if isinstance(algebra, ConcreteAlgebra):
-        widths = [n.bit_length() - 1 for n in sizes]
-        for planes, size in _row_planes(widths):
-            yield Planes(algebra, size), planes
-    elif isinstance(algebra, GeneratedSubalgebra) and isinstance(algebra.parent, ConcreteAlgebra):
-        ups = [algebra._to_parent[s] for s in sorts]
-        widths = [algebra.parent.width(s) for s in sorts]
-        for planes, size in _parent_row_planes(ups, widths, sizes):
-            yield ParentPlanes(algebra, size), planes
+    batches: the planes of _row_planes in a concrete host, the columns of
+    _exhaustive_batches elsewhere."""
+    if isinstance(host, ConcreteAlgebra):
+        ups = None if to_parent is None else [to_parent[s] for s in sorts]
+        widths = [n.bit_length() - 1 for n in sizes] if ups is None else [*map(host.width, sorts)]
+        for planes, size in _row_planes(ups, widths, sizes):
+            yield Planes(host, size), planes
     else:
-        yield from _from_columns(algebra, sorts, _exhaustive_batches(sizes))
+        yield from _from_columns(host, to_parent, sorts, _exhaustive_batches(sizes))
 
 
-def _from_columns(algebra: FiniteAlgebra, sorts: list[int], batches: Iterator[tuple[list, int]]
-                  ) -> Iterator[tuple[Values, list]]:
+def _from_columns(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: list[int],
+                  batches: Iterable[tuple[list, int]]) -> Iterator[tuple[Values, list]]:
     """(columns, size) batches of slot elements as (values, slot values)
-    batches: each column in the representation _values picks, transposed to
-    planes where it picks planes."""
+    batches: each column mapped up by to_parent if given, then held as
+    _values picks for the host, transposed where it picks planes."""
     for columns, size in batches:
-        values = _values(algebra, size)
+        values = _values(host, size)
+        if to_parent is not None:
+            columns = [_lookup(to_parent[s], col) for s, col in zip(sorts, columns)]
         yield values, [values.column(s, col) for s, col in zip(sorts, columns)]
 
 
-def _row_planes(widths: list[int]) -> Iterator[tuple[list[list[int]], int]]:
-    """Every slot tuple over sorts of 2**w elements, in lexicographic order,
-    as (planes per slot, size) batches.  Row i holds i >> e & (2**w - 1) in a
-    slot, e being the sum of the later slots' widths, so plane p of the slot
-    is bit e + p of the row index.  Batches start at multiples of BATCH, a
-    power of two: below its bit the row bit follows the fixed pattern
-    _ROW_BITS, above it is the start's bit, set on every row or on none."""
-    total = sum(widths)
-    for start in range(0, 1 << total, BATCH):
-        size = min(BATCH, (1 << total) - start)
-        rows = (1 << size) - 1
-        bits = [_ROW_BITS[b] & rows if b < len(_ROW_BITS) else rows if start >> b & 1 else 0
-                for b in range(total)]
-        planes, low = [], total
-        for w in widths:
-            low -= w
-            planes.append(bits[low:low + w])
-        yield planes, size
-
-
-def _parent_row_planes(ups: list[list[int]], widths: list[int], sizes: list[int]
-                       ) -> Iterator[tuple[list[list[int]], int]]:
+def _row_planes(ups: list[list[int]] | None, widths: list[int], sizes: list[int]
+                ) -> Iterator[tuple[list[list[int]], int]]:
     """Every slot tuple, in lexicographic order, as (planes per slot, size)
-    batches of parent values: row i holds ups[j][(i // stride) % n] in slot j,
-    widths[j] bits wide.  A slot that repeats within PATTERN rows transposes
-    one period once, doubled until each batch is a shifted slice of it; one
-    with runs of SHORT_RUN rows or more ORs each run's row mask into its
-    value's planes; any other is mapped up and transposed batch by batch."""
+    batches: slot j of row i holds v = (i // stride) % n, n = sizes[j] and
+    stride the later sizes' product, as widths[j] planes of v, or of
+    ups[j][v] given ups.  Without ups, n = 2**w and stride = 2**e: the slot
+    is bits e..e+w of the row index, the pattern _ROW_BITS below BATCH's bit
+    and the batch start's bit above.  A mapped-up slot that repeats within
+    PATTERN rows transposes one period once, doubled until each batch is a
+    shifted slice of it; one with runs of SHORT_RUN rows or more ORs each
+    run's row mask into its value's planes; any other is mapped up and
+    transposed batch by batch."""
     total = prod(sizes)
-    slots = []
-    for j, (up, w, n) in enumerate(zip(ups, widths, sizes)):
-        stride = prod(sizes[j + 1:])
+    slots, stride = [], total
+    for up, w, n in zip(ups or [None] * len(sizes), widths, sizes):
+        stride //= n
         period, repeated = n * stride, None
-        if period <= PATTERN:
+        if up is not None and period <= PATTERN:
             col = up if stride == 1 else list(chain.from_iterable([u] * stride for u in up))
             repeated = _transpose(col, w)
             need, reach = min(total, period + BATCH - 1), period
@@ -374,7 +346,11 @@ def _parent_row_planes(ups: list[list[int]], widths: list[int], sizes: list[int]
         rows = (1 << stop - start) - 1
         batch = []
         for up, w, n, stride, period, repeated in slots:
-            if repeated is not None:
+            if up is None:
+                e = stride.bit_length() - 1
+                planes = [_ROW_BITS[b] & rows if b < len(_ROW_BITS) else
+                          rows if start >> b & 1 else 0 for b in range(e, e + w)]
+            elif repeated is not None:
                 off = start % period
                 planes = [p >> off & rows for p in repeated]
             elif stride >= SHORT_RUN:

@@ -273,14 +273,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
                 "embed": _cmd_embed, "gallery": _cmd_gallery}
     try:
         return handlers[args.command](args, out)
-    except OSError as exc:
+    except (OSError, RelAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RelAlgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input nested too deeply to parse or evaluate", file=sys.stderr)
+    except (RecursionError, MemoryError, OverflowError) as exc:
+        what = "nested too deeply" if isinstance(exc, RecursionError) else "too large"
+        print(f"error: input {what} to parse or evaluate", file=sys.stderr)
         return 2
 
 

@@ -8,8 +8,8 @@ say how batched values are held and operated on: Columns, one element per
 row through the algebra's tables, fit any algebra; Planes, one int per bit of
 a concrete algebra's elements with bit r for row r, turn substitution into a
 reordering of planes, projection into ORs of plane groups and meet, join and
-negation into bitwise operations, and never tabulate a sort; ParentPlanes
-hold a subalgebra generated in a concrete algebra as its parent's planes.  A
+negation into bitwise operations, and never tabulate a sort; axioms.py runs
+a subalgebra generated in a concrete algebra on its parent's planes.  A
 structure over W assigns its symbols elements of the algebra of all
 relations over W, and eval_term is term_value there.  eval_fo_naive
 enumerates tuples and witnesses instead: it is the oracle the compiled
@@ -47,7 +47,7 @@ from functools import reduce
 from operator import and_, ne, or_, xor
 from random import Random
 
-from .algebras import ConcreteAlgebra, FiniteAlgebra, GeneratedSubalgebra
+from .algebras import ConcreteAlgebra, FiniteAlgebra
 from .errors import ArityError, FormatError, FragmentError, UniverseMismatchError
 from .fragments import FO, Fragment
 from .relations import Relation, Substitution, Universe, _bitmask, _transpose
@@ -616,6 +616,8 @@ class Structure:
                 rels[name] = Relation.from_tuples(universe, arity, tuples)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad structure file: {exc!r}") from exc
+        except (MemoryError, OverflowError) as exc:
+            raise FormatError("bad structure file: a relation too large to represent") from exc
         return cls(universe, rels)
 
     def to_json(self) -> str:
@@ -760,8 +762,7 @@ class Planes(Values):
     width(n) ints, plane p holding bit p of every row's element, bit r for
     row r.  Substitution reorders planes, projection ORs groups of them (the
     algebra's plane index lists), negation flips them against the row mask,
-    meet and join combine them pairwise; no sort is ever tabulated.
-    ParentPlanes extend them to subalgebras generated in a concrete algebra."""
+    meet and join combine them pairwise; no sort is ever tabulated."""
 
     alg: ConcreteAlgebra
 
@@ -794,23 +795,6 @@ class Planes(Values):
 
     def differ(self, x: list[int], y: list[int]) -> int:
         return reduce(or_, map(xor, x, y), 0)
-
-
-class ParentPlanes(Planes):
-    """A subalgebra generated in a concrete algebra as planes of parent
-    values, alg being the parent: local indices map up, a bijection onto the
-    closure, so the same rows fail; a row's element maps back down through
-    the closure check."""
-
-    def __init__(self, sub: GeneratedSubalgebra, size: int):
-        super().__init__(sub.parent, size)
-        self.sub = sub
-
-    def column(self, n: int, column: list[int]) -> list[int]:
-        return super().column(n, _lookup(self.sub._to_parent[n], column))
-
-    def element(self, n: int, v: list[int], row: int) -> int:
-        return self.sub._wrap(n, super().element(n, v, row))
 
 
 def _lookup(table: list[int], column: list[int]) -> list[int]:

@@ -24,8 +24,8 @@ from relalg import (
     product,
     replay_instance,
 )
-from relalg.axioms import (BATCH, PATTERN, SHORT_RUN, _exhaustive_batches, _parent_row_planes,
-                           _row_planes, _sampled_batches)
+from relalg.axioms import (BATCH, PATTERN, SHORT_RUN, _exhaustive_batches, _row_planes,
+                           _sampled_batches)
 from relalg.fragments import FO, PE, PQF, QF, parse_fragment
 from relalg.relations import _transpose
 
@@ -269,7 +269,7 @@ def test_row_planes_are_the_transposed_exhaustive_columns(sizes):
     transposed exhaustive columns."""
     sizes = [1 << (n - 1).bit_length() for n in sizes]
     widths = [n.bit_length() - 1 for n in sizes]
-    got = _row_planes(widths)
+    got = _row_planes(None, widths, sizes)
     for columns, size in _exhaustive_batches(sizes):
         assert next(got) == ([_transpose(col, w) for col, w in zip(columns, widths)], size)
     assert next(got, None) is None
@@ -291,7 +291,7 @@ def test_parent_row_planes_are_the_transposed_mapped_up_columns(sizes, widths):
     by batch, the exhaustive columns mapped up and transposed."""
     rng = Random(len(sizes) * 1009 + sum(sizes))
     ups = [[rng.getrandbits(w) for _ in range(n)] for n, w in zip(sizes, widths)]
-    got = _parent_row_planes(ups, widths, sizes)
+    got = _row_planes(ups, widths, sizes)
     for columns, size in _exhaustive_batches(sizes):
         want = [_transpose([up[v] for v in col], w) for up, col, w in zip(ups, columns, widths)]
         assert next(got) == (want, size)
@@ -356,14 +356,18 @@ def test_planes_and_columns_give_the_same_reports(data):
 @given(st.data())
 def test_parent_planes_and_columns_give_the_same_reports(data):
     """A subalgebra generated by one to three elements of a concrete algebra
-    or product runs on the parent's planes and reports as its tables do.
-    Axiom (0), the one such a subalgebra can fail, is drawn half the time."""
+    or product runs on the parent's planes and reports as its tables do, and
+    its full reports, details included, are those of the same subalgebra
+    generated in the parent's tables, which runs on its own columns.  Axiom
+    (0), the one such a subalgebra can fail, is drawn half the time."""
     axiom = data.draw(st.one_of(st.just(0), st.integers(1, 13)))
     parent, bounds = _draw_concrete(data, axiom)
     rng = data.draw(st.randoms(use_true_random=False))
     sorts = [rng.randint(0, parent.max_sort) for _ in range(rng.randint(1, 3))]
     generators = [(n, rng.randrange(parent.sort_size(n))) for n in sorts]
-    _same_reports(generated_subalgebra(parent, generators), axiom, bounds)
+    planes = _same_reports(generated_subalgebra(parent, generators), axiom, bounds)
+    in_tables = generated_subalgebra(as_table_algebra(parent), generators)
+    assert check_axiom(in_tables, axiom, bounds) == planes
 
 
 @pytest.mark.parametrize("cap", [0, 10**6])

@@ -95,12 +95,19 @@ def test_eval_missing_structure_exits_2(tmp_path):
     # tuple elements are JSON integers: true is not element 1, nor 1.0
     bool_element = {"universe": 2, "relations": {"R": {"arity": 1, "tuples": [[True]]}}}
     float_element = {"universe": 2, "relations": {"R": {"arity": 1, "tuples": [[1.0]]}}}
+    # relations of 2**64 and 2**100 tuples: Python refuses these widths at
+    # once (MemoryError, OverflowError), without allocating
+    huge_arities = [{"universe": 2, "relations": {"R": {"arity": a, "tuples": []}}}
+                    for a in (64, 100)]
     for data in (no_arity, outside, fractional_universe, fractional_arity,
-                 bool_element, float_element):
+                 bool_element, float_element, *huge_arities):
         path = tmp_path / "structure.json"
         path.write_text(json.dumps(data))
         code, _ = run_cli("eval", "--structure", str(path), "[x] true")
         assert code == 2, data
+    # the relation is refused as the file loads, before any evaluator runs
+    code, _ = run_cli("eval", "--structure", str(path), "--mode", "naive", "[x] true")
+    assert code == 2
 
 
 def test_axioms_check_concrete_passes():
@@ -298,6 +305,13 @@ def test_eval_deeply_nested_input_from_a_file(tmp_path, capsys):
     code, _ = run_cli("eval", "--structure", str(structure), "--formula-file", str(path))
     assert code == 2
     assert capsys.readouterr().err.startswith("error: input nested too deeply")
+    # sorts of 2**64 and 2**100 bits over 2 points, refused at once
+    for text in ("top 64", "top 100"):
+        path.write_text(text)
+        code, out = run_cli("eval", "--structure", str(structure), "--syntax", "term",
+                            "--mode", "compiled", "--formula-file", str(path))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: input too large to parse or evaluate\n"
 
 
 @pytest.mark.parametrize("argv", [
