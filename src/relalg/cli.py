@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .algebras import FiniteAlgebra, TableAlgebra, concrete
+from .algebras import FiniteAlgebra, TableAlgebra, _power_at_least, concrete
 from .axioms import (
     Bounds,
     CheckReport,
@@ -24,7 +24,7 @@ from .axioms import (
     gallery_diamond,
     gallery_pe_theory,
 )
-from .errors import ObstructionError, RelAlgError
+from .errors import ElementCapExceededError, ObstructionError, RelAlgError
 from .filters import prime_filters, sort_lattice
 from .formulas import (
     Structure,
@@ -114,6 +114,10 @@ def _cmd_eval(args: argparse.Namespace, out) -> int:
         print(relation_literal(eval_term(term, structure)), file=out)
         return 0
     formula = parse_fo(text, signature)
+    size, k, cap = structure.universe.size, len(formula.context), args.element_cap
+    if args.mode != "compiled" and _power_at_least(size, k, max(cap, 0) + 1):
+        raise ElementCapExceededError(f"naive evaluation enumerates {size}**{k} context "
+                                      f"tuples, cap is {cap}")
     compiled = naive = None
     if args.mode in ("compiled", "both"):
         compiled = eval_term(compile_fo(formula), structure)

@@ -8,6 +8,10 @@ on this encoding, so it must not change.
 Substitutions are index maps alpha: {1..n} -> {1..k}; they act on k-tuples
 by selection and on n-ary relations by inverse image, landing in arity k.
 All surface syntax uses 1-based indices; conversion to 0-based is internal.
+
+No kernel walks the tuples one by one: an index map is a mixed-radix sum,
+substitution gathers _flags byte lanes through it, projection ORs |W|
+strided slices of the binary digits, and a diagonal is built by repetition.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import compress, count, product as iproduct
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ArityError, FormatError, UniverseMismatchError
@@ -142,13 +146,9 @@ class Relation:
         return bool(self.bits >> tuple_index(self.universe.size, tup) & 1)
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
-        size, arity, bits = self.universe.size, self.arity, self.bits
-        idx = 0
-        while bits:
-            if bits & 1:
-                yield index_tuple(size, arity, idx)
-            bits >>= 1
-            idx += 1
+        size, arity = self.universe.size, self.arity
+        for idx in compress(count(), _flags(self.bits)):
+            yield index_tuple(size, arity, idx)
 
     def __and__(self, other: "Relation") -> "Relation":
         return meet(self, other)
@@ -199,20 +199,26 @@ def leq(r: Relation, s: Relation) -> bool:
 
 @lru_cache(maxsize=None)
 def _index_map(alpha: Substitution, size: int) -> tuple[int, ...]:
-    """For each target tuple index (arity cod) the source index (arity dom)."""
-    out = []
-    for ti in range(size ** alpha.cod):
-        x = index_tuple(size, alpha.cod, ti)
-        out.append(tuple_index(size, tuple(x[i - 1] for i in alpha.map)))
+    """For each target tuple index (arity cod) the source index (arity dom),
+    a mixed-radix sum: target coordinate j weighs the source place values
+    of the coordinates alpha sends to j."""
+    weights = [0] * alpha.cod
+    for i, j in enumerate(alpha.map):
+        weights[j - 1] += size ** (alpha.dom - 1 - i)
+    out = [0]
+    for w in weights:
+        steps = [d * w for d in range(size)]
+        out = [v + s for v in out for s in steps]
     return tuple(out)
 
 
 def _rel_apply_bits(alpha: Substitution, size: int, bits: int) -> int:
-    out = 0
-    for ti, si in enumerate(_index_map(alpha, size)):
-        if bits >> si & 1:
-            out |= 1 << ti
-    return out
+    """Gather the source's _flags bytes through the index map."""
+    idx = _index_map(alpha, size)
+    if not idx:
+        return 0
+    flags = _flags(bits).ljust(size**alpha.dom, b"\0")
+    return _bitmask(map(flags.__getitem__, idx))
 
 
 def rel_apply(alpha: Substitution, r: Relation) -> Relation:
@@ -237,11 +243,12 @@ def exists_last(r: Relation) -> Relation:
 
 
 def _exists_last_bits(size: int, arity: int, bits: int) -> int:
-    chunk_mask = (1 << size) - 1
+    """OR of the |W| strided slices of the binary digits, most significant
+    first: slice y holds the tuples whose last coordinate is size-1-y."""
+    digits = bin(bits)[2:].zfill(size**arity)
     out = 0
-    for t in range(size ** (arity - 1)):
-        if bits >> (t * size) & chunk_mask:
-            out |= 1 << t
+    for y in range(size):
+        out |= int(digits[y::size], 2)
     return out
 
 
@@ -249,13 +256,16 @@ def delta(universe: Universe, arity: int, i: int, j: int) -> Relation:
     """The n-ary relation holding of a tuple iff coordinates i and j agree (1-based)."""
     if not (1 <= i <= arity and 1 <= j <= arity):
         raise ArityError(f"diagonal indices ({i},{j}) outside 1..{arity}")
-    size = universe.size
-    bits = 0
-    for idx in range(size ** arity):
-        t = index_tuple(size, arity, idx)
-        if t[i - 1] == t[j - 1]:
-            bits |= 1 << idx
-    return Relation(universe, arity, bits)
+    if i == j:
+        return top(universe, arity)
+    size, (lo, hi) = universe.size, sorted((i, j))
+    # Coordinate lo = x repeats, once per tuple of those between, a run of 1s
+    # where coordinate hi = x; those before lo repeat it all.  x -> size-1-x
+    # reverses tuple order and keeps the diagonal: the digits are a palindrome.
+    after = size ** (arity - hi)
+    block = "".join(("0" * (x * after) + "1" * after + "0" * ((size - 1 - x) * after))
+                    * size ** (hi - lo - 1) for x in range(size))
+    return Relation(universe, arity, int(block * size ** (lo - 1) or "0", 2))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,17 @@ Everything here works on plain Python sets of tuples and never touches the
 bitset engine or its index encoding, so agreement is a genuine cross-check.
 The one exception, is_prime_filter_pairwise, asks an algebra for one scalar
 meet, join or order test per pair and never for a batch.
+
+The per-tuple kernels at the end are the definitions the bitset kernels of
+relalg.relations compute: they walk the encoding one tuple index at a time
+through index_tuple and tuple_index, and check the C-speed kernels bit for
+bit.
 """
 
 from itertools import product
 
 from relalg import Relation, Universe
+from relalg.relations import index_tuple, tuple_index
 
 
 def all_tuples(size: int, arity: int) -> list[tuple[int, ...]]:
@@ -67,3 +73,44 @@ def is_prime_filter_pairwise(algebra, sort: int, members) -> bool:
             if algebra.join(sort, a, b) in members and a not in members and b not in members:
                 return False
     return True
+
+
+def index_map(alpha, size: int) -> tuple[int, ...]:
+    """For each target tuple index (arity cod) the source index (arity dom)."""
+    out = []
+    for ti in range(size**alpha.cod):
+        x = index_tuple(size, alpha.cod, ti)
+        out.append(tuple_index(size, apply_tuple(alpha.map, x)))
+    return tuple(out)
+
+
+def rel_apply_bits(alpha, size: int, bits: int) -> int:
+    out = 0
+    for ti, si in enumerate(index_map(alpha, size)):
+        if bits >> si & 1:
+            out |= 1 << ti
+    return out
+
+
+def exists_last_bits(size: int, arity: int, bits: int) -> int:
+    chunk_mask = (1 << size) - 1
+    out = 0
+    for t in range(size ** (arity - 1)):
+        if bits >> (t * size) & chunk_mask:
+            out |= 1 << t
+    return out
+
+
+def delta_bits(size: int, arity: int, i: int, j: int) -> int:
+    bits = 0
+    for idx in range(size**arity):
+        t = index_tuple(size, arity, idx)
+        if t[i - 1] == t[j - 1]:
+            bits |= 1 << idx
+    return bits
+
+
+def tuple_walk(rel: Relation) -> list[tuple[int, ...]]:
+    """The tuples of rel in index order, one bit at a time."""
+    size, bits = rel.universe.size, rel.bits
+    return [index_tuple(size, rel.arity, idx) for idx in range(size**rel.arity) if bits >> idx & 1]

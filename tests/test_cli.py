@@ -314,6 +314,34 @@ def test_eval_deeply_nested_input_from_a_file(tmp_path, capsys):
         assert capsys.readouterr().err == "error: input too large to parse or evaluate\n"
 
 
+def test_eval_naive_past_element_cap_exits_2(tmp_path, capsys):
+    """The naive evaluator enumerates |W|**k context tuples; past the element
+    cap it is refused before it starts, in both modes that run it."""
+    structure = tmp_path / "structure.json"
+    structure.write_text(json.dumps({"universe": 2, "relations": {}}))
+    x65 = "[" + ",".join(f"x{i}" for i in range(1, 66)) + "] true"
+    for mode in ("naive", "both"):
+        capsys.readouterr()
+        code, out = run_cli("eval", "--structure", str(structure), "--mode", mode, x65)
+        assert (code, out) == (2, ""), mode
+        assert capsys.readouterr().err == (
+            "error: naive evaluation enumerates 2**65 context tuples, cap is 1048576\n")
+    # the cap is --element-cap, and 2**10 tuples are within a cap of 1024
+    x10 = "[" + ",".join(f"x{i}" for i in range(1, 11)) + "] x1 = x10"
+    code, compiled = run_cli("eval", "--structure", str(structure), "--mode", "compiled",
+                             "--element-cap", "1", x10)
+    assert code == 0
+    for mode in ("naive", "both"):
+        assert run_cli("eval", "--structure", str(structure), "--mode", mode,
+                       "--element-cap", "1024", x10) == (0, compiled), mode
+        capsys.readouterr()
+        code, out = run_cli("eval", "--structure", str(structure), "--mode", mode,
+                            "--element-cap", "1023", x10)
+        assert (code, out) == (2, ""), mode
+        assert capsys.readouterr().err == (
+            "error: naive evaluation enumerates 2**10 context tuples, cap is 1023\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("axioms", "check", "--algebra", "builtin:concrete:1", "--max-sort", "1",
      "--samples", "0", "--exhaustive-cap", "0"),

@@ -24,8 +24,16 @@ from relalg import (
     top,
     tuple_apply,
 )
-from relalg.relations import all_substitutions, index_tuple, tuple_index
+from relalg.relations import (
+    _exists_last_bits,
+    _index_map,
+    _rel_apply_bits,
+    all_substitutions,
+    index_tuple,
+    tuple_index,
+)
 
+import oracles
 from oracles import as_set, diagonal, from_set, inverse_image, project_last
 
 
@@ -339,3 +347,52 @@ def test_substitution_validation():
         Substitution(1, 1, (2,))
     with pytest.raises(ArityError):
         Substitution(1, 1, (0,))
+
+
+# The C-speed kernels against their per-tuple definitions in oracles.py
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=10, deadline=None)
+def test_every_substitution_kernel_matches_the_per_tuple_oracle(rng):
+    for size in range(5):
+        for dom in range(4):
+            for cod in range(4):
+                for alpha in all_substitutions(dom, cod):
+                    assert _index_map(alpha, size) == oracles.index_map(alpha, size), (alpha, size)
+                    for bits in (0, (1 << size**dom) - 1, rng.getrandbits(size**dom)):
+                        assert _rel_apply_bits(alpha, size, bits) == oracles.rel_apply_bits(
+                            alpha, size, bits), (alpha, size, bits)
+
+
+@given(st.integers(0, 4), st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_exists_last_kernel_matches_the_per_tuple_oracle(size, arity, data):
+    bits = data.draw(st.integers(0, (1 << size**arity) - 1))
+    assert _exists_last_bits(size, arity, bits) == oracles.exists_last_bits(size, arity, bits)
+
+
+def test_exists_last_kernel_on_single_tuples():
+    for size in range(5):
+        for arity in range(1, 5):
+            for idx in range(size**arity):
+                assert _exists_last_bits(size, arity, 1 << idx) == \
+                    oracles.exists_last_bits(size, arity, 1 << idx), (size, arity, idx)
+
+
+def test_delta_matches_the_per_tuple_oracle():
+    """Every diagonal with i < j, i > j and i == j, universes of size 0 to 4."""
+    for size in range(5):
+        u = Universe(size)
+        for arity in range(1, 5):
+            for i in range(1, arity + 1):
+                for j in range(1, arity + 1):
+                    assert delta(u, arity, i, j).bits == oracles.delta_bits(size, arity, i, j), \
+                        (size, arity, i, j)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_tuples_match_a_bit_by_bit_walk(size, arity, data):
+    r = Relation(Universe(size), arity, data.draw(st.integers(0, (1 << size**arity) - 1)))
+    assert list(r.tuples()) == oracles.tuple_walk(r)
