@@ -11,6 +11,9 @@ Every filter and ideal here is principal (the lattices are finite), so it is
 given by its generator, a plain element.  Prime-filter existence arguments
 are replaced by a deterministic choice: the least join-irreducible in the
 algebra's canonical element order that witnesses the required separation.
+SortLattice.separator(r, s) makes that choice for a pair of elements in one
+step, from the join-irreducible masks the distributivity check builds: the
+join-irreducible at the lowest set bit of the masks' XOR.
 The three amalgamation constructions (sum_filters, project_filter,
 witness_filter) build their filter/ideal generators, extend to a prime
 filter, and re-verify their postconditions exhaustively, as set comparisons
@@ -161,6 +164,17 @@ class SortLattice:
 
     def up_set(self, a: int) -> frozenset[int]:
         return frozenset(compress(range(self.size), _flags(self.up[a])))
+
+    def separator(self, r: int, s: int) -> int:
+        """The least join-irreducible below exactly one of r and s: the
+        lowest set bit of their join-irreducible masks' difference, which is
+        nonzero exactly when r != s because the lattice is distributive."""
+        if not (0 <= r < self.size and 0 <= s < self.size):
+            raise PreconditionError(f"{r} and {s} are not both sort-{self.sort} elements")
+        diff = self._ji_mask[r] ^ self._ji_mask[s]
+        if not diff:
+            raise PreconditionError(f"sort-{self.sort} elements {r} and {s} are not distinct")
+        return self.join_irreducibles[(diff & -diff).bit_length() - 1]
 
 
 def sort_lattice(algebra: FiniteAlgebra, sort: int) -> SortLattice:

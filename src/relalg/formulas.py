@@ -12,8 +12,10 @@ negation into bitwise operations, and never tabulate a sort; axioms.py runs
 a subalgebra generated in a concrete algebra on its parent's planes.  A
 structure over W assigns its symbols elements of the algebra of all
 relations over W, and eval_term is term_value there.  eval_fo_naive
-enumerates tuples and witnesses instead: it is the oracle the compiled
-pipeline is checked against.
+enumerates every context tuple and every witness instead, without the
+relation kernels: it is the oracle the compiled pipeline is checked against.
+It walks the formula once per call into closures that read each variable at
+a fixed env position and each atom straight from its relation's bits.
 
 Term grammar (v1, one-based indices):
 
@@ -44,7 +46,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_, ne, or_, xor
+from itertools import product
+from operator import and_, mul, ne, or_, xor
 from random import Random
 
 from .algebras import ConcreteAlgebra, FiniteAlgebra
@@ -802,51 +805,74 @@ def _lookup(table: list[int], column: list[int]) -> list[int]:
 
 
 def eval_fo_naive(f: FOFormula, structure: Structure) -> Relation:
-    """Direct satisfaction semantics: enumerate all context tuples, and all
-    witnesses for each quantifier.  Independent of the compiled pipeline."""
-    u = structure.universe
-    k = len(f.context)
-    bits = 0
-    env = [0] * k
-    for idx in range(u.size ** k):
-        m = idx
-        for i in range(k - 1, -1, -1):
-            m, env[i] = divmod(m, u.size)
-        if _sat(f.body, env, structure):
-            bits |= 1 << idx
-    return Relation(u, k, bits)
+    """Direct satisfaction semantics, independent of the compiled pipeline
+    and the relation kernels: every context tuple, in index order, and every
+    witness of each quantifier is tried.  The formula is walked once per call
+    into closures sat(env) with each variable fixed at an env position: the
+    context at 0..k-1, and a witness at its quantifier's depth.  An unknown
+    symbol or an arity mismatch raises only when evaluation reaches it."""
+    n, k = structure.universe.size, len(f.context)
+    width = k
+
+    def build(node: FONode, layout: list[int], depth: int):
+        nonlocal width
+        if isinstance(node, FOAtom):
+            rel = structure.relations.get(node.name)
+            if rel is None:
+                return _failing(FormatError, f"structure does not interpret symbol {node.name!r}")
+            if rel.arity != len(node.args):
+                return _failing(ArityError, f"symbol {node.name} has arity {rel.arity}, "
+                                            f"atom has {len(node.args)} arguments")
+            bits, pos = rel.bits, [layout[i - 1] for i in node.args]
+            if len(pos) == 0:
+                return lambda env, truth=bits & 1: truth
+            if len(pos) == 1:
+                return lambda env, p=pos[0]: bits >> env[p] & 1
+            if len(pos) == 2:
+                return lambda env, p=pos[0], q=pos[1]: bits >> (env[p] * n + env[q]) & 1
+            if len(pos) == 3:
+                return lambda env, p=pos[0], q=pos[1], r=pos[2]: \
+                    bits >> ((env[p] * n + env[q]) * n + env[r]) & 1
+            weights = [n ** e for e in range(len(pos) - 1, -1, -1)]
+            return lambda env: bits >> sum(map(mul, map(env.__getitem__, pos), weights)) & 1
+        if isinstance(node, FOEq):
+            return lambda env, p=layout[node.i - 1], q=layout[node.j - 1]: env[p] == env[q]
+        if isinstance(node, (FOTop, FOBot)):
+            return lambda env, truth=isinstance(node, FOTop): truth
+        if isinstance(node, (FOAnd, FOOr)):
+            left, right = build(node.left, layout, depth), build(node.right, layout, depth)
+            if isinstance(node, FOAnd):
+                return lambda env: left(env) and right(env)
+            return lambda env: left(env) or right(env)
+        if isinstance(node, FONot):
+            child = build(node.child, layout, depth)
+            return lambda env: not child(env)
+        if isinstance(node, FOExists):
+            at = node.at if node.at is not None else len(layout) + 1
+            body = build(node.body, layout[:at - 1] + [depth] + layout[at - 1:], depth + 1)
+            width = max(width, depth + 1)
+
+            def exists(env):
+                for env[depth] in range(n):
+                    if body(env):
+                        return True
+                return False
+            return exists
+        raise TypeError(f"not a formula node: {node!r}")
+
+    sat = build(f.body, list(range(k)), k)
+    env, out = [0] * width, 0
+    for idx, tup in enumerate(product(range(n), repeat=k)):
+        env[:k] = tup
+        if sat(env):
+            out |= 1 << idx
+    return Relation(structure.universe, k, out)
 
 
-def _sat(node: FONode, env: list[int], structure: Structure) -> bool:
-    if isinstance(node, FOAtom):
-        rel = structure.relations.get(node.name)
-        if rel is None:
-            raise FormatError(f"structure does not interpret symbol {node.name!r}")
-        if rel.arity != len(node.args):
-            raise ArityError(f"symbol {node.name} has arity {rel.arity}, atom has {len(node.args)} arguments")
-        return rel.contains(tuple(env[i - 1] for i in node.args))
-    if isinstance(node, FOEq):
-        return env[node.i - 1] == env[node.j - 1]
-    if isinstance(node, FOTop):
-        return True
-    if isinstance(node, FOBot):
-        return False
-    if isinstance(node, FOAnd):
-        return _sat(node.left, env, structure) and _sat(node.right, env, structure)
-    if isinstance(node, FOOr):
-        return _sat(node.left, env, structure) or _sat(node.right, env, structure)
-    if isinstance(node, FONot):
-        return not _sat(node.child, env, structure)
-    if isinstance(node, FOExists):
-        at = node.at if node.at is not None else len(env) + 1
-        for w in range(structure.universe.size):
-            env.insert(at - 1, w)
-            ok = _sat(node.body, env, structure)
-            env.pop(at - 1)
-            if ok:
-                return True
-        return False
-    raise TypeError(f"not a formula node: {node!r}")
+def _failing(error: type, message: str):
+    def sat(env):
+        raise error(message)
+    return sat
 
 
 # ---------------------------------------------------------------------------

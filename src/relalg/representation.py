@@ -176,27 +176,27 @@ def separate(algebra: FiniteAlgebra, sort: int, r: int, s: int) -> FilterModel:
 
 def separating_filter(algebra: FiniteAlgebra, sort: int, r: int, s: int) -> PrimeFilter:
     lattice = sort_lattice(algebra, sort)
-    for j in lattice.join_irreducibles:
-        if lattice.leq(j, r) != lattice.leq(j, s):
-            return PrimeFilter(sort, j, lattice.up_set(j))
-    raise PreconditionError(f"sort-{sort} elements {r} and {s} are not distinct")
+    j = lattice.separator(r, s)
+    return PrimeFilter(sort, j, lattice.up_set(j))
 
 
 def separating_family(algebra: FiniteAlgebra, scope: int) -> list[PrimeFilter]:
     """One prime filter per unordered pair of distinct elements in sorts up to
-    the scope (least canonical choice), duplicates dropped."""
+    the scope (least canonical choice), duplicates dropped: each filter is
+    built once, for the first pair its generator separates."""
     family: list[PrimeFilter] = []
-    seen: set[tuple[int, int]] = set()
     for k in range(scope + 1):
         size = algebra.sort_size(k)
         if size <= 1:
             continue
+        lattice = sort_lattice(algebra, k)
+        seen: set[int] = set()
         for a in algebra.elements(k):
             for b in range(a + 1, size):
-                pf = separating_filter(algebra, k, a, b)
-                if (k, pf.generator) not in seen:
-                    seen.add((k, pf.generator))
-                    family.append(pf)
+                j = lattice.separator(a, b)
+                if j not in seen:
+                    seen.add(j)
+                    family.append(PrimeFilter(k, j, lattice.up_set(j)))
     return family
 
 

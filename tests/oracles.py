@@ -8,12 +8,15 @@ meet, join or order test per pair and never for a batch.
 The per-tuple kernels at the end are the definitions the bitset kernels of
 relalg.relations compute: they walk the encoding one tuple index at a time
 through index_tuple and tuple_index, and check the C-speed kernels bit for
-bit.
+bit.  eval_fo_definitional is the same for formulas: the per-tuple
+satisfaction recursion that relalg.formulas.eval_fo_naive compiles into
+closures once per formula.
 """
 
-from itertools import product
+from itertools import combinations, product
 
-from relalg import Relation, Universe
+from relalg import ArityError, FormatError, PrimeFilter, Relation, Universe, sort_lattice
+from relalg.formulas import FOAnd, FOAtom, FOBot, FOEq, FOExists, FONot, FOOr, FOTop
 from relalg.relations import index_tuple, tuple_index
 
 
@@ -75,6 +78,22 @@ def is_prime_filter_pairwise(algebra, sort: int, members) -> bool:
     return True
 
 
+def separating_family_pairwise(algebra, scope: int) -> list:
+    """One prime filter per pair of distinct elements in sorts up to the
+    scope, pair by pair: the up-set of the least join-irreducible below
+    exactly one of the two, scanned through the order, in the order the
+    pairs first need it."""
+    family = []
+    for k in range(scope + 1):
+        lattice = sort_lattice(algebra, k)
+        for a, b in combinations(range(lattice.size), 2):
+            j = next(j for j in lattice.join_irreducibles if lattice.leq(j, a) != lattice.leq(j, b))
+            pf = PrimeFilter(k, j, lattice.up_set(j))
+            if pf not in family:
+                family.append(pf)
+    return family
+
+
 def index_map(alpha, size: int) -> tuple[int, ...]:
     """For each target tuple index (arity cod) the source index (arity dom)."""
     out = []
@@ -114,3 +133,52 @@ def tuple_walk(rel: Relation) -> list[tuple[int, ...]]:
     """The tuples of rel in index order, one bit at a time."""
     size, bits = rel.universe.size, rel.bits
     return [index_tuple(size, rel.arity, idx) for idx in range(size**rel.arity) if bits >> idx & 1]
+
+
+def eval_fo_definitional(f, structure) -> Relation:
+    """Tarskian satisfaction as defined, one recursive walk of the formula per
+    context tuple and per witness: the reference eval_fo_naive's compiled
+    closures are checked against."""
+    u = structure.universe
+    k = len(f.context)
+    bits = 0
+    env = [0] * k
+    for idx in range(u.size ** k):
+        m = idx
+        for i in range(k - 1, -1, -1):
+            m, env[i] = divmod(m, u.size)
+        if _sat(f.body, env, structure):
+            bits |= 1 << idx
+    return Relation(u, k, bits)
+
+
+def _sat(node, env: list[int], structure) -> bool:
+    if isinstance(node, FOAtom):
+        rel = structure.relations.get(node.name)
+        if rel is None:
+            raise FormatError(f"structure does not interpret symbol {node.name!r}")
+        if rel.arity != len(node.args):
+            raise ArityError(f"symbol {node.name} has arity {rel.arity}, atom has {len(node.args)} arguments")
+        return rel.contains(tuple(env[i - 1] for i in node.args))
+    if isinstance(node, FOEq):
+        return env[node.i - 1] == env[node.j - 1]
+    if isinstance(node, FOTop):
+        return True
+    if isinstance(node, FOBot):
+        return False
+    if isinstance(node, FOAnd):
+        return _sat(node.left, env, structure) and _sat(node.right, env, structure)
+    if isinstance(node, FOOr):
+        return _sat(node.left, env, structure) or _sat(node.right, env, structure)
+    if isinstance(node, FONot):
+        return not _sat(node.child, env, structure)
+    if isinstance(node, FOExists):
+        at = node.at if node.at is not None else len(env) + 1
+        for w in range(structure.universe.size):
+            env.insert(at - 1, w)
+            ok = _sat(node.body, env, structure)
+            env.pop(at - 1)
+            if ok:
+                return True
+        return False
+    raise TypeError(f"not a formula node: {node!r}")

@@ -298,8 +298,9 @@ def test_eval_deeply_nested_input_from_a_file(tmp_path, capsys):
                             "--mode", "compiled", "--formula-file", str(path))
         assert (code, out.strip()) == (0, DEEP_LITERALS[name]), name
     path.write_text(DEEP_FORMULA)
-    code, out = run_cli("eval", "--structure", str(structure), "--formula-file", str(path))
-    assert (code, out.strip()) == (0, "arity=1 universe=2 {(0)}")
+    for mode in ("both", "naive"):
+        code, out = run_cli("eval", "--structure", str(structure), "--mode", mode, "--formula-file", str(path))
+        assert (code, out.strip()) == (0, "arity=1 universe=2 {(0)}"), mode
     path.write_text("[x] " + "!" * 5000 + "P(x)")
     capsys.readouterr()
     code, _ = run_cli("eval", "--structure", str(structure), "--formula-file", str(path))

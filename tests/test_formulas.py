@@ -1,4 +1,6 @@
 import re
+from dataclasses import replace
+from itertools import product
 from random import Random
 
 import pytest
@@ -10,6 +12,7 @@ from relalg import (
     FormatError,
     FragmentError,
     Signature,
+    Relation,
     Structure,
     Substitution,
     Universe,
@@ -27,10 +30,14 @@ from relalg.formulas import (
     Bot,
     Delta,
     Exists,
+    FOAnd,
     FOAtom,
     FOBot,
     FOExists,
     FOFormula,
+    FONot,
+    FOOr,
+    FOTop,
     Not,
     Or,
     Sub,
@@ -38,9 +45,9 @@ from relalg.formulas import (
     Top,
     print_fo,
 )
-from relalg.fragments import PQF, FO
+from relalg.fragments import FO, PE, PQF, QF
 
-from oracles import as_set, from_set
+from oracles import as_set, eval_fo_definitional, from_set
 
 
 SIG = Signature((("R", 1), ("S", 2)))
@@ -320,6 +327,79 @@ def test_oracle_equivalence_hypothesis(data):
     structure = random_structure(rng, SIG4, size)
     f = random_formula(rng, SIG4, rng.randint(0, 2), rng.randint(0, 3))
     assert eval_term(compile_fo(f), structure) == eval_fo_naive(f, structure)
+
+
+SIG5 = Signature(SIG4.symbols + (("R4", 4),))
+FRAGMENTS = [None] + [f for base in (PQF, QF, PE, FO) for f in (base, base.with_equality())]
+
+
+def _scatter_positions(rng, node, k):
+    """node with each quantifier's bound variable moved to a random position
+    in 1..k+1 of its extended context; the parser only ever appends."""
+    if isinstance(node, FOExists):
+        return replace(node, body=_scatter_positions(rng, node.body, k + 1), at=rng.randint(1, k + 1))
+    if isinstance(node, (FOAnd, FOOr)):
+        return replace(node, left=_scatter_positions(rng, node.left, k),
+                       right=_scatter_positions(rng, node.right, k))
+    if isinstance(node, FONot):
+        return FONot(_scatter_positions(rng, node.child, k))
+    return node
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_naive_closures_match_the_definitional_recursion(data):
+    rng = Random(data.draw(st.integers(0, 2**32 - 1)))
+    structure = random_structure(rng, SIG5, data.draw(st.integers(0, 4)))
+    k = data.draw(st.integers(0, 3))
+    f = random_formula(rng, SIG5, k, data.draw(st.integers(0, 4)), data.draw(st.sampled_from(FRAGMENTS)))
+    moved = FOFormula(f.context, _scatter_positions(rng, f.body, k))
+    for formula in (f, moved):
+        assert eval_fo_naive(formula, structure) == eval_fo_definitional(formula, structure), \
+            print_fo(formula)
+
+
+def test_naive_quantifiers_bind_the_position_they_name():
+    """exists at position a over R(x1..xn) drops coordinate a of R's tuples;
+    nested quantifiers drop theirs innermost first."""
+    rng = Random(4242)
+    for k, depth in [(0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (1, 2), (2, 2)]:
+        n = k + depth
+        tuples = {tuple(rng.randrange(3) for _ in range(n)) for _ in range(4)}
+        structure = Structure(Universe(3), {"R": from_set(3, n, tuples)})
+        for ats in product(*(range(1, k + d + 2) for d in range(depth))):
+            body, expected = FOAtom("R", tuple(range(1, n + 1))), tuples
+            for at in reversed(ats):
+                body = FOExists("y", body, at=at)
+                expected = {t[:at - 1] + t[at:] for t in expected}
+            f = FOFormula(tuple(f"x{i}" for i in range(1, k + 1)), body)
+            assert as_set(eval_fo_naive(f, structure)) == expected, ats
+
+
+def test_naive_errors_stay_lazy_and_keep_their_messages():
+    structure = Structure(Universe(2), {"P": from_set(2, 0, [()]), "R1": from_set(2, 1, [(1,)])})
+    unknown, wrong_arity = FOAtom("Q", (1,)), FOAtom("R1", (1, 1))
+    for bad in (unknown, wrong_arity):
+        assert eval_fo_naive(FOFormula(("x",), FOAnd(FOBot(), bad)), structure).bits == 0
+        assert eval_fo_naive(FOFormula(("x",), FOOr(FOTop(), bad)), structure).bits == 0b11
+    for error, bad, message in [
+        (FormatError, unknown, "structure does not interpret symbol 'Q'"),
+        (ArityError, wrong_arity, "symbol R1 has arity 1, atom has 2 arguments"),
+    ]:
+        for oracle in (eval_fo_naive, eval_fo_definitional):
+            with pytest.raises(error) as caught:
+                oracle(FOFormula(("x",), FOAnd(FOTop(), bad)), structure)
+            assert str(caught.value) == message
+    # an arity-0 symbol is a truth value in every context
+    for k in range(3):
+        f = FOFormula(tuple(f"x{i}" for i in range(1, k + 1)), FOAtom("P", ()))
+        assert eval_fo_naive(f, structure).bits == (1 << 2**k) - 1
+    # over the empty universe: the empty context holds one tuple and no
+    # witness; a nonempty context holds no tuple, so nothing is evaluated
+    empty = Structure(Universe(0), {})
+    assert eval_fo_naive(FOFormula((), FOTop()), empty).bits == 1
+    assert eval_fo_naive(FOFormula((), FOExists("y", FOTop())), empty).bits == 0
+    assert eval_fo_naive(FOFormula(("x", "y"), FOAtom("Q", (1, 2))), empty) == Relation(Universe(0), 2, 0)
 
 
 def test_structure_json_round_trip():

@@ -28,9 +28,9 @@ from relalg import (
     verify_morphism,
 )
 from relalg.fragments import FO, PE, PQF, QF
-from relalg.representation import separating_filter, witness_stage
+from relalg.representation import separating_family, separating_filter, witness_stage
 
-from oracles import as_set
+from oracles import as_set, separating_family_pairwise
 
 
 W2 = Universe(2)
@@ -115,6 +115,17 @@ def test_separate_rejects_equal():
     alg = concrete(W2, PQF, 2)
     with pytest.raises(PreconditionError):
         separate(alg, 1, 1, 1)
+    with pytest.raises(PreconditionError, match="^sort-1 elements 3 and 3 are not distinct$"):
+        separating_filter(alg, 1, 3, 3)
+    for r, s in [(-1, 0), (0, 16)]:
+        with pytest.raises(PreconditionError, match="not both sort-1 elements"):
+            separating_filter(alg, 1, r, s)
+
+
+def test_separating_family_matches_the_pairwise_scan(diamond):
+    for alg, scope in [(concrete(W2, FO, 2), 2), (diamond[0], 2),
+                       (as_table_algebra(concrete(W2, QF, 3)), 3)]:
+        assert separating_family(alg, scope) == separating_family_pairwise(alg, scope)
 
 
 def test_embed_pqf_tables_with_extension():
