@@ -11,8 +11,8 @@ from relalg import (
     ArityError,
     FormatError,
     FragmentError,
-    Signature,
     Relation,
+    Signature,
     Structure,
     Substitution,
     Universe,
@@ -355,8 +355,7 @@ def test_naive_closures_match_the_definitional_recursion(data):
     f = random_formula(rng, SIG5, k, data.draw(st.integers(0, 4)), data.draw(st.sampled_from(FRAGMENTS)))
     moved = FOFormula(f.context, _scatter_positions(rng, f.body, k))
     for formula in (f, moved):
-        assert eval_fo_naive(formula, structure) == eval_fo_definitional(formula, structure), \
-            print_fo(formula)
+        assert eval_fo_naive(formula, structure) == eval_fo_definitional(formula, structure), formula
 
 
 def test_naive_quantifiers_bind_the_position_they_name():
