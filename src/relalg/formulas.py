@@ -824,8 +824,6 @@ def eval_fo_naive(f: FOFormula, structure: Structure) -> Relation:
                 return _failing(ArityError, f"symbol {node.name} has arity {rel.arity}, "
                                             f"atom has {len(node.args)} arguments")
             bits, pos = rel.bits, [layout[i - 1] for i in node.args]
-            if len(pos) == 0:
-                return lambda env, truth=bits & 1: truth
             if len(pos) == 1:
                 return lambda env, p=pos[0]: bits >> env[p] & 1
             if len(pos) == 2:
