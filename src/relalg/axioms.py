@@ -20,16 +20,20 @@ per slot.  Exhaustive batches run in lexicographic row order.  A concrete
 sort has 2**w elements, so plane p of a slot is bit e + p of the row index,
 e the later slots' widths; a mapped-up slot's planes are built per clause
 where they repeat or run long; exhaustive columns are joined from runs of
-equal values.  A sample is the stream of Random(seed).randrange(n), drawn
-into columns row by row and slot by slot through randrange's own getrandbits
-loop, one generator per check_axiom shared by its clauses.  Other columns
-are mapped up to the host and, for planes, transposed by byte lanes
-(relations._transpose); only a violation's elements are mapped back, through
-the closure check.  A clause's terms go through formulas.term_value, the
-one term evaluator, which eval_term also runs on structures: batched slot
-values through the batch's representation, slot-free terms through the
-host's scalar operations.  An equation's failing rows are a row mask, and so
-is a premise.  A violation's params and slot values replay it bit-exactly
+equal values.  A space that fits one batch is built once per check_axiom
+for each tuple of slot sorts and shared by its clauses.  A sample is the
+stream of Random(seed).randrange(n), row by row and slot by slot, one
+generator per check_axiom shared by its clauses: a concrete algebra whose
+sorts have below 2**32 elements draws it straight into planes, 32-bit words
+at a time through byte lanes; other algebras draw columns through
+randrange's own getrandbits loop.  Columns are mapped up to the host and,
+for planes, transposed by byte lanes (relations._transpose); only a
+violation's elements are mapped back, through the closure check.  A
+clause's terms go through formulas.term_value, the one term evaluator,
+which eval_term also runs on structures: batched slot values through the
+batch's representation, slot-free terms through the host's scalar
+operations.  An equation's failing rows are a row mask, and so is a
+premise.  A violation's params and slot values replay it bit-exactly
 through replay_instance, a batch of one, which refuses values that do not
 fit the clause's slots.  Applicability: (0)-(4) everywhere; (5)-(6) need
 negation, (7)-(10) projection, (11)-(13) equality constants.
@@ -53,6 +57,7 @@ from .fragments import Fragment, PE, QF
 from .relations import (
     Substitution,
     Universe,
+    _DIGITS,
     _flags,
     _transpose,
     all_substitutions,
@@ -77,6 +82,8 @@ _ROW_BITS = [(((1 << (1 << b)) - 1) << (1 << b)) * ((1 << BATCH) - 1) // ((1 << 
 # MAX_WITNESSES witness requests.
 MAX_BLOCKS = 3
 MAX_WITNESSES = 2
+# The bytes of a sampler lane whose bit 7 is set: words randrange rejects.
+_REJECTED = bytes(range(128, 256))
 
 
 @dataclass(frozen=True)
@@ -154,16 +161,18 @@ def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckRepo
     violations: list[SchemaInstance] = []
     params = instances = 0
     sampled = False
+    one_batch: dict = {}  # the exhaustive space of each tuple of slot sorts that fits a batch
     for clause in _clauses(algebra, axiom, bounds):
         params += 1
         sorts = [slot.sort for slot in clause.slots]
         sizes = [algebra.sort_size(s) for s in sorts]
-        if prod(sizes) <= bounds.exhaustive_cap:
-            batches = _exhaustive(host, to_parent, sorts, sizes)
-        else:
+        if prod(sizes) > bounds.exhaustive_cap:
             sampled = True
-            batches = _from_columns(host, to_parent, sorts,
-                                    _sampled_batches(sizes, bounds.samples, rng))
+            batches = _sampled(host, to_parent, sorts, sizes, bounds.samples, rng)
+        elif prod(sizes) > BATCH:
+            batches = _exhaustive(host, to_parent, sorts, sizes)
+        elif (batches := one_batch.get(tuple(sorts))) is None:
+            batches = one_batch[tuple(sorts)] = list(_exhaustive(host, to_parent, sorts, sizes))
         consts: dict = {}
         for values, slot_values in batches:
             instances += values.size
@@ -259,7 +268,10 @@ def _sampled_batches(sizes: list[int], count: int,
     and slot by slot.  Each draw is CPython's randrange(n) inlined (its
     _randbelow_with_getrandbits): getrandbits(n.bit_length()) until the value
     is below n.  So the values, and the generator's state after them, are
-    those of rng.randrange(n) called slot by slot."""
+    those of rng.randrange(n) called slot by slot.  A concrete algebra with
+    sorts below 2**32 elements draws the same stream straight into planes
+    (_sampled_planes); generated algebras, table algebras and wider sorts
+    draw here."""
     getrandbits = rng.getrandbits
     slots = [(n, n.bit_length()) for n in sizes]
     width = len(slots)
@@ -273,6 +285,52 @@ def _sampled_batches(sizes: list[int], count: int,
                 r = getrandbits(k)
             append(r)
         yield [flat[j::width] for j in range(width)], size
+
+
+def _sampled_planes(widths: list[int], count: int,
+                    rng: Random) -> Iterator[tuple[list[list[int]], int]]:
+    """The batches of _sampled_batches for sorts of 2**w elements, w <= 31,
+    as (planes per slot, size): the planes _transpose makes of its columns,
+    with the generator left where it leaves it.  randrange(2**w) takes one
+    32-bit word per attempt, its top w+1 bits, and keeps it exactly when
+    bit 31 is clear, whatever the slot.  So a batch of need values is the
+    first need words with bit 31 clear, drawn need - got at a time with one
+    getrandbits(32 * m), word i at bits 32i.., which never draws past
+    randrange's last word.  Lane c holds bits 24-7c..30-7c of each word in
+    bits 0..6 of a byte, and bit 31 in bit 7: lanes 0-3 in bytes 3..0 of
+    the word, lane 4 (bits -4..2) in byte 0 of a second block.  Deleting
+    the bytes of 128 and up drops the rejected words from every lane at
+    once.  Plane p of a w-bit slot is bit 31-w+p of its words: one
+    translate of every width-th byte of a lane, reversed."""
+    getrandbits = rng.getrandbits
+    width = len(widths)
+    lanes_used = (max(widths, default=0) + 6) // 7
+    unit = int.from_bytes(b"\1\0\0\0" * min(count, BATCH) * width, "little")
+    bit7, low4 = unit << 7, unit * 0x70
+    masks = [unit * (0x7F << 24 - 8 * c) for c in range(min(lanes_used, 4))]
+    for start in range(0, count, BATCH):
+        size = min(BATCH, count - start)
+        need = size * width
+        kept, kept4, got = [], [], 0
+        while got < need:
+            m = need - got
+            block = getrandbits(32 * m)
+            packed = flags = (block >> 24 & bit7) * 0x01010101  # bit 31 in every bit 7
+            for c, mask in enumerate(masks):
+                packed |= block >> c & mask
+            kept.append(packed.to_bytes(4 * m, "little").translate(None, _REJECTED))
+            got += len(kept[-1]) >> 2
+            if lanes_used > 4:
+                lane4 = (block << 4 & low4 | flags).to_bytes(4 * m, "little")
+                kept4.append(lane4.translate(None, _REJECTED))
+        words = b"".join(kept)
+        lanes = [words[3 - c::4] for c in range(len(masks))] + [b"".join(kept4)[::4]]
+        batch = []
+        for j, w in enumerate(widths):
+            rows = [lane[j::width][::-1] for lane in lanes[:(w + 6) // 7]]
+            batch.append([int(rows[(w - 1 - p) // 7].translate(_DIGITS[(p - w) % 7]), 2)
+                          for p in range(w)])
+        yield batch, size
 
 
 def _host(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, list[list[int]] | None]:
@@ -302,6 +360,19 @@ def _exhaustive(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: l
             yield Planes(host, size), planes
     else:
         yield from _from_columns(host, to_parent, sorts, _exhaustive_batches(sizes))
+
+
+def _sampled(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: list[int],
+             sizes: list[int], count: int, rng: Random) -> Iterator[tuple[Values, list]]:
+    """count uniform slot tuples as (values, slot values) batches: the planes
+    of _sampled_planes for a concrete algebra whose sorts have below 2**32
+    elements, the columns of _sampled_batches for any other."""
+    if (to_parent is None and isinstance(host, ConcreteAlgebra)
+            and all(n <= 1 << 31 for n in sizes)):
+        for planes, size in _sampled_planes([n.bit_length() - 1 for n in sizes], count, rng):
+            yield Planes(host, size), planes
+    else:
+        yield from _from_columns(host, to_parent, sorts, _sampled_batches(sizes, count, rng))
 
 
 def _from_columns(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: list[int],
@@ -481,11 +552,12 @@ def _ax2(n_max: int) -> Iterator[Clause]:
 
 
 def _ax3(n_max: int) -> Iterator[Clause]:
+    subs = {(k, m): list(all_substitutions(k, m)) for k, m in iproduct(range(n_max + 1), repeat=2)}
     for n, k in iproduct(range(n_max + 1), repeat=2):
         r = Sym("r", n)
-        for alpha in all_substitutions(n, k):
+        for alpha in subs[n, k]:
             for m in range(n_max + 1):
-                for beta in all_substitutions(k, m):
+                for beta in subs[k, m]:
                     yield Clause({"alpha": _ser(alpha), "beta": _ser(beta)}, (r,), (
                         ("", "composite substitution differs",
                          Sub(compose(beta, alpha), r), Sub(beta, Sub(alpha, r))),
@@ -591,8 +663,9 @@ def _ax11(n_max: int) -> Iterator[Clause]:
 def _ax12(n_max: int) -> Iterator[Clause]:
     for k, n in iproduct(range(n_max + 1), repeat=2):
         r = Sym("r", k)
-        for alpha in all_substitutions(k, n):
-            for beta in all_substitutions(k, n):
+        subs = list(all_substitutions(k, n))
+        for alpha in subs:
+            for beta in subs:
                 agree = reduce(And, (Delta(n, a, b) for a, b in zip(alpha.map, beta.map)), Top(n))
                 yield Clause({"alpha": _ser(alpha), "beta": _ser(beta)}, (r,), (
                     ("", "substitutions differ under the agreement diagonal",

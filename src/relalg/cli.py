@@ -52,12 +52,17 @@ def _load_algebra(args: argparse.Namespace, max_sort: int) -> FiniteAlgebra:
             return concrete(universe, parse_fragment(args.fragment), max_sort,
                             element_cap=args.element_cap)
         if parts[1] == "diamond" and len(parts) == 2:
-            return gallery_diamond()[0]
-        if parts[1] in ("pe-theory", "pe_theory") and len(parts) == 2:
-            return gallery_pe_theory()[0]
-        raise RelAlgError(f"unknown builtin algebra {spec!r}")
-    with open(spec, "r", encoding="utf-8") as fh:
-        return TableAlgebra.from_json(fh.read())
+            algebra = gallery_diamond()[0]
+        elif parts[1] in ("pe-theory", "pe_theory") and len(parts) == 2:
+            algebra = gallery_pe_theory()[0]
+        else:
+            raise RelAlgError(f"unknown builtin algebra {spec!r}")
+    else:
+        with open(spec, "r", encoding="utf-8") as fh:
+            algebra = TableAlgebra.from_json(fh.read())
+    # a gallery's own closure runs at the default cap; the flag guards what follows
+    algebra.element_cap = args.element_cap
+    return algebra
 
 
 def _report_lines(report: CheckReport) -> list[str]:

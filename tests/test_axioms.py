@@ -25,7 +25,7 @@ from relalg import (
     replay_instance,
 )
 from relalg.axioms import (BATCH, PATTERN, SHORT_RUN, _exhaustive_batches, _row_planes,
-                           _sampled_batches)
+                           _sampled_batches, _sampled_planes)
 from relalg.fragments import FO, PE, PQF, QF, parse_fragment
 from relalg.relations import _transpose
 
@@ -225,6 +225,29 @@ def test_sampled_draws_are_the_randrange_stream(count):
         assert rng.getstate() == ref.getstate()
     slot_free = list(_sampled_batches([], count, rng))  # rows without slots draw nothing
     assert sum(size for _, size in slot_free) == count and all(cols == [] for cols, _ in slot_free)
+    assert rng.getstate() == ref.getstate()
+
+
+# size 1 and each size on either side of a 7-bit lane boundary, up to 2**31
+PLANE_SIZES = [1, 2, 2**6, 2**7, 2**8, 2**14, 2**15, 2**21, 2**22, 2**28, 2**29, 2**31]
+
+
+@pytest.mark.parametrize("count", [1, BATCH, BATCH + 1, 10_000])
+def test_sampled_planes_are_the_transposed_columns(count):
+    """The concrete sampler's planes are _transpose of the sampler's
+    columns, batch by batch, and leave the generator where the columns
+    leave it: for each size alone, for all of them in one clause, and for
+    the sweep's sampled axiom (0) shape.  The clauses in a row share one
+    generator, as in check_axiom."""
+    rng, ref = Random(2024), Random(2024)
+    for sizes in (*([n] for n in PLANE_SIZES), PLANE_SIZES, [2, 2, 256, 2, 2, 256]):
+        widths = [n.bit_length() - 1 for n in sizes]
+        planes = list(_sampled_planes(widths, count, rng))
+        assert planes == [([_transpose(col, w) for col, w in zip(cols, widths)], size)
+                          for cols, size in _sampled_batches(sizes, count, ref)], sizes
+        assert rng.getstate() == ref.getstate(), sizes
+    slot_free = list(_sampled_planes([], count, rng))  # rows without slots draw nothing
+    assert sum(size for _, size in slot_free) == count and all(p == [] for p, _ in slot_free)
     assert rng.getstate() == ref.getstate()
 
 

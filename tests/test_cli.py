@@ -286,6 +286,22 @@ def test_axioms_check_past_element_cap_exits_2(capsys):
         "cap is 1048576\n")
 
 
+def test_element_cap_reaches_table_files_and_galleries(tmp_path, capsys):
+    # --element-cap applies to every loaded algebra, not only builtin:concrete
+    from relalg import Universe, as_table_algebra, concrete
+    from relalg.fragments import FO
+
+    path = tmp_path / "algebra.json"
+    path.write_text(as_table_algebra(concrete(Universe(2), FO, 2)).to_json())
+    for spec, err in ((str(path), "error: sort 2 has 16 elements, cap is 8\n"),
+                      ("builtin:pe-theory", "error: sort 2 has 706 elements, cap is 8\n"),
+                      ("builtin:concrete:2",
+                       "error: sort 2 over universe of size 2 has 16 elements, cap is 8\n")):
+        code, text = run_cli("--element-cap", "8", "primefilters", "--algebra", spec,
+                             "--sort", "2", "--max-sort", "2", "--fragment", "fo")
+        assert (code, text, capsys.readouterr().err) == (2, "", err), spec
+
+
 def test_eval_deeply_nested_input_from_a_file(tmp_path, capsys):
     from test_formulas import DEEP_FORMULA, DEEP_LITERALS, DEEP_TERMS
 
