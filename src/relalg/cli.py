@@ -13,7 +13,9 @@ Algebra specifiers: a JSON table-algebra file path, or one of the builtins
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
 
 from .algebras import FiniteAlgebra, TableAlgebra, _power_at_least, concrete
@@ -280,8 +282,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"eval": _cmd_eval, "axioms": _cmd_axioms, "primefilters": _cmd_primefilters,
                 "embed": _cmd_embed, "gallery": _cmd_gallery}
+    buffer = io.StringIO()
     try:
-        return handlers[args.command](args, out)
+        code = handlers[args.command](args, buffer)
     except (OSError, RelAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -289,6 +292,15 @@ def main(argv: list[str] | None = None, out=None) -> int:
         what = "nested too deeply" if isinstance(exc, RecursionError) else "too large"
         print(f"error: input {what} to parse or evaluate", file=sys.stderr)
         return 2
+    # written after the verdict, so a reader that stops early cannot change it
+    try:
+        out.writelines(buffer.getvalue().splitlines(keepends=True))
+        out.flush()
+    except BrokenPipeError:
+        if out is sys.stdout:
+            # the interpreter flushes stdout once more at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ Every filter and ideal here is principal (the lattices are finite), so it is
 given by its generator, a plain element.  Prime-filter existence arguments
 are replaced by a deterministic choice: the least join-irreducible in the
 algebra's canonical element order that witnesses the required separation.
-SortLattice.separator(r, s) makes that choice for a pair of elements in one
-step, from the join-irreducible masks the distributivity check builds: the
-join-irreducible at the lowest set bit of the masks' XOR.
+SortLattice.separator(r, s) and extend_to_prime make that choice in one step
+from the join-irreducible masks: the join-irreducible at the lowest set bit
+of the masks' XOR, or of the filter generator's mask less the ideal's.
 The three amalgamation constructions (sum_filters, project_filter,
 witness_filter) build their filter/ideal generators, extend to a prime
 filter, and re-verify their postconditions exhaustively, as set comparisons
@@ -24,9 +24,11 @@ FiniteAlgebra.cached), so a lattice lives exactly as long as its algebra.
 
 Verification is row-batched: SortLattice and is_prime_filter check every
 pair, but ask the algebra for one row at a time, the meets or joins of one
-element against a list of others in a single meet_all/join_all call.  Beyond
-the order rows (two int bitmasks per element), a check holds O(size) values
-per row and never a size x size operation table.
+element against a list of others in a single meet_all/join_all call.
+SortLattice computes the order once and reads its down-sets by transposition;
+bounds and distributivity take one meet row and one join row per element.
+Beyond the order rows (two int bitmasks per element), a check holds O(size)
+values per row and never a size x size operation table.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from typing import Sequence
 
 from .algebras import FiniteAlgebra
 from .errors import ObstructionError, PreconditionError, RelAlgError
-from .relations import Substitution, _bitmask, _flags, assoc_cylindrification, partitioning
+from .relations import (Substitution, _bitmask, _flags, _transpose, assoc_cylindrification,
+                        partitioning)
 
 
 @dataclass(frozen=True)
@@ -75,21 +78,18 @@ class SortLattice:
         self.zero = algebra.zero(sort)
         self.one = algebra.one(sort)
         self._build_order()
-        self._find_join_irreducibles()
-        self._check_distributive()
         self._prime_filters: list[PrimeFilter] | None = None
 
     def _build_order(self) -> None:
         alg, n, size = self.algebra, self.sort, self.size
         elems = list(range(size))
         # up[a] holds the b with a^b = a (meet row a); down[b] the a with
-        # a^b = a (meet column b).
+        # a^b = a, the same relation read by transposition.
         up = []
         for a in elems:
             row = [a] * size
             up.append(_bitmask(map(operator.eq, alg.meet_all(n, row, elems), row)))
-        down = [_bitmask(map(operator.eq, alg.meet_all(n, elems, [b] * size), elems))
-                for b in elems]
+        down = _transpose(up, size)
         self.up = up
         self.down = down
         for a in range(size):
@@ -99,36 +99,47 @@ class SortLattice:
                 raise NotALatticeError(f"order not antisymmetric at sort-{n} element {a}")
             if not up[self.zero] >> a & 1 or not up[a] >> self.one & 1:
                 raise NotALatticeError(f"bounds fail at sort-{n} element {a}")
-        # Row a checks its pairs (a, b) with b >= a on the order rows.  Below
-        # the diagonal, (b, a) passed in row b, and since down- and up-sets
-        # determine their element, (a, b) passes exactly where meet and join
-        # commute on it.
+        self._find_join_irreducibles()
+        ji_mask = self._ji_mask
+        # Row a checks every meet and join of a on the order rows.  Once the
+        # rows before a have passed, (a, b) with b < a fails exactly where
+        # meet or join does not commute on it, as down- and up-sets determine
+        # their element.  The first distributivity failure is raised only
+        # after every row has passed; joins commute then, so b >= a suffices.
+        gains = None
         for a in elems:
             row = [a] * size
             meets = alg.meet_all(n, row, elems)
             joins = alg.join_all(n, row, elems)
-            before = elems[:a]
-            glb = list(map(operator.eq, meets[:a], alg.meet_all(n, before, row[:a])))
-            glb += map(operator.eq, map(down[a].__and__, down[a:]),
-                       map(down.__getitem__, meets[a:]))
-            lub = list(map(operator.eq, joins[:a], alg.join_all(n, before, row[:a])))
-            lub += map(operator.eq, map(up[a].__and__, up[a:]), map(up.__getitem__, joins[a:]))
-            if all(glb) and all(lub):
-                continue
-            b = next(b for b in elems if not (glb[b] and lub[b]))
-            if not glb[b]:
+            glb = list(map(operator.eq, map(down[a].__and__, down), map(down.__getitem__, meets)))
+            lub = list(map(operator.eq, map(up[a].__and__, up), map(up.__getitem__, joins)))
+            if not (all(glb) and all(lub)):
+                b = next(b for b in elems if not (glb[b] and lub[b]))
+                if not glb[b]:
+                    raise NotALatticeError(
+                        f"meet of sort-{n} elements {a},{b} is not their greatest lower bound"
+                    )
                 raise NotALatticeError(
-                    f"meet of sort-{n} elements {a},{b} is not their greatest lower bound"
+                    f"join of sort-{n} elements {a},{b} is not their least upper bound"
                 )
+            if gains is None:
+                union = list(map(operator.eq, map(ji_mask.__getitem__, joins[a:]),
+                                 map(ji_mask[a].__or__, ji_mask[a:])))
+                if not all(union):
+                    gains = a, a + union.index(False)
+        if gains is not None:
             raise NotALatticeError(
-                f"join of sort-{n} elements {a},{b} is not their least upper bound"
+                f"sort {n} is not distributive: join of {gains[0]},{gains[1]} gains "
+                f"join-irreducibles below neither"
             )
 
     def _find_join_irreducibles(self) -> None:
         """j is join-irreducible when the join of the elements strictly below
-        it (0 for none) is not j.  Joins are verified least upper bounds by
-        now, so that join is the element whose up-set is the intersection of
-        theirs, and up-sets decide it."""
+        it (0 for none) is not j.  This runs before meets and joins are
+        verified, and its result is used only after they are: joins are then
+        least upper bounds, so that join is the element whose up-set is the
+        intersection of theirs, and up-sets decide it.  _ji_mask[a] has bit p
+        where the p-th join-irreducible lies below a."""
         up, elems = self.up, range(self.size)
         irr = []
         for j in elems:
@@ -136,28 +147,7 @@ class SortLattice:
             if reduce(operator.and_, map(up.__getitem__, below), up[self.zero]) != up[j]:
                 irr.append(j)
         self.join_irreducibles = tuple(irr)
-
-    def _check_distributive(self) -> None:
-        alg, n, size = self.algebra, self.sort, self.size
-        elems = list(range(size))
-        # ji_mask[a]: which join-irreducibles sit below a.
-        ji_mask = [0] * size
-        for p, j in enumerate(self.join_irreducibles):
-            for a in compress(elems, _flags(self.up[j])):
-                ji_mask[a] |= 1 << p
-        # Joins commute by now, so a failing pair (a, b) fails as (b, a) too
-        # and row a need only check b >= a.
-        for a in elems:
-            joins = alg.join_all(n, [a] * (size - a), elems[a:])
-            union = list(map(operator.eq, map(ji_mask.__getitem__, joins),
-                             map(ji_mask[a].__or__, ji_mask[a:])))
-            if not all(union):
-                b = a + union.index(False)
-                raise NotALatticeError(
-                    f"sort {n} is not distributive: join of {a},{b} gains "
-                    f"join-irreducibles below neither"
-                )
-        self._ji_mask = ji_mask
+        self._ji_mask = _transpose([up[j] for j in irr], self.size) if irr else [0] * self.size
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
@@ -169,12 +159,16 @@ class SortLattice:
         """The least join-irreducible below exactly one of r and s: the
         lowest set bit of their join-irreducible masks' difference, which is
         nonzero exactly when r != s because the lattice is distributive."""
-        if not (0 <= r < self.size and 0 <= s < self.size):
-            raise PreconditionError(f"{r} and {s} are not both sort-{self.sort} elements")
-        diff = self._ji_mask[r] ^ self._ji_mask[s]
+        mask_r, mask_s = self._masks(r, s)
+        diff = mask_r ^ mask_s
         if not diff:
             raise PreconditionError(f"sort-{self.sort} elements {r} and {s} are not distinct")
         return self.join_irreducibles[(diff & -diff).bit_length() - 1]
+
+    def _masks(self, r: int, s: int) -> tuple[int, int]:
+        if not (0 <= r < self.size and 0 <= s < self.size):
+            raise PreconditionError(f"{r} and {s} are not both sort-{self.sort} elements")
+        return self._ji_mask[r], self._ji_mask[s]
 
 
 def sort_lattice(algebra: FiniteAlgebra, sort: int) -> SortLattice:
@@ -247,17 +241,18 @@ def prime_filter_from_members(algebra: FiniteAlgebra, sort: int, members,
 def extend_to_prime(lattice: SortLattice, gen_f: int, gen_i: int) -> PrimeFilter:
     """A prime filter containing the principal filter generated by gen_f and
     missing the principal ideal generated by gen_i: the up-set of the least
-    join-irreducible below gen_f but not below gen_i.  Requires gen_f not
-    below gen_i."""
-    if lattice.leq(gen_f, gen_i):
+    join-irreducible below gen_f but not below gen_i: the lowest set bit of
+    their masks' difference, which is nonzero exactly when gen_f is not below
+    gen_i because the lattice is distributive."""
+    mask_f, mask_i = lattice._masks(gen_f, gen_i)
+    diff = mask_f & ~mask_i
+    if not diff:
         raise PreconditionError(
             f"filter generator {gen_f} lies below ideal generator "
             f"{gen_i}; no separating prime filter exists"
         )
-    for j in lattice.join_irreducibles:
-        if lattice.leq(j, gen_f) and not lattice.leq(j, gen_i):
-            return PrimeFilter(lattice.sort, j, lattice.up_set(j))
-    raise AssertionError("distributive lattice without a separating join-irreducible")
+    j = lattice.join_irreducibles[(diff & -diff).bit_length() - 1]
+    return PrimeFilter(lattice.sort, j, lattice.up_set(j))
 
 
 def pullback(algebra: FiniteAlgebra, filt: PrimeFilter, alpha: Substitution) -> frozenset[int]:

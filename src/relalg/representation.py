@@ -41,7 +41,7 @@ from .filters import (
     sum_filters,
     witness_filter,
 )
-from .relations import Relation, Substitution, Universe, all_substitutions
+from .relations import Relation, Substitution, Universe, all_substitutions, tuple_index
 
 
 @dataclass
@@ -89,15 +89,25 @@ def filter_to_morphism(algebra: FiniteAlgebra, filt: PrimeFilter,
     universe = Universe(w)
     bound = algebra.max_sort if up_to is None else min(up_to, algebra.max_sort)
 
-    if frag.equality:
-        _check_well_defined(algebra, filt, class_of, bound)
-
     model = FilterModel(algebra, filt, universe, class_of, reps, {})
     for k in range(bound + 1):
         bits = [0] * len(algebra.elements(k))
-        for t, tup in enumerate(iproduct(range(w), repeat=k)):
-            for r in model.satisfied(tup):
-                bits[r] |= 1 << t
+        # The first map of each merged pattern is its reps map; a later map
+        # with the same pattern must pull the filter back alike.
+        first: dict[tuple[int, ...], tuple[Substitution, frozenset[int]]] = {}
+        for alpha in all_substitutions(k, filt.sort):
+            pattern = tuple(class_of[i - 1] for i in alpha.map)
+            pulled = pullback(algebra, filt, alpha)
+            seen = first.setdefault(pattern, (alpha, pulled))
+            if seen[0] is alpha:
+                t = tuple_index(w, pattern)
+                for r in pulled:
+                    bits[r] |= 1 << t
+            elif seen[1] != pulled:
+                raise IllDefinedMapError(
+                    f"merged positions make the sort-{k} map ambiguous",
+                    alpha=seen[0], beta=alpha,
+                )
         model.phi[k] = [Relation(universe, k, b) for b in bits]
     model.verification = recheck_model(model)
     if not model.verification.ok:
@@ -126,24 +136,6 @@ def _merge_positions(algebra: FiniteAlgebra, filt: PrimeFilter) -> tuple[int, ..
     roots = sorted({find(i) for i in range(n)})
     rank = {root: q for q, root in enumerate(roots)}
     return tuple(rank[find(i)] for i in range(n))
-
-
-def _check_well_defined(algebra: FiniteAlgebra, filt: PrimeFilter,
-                        class_of: tuple[int, ...], bound: int) -> None:
-    n = filt.sort
-    for k in range(bound + 1):
-        by_pattern: dict[tuple[int, ...], tuple[Substitution, frozenset[int]]] = {}
-        for alpha in all_substitutions(k, n):
-            pattern = tuple(class_of[i - 1] for i in alpha.map)
-            pulled = pullback(algebra, filt, alpha)
-            seen = by_pattern.get(pattern)
-            if seen is None:
-                by_pattern[pattern] = (alpha, pulled)
-            elif seen[1] != pulled:
-                raise IllDefinedMapError(
-                    f"merged positions make the sort-{k} map ambiguous",
-                    alpha=seen[0], beta=alpha,
-                )
 
 
 def recheck_model(model: FilterModel, mode: str | None = None) -> MorphismReport:

@@ -94,6 +94,15 @@ def separating_family_pairwise(algebra, scope: int) -> list:
     return family
 
 
+def extend_to_prime_scan(lattice, gen_f: int, gen_i: int):
+    """The prime filter extending gen_f away from gen_i by a scan through the
+    order: the up-set of the first join-irreducible in canonical order below
+    gen_f and not below gen_i."""
+    j = next(j for j in lattice.join_irreducibles
+             if lattice.leq(j, gen_f) and not lattice.leq(j, gen_i))
+    return PrimeFilter(lattice.sort, j, lattice.up_set(j))
+
+
 def index_map(alpha, size: int) -> tuple[int, ...]:
     """For each target tuple index (arity cod) the source index (arity dom)."""
     out = []

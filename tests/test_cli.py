@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +185,45 @@ def test_primefilters_output():
     assert code == 0
     assert "2 prime filter(s)" in text
     assert "arity=1 universe=2 {(0)}" in text
+
+
+class ClosedAfterFirstWrite(io.StringIO):
+    """Standard output of a reader that stops after the first chunk, as
+    ``| head -1`` does: the second write raises BrokenPipeError."""
+
+    def write(self, text):
+        if self.tell():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["primefilters", "--algebra", "builtin:concrete:2", "--sort", "1"], 0),
+    (["axioms", "check", "--algebra", "builtin:diamond", "--max-sort", "2"], 1),
+])
+def test_closed_stdout_keeps_the_verdict(argv, expected, capsys):
+    out = ClosedAfterFirstWrite()
+    assert main(argv, out=out) == expected
+    assert out.getvalue().count("\n") == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_exits_0_with_nothing_on_stderr():
+    """The listing is some 600 kB, far more than a pipe holds, so the reader
+    closing after one line makes the process write into a closed pipe."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "relalg.cli", "primefilters", "--algebra",
+                             "builtin:pe-theory", "--sort", "2", "--max-sort", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err
+    assert first == b"sort 2: 706 elements, 17 join-irreducible(s), 17 prime filter(s)\n"
+    assert err == b""
 
 
 def test_embed_full_certificate():

@@ -30,7 +30,7 @@ from relalg import (
 from relalg.filters import NotALatticeError, SortLattice, complement_max
 from relalg.fragments import PE, PQF
 
-from oracles import is_prime_filter_pairwise
+from oracles import extend_to_prime_scan, is_prime_filter_pairwise
 
 
 W2 = Universe(2)
@@ -145,6 +145,60 @@ def test_extend_to_prime_rejects_overlap():
     lat = sort_lattice(alg, 1)
     with pytest.raises(PreconditionError):
         extend_to_prime(lat, alg.zero(1), alg.one(1))
+
+
+@pytest.mark.parametrize("gen_f, gen_i", [(3, 7), (-1, 0), (3, -1), (9, 0)])
+def test_extend_to_prime_refuses_non_elements(gen_f, gen_i):
+    lat = sort_lattice(concrete(W2, PQF, 1), 1)
+    with pytest.raises(PreconditionError, match=f"^{gen_f} and {gen_i} are not both sort-1 "
+                                                "elements$"):
+        extend_to_prime(lat, gen_f, gen_i)
+
+
+def differential_lattices(diamond, pe_theory):
+    w2 = concrete(W2, PQF, 2)
+    return [sort_lattice(w2, 1), sort_lattice(w2, 2), sort_lattice(diamond[0], 1),
+            sort_lattice(as_table_algebra(concrete(Universe(3), PQF, 1)), 1),
+            sort_lattice(pe_theory[0], 1)]
+
+
+def test_extend_to_prime_matches_the_scan(diamond, pe_theory):
+    pairs = 0
+    for lat in differential_lattices(diamond, pe_theory):
+        for f in range(lat.size):
+            for i in range(lat.size):
+                if not lat.leq(f, i):
+                    pairs += 1
+                    assert extend_to_prime(lat, f, i) == extend_to_prime_scan(lat, f, i)
+    assert pairs == 7 + 175 + 7 + 37 + 54
+
+
+def test_order_rows_and_masks_match_scalar_meets(diamond, pe_theory):
+    for lat in differential_lattices(diamond, pe_theory):
+        alg, n, size = lat.algebra, lat.sort, lat.size
+        for a in range(size):
+            for b in range(size):
+                assert (lat.down[b] >> a & 1) == (alg.meet(n, a, b) == a), (n, a, b)
+        ji_mask = [0] * size
+        for p, j in enumerate(lat.join_irreducibles):
+            for a in lat.up_set(j):
+                ji_mask[a] |= 1 << p
+        assert lat._ji_mask == ji_mask
+
+
+def test_sort_lattice_makes_three_batched_calls_per_element(monkeypatch):
+    calls = []
+    for name in ("meet_all", "join_all"):
+        def counted(self, n, xs, ys, _op=getattr(TableAlgebra, name)):
+            calls.append(n)
+            return _op(self, n, xs, ys)
+        monkeypatch.setattr(TableAlgebra, name, counted)
+    w2 = as_table_algebra(concrete(W2, PQF, 2))
+    diamond = as_table_algebra(gallery_diamond()[0])
+    for alg, sort in ((w2, 0), (w2, 1), (w2, 2), (diamond, 1), (chain_algebra(5), 0)):
+        calls.clear()
+        SortLattice(alg, sort)
+        assert len(calls) == 3 * alg.sort_size(sort)
 
 
 def test_sort_lattice_does_not_keep_its_algebra_alive():
