@@ -5,9 +5,12 @@ addressed by indices 0..size-1.  Operation symbols: the lattice constants and
 operations on every sort, all substitutions between in-bounds sorts,
 projection (per fragment), negation (per fragment) and diagonal constants
 (per fragment).  operations() lists them, one key per symbol; the table
-algebras and verify_morphism read that list.  Operations whose sorts exceed
-the bound raise InsufficientSortsError; algebras with concrete, product or
-generated provenance can materialize higher sorts via extend().
+algebras and verify_morphism read that list.  FiniteAlgebra guards each
+symbol once, for every kind: the fragment feature, then the sorts, then a
+diagonal's indices.  A kind supplies only _apply(key, *args) and
+_apply_all(key, xs, ys), keyed as in operations().  Operations whose sorts
+exceed the bound raise InsufficientSortsError; algebras with concrete,
+product or generated provenance can materialize higher sorts via extend().
 
 Concrete algebras are bitset algebras over an ordered list of universes
 (blocks): concrete() builds one block, and product() of concrete factors is a
@@ -62,7 +65,14 @@ MORPHISM_VIOLATION_CAP = 5  # violations a MorphismReport lists
 class FiniteAlgebra:
     """Base interface.  Elements of sort n are the integers 0..sort_size(n)-1
     in the algebra's canonical order; every deterministic tie-break in the
-    package uses this order."""
+    package uses this order.
+
+    Each public operation is guarded once, here: _require for its fragment
+    feature, then _check_sort on each sort it touches, then, for delta, the
+    index check.  It then hands its symbol's key (see operations()) to the
+    kind's hook: _apply(key, *args) for one application, _apply_all(key, xs,
+    ys) for meet_all and join_all.  A kind supplies sort_size and the two
+    hooks."""
 
     fragment: Fragment
     max_sort: int
@@ -104,40 +114,57 @@ class FiniteAlgebra:
     # -- operations ---------------------------------------------------------
 
     def zero(self, n: int) -> int:
-        raise NotImplementedError
+        self._check_sort(n)
+        return self._apply(("zero", n))
 
     def one(self, n: int) -> int:
-        raise NotImplementedError
+        self._check_sort(n)
+        return self._apply(("one", n))
 
     def meet(self, n: int, a: int, b: int) -> int:
-        raise NotImplementedError
+        self._check_sort(n)
+        return self._apply(("meet", n), a, b)
 
     def join(self, n: int, a: int, b: int) -> int:
-        raise NotImplementedError
+        self._check_sort(n)
+        return self._apply(("join", n), a, b)
 
     def neg(self, n: int, a: int) -> int:
-        raise NotImplementedError
+        self._require("negation")
+        self._check_sort(n)
+        return self._apply(("neg", n), a)
 
     def subst(self, alpha: Substitution, a: int) -> int:
         """Apply the substitution symbol alpha: dom -> cod to a sort-dom element."""
-        raise NotImplementedError
+        self._check_sort(alpha.dom)
+        self._check_sort(alpha.cod)
+        return self._apply(("subst", alpha), a)
 
     def exists(self, n: int, a: int) -> int:
         """Project a sort-(n+1) element to sort n."""
-        raise NotImplementedError
+        self._require("exists")
+        self._check_sort(n)
+        self._check_sort(n + 1)
+        return self._apply(("exists", n), a)
 
     def delta(self, n: int, i: int, j: int) -> int:
-        raise NotImplementedError
+        self._require("equality")
+        self._check_sort(n)
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ArityError(f"diagonal indices ({i},{j}) outside 1..{n}")
+        return self._apply(("delta", n, i, j))
 
     def leq(self, n: int, a: int, b: int) -> bool:
         return self.meet(n, a, b) == a
 
     def meet_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
         """meet(n, x, y) for each pair of two equally long columns."""
-        return [self.meet(n, x, y) for x, y in zip(xs, ys)]
+        self._check_sort(n)
+        return self._apply_all(("meet", n), xs, ys)
 
     def join_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
-        return [self.join(n, x, y) for x, y in zip(xs, ys)]
+        self._check_sort(n)
+        return self._apply_all(("join", n), xs, ys)
 
     def _require(self, feature: str) -> None:
         if not getattr(self.fragment, feature):
@@ -230,54 +257,32 @@ class ConcreteAlgebra(FiniteAlgebra):
         self._check_sort(n)
         return 1 << self.width(n)
 
-    def zero(self, n: int) -> int:
-        self._check_sort(n)
-        return 0
-
-    def one(self, n: int) -> int:
-        self._check_sort(n)
-        return (1 << self.width(n)) - 1
-
-    def meet(self, n: int, a: int, b: int) -> int:
-        self._check_sort(n)
-        return a & b
-
-    def join(self, n: int, a: int, b: int) -> int:
-        self._check_sort(n)
-        return a | b
-
-    def meet_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
-        self._check_sort(n)
-        return list(map(operator.and_, xs, ys))
-
-    def join_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
-        self._check_sort(n)
-        return list(map(operator.or_, xs, ys))
-
-    def neg(self, n: int, a: int) -> int:
-        self._require("negation")
-        self._check_sort(n)
-        return a ^ ((1 << self.width(n)) - 1)
-
-    def subst(self, alpha: Substitution, a: int) -> int:
-        self._check_sort(alpha.dom)
-        self._check_sort(alpha.cod)
-        return self._blockwise(alpha.dom, alpha.cod, a,
-                               lambda u, bits: _rel_apply_bits(alpha, u.size, bits))
-
-    def exists(self, n: int, a: int) -> int:
-        self._require("exists")
-        self._check_sort(n)
-        self._check_sort(n + 1)
-        return self._blockwise(n + 1, n, a,
-                               lambda u, bits: _exists_last_bits(u.size, n + 1, bits))
-
-    def delta(self, n: int, i: int, j: int) -> int:
-        self._require("equality")
-        self._check_sort(n)
-        # relations.delta's index check raises before a bad key is stored
-        return self.cached(("delta", n, i, j), lambda: self._blockwise(
+    def _apply(self, key, *args) -> int:
+        """Bitwise for the lattice symbols and negation, block by block for
+        the rest."""
+        name, param = key[0], key[1]
+        if name == "meet":
+            return args[0] & args[1]
+        if name == "join":
+            return args[0] | args[1]
+        if name == "zero":
+            return 0
+        if name == "one":
+            return (1 << self.width(param)) - 1
+        if name == "neg":
+            return args[0] ^ ((1 << self.width(param)) - 1)
+        if name == "subst":
+            return self._blockwise(param.dom, param.cod, args[0],
+                                   lambda u, bits: _rel_apply_bits(param, u.size, bits))
+        if name == "exists":
+            return self._blockwise(param + 1, param, args[0],
+                                   lambda u, bits: _exists_last_bits(u.size, param + 1, bits))
+        _, n, i, j = key  # a diagonal, built once and stored under its key
+        return self.cached(key, lambda: self._blockwise(
             n, n, 0, lambda u, _: rel_delta(u, n, i, j).bits))
+
+    def _apply_all(self, key, xs: list[int], ys: list[int]) -> list[int]:
+        return list(map(operator.and_ if key[0] == "meet" else operator.or_, xs, ys))
 
     def subst_planes(self, alpha: Substitution) -> list[int]:
         """For each bit of subst(alpha, a), lowest first, the bit of a it
@@ -504,59 +509,28 @@ class GeneratedSubalgebra(FiniteAlgebra):
             raise AssertionError(f"closure not closed: sort {n} value {val}")
         return idx
 
-    def zero(self, n: int) -> int:
-        self._check_sort(n)
-        return self._wrap(n, self.parent.zero(n))
+    def _apply(self, key, *args) -> int:
+        """The parent's operation on the arguments' parent values, wrapped."""
+        name, param = key[0], key[1]
+        if name == "subst":
+            arg_sort, result = param.dom, param.cod
+        elif name == "exists":
+            arg_sort, result = param + 1, param
+        else:
+            arg_sort = result = param
+        up = self._to_parent[arg_sort]
+        return self._wrap(result, getattr(self.parent, name)(*key[1:], *(up[a] for a in args)))
 
-    def one(self, n: int) -> int:
-        self._check_sort(n)
-        return self._wrap(n, self.parent.one(n))
-
-    def meet(self, n: int, a: int, b: int) -> int:
-        self._check_sort(n)
-        return self._wrap(n, self.parent.meet(n, self._to_parent[n][a], self._to_parent[n][b]))
-
-    def join(self, n: int, a: int, b: int) -> int:
-        self._check_sort(n)
-        return self._wrap(n, self.parent.join(n, self._to_parent[n][a], self._to_parent[n][b]))
-
-    def meet_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
-        return self._lift_all(self.parent.meet_all, n, xs, ys)
-
-    def join_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
-        return self._lift_all(self.parent.join_all, n, xs, ys)
-
-    def _lift_all(self, parent_op, n: int, xs: list[int], ys: list[int]) -> list[int]:
-        """A batched parent operation on two columns of local indices."""
-        self._check_sort(n)
+    def _apply_all(self, key, xs: list[int], ys: list[int]) -> list[int]:
+        """The parent's batched operation on two columns of local indices."""
+        name, n = key
         up = self._to_parent[n].__getitem__
-        vals = parent_op(n, list(map(up, xs)), list(map(up, ys)))
+        vals = getattr(self.parent, name + "_all")(n, list(map(up, xs)), list(map(up, ys)))
         try:
             return list(map(self._from_parent[n].__getitem__, vals))
         except KeyError as missing:
             self._wrap(n, missing.args[0])  # raises: the first value outside the closure
             raise
-
-    def neg(self, n: int, a: int) -> int:
-        self._require("negation")
-        self._check_sort(n)
-        return self._wrap(n, self.parent.neg(n, self._to_parent[n][a]))
-
-    def subst(self, alpha: Substitution, a: int) -> int:
-        self._check_sort(alpha.dom)
-        self._check_sort(alpha.cod)
-        return self._wrap(alpha.cod, self.parent.subst(alpha, self._to_parent[alpha.dom][a]))
-
-    def exists(self, n: int, a: int) -> int:
-        self._require("exists")
-        self._check_sort(n)
-        self._check_sort(n + 1)
-        return self._wrap(n, self.parent.exists(n, self._to_parent[n + 1][a]))
-
-    def delta(self, n: int, i: int, j: int) -> int:
-        self._require("equality")
-        self._check_sort(n)
-        return self._wrap(n, self.parent.delta(n, i, j))
 
     def extend(self, new_max_sort: int) -> "GeneratedSubalgebra":
         """Re-close over the extended parent.  Only conservative extensions are
@@ -679,53 +653,14 @@ class TableAlgebra(FiniteAlgebra):
         self._check_sort(n)
         return self.sizes[n]
 
-    def zero(self, n: int) -> int:
-        self._check_sort(n)
-        return self._tables[("zero", n)]
+    def _apply(self, key, *args) -> int:
+        entry = self._tables[key]
+        for a in args:
+            entry = entry[a]
+        return entry
 
-    def one(self, n: int) -> int:
-        self._check_sort(n)
-        return self._tables[("one", n)]
-
-    def meet(self, n: int, a: int, b: int) -> int:
-        self._check_sort(n)
-        return self._tables[("meet", n)][a][b]
-
-    def join(self, n: int, a: int, b: int) -> int:
-        self._check_sort(n)
-        return self._tables[("join", n)][a][b]
-
-    def meet_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
-        self._check_sort(n)
-        return _look_up_all(self._tables[("meet", n)], xs, ys)
-
-    def join_all(self, n: int, xs: list[int], ys: list[int]) -> list[int]:
-        self._check_sort(n)
-        return _look_up_all(self._tables[("join", n)], xs, ys)
-
-    def neg(self, n: int, a: int) -> int:
-        self._require("negation")
-        self._check_sort(n)
-        return self._tables[("neg", n)][a]
-
-    def subst(self, alpha: Substitution, a: int) -> int:
-        self._check_sort(alpha.dom)
-        self._check_sort(alpha.cod)
-        return self._tables[("subst", alpha)][a]
-
-    def exists(self, n: int, a: int) -> int:
-        self._require("exists")
-        self._check_sort(n)
-        self._check_sort(n + 1)
-        return self._tables[("exists", n)][a]
-
-    def delta(self, n: int, i: int, j: int) -> int:
-        self._require("equality")
-        self._check_sort(n)
-        value = self._tables.get(("delta", n, i, j))
-        if value is None:
-            raise ArityError(f"diagonal indices ({i},{j}) outside 1..{n}")
-        return value
+    def _apply_all(self, key, xs: list[int], ys: list[int]) -> list[int]:
+        return _look_up_all(self._tables[key], xs, ys)
 
     def extend(self, new_max_sort: int) -> "TableAlgebra":
         if new_max_sort <= self.max_sort:
