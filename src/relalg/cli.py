@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 = pass, 1 = a mathematical violation,
 disagreement, obstruction or incomplete certificate, 2 = usage or parse
-error.  Every randomized report prints its seed; re-running with that seed
+error.  A well-formed algebra that breaks the laws (a sort that is not a
+lattice, an ill-defined filter map, a construction's failed postcondition)
+is a mathematical failure: one line on stdout naming the failed check.  Every randomized report prints its seed; re-running with that seed
 reproduces the output byte for byte.
 
 Algebra specifiers: a JSON table-algebra file path, or one of the builtins
@@ -26,8 +28,8 @@ from .axioms import (
     gallery_diamond,
     gallery_pe_theory,
 )
-from .errors import ElementCapExceededError, ObstructionError, RelAlgError
-from .filters import prime_filters, sort_lattice
+from .errors import ElementCapExceededError, IllDefinedMapError, ObstructionError, RelAlgError
+from .filters import NotALatticeError, prime_filters, sort_lattice
 from .formulas import (
     Structure,
     compile_fo,
@@ -42,6 +44,9 @@ from .representation import embed
 
 
 def _load_algebra(args: argparse.Namespace, max_sort: int) -> FiniteAlgebra:
+    # galleries and table files carry their own bound, so the flag is checked here
+    if args.max_sort < 0:
+        raise RelAlgError(f"max_sort must be >= 0, got {args.max_sort}")
     spec = args.algebra
     if spec.startswith("builtin:"):
         parts = spec.split(":")
@@ -228,6 +233,15 @@ def _cmd_gallery(args: argparse.Namespace, out) -> int:
     return 0
 
 
+# How main names a law an algebra file breaks; AssertionError is a
+# construction's postcondition.
+_FAILED_CHECKS = {
+    NotALatticeError: "NOT A LATTICE",
+    IllDefinedMapError: "ILL-DEFINED MAP",
+    AssertionError: "POSTCONDITION FAILED",
+}
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     common = argparse.ArgumentParser(add_help=False)
@@ -285,6 +299,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
     buffer = io.StringIO()
     try:
         code = handlers[args.command](args, buffer)
+    except (NotALatticeError, IllDefinedMapError, AssertionError) as exc:
+        buffer = io.StringIO()
+        print(f"{_FAILED_CHECKS[type(exc)]}: {exc}", file=buffer)
+        code = 1
     except (OSError, RelAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -429,3 +429,74 @@ def test_embed_scope_zero_is_valid():
                          "--max-sort", "1", "--scope", "0")
     assert code == 0
     assert "injective on sorts 0..0: True" in text
+
+
+def lawless_files(tmp_path):
+    """A table file whose substitution table breaks the filter constructions,
+    and one whose sort 1 is not a lattice; both parse."""
+    from relalg import PQF, Universe, as_table_algebra, concrete
+
+    data = json.loads(as_table_algebra(concrete(Universe(2), PQF.with_equality(), 2)).to_json())
+    table = data["subst"]["1->2:[1]"]
+    table[0] = (table[0] + 1) % 16
+    mut = tmp_path / "mut.json"
+    mut.write_text(json.dumps(data))
+    data = json.loads(as_table_algebra(concrete(Universe(2), PQF, 1)).to_json())
+    data["sorts"][1]["meet"][1][2] = 3
+    nonlattice = tmp_path / "nonlattice.json"
+    nonlattice.write_text(json.dumps(data))
+    return str(mut), str(nonlattice)
+
+
+def test_lawless_algebra_files_exit_1_with_one_line(tmp_path, capsys):
+    """A file that parses but breaks the laws is a mathematical failure: one
+    line on stdout naming the failed check, exit 1, nothing on stderr."""
+    mut, nonlattice = lawless_files(tmp_path)
+    not_a_lattice = ("NOT A LATTICE: meet of sort-1 elements 1,2 is not their "
+                     "greatest lower bound\n")
+    for argv, line in (
+        (("embed", "--algebra", mut, "--scope", "1"),
+         "POSTCONDITION FAILED: filter-induced map failed verification: "
+         "substitution [1]:1->2 at sort-1 element 0 not preserved\n"),
+        (("primefilters", "--algebra", nonlattice, "--sort", "1"), not_a_lattice),
+        (("embed", "--algebra", nonlattice, "--scope", "1"), not_a_lattice),
+    ):
+        assert run_cli(*argv) == (1, line), argv
+        assert capsys.readouterr().err == "", argv
+    # the axiom checker reports the same file as violated axioms
+    code, text = run_cli("axioms", "check", "--algebra", nonlattice)
+    assert code == 1 and "verdict: 1 axiom(s) violated" in text
+    # adding 2 instead of 1 breaks the master filter's postcondition
+    data = json.loads(Path(mut).read_text())
+    data["subst"]["1->2:[1]"][0] = (data["subst"]["1->2:[1]"][0] + 1) % 16
+    Path(mut).write_text(json.dumps(data))
+    assert run_cli("embed", "--algebra", mut, "--scope", "1") == (
+        1, "POSTCONDITION FAILED: master filter postcondition fails at block sort 1, element 0\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_ill_defined_filter_map_exits_1(monkeypatch, capsys):
+    """The shifted 1->2 tables of test_filter_model_golden that make a filter
+    map ambiguous fail another check first under embed, so embed itself is
+    replaced by one that raises."""
+    from relalg import IllDefinedMapError, Substitution
+    import relalg.cli
+
+    def ambiguous(*args, **kwargs):
+        raise IllDefinedMapError("merged positions make the sort-1 map ambiguous",
+                                 alpha=Substitution(1, 2, (1,)), beta=Substitution(1, 2, (2,)))
+
+    monkeypatch.setattr(relalg.cli, "embed", ambiguous)
+    assert run_cli("embed", "--algebra", "builtin:concrete:1", "--scope", "1") == (
+        1, "ILL-DEFINED MAP: merged positions make the sort-1 map ambiguous\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_negative_max_sort_exits_2_in_every_subcommand(tmp_path, capsys):
+    """Galleries and table files carry their own sort bound; the flag is
+    refused all the same."""
+    mut, _ = lawless_files(tmp_path)
+    for spec in ("builtin:concrete:1", "builtin:diamond", "builtin:pe-theory", mut):
+        for argv in (("axioms", "check"), ("primefilters", "--sort", "0"), ("embed", "--scope", "0")):
+            assert run_cli(*argv, "--algebra", spec, "--max-sort", "-1") == (2, ""), (spec, argv)
+            assert capsys.readouterr().err == "error: max_sort must be >= 0, got -1\n", (spec, argv)

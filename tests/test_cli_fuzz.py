@@ -86,6 +86,7 @@ def test_mutated_algebra_files(fuzz_dir, text):
     path.write_text(text)
     _check_exit("axioms", "check", "--algebra", str(path), "--max-sort", "1")
     _check_exit("primefilters", "--algebra", str(path), "--sort", "1", "--max-sort", "1")
+    _check_exit("embed", "--algebra", str(path), "--scope", "1")
 
 
 @given(st.lists(st.sampled_from(TOKENS), max_size=25), st.booleans())
