@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 = pass, 1 = a mathematical violation,
 disagreement, obstruction or incomplete certificate, 2 = usage or parse
 error.  A well-formed algebra that breaks the laws (a sort that is not a
 lattice, an ill-defined filter map, a construction's failed postcondition)
-is a mathematical failure: one line on stdout naming the failed check.  Every randomized report prints its seed; re-running with that seed
+is a mathematical failure: one line on stdout naming the failed check.
+Every randomized report prints its seed; re-running with that seed
 reproduces the output byte for byte.
 
 Algebra specifiers: a JSON table-algebra file path, or one of the builtins
