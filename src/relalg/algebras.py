@@ -23,8 +23,9 @@ FiniteAlgebra.cached: operation tables under their symbol keys (a table
 algebra's given tables, or tables built on first use), a concrete algebra's
 diagonals and plane index lists under ("planes", *key), and the sort
 lattices of filters.sort_lattice.  All algebras are immutable after
-construction; the store is lock-guarded so concurrent readers see consistent
-tables.
+construction.  The store takes no lock: nothing starts a thread, and under
+the GIL dict.get and setdefault keep the first value stored; so an algebra
+pickles, store included.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import json
 import operator
 import sys
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product as iproduct
@@ -71,8 +71,8 @@ class FiniteAlgebra:
     feature, then _check_sort on each sort it touches, then, for delta, the
     index check.  It then hands its symbol's key (see operations()) to the
     kind's hook: _apply(key, *args) for one application, _apply_all(key, xs,
-    ys) for meet_all and join_all.  A kind supplies sort_size and the two
-    hooks."""
+    ys) for meet_all and join_all.  A kind supplies sort_size, extend and
+    the two hooks."""
 
     fragment: Fragment
     max_sort: int
@@ -86,7 +86,6 @@ class FiniteAlgebra:
         self.max_sort = max_sort
         self.element_cap = element_cap
         self.provenance = provenance
-        self._cache_lock = threading.Lock()
         self._tables: dict = {}  # see cached()
 
     # -- sizes and guards ---------------------------------------------------
@@ -178,12 +177,9 @@ class FiniteAlgebra:
         their symbol's key (see operations()), a concrete algebra's diagonals
         under theirs and its plane index lists under ("planes", *key), sort
         lattices under ("lattice", n)."""
-        with self._cache_lock:
-            value = self._tables.get(key)
+        value = self._tables.get(key)
         if value is None:
-            value = build()
-            with self._cache_lock:
-                value = self._tables.setdefault(key, value)
+            value = self._tables.setdefault(key, build())
         return value
 
     def subst_table(self, alpha: Substitution) -> list[int]:
@@ -195,15 +191,6 @@ class FiniteAlgebra:
 
     def neg_table(self, n: int) -> list[int]:
         return self.cached(("neg", n), lambda: [self.neg(n, a) for a in self.elements(n)])
-
-    # -- extension ----------------------------------------------------------
-
-    def extend(self, new_max_sort: int) -> "FiniteAlgebra":
-        if new_max_sort <= self.max_sort:
-            return self
-        raise InsufficientSortsError(
-            f"{self.provenance} algebra cannot materialize sorts above {self.max_sort}"
-        )
 
     # -- reporting ----------------------------------------------------------
 
@@ -774,9 +761,6 @@ class MorphismReport:
     ok: bool
     checks: int
     violations: list[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 # How verify_morphism words a symbol it finds not preserved: the positional

@@ -20,6 +20,7 @@ import io
 import json
 import os
 import sys
+from functools import partial
 
 from .algebras import FiniteAlgebra, TableAlgebra, _power_at_least, concrete
 from .axioms import (
@@ -175,9 +176,9 @@ def _cmd_primefilters(args: argparse.Namespace, out) -> int:
           f"{len(lattice.join_irreducibles)} join-irreducible(s), "
           f"{len(filters)} prime filter(s)", file=out)
     for idx, pf in enumerate(filters):
-        members = ", ".join(algebra.element_label(pf.sort, m) for m in sorted(pf.members))
-        print(f"prime filter {idx}: generator {algebra.element_label(pf.sort, pf.generator)}",
-              file=out)
+        label = partial(algebra.element_label, pf.sort)
+        members = ", ".join(map(label, sorted(lattice.up_set(pf.generator))))
+        print(f"prime filter {idx}: generator {label(pf.generator)}", file=out)
         print(f"  members: {{{members}}}", file=out)
     return 0
 

@@ -2,10 +2,10 @@
 verified on construction, join-irreducibles are computed, and prime filters
 are realized as their principal up-sets.
 
-Membership in a prime filter is decided by PrimeFilter.__contains__ for one
-element and by pullback for a whole sort: pullback(algebra, F, alpha) is the
-set alpha*F of sort-alpha.dom elements r with alpha(r) in F, read off the
-algebra's cached substitution table.
+A prime filter is its sort and generator; membership is decided here alone:
+by algebra.leq(sort, generator, x) for one element, and for a whole sort by
+pullback(algebra, F, alpha), the sort-alpha.dom elements r with alpha(r) in
+F: one meet_all row of the generator against a cached substitution table.
 
 Every filter and ideal here is principal (the lattices are finite), so it is
 given by its generator, a plain element.  Prime-filter existence arguments
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import compress, count
 from typing import Sequence
 
@@ -47,14 +47,10 @@ from .relations import (Substitution, _bitmask, _flags, _transpose, assoc_cylind
 
 @dataclass(frozen=True)
 class PrimeFilter:
-    """A prime filter, stored as the up-set of its witnessing join-irreducible."""
+    """A prime filter, given by its generator: its members lie above it."""
 
     sort: int
     generator: int
-    members: frozenset[int]
-
-    def __contains__(self, element: int) -> bool:
-        return element in self.members
 
 
 class NotALatticeError(RelAlgError):
@@ -213,18 +209,17 @@ def prime_filters(lattice: SortLattice) -> list[PrimeFilter]:
     if lattice._prime_filters is None:
         out = []
         for j in lattice.join_irreducibles:
-            pf = PrimeFilter(lattice.sort, j, lattice.up_set(j))
-            if not is_prime_filter(lattice.algebra, lattice.sort, pf.members):
+            if not is_prime_filter(lattice.algebra, lattice.sort, lattice.up_set(j)):
                 raise AssertionError(
                     f"up-set of join-irreducible {j} fails the direct primality test"
                 )
-            out.append(pf)
+            out.append(PrimeFilter(lattice.sort, j))
         lattice._prime_filters = out
     return list(lattice._prime_filters)
 
 
-def prime_filter_from_members(algebra: FiniteAlgebra, sort: int, members,
-                              verify: bool = True) -> PrimeFilter:
+def prime_filter_from_members(algebra: FiniteAlgebra, sort: int, members) -> PrimeFilter:
+    """The filter on the members' meet, which must be a member; not checked prime."""
     members = frozenset(members)
     if not members:
         raise PreconditionError(f"empty member set is not a filter on sort {sort}")
@@ -233,9 +228,7 @@ def prime_filter_from_members(algebra: FiniteAlgebra, sort: int, members,
         gen = a if gen is None else algebra.meet(sort, gen, a)
     if gen not in members:
         raise PreconditionError(f"member set of sort {sort} is not meet-closed")
-    if verify and not is_prime_filter(algebra, sort, members):
-        raise PreconditionError(f"member set of sort {sort} is not a prime filter")
-    return PrimeFilter(sort, gen, members)
+    return PrimeFilter(sort, gen)
 
 
 def extend_to_prime(lattice: SortLattice, gen_f: int, gen_i: int) -> PrimeFilter:
@@ -251,8 +244,7 @@ def extend_to_prime(lattice: SortLattice, gen_f: int, gen_i: int) -> PrimeFilter
             f"filter generator {gen_f} lies below ideal generator "
             f"{gen_i}; no separating prime filter exists"
         )
-    j = lattice.join_irreducibles[(diff & -diff).bit_length() - 1]
-    return PrimeFilter(lattice.sort, j, lattice.up_set(j))
+    return PrimeFilter(lattice.sort, lattice.join_irreducibles[(diff & -diff).bit_length() - 1])
 
 
 def pullback(algebra: FiniteAlgebra, filt: PrimeFilter, alpha: Substitution) -> frozenset[int]:
@@ -260,17 +252,23 @@ def pullback(algebra: FiniteAlgebra, filt: PrimeFilter, alpha: Substitution) -> 
     if alpha.cod != filt.sort:
         raise PreconditionError(f"substitution {alpha} does not land in the "
                                 f"filter's sort {filt.sort}")
-    return frozenset(compress(count(), map(filt.members.__contains__, algebra.subst_table(alpha))))
+    return _members(algebra, filt, algebra.subst_table(alpha))
+
+
+def _members(algebra: FiniteAlgebra, filt: PrimeFilter, xs=None) -> frozenset[int]:
+    """The positions in xs (default: the sort's elements, so the member set)
+    of the filter's members, from one meet_all row of its generator."""
+    g, xs = filt.generator, algebra.elements(filt.sort) if xs is None else xs
+    return frozenset(compress(count(), map(g.__eq__, algebra.meet_all(filt.sort, [g] * len(xs), xs))))
 
 
 def complement_max(algebra: FiniteAlgebra, pf: PrimeFilter) -> int:
     """Largest non-member: the complement of a prime filter is a principal
     ideal, generated by the join of all non-members."""
-    out = algebra.zero(pf.sort)
-    for a in algebra.elements(pf.sort):
-        if a not in pf:
-            out = algebra.join(pf.sort, out, a)
-    if out in pf:
+    members = _members(algebra, pf)
+    out = reduce(partial(algebra.join, pf.sort),
+                 (a for a in algebra.elements(pf.sort) if a not in members), algebra.zero(pf.sort))
+    if out in members:
         raise AssertionError("complement of a prime filter must be join-closed")
     return out
 
@@ -286,11 +284,9 @@ def sum_filters(filters: Sequence[PrimeFilter], algebra: FiniteAlgebra) -> Prime
     blocks = partitioning(*ks)
     gen_f = alg.one(n)
     gen_i = alg.zero(n)
-    maxes = []
-    for pf, c in zip(filters, blocks):
+    maxes = [complement_max(alg, pf) for pf in filters]
+    for pf, c, m in zip(filters, blocks, maxes):
         gen_f = alg.meet(n, gen_f, alg.subst(c, pf.generator))
-        m = complement_max(alg, pf)
-        maxes.append(m)
         gen_i = alg.join(n, gen_i, alg.subst(c, m))
     if alg.leq(n, gen_f, gen_i):
         raise ObstructionError(
@@ -302,7 +298,7 @@ def sum_filters(filters: Sequence[PrimeFilter], algebra: FiniteAlgebra) -> Prime
         )
     master = extend_to_prime(sort_lattice(alg, n), gen_f, gen_i)
     for pf, c in zip(filters, blocks):
-        differ = pullback(alg, master, c) ^ pf.members
+        differ = pullback(alg, master, c) ^ _members(alg, pf)
         if differ:
             raise AssertionError(f"master filter postcondition fails at block sort "
                                  f"{pf.sort}, element {min(differ)}")
@@ -315,7 +311,7 @@ def project_filter(algebra: FiniteAlgebra, filt: PrimeFilter, r: int) -> PrimeFi
     the filter."""
     n = filt.sort
     alg = algebra.extend(n + 1)
-    if alg.exists(n, r) not in filt:
+    if not alg.leq(n, filt.generator, alg.exists(n, r)):
         raise PreconditionError(
             f"projection of element {r} does not belong to the sort-{n} filter"
         )
@@ -332,9 +328,9 @@ def project_filter(algebra: FiniteAlgebra, filt: PrimeFilter, r: int) -> PrimeFi
             s_elems=[gen_i],
         )
     lifted = extend_to_prime(sort_lattice(alg, n + 1), gen_f, gen_i)
-    if r not in lifted:
+    if not alg.leq(n + 1, lifted.generator, r):
         raise AssertionError("lifted filter lost its defining element")
-    differ = pullback(alg, lifted, c) ^ filt.members
+    differ = pullback(alg, lifted, c) ^ _members(alg, filt)
     if differ:
         raise AssertionError(f"pullback of the lifted filter differs at element {min(differ)}")
     return lifted
@@ -345,17 +341,18 @@ def pullback_filter(algebra: FiniteAlgebra, above: PrimeFilter) -> PrimeFilter:
     filter one sort down."""
     if above.sort < 1:
         raise PreconditionError("cannot pull a sort-0 filter back")
-    n = above.sort - 1
-    members = pullback(algebra, above, assoc_cylindrification(n))
-    return prime_filter_from_members(algebra, n, members)
+    members = _pullback_filter_members(algebra, above)
+    if not is_prime_filter(algebra, above.sort - 1, members):
+        raise PreconditionError(f"member set of sort {above.sort - 1} is not a prime filter")
+    return prime_filter_from_members(algebra, above.sort - 1, members)
 
 
 def _pullback_filter_members(algebra: FiniteAlgebra, above: PrimeFilter) -> frozenset[int]:
     """The members of pullback_filter on a filter above sort 0, unchecked for
     primality; an empty or not meet-closed pullback is still refused."""
-    n = above.sort - 1
-    members = pullback(algebra, above, assoc_cylindrification(n))
-    return prime_filter_from_members(algebra, n, members, verify=False).members
+    members = pullback(algebra, above, assoc_cylindrification(above.sort - 1))
+    prime_filter_from_members(algebra, above.sort - 1, members)
+    return members
 
 
 def witness_filter(algebra: FiniteAlgebra, base: PrimeFilter,
@@ -402,11 +399,11 @@ def witness_filter(algebra: FiniteAlgebra, base: PrimeFilter,
             s_elems=[gen_i],
         )
     packed = extend_to_prime(sort_lattice(alg, m + n_w), gen_f, gen_i)
-    differ = pullback(alg, packed, beta0) ^ base.members
+    differ = pullback(alg, packed, beta0) ^ _members(alg, base)
     if differ:
         raise AssertionError(f"packed filter condition (I) fails at element {min(differ)}")
     for (g, _), beta in zip(pairs, betas):
-        missing = g.members - pullback(alg, packed, beta)
+        missing = _members(alg, g) - pullback(alg, packed, beta)
         if missing:
             raise AssertionError(f"packed filter condition (II) fails at element {min(missing)}")
     return packed

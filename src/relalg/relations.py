@@ -37,9 +37,6 @@ class Universe:
         if self.size < 0:
             raise ValueError(f"universe size must be >= 0, got {self.size}")
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.size))
-
 
 def tuple_index(size: int, tup: Sequence[int]) -> int:
     idx = 0
@@ -149,15 +146,6 @@ class Relation:
         size, arity = self.universe.size, self.arity
         for idx in compress(count(), _flags(self.bits)):
             yield index_tuple(size, arity, idx)
-
-    def __and__(self, other: "Relation") -> "Relation":
-        return meet(self, other)
-
-    def __or__(self, other: "Relation") -> "Relation":
-        return join(self, other)
-
-    def __invert__(self) -> "Relation":
-        return complement(self)
 
     def __str__(self) -> str:
         return relation_literal(self)

@@ -20,7 +20,7 @@ round budget runs out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from .algebras import (
     ConcreteAlgebra,
@@ -30,7 +30,7 @@ from .algebras import (
     kernel,
     verify_morphism,
 )
-from .errors import IllDefinedMapError, PreconditionError
+from .errors import ElementCapExceededError, IllDefinedMapError, PreconditionError
 from .filters import (
     PrimeFilter,
     prime_filter_from_members,
@@ -73,7 +73,7 @@ class FilterModel:
 
     def type_of(self, tup: tuple[int, ...]) -> PrimeFilter:
         """The prime filter of everything holding of the given universe tuple."""
-        return prime_filter_from_members(self.algebra, len(tup), self.satisfied(tup), verify=False)
+        return prime_filter_from_members(self.algebra, len(tup), self.satisfied(tup))
 
 
 def filter_to_morphism(algebra: FiniteAlgebra, filt: PrimeFilter,
@@ -129,7 +129,7 @@ def _merge_positions(algebra: FiniteAlgebra, filt: PrimeFilter) -> tuple[int, ..
 
     for i in range(n):
         for j in range(i + 1, n):
-            if algebra.delta(n, i + 1, j + 1) in filt:
+            if algebra.leq(n, filt.generator, algebra.delta(n, i + 1, j + 1)):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
@@ -167,28 +167,22 @@ def separate(algebra: FiniteAlgebra, sort: int, r: int, s: int) -> FilterModel:
 
 
 def separating_filter(algebra: FiniteAlgebra, sort: int, r: int, s: int) -> PrimeFilter:
-    lattice = sort_lattice(algebra, sort)
-    j = lattice.separator(r, s)
-    return PrimeFilter(sort, j, lattice.up_set(j))
+    return PrimeFilter(sort, sort_lattice(algebra, sort).separator(r, s))
 
 
 def separating_family(algebra: FiniteAlgebra, scope: int) -> list[PrimeFilter]:
     """One prime filter per unordered pair of distinct elements in sorts up to
-    the scope (least canonical choice), duplicates dropped: each filter is
-    built once, for the first pair its generator separates."""
+    the scope (least canonical choice), duplicates dropped: each generator is
+    kept once, at the first pair it separates."""
     family: list[PrimeFilter] = []
     for k in range(scope + 1):
         size = algebra.sort_size(k)
         if size <= 1:
             continue
         lattice = sort_lattice(algebra, k)
-        seen: set[int] = set()
-        for a in algebra.elements(k):
-            for b in range(a + 1, size):
-                j = lattice.separator(a, b)
-                if j not in seen:
-                    seen.add(j)
-                    family.append(PrimeFilter(k, j, lattice.up_set(j)))
+        separators = dict.fromkeys(lattice.separator(a, b) for a in algebra.elements(k)
+                                   for b in range(a + 1, size))
+        family += [PrimeFilter(k, j) for j in separators]
     return family
 
 
@@ -202,7 +196,14 @@ def master_filter_model(algebra: FiniteAlgebra, scope: int) -> tuple[FilterModel
     if scope > algebra.max_sort:
         raise PreconditionError(f"scope {scope} exceeds sort bound {algebra.max_sort}")
     family = separating_family(algebra, scope)
-    ext = algebra.extend(sum(pf.sort for pf in family))
+    try:
+        ext = algebra.extend(sum(pf.sort for pf in family))
+    except ElementCapExceededError:
+        # the master sort is out of reach, but a pair of filters may obstruct
+        for f, g in combinations(family, 2):
+            if f.sort + g.sort <= algebra.max_sort:
+                sum_filters([f, g], algebra)
+        raise
     master = sum_filters(family, ext)
     model = filter_to_morphism(ext, master, up_to=algebra.max_sort)
     return model, family
@@ -275,15 +276,16 @@ def find_obligations(model: FilterModel, bound: int) -> list[tuple[tuple[int, ..
     out = []
     for length in range(bound):
         target = length + 1
-        candidates = [(g, _pullback_filter_members(alg, g))
-                      for g in prime_filters(sort_lattice(alg, target))]
+        lattice = sort_lattice(alg, target)
+        candidates = [(g, _pullback_filter_members(alg, g), lattice.up_set(g.generator))
+                      for g in prime_filters(lattice)]
         for tup in iproduct(range(w), repeat=length):
-            p = model.type_of(tup)
-            extending = [g for g, pulled in candidates if pulled == p.members]
+            p = model.satisfied(tup)
+            prime_filter_from_members(alg, length, p)  # refused as model.type_of refuses
+            extending = [(g, up) for g, pulled, up in candidates if pulled == p]
             if extending:
                 realized = [model.satisfied(tup + (b,)) for b in range(w)]
-                out += [(tup, g) for g in extending
-                        if not any(g.members <= sat for sat in realized)]
+                out += [(tup, g) for g, up in extending if not any(up <= sat for sat in realized)]
     return out
 
 

@@ -88,7 +88,7 @@ def separating_family_pairwise(algebra, scope: int) -> list:
         lattice = sort_lattice(algebra, k)
         for a, b in combinations(range(lattice.size), 2):
             j = next(j for j in lattice.join_irreducibles if lattice.leq(j, a) != lattice.leq(j, b))
-            pf = PrimeFilter(k, j, lattice.up_set(j))
+            pf = PrimeFilter(k, j)
             if pf not in family:
                 family.append(pf)
     return family
@@ -100,7 +100,7 @@ def extend_to_prime_scan(lattice, gen_f: int, gen_i: int):
     gen_f and not below gen_i."""
     j = next(j for j in lattice.join_irreducibles
              if lattice.leq(j, gen_f) and not lattice.leq(j, gen_i))
-    return PrimeFilter(lattice.sort, j, lattice.up_set(j))
+    return PrimeFilter(lattice.sort, j)
 
 
 def index_map(alpha, size: int) -> tuple[int, ...]:

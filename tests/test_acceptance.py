@@ -33,6 +33,7 @@ from relalg import (
     parse_fo,
     prime_filters,
     product,
+    pullback,
     random_formula,
     random_structure,
     saturate,
@@ -145,10 +146,11 @@ def test_criterion_3_duality():
         algebra = concrete(Universe(size), PQF, 2)
         for sort in range(3):
             lattice = sort_lattice(algebra, sort)
-            computed = {pf.members for pf in prime_filters(lattice)}
+            identity = Substitution.identity(sort)
+            computed = {pullback(algebra, pf, identity) for pf in prime_filters(lattice)}
             assert computed == _prime_subset_oracle(algebra, sort)
             for pf in prime_filters(lattice):
-                assert pf.members == lattice.up_set(pf.generator)
+                assert pullback(algebra, pf, identity) == lattice.up_set(pf.generator)
                 assert pf.generator in lattice.join_irreducibles
             lattices += 1
 
@@ -172,7 +174,8 @@ def test_criterion_3_duality():
             if algebra.sort_size(sort) > 64:
                 continue
             lattice = sort_lattice(algebra, sort)
-            computed = {pf.members for pf in prime_filters(lattice)}
+            identity = Substitution.identity(sort)
+            computed = {pullback(algebra, pf, identity) for pf in prime_filters(lattice)}
             assert computed == _prime_subset_oracle(algebra, sort)
             lattices += 1
     print(f"\nACCEPTANCE 3 (duality): PASS  {lattices} sort lattices, "
@@ -193,9 +196,11 @@ def test_criterion_4_master_filter_postcondition():
                 target = sorts[0] + sorts[1]
                 assert target <= 4
                 blocks = partitioning(*sorts)
+                inside = sort_lattice(algebra, target).up_set(master.generator)
                 for pf, c in zip((f1, f2), blocks):
                     for r in algebra.elements(pf.sort):
-                        assert (algebra.subst(c, r) in master.members) == (r in pf.members)
+                        assert (algebra.subst(c, r) in inside) == (
+                            r in sort_lattice(algebra, pf.sort).up_set(pf.generator))
                 calls += 1
     assert calls == 2 * 2 + 2 * 4 + 4 * 2
     print(f"\nACCEPTANCE 4 (master filter): PASS  {calls}/{calls} calls verified "

@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 from itertools import product as iproduct
 from random import Random
@@ -7,6 +8,7 @@ import pytest
 
 from relalg import (
     ArityError,
+    Bounds,
     ElementCapExceededError,
     FormatError,
     FragmentError,
@@ -15,12 +17,15 @@ from relalg import (
     TableAlgebra,
     Universe,
     as_table_algebra,
+    check_fragment,
     concrete,
+    gallery_pe_theory,
     generated_subalgebra,
     is_injective,
     kernel,
     operations,
     product,
+    sort_lattice,
     verify_morphism,
 )
 from relalg.fragments import FO, PE, PQF, QF
@@ -405,3 +410,16 @@ def test_table_algebra_validation():
     for data in bad:
         with pytest.raises(FormatError):
             TableAlgebra.from_json(json.dumps(data))
+
+
+def test_algebras_round_trip_through_pickle():
+    """The store holds no lock, so an algebra pickles, cached tables and
+    lattices included, and the copy checks exactly as the original does."""
+    cases = [concrete(Universe(2), FO.with_equality(), 2),
+             as_table_algebra(concrete(Universe(1), FO, 2), with_extension=True),
+             gallery_pe_theory()[0]]
+    bounds = Bounds(max_sort=2, samples=500, seed=3)
+    for alg in cases:
+        sort_lattice(alg, 1)
+        copy = pickle.loads(pickle.dumps(alg))
+        assert check_fragment(copy, bounds) == check_fragment(alg, bounds), alg.provenance

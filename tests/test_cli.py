@@ -500,3 +500,46 @@ def test_negative_max_sort_exits_2_in_every_subcommand(tmp_path, capsys):
         for argv in (("axioms", "check"), ("primefilters", "--sort", "0"), ("embed", "--scope", "0")):
             assert run_cli(*argv, "--algebra", spec, "--max-sort", "-1") == (2, ""), (spec, argv)
             assert capsys.readouterr().err == "error: max_sort must be >= 0, got -1\n", (spec, argv)
+
+
+def test_embed_pe_theory_past_the_cap_names_a_pair_obstruction(capsys):
+    """The master sort (39) is past the element cap, but two sort-1 filters
+    of the separating family already meet the axiom (0) obstruction."""
+    code, text = run_cli("embed", "--algebra", "builtin:pe-theory", "--max-sort", "2",
+                         "--scope", "2")
+    assert code == 1
+    assert text.splitlines() == [
+        "OBSTRUCTION (axiom (0)): axiom (0) obstruction: the blockwise filter meets "
+        "the blockwise ideal",
+        "  blocks: [1, 1]  r=[2, 3]  s=[4, 7]",
+    ]
+    assert capsys.readouterr().err == ""
+
+
+def test_embed_jsonl_prints_one_record():
+    code, text = run_cli("--format", "jsonl", "embed", "--algebra", "builtin:concrete:1",
+                         "--fragment", "pqf", "--max-sort", "1", "--scope", "1")
+    assert code == 0
+    records = [json.loads(line) for line in text.splitlines()]
+    assert len(records) == 1
+    assert records[0]["status"] == "full"
+    assert records[0]["target_size"] == 1
+
+
+@pytest.mark.parametrize("argv, error", [
+    ((), "error: no formula given (positional argument or --formula-file)\n"),
+    (("--syntax", "term", "--mode", "naive", "exists(and(R1, R2))"),
+     "error: term syntax has no naive evaluator; use --mode compiled\n"),
+    (("[R1] R1(R1, R1)",),
+     "error: variable 'R1' clashes with a relation symbol (at position 1)\n"),
+])
+def test_eval_refusals_exit_2(structure_file, argv, error, capsys):
+    assert run_cli("eval", "--structure", structure_file, *argv) == (2, "")
+    assert capsys.readouterr().err == error
+
+
+def test_unknown_fragment_exits_2(capsys):
+    for argv in (("axioms", "check"), ("embed", "--scope", "1")):
+        assert run_cli(*argv, "--algebra", "builtin:concrete:1", "--fragment", "bogus") == (2, "")
+        assert capsys.readouterr().err == ("error: unknown fragment 'bogus' "
+                                           "(expected pqf, qf, pe or fo, optionally +eq)\n")

@@ -32,9 +32,9 @@ from relalg import (
     gallery_diamond,
     generated_subalgebra,
 )
-from relalg.filters import prime_filters, sort_lattice
+from relalg.filters import prime_filters, pullback, sort_lattice
 from relalg.fragments import FO, PE, PQF, QF
-from relalg.relations import relation_literal
+from relalg.relations import Substitution, relation_literal
 from relalg.representation import filter_to_morphism, saturate
 
 GOLDEN = Path(__file__).with_name("embed_golden.jsonl")
@@ -102,7 +102,8 @@ def filter_records():
             filters = prime_filters(sort_lattice(algebra, sort))
             yield {"case": "prime filters", "algebra": name, "fragment": str(algebra.fragment),
                    "sort": sort,
-                   "filters": [[pf.generator, sorted(pf.members)] for pf in filters]}
+                   "filters": [[pf.generator, sorted(pullback(algebra, pf, Substitution.identity(sort)))]
+                               for pf in filters]}
             if not name.startswith("concrete"):
                 continue
             for pf in filters:

@@ -295,6 +295,13 @@ def test_oracle_equivalence_seeded_fuzz():
     assert agree == 400
 
 
+def test_print_fo_round_trips_through_parse_fo():
+    rng = Random(2024)
+    for _ in range(500):
+        f = random_formula(rng, SIG4, rng.randint(0, 3), rng.randint(0, 4))
+        assert parse_fo(print_fo(f), SIG4) == f, print_fo(f)
+
+
 def test_sort_soundness():
     rng = Random(2468)
     for _ in range(100):

@@ -10,6 +10,7 @@ from relalg import (
     ObstructionError,
     PreconditionError,
     Relation,
+    SchemaInstance,
     Universe,
     as_table_algebra,
     check_fragment,
@@ -17,11 +18,13 @@ from relalg import (
     embed,
     filter_to_morphism,
     find_obligations,
+    gallery_pe_theory,
     generated_subalgebra,
     kernel,
     master_filter_model,
     prime_filters,
     product,
+    replay_instance,
     saturate,
     separate,
     sort_lattice,
@@ -65,7 +68,7 @@ def test_filter_model_equality_identification():
     alg = concrete(W2, PQF.with_equality(), 2)
     f = next(pf for pf in prime_filters(sort_lattice(alg, 2))
              if pf.generator == bits(2, 2, [(0, 0)]))
-    assert alg.delta(2, 1, 2) in f.members
+    assert alg.delta(2, 1, 2) in sort_lattice(alg, 2).up_set(f.generator)
     model = filter_to_morphism(alg, f)
     assert model.universe.size == 1
     assert model.class_of == (0, 0)
@@ -100,7 +103,8 @@ def test_separate_examples():
     # comparable pair: the filter contains exactly one of them
     low, high = alg.zero(1), bits(2, 1, [(0,)])
     pf = separating_filter(alg, 1, low, high)
-    assert (low in pf.members) != (high in pf.members)
+    inside = sort_lattice(alg, 1).up_set(pf.generator)
+    assert (low in inside) != (high in inside)
 
 
 def test_separate_diamond(diamond):
@@ -381,3 +385,18 @@ def test_a_subalgebra_of_a_product_can_fail_axiom_zero():
     assert reports[0].violations[0].params == {"shape": [0, 0]}
     with pytest.raises(ObstructionError):
         embed(alg, scope=1)
+
+
+def test_pe_theory_pair_obstruction_past_the_cap_replays():
+    """The pe-theory master sort is past the element cap; the first pair of
+    family filters that obstructs is reported instead, and its instance is a
+    violation the axiom (0) checker reproduces."""
+    alg = gallery_pe_theory()[0]
+    with pytest.raises(ObstructionError) as exc:
+        master_filter_model(alg, scope=2)
+    err = exc.value
+    assert (err.axiom_id, list(err.shape), list(err.r_elems), list(err.s_elems)) == (
+        0, [1, 1], [2, 3], [4, 7])
+    instance = SchemaInstance(0, "", {"shape": list(err.shape)},
+                              tuple(err.r_elems) + tuple(err.s_elems))
+    assert replay_instance(alg, instance, Bounds(max_sort=2))
