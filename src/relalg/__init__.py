@@ -70,11 +70,8 @@ from .filters import (
     SortLattice,
     extend_to_prime,
     is_prime_filter,
-    join_irreducibles,
     prime_filters,
-    project_filter,
     pullback,
-    pullback_filter,
     sort_lattice,
     sum_filters,
     witness_filter,
@@ -98,6 +95,5 @@ from .representation import (
     find_obligations,
     master_filter_model,
     saturate,
-    separate,
     witness_stage,
 )

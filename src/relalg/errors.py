@@ -51,7 +51,11 @@ class IllDefinedMapError(RelAlgError):
 
 class ObstructionError(RelAlgError):
     """A filter/ideal disjointness argument failed; the algebra violates the
-    axiom named by ``axiom_id``.  Carries the violating schema instance."""
+    axiom named by ``axiom_id``.  For axiom (0) the error carries the failing
+    schema instance: ``shape`` is its blocks and ``r_elems + s_elems`` its
+    slot values, which replay_instance reproduces.  For axiom (10) it carries
+    the base and witness filter generators in ``r_elems`` and the packed
+    ideal's generator in ``s_elems``, which fill no clause's slots."""
 
     def __init__(self, message: str, axiom_id: int, shape=None, r_elems=None, s_elems=None):
         super().__init__(message)

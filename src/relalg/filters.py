@@ -14,10 +14,9 @@ algebra's canonical element order that witnesses the required separation.
 SortLattice.separator(r, s) and extend_to_prime make that choice in one step
 from the join-irreducible masks: the join-irreducible at the lowest set bit
 of the masks' XOR, or of the filter generator's mask less the ideal's.
-The three amalgamation constructions (sum_filters, project_filter,
-witness_filter) build their filter/ideal generators, extend to a prime
-filter, and re-verify their postconditions exhaustively, as set comparisons
-of pullbacks.
+The two amalgamation constructions (sum_filters, witness_filter) build
+their filter/ideal generators, extend to a prime filter, and re-verify their
+postconditions exhaustively, as set comparisons of pullbacks.
 
 sort_lattice keeps each SortLattice in its algebra's store (see
 FiniteAlgebra.cached), so a lattice lives exactly as long as its algebra.
@@ -172,11 +171,6 @@ def sort_lattice(algebra: FiniteAlgebra, sort: int) -> SortLattice:
     return algebra.cached(("lattice", sort), lambda: SortLattice(algebra, sort))
 
 
-def join_irreducibles(lattice: SortLattice) -> list[int]:
-    """Nonzero elements that are not the join of two strictly smaller ones."""
-    return list(lattice.join_irreducibles)
-
-
 def is_prime_filter(algebra: FiniteAlgebra, sort: int, members: frozenset[int] | set[int]) -> bool:
     """Direct primality predicate, independent of the join-irreducible route:
     proper, upward-closed, meet-closed, and join-prime.  Each clause runs over
@@ -305,51 +299,10 @@ def sum_filters(filters: Sequence[PrimeFilter], algebra: FiniteAlgebra) -> Prime
     return master
 
 
-def project_filter(algebra: FiniteAlgebra, filt: PrimeFilter, r: int) -> PrimeFilter:
-    """A prime filter G one sort up with r in G whose pullback along the
-    associated cylindrification is the given filter.  Requires exists(r) in
-    the filter."""
-    n = filt.sort
-    alg = algebra.extend(n + 1)
-    if not alg.leq(n, filt.generator, alg.exists(n, r)):
-        raise PreconditionError(
-            f"projection of element {r} does not belong to the sort-{n} filter"
-        )
-    c = assoc_cylindrification(n)
-    gen_f = alg.meet(n + 1, r, alg.subst(c, filt.generator))
-    gen_i = alg.subst(c, complement_max(alg, filt))
-    if alg.leq(n + 1, gen_f, gen_i):
-        raise ObstructionError(
-            "projection obstruction: the filter/ideal pair for the lifted "
-            "filter is not disjoint (the projection laws fail in this algebra)",
-            axiom_id=9,
-            shape=[n],
-            r_elems=[filt.generator, r],
-            s_elems=[gen_i],
-        )
-    lifted = extend_to_prime(sort_lattice(alg, n + 1), gen_f, gen_i)
-    if not alg.leq(n + 1, lifted.generator, r):
-        raise AssertionError("lifted filter lost its defining element")
-    differ = pullback(alg, lifted, c) ^ _members(alg, filt)
-    if differ:
-        raise AssertionError(f"pullback of the lifted filter differs at element {min(differ)}")
-    return lifted
-
-
-def pullback_filter(algebra: FiniteAlgebra, above: PrimeFilter) -> PrimeFilter:
-    """The inverse image along the associated cylindrification; always a prime
-    filter one sort down."""
-    if above.sort < 1:
-        raise PreconditionError("cannot pull a sort-0 filter back")
-    members = _pullback_filter_members(algebra, above)
-    if not is_prime_filter(algebra, above.sort - 1, members):
-        raise PreconditionError(f"member set of sort {above.sort - 1} is not a prime filter")
-    return prime_filter_from_members(algebra, above.sort - 1, members)
-
-
-def _pullback_filter_members(algebra: FiniteAlgebra, above: PrimeFilter) -> frozenset[int]:
-    """The members of pullback_filter on a filter above sort 0, unchecked for
-    primality; an empty or not meet-closed pullback is still refused."""
+def _pullback_one_down(algebra: FiniteAlgebra, above: PrimeFilter) -> frozenset[int]:
+    """The pullback of a filter above sort 0 along the associated
+    cylindrification, one sort down, unchecked for primality; an empty or not
+    meet-closed pullback is refused."""
     members = pullback(algebra, above, assoc_cylindrification(above.sort - 1))
     prime_filter_from_members(algebra, above.sort - 1, members)
     return members
@@ -378,7 +331,7 @@ def witness_filter(algebra: FiniteAlgebra, base: PrimeFilter,
         if g.sort != alpha.dom + 1:
             raise PreconditionError(f"witness request {i}: filter sort {g.sort} does not "
                                     f"extend the selected subtuple of length {alpha.dom}")
-        if _pullback_filter_members(alg, g) != pullback(alg, base, alpha):
+        if _pullback_one_down(alg, g) != pullback(alg, base, alpha):
             raise PreconditionError(
                 f"witness request {i}: the requested filter does not pull back to "
                 f"the type of the selected subtuple"

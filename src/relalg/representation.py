@@ -30,13 +30,14 @@ from .algebras import (
     kernel,
     verify_morphism,
 )
-from .errors import ElementCapExceededError, IllDefinedMapError, PreconditionError
+from .errors import (ElementCapExceededError, IllDefinedMapError, InsufficientSortsError,
+                     PreconditionError)
 from .filters import (
     PrimeFilter,
     prime_filter_from_members,
     prime_filters,
     pullback,
-    _pullback_filter_members,
+    _pullback_one_down,
     sort_lattice,
     sum_filters,
     witness_filter,
@@ -154,22 +155,6 @@ def recheck_model(model: FilterModel, mode: str | None = None) -> MorphismReport
 # Separation and master-filter embeddings
 
 
-def separate(algebra: FiniteAlgebra, sort: int, r: int, s: int) -> FilterModel:
-    """A model distinguishing two distinct same-sort elements, built from the
-    least join-irreducible lying below exactly one of them."""
-    if r == s:
-        raise PreconditionError("cannot separate an element from itself")
-    pf = separating_filter(algebra, sort, r, s)
-    model = filter_to_morphism(algebra, pf)
-    if model.phi[sort][r] == model.phi[sort][s]:
-        raise AssertionError("separating filter did not separate")
-    return model
-
-
-def separating_filter(algebra: FiniteAlgebra, sort: int, r: int, s: int) -> PrimeFilter:
-    return PrimeFilter(sort, sort_lattice(algebra, sort).separator(r, s))
-
-
 def separating_family(algebra: FiniteAlgebra, scope: int) -> list[PrimeFilter]:
     """One prime filter per unordered pair of distinct elements in sorts up to
     the scope (least canonical choice), duplicates dropped: each generator is
@@ -198,7 +183,7 @@ def master_filter_model(algebra: FiniteAlgebra, scope: int) -> tuple[FilterModel
     family = separating_family(algebra, scope)
     try:
         ext = algebra.extend(sum(pf.sort for pf in family))
-    except ElementCapExceededError:
+    except (ElementCapExceededError, InsufficientSortsError):
         # the master sort is out of reach, but a pair of filters may obstruct
         for f, g in combinations(family, 2):
             if f.sort + g.sort <= algebra.max_sort:
@@ -277,7 +262,7 @@ def find_obligations(model: FilterModel, bound: int) -> list[tuple[tuple[int, ..
     for length in range(bound):
         target = length + 1
         lattice = sort_lattice(alg, target)
-        candidates = [(g, _pullback_filter_members(alg, g), lattice.up_set(g.generator))
+        candidates = [(g, _pullback_one_down(alg, g), lattice.up_set(g.generator))
                       for g in prime_filters(lattice)]
         for tup in iproduct(range(w), repeat=length):
             p = model.satisfied(tup)

@@ -532,6 +532,9 @@ def test_embed_jsonl_prints_one_record():
      "error: term syntax has no naive evaluator; use --mode compiled\n"),
     (("[R1] R1(R1, R1)",),
      "error: variable 'R1' clashes with a relation symbol (at position 1)\n"),
+    (("[x] R1(x,x) )",), "error: trailing input ')' (at position 12)\n"),
+    (("[x] R1(x,x) & ",), "error: expected an atom, found 'end of input' (at position 14)\n"),
+    (("[x] R1(x,)",), "error: expected a variable, found ')' (at position 9)\n"),
 ])
 def test_eval_refusals_exit_2(structure_file, argv, error, capsys):
     assert run_cli("eval", "--structure", structure_file, *argv) == (2, "")
@@ -543,3 +546,63 @@ def test_unknown_fragment_exits_2(capsys):
         assert run_cli(*argv, "--algebra", "builtin:concrete:1", "--fragment", "bogus") == (2, "")
         assert capsys.readouterr().err == ("error: unknown fragment 'bogus' "
                                            "(expected pqf, qf, pe or fo, optionally +eq)\n")
+
+
+def refusal_files(tmp_path):
+    """Files that are valid JSON but break one rule of their format: a table
+    with one sort entry too few, a substitution key without brackets, and a
+    structure whose relation is named like a connective."""
+    from relalg import PQF, Universe, as_table_algebra, concrete
+
+    text = as_table_algebra(concrete(Universe(1), PQF, 2)).to_json()
+    short, bad_key = json.loads(text), json.loads(text)
+    short["sorts"].pop()
+    bad_key["subst"]["1->2:1"] = bad_key["subst"].pop("1->2:[1]")
+    files = {"short": short, "bad_key": bad_key,
+             "and_structure": {"universe": 2, "relations": {"and": {"arity": 1, "tuples": [[0]]}}}}
+    for name, data in files.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(data))
+    return files
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("embed", "--algebra", "builtin:concrete:1", "--max-sort", "2", "--scope", "3"),
+     "scope 3 exceeds sort bound 2"),
+    (("axioms", "check", "--algebra", "{short}"), "expected data for 3 sorts"),
+    (("axioms", "check", "--algebra", "{bad_key}"), "bad substitution key '1->2:1'"),
+    (("eval", "--structure", "{and_structure}", "[x] true"), "bad relation symbol name 'and'"),
+], ids=["scope-above-bound", "short-table", "bad-subst-key", "connective-relation"])
+def test_reachable_refusals_exit_2(argv, error, tmp_path, capsys):
+    files = refusal_files(tmp_path)
+    assert run_cli(*(arg.format(**files) for arg in argv)) == (2, "")
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_embed_table_file_without_extension_names_a_pair_obstruction(tmp_path, capsys):
+    """A table file cannot build the master sort, but a sort-0 pair of the
+    diamond's filters already obstructs; a lawful table keeps its refusal."""
+    from relalg import PQF, Universe, as_table_algebra, concrete, gallery_diamond
+
+    diamond, lawful = tmp_path / "diamond.json", tmp_path / "lawful.json"
+    diamond.write_text(as_table_algebra(gallery_diamond()[0]).to_json())
+    lawful.write_text(as_table_algebra(concrete(Universe(2), PQF, 1)).to_json())
+    code, text = run_cli("embed", "--algebra", str(diamond), "--scope", "2")
+    assert code == 1
+    assert text.splitlines() == [
+        "OBSTRUCTION (axiom (0)): axiom (0) obstruction: the blockwise filter meets "
+        "the blockwise ideal",
+        "  blocks: [0, 0]  r=[1, 2]  s=[2, 1]",
+    ]
+    assert capsys.readouterr().err == ""
+    assert run_cli("embed", "--algebra", str(lawful), "--scope", "1") == (2, "")
+    assert capsys.readouterr().err == "error: table algebra has no sorts above 1\n"
+
+
+def test_embed_almost_certificate_lists_outstanding_requests():
+    code, text = run_cli("embed", "--algebra", "builtin:concrete:1", "--fragment", "pe",
+                         "--max-sort", "1", "--scope", "0", "--rounds", "0")
+    assert code == 1
+    lines = text.splitlines()
+    assert lines[0].startswith("status: almost")
+    assert lines[-1] == "  outstanding: tuple (): filter on sort 1 generated by 1"

@@ -18,17 +18,15 @@ from relalg import (
     gallery_diamond,
     generated_subalgebra,
     is_prime_filter,
-    join_irreducibles,
     prime_filters,
-    project_filter,
     pullback,
-    pullback_filter,
     sort_lattice,
     sum_filters,
     witness_filter,
 )
 from relalg.filters import NotALatticeError, SortLattice, complement_max
 from relalg.fragments import PE, PQF
+from relalg.relations import assoc_cylindrification
 
 from oracles import extend_to_prime_scan, is_prime_filter_pairwise
 
@@ -70,19 +68,19 @@ def all_prime_subsets(algebra, sort):
 def test_join_irreducibles_boolean_sort1():
     alg = concrete(W2, PQF, 2)
     lat = sort_lattice(alg, 1)
-    assert set(join_irreducibles(lat)) == {bits(2, 1, [(0,)]), bits(2, 1, [(1,)])}
+    assert set(lat.join_irreducibles) == {bits(2, 1, [(0,)]), bits(2, 1, [(1,)])}
 
 
 def test_join_irreducibles_chain():
     alg = chain_algebra(3)
     lat = sort_lattice(alg, 0)
-    assert join_irreducibles(lat) == [1, 2]
+    assert lat.join_irreducibles == (1, 2)
 
 
 def test_join_irreducibles_diamond():
     alg, _ = gallery_diamond()
     lat = sort_lattice(alg, 1)
-    assert join_irreducibles(lat) == [1, 2]
+    assert lat.join_irreducibles == (1, 2)
 
 
 def test_prime_filters_boolean_sort2_are_atoms():
@@ -272,45 +270,20 @@ def test_sum_filters_postcondition_sweep():
         sum_filters(list(fam), alg)  # construction-time verification is on
 
 
-def test_project_filter_worked_example():
-    alg = concrete(W2, PE, 2)
-    f = _sort1_filter(alg, bits(2, 1, [(0,)]))
-    r = bits(2, 2, [(0, 1)])
-    g = project_filter(alg, f, r)
-    assert g.generator == r
-    assert r in members(alg, g)
-
-
-def test_project_filter_cylinder_of_min():
-    alg = concrete(W2, PE, 2)
-    f = _sort1_filter(alg, bits(2, 1, [(0,)]))
-    from relalg.relations import assoc_cylindrification
-
-    r = alg.subst(assoc_cylindrification(1), f.generator)
-    g = project_filter(alg, f, r)
-    assert r in members(alg, g)
-
-
-def test_project_filter_precondition():
-    alg = concrete(W2, PE, 2)
-    f = _sort1_filter(alg, bits(2, 1, [(0,)]))
-    r = bits(2, 2, [(1, 0)])  # exists(r) = {1}, not in f
-    with pytest.raises(PreconditionError):
-        project_filter(alg, f, r)
-
-
 def test_pullback_filter_example():
     alg = concrete(W2, PE, 2)
     g = next(pf for pf in prime_filters(sort_lattice(alg, 2)) if pf.generator == bits(2, 2, [(0, 1)]))
-    f = pullback_filter(alg, g)
-    assert members(alg, f) == frozenset({bits(2, 1, [(0,)]), alg.one(1)})
+    f = pullback(alg, g, assoc_cylindrification(1))
+    assert is_prime_filter(alg, 1, f)
+    assert f == frozenset({bits(2, 1, [(0,)]), alg.one(1)})
 
 
 def test_pullback_of_two_element_sort():
     alg = concrete(Universe(1), PE, 2)
     g = prime_filters(sort_lattice(alg, 2))[0]
-    f = pullback_filter(alg, g)
-    assert members(alg, f) == frozenset({1})
+    f = pullback(alg, g, assoc_cylindrification(1))
+    assert is_prime_filter(alg, 1, f)
+    assert f == frozenset({1})
 
 
 def test_pullback_recovers_last_block_of_sum():

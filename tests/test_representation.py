@@ -9,6 +9,7 @@ from relalg import (
     InsufficientSortsError,
     ObstructionError,
     PreconditionError,
+    PrimeFilter,
     Relation,
     SchemaInstance,
     Universe,
@@ -26,12 +27,11 @@ from relalg import (
     product,
     replay_instance,
     saturate,
-    separate,
     sort_lattice,
     verify_morphism,
 )
 from relalg.fragments import FO, PE, PQF, QF
-from relalg.representation import separating_family, separating_filter, witness_stage
+from relalg.representation import separating_family, witness_stage
 
 from oracles import as_set, separating_family_pairwise
 
@@ -94,36 +94,40 @@ def test_filter_models_all_fragments_all_small_filters():
                                 assert lhs & rhs == lhs
 
 
+def separating_model(alg, sort, r, s):
+    """The model read off the least join-irreducible below exactly one of r
+    and s, as separating_family chooses it."""
+    return filter_to_morphism(alg, PrimeFilter(sort, sort_lattice(alg, sort).separator(r, s)))
+
+
 def test_separate_examples():
     alg = concrete(W2, PQF, 2)
     r, s = bits(2, 1, [(0,)]), bits(2, 1, [(1,)])
-    model = separate(alg, 1, r, s)
+    model = separating_model(alg, 1, r, s)
     assert model.filter.generator == r
     assert model.phi[1][r] != model.phi[1][s]
     # comparable pair: the filter contains exactly one of them
     low, high = alg.zero(1), bits(2, 1, [(0,)])
-    pf = separating_filter(alg, 1, low, high)
-    inside = sort_lattice(alg, 1).up_set(pf.generator)
+    lattice = sort_lattice(alg, 1)
+    inside = lattice.up_set(lattice.separator(low, high))
     assert (low in inside) != (high in inside)
 
 
 def test_separate_diamond(diamond):
     alg, _ = diamond
     a, b = 1, 2
-    model = separate(alg, 1, a, b)
+    model = separating_model(alg, 1, a, b)
     assert model.filter.generator == a
     assert model.phi[1][a] != model.phi[1][b]
 
 
 def test_separate_rejects_equal():
-    alg = concrete(W2, PQF, 2)
-    with pytest.raises(PreconditionError):
-        separate(alg, 1, 1, 1)
+    lattice = sort_lattice(concrete(W2, PQF, 2), 1)
     with pytest.raises(PreconditionError, match="^sort-1 elements 3 and 3 are not distinct$"):
-        separating_filter(alg, 1, 3, 3)
+        lattice.separator(3, 3)
     for r, s in [(-1, 0), (0, 16)]:
         with pytest.raises(PreconditionError, match="not both sort-1 elements"):
-            separating_filter(alg, 1, r, s)
+            lattice.separator(r, s)
 
 
 def test_separating_family_matches_the_pairwise_scan(diamond):
@@ -400,3 +404,10 @@ def test_pe_theory_pair_obstruction_past_the_cap_replays():
     instance = SchemaInstance(0, "", {"shape": list(err.shape)},
                               tuple(err.r_elems) + tuple(err.s_elems))
     assert replay_instance(alg, instance, Bounds(max_sort=2))
+
+
+def test_diamond_sort_zero_pair_obstruction_replays(diamond):
+    """The pair the diamond's table file reports, blocks [0, 0], is a
+    violation the axiom (0) checker reproduces."""
+    instance = SchemaInstance(0, "", {"shape": [0, 0]}, (1, 2, 2, 1))
+    assert replay_instance(as_table_algebra(diamond[0]), instance, Bounds(max_sort=2))
