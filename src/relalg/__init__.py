@@ -25,19 +25,12 @@ from .relations import (
     Universe,
     all_substitutions,
     assoc_cylindrification,
-    bottom,
-    complement,
     compose,
     delta,
     exists_last,
-    join,
-    leq,
-    meet,
-    parse_relation_literal,
     partitioning,
     rel_apply,
     relation_literal,
-    top,
     tuple_apply,
 )
 from .formulas import (

@@ -23,9 +23,10 @@ FiniteAlgebra.cached: operation tables under their symbol keys (a table
 algebra's given tables, or tables built on first use), a concrete algebra's
 diagonals and plane index lists under ("planes", *key), and the sort
 lattices of filters.sort_lattice.  All algebras are immutable after
-construction.  The store takes no lock: nothing starts a thread, and under
-the GIL dict.get and setdefault keep the first value stored; so an algebra
-pickles, store included.
+construction, with one exception: the command line sets element_cap on a
+gallery or table file it has loaded.  The store takes no lock: nothing
+starts a thread, and under the GIL dict.get and setdefault keep the first
+value stored; so an algebra pickles, store included.
 """
 
 from __future__ import annotations
@@ -303,14 +304,6 @@ class ConcreteAlgebra(FiniteAlgebra):
             return self
         return _capped(ConcreteAlgebra(self.blocks, self.fragment, new_max_sort,
                                        self.element_cap, self.provenance))
-
-    def projection(self, i: int, bound: int | None = None) -> dict[int, list[int]]:
-        """The i-th block projection as a per-sort element map."""
-        bound = self.max_sort if bound is None else bound
-        return {
-            n: [self._parts(n, a)[i] for a in self.elements(n)]
-            for n in range(bound + 1)
-        }
 
     def element_label(self, n: int, a: int) -> str:
         self._check_sort(n)

@@ -367,9 +367,6 @@ class FONot(FONode):
 class FOExists(FONode):
     var: str
     body: FONode
-    # Position (1-based) the bound variable occupies in the extended context.
-    # None means appended last; the parser always appends.
-    at: int | None = None
 
 
 @dataclass(frozen=True)
@@ -397,8 +394,6 @@ def _check_bound(node: FONode, k: int) -> None:
     elif isinstance(node, FONot):
         _check_bound(node.child, k)
     elif isinstance(node, FOExists):
-        if node.at is not None and not 1 <= node.at <= k + 1:
-            raise ArityError(f"bound position {node.at} outside 1..{k + 1}")
         _check_bound(node.body, k + 1)
 
 
@@ -524,9 +519,7 @@ def _print_fo(node: FONode, ctx: list[str]) -> str:
     if isinstance(node, FONot):
         return f"!{_print_fo(node.child, ctx)}"
     if isinstance(node, FOExists):
-        at = node.at if node.at is not None else len(ctx) + 1
-        ctx2 = ctx[: at - 1] + [node.var] + ctx[at - 1 :]
-        return f"exists {node.var} ({_print_fo(node.body, ctx2)})"
+        return f"exists {node.var} ({_print_fo(node.body, ctx + [node.var])})"
     raise TypeError(f"not a formula node: {node!r}")
 
 
@@ -536,9 +529,9 @@ def _print_fo(node: FONode, ctx: list[str]) -> str:
 
 def compile_fo(f: FOFormula, fragment: Fragment | None = None) -> Term:
     """Compile to a term of sort len(context).  Atoms become substitutions of
-    their symbol, equalities become diagonal constants, and a quantifier over
-    an interior variable becomes the rotation moving it to the last slot,
-    followed by projection.  No simplification except dropping identity
+    their symbol, equalities become diagonal constants, and a quantifier, whose
+    variable always takes the new last context slot, becomes projection of the
+    last coordinate.  No simplification except dropping identity
     substitutions."""
     return _compile(f.body, len(f.context), fragment)
 
@@ -569,18 +562,7 @@ def _compile(node: FONode, k: int, frag: Fragment | None) -> Term:
     if isinstance(node, FOExists):
         if frag is not None and not frag.exists:
             raise FragmentError(f"quantifier not available in fragment {frag}")
-        inner = _compile(node.body, k + 1, frag)
-        at = node.at if node.at is not None else k + 1
-        if at != k + 1:
-            # Cycle the interior slot to the end: positions below `at` stay,
-            # slot `at` reads the new last coordinate, later slots shift down.
-            rotation = Substitution(
-                k + 1,
-                k + 1,
-                tuple(range(1, at)) + (k + 1,) + tuple(range(at, k + 1)),
-            )
-            inner = Sub(rotation, inner)
-        return Exists(inner)
+        return Exists(_compile(node.body, k + 1, frag))
     raise TypeError(f"not a formula node: {node!r}")
 
 
@@ -808,13 +790,14 @@ def eval_fo_naive(f: FOFormula, structure: Structure) -> Relation:
     """Direct satisfaction semantics, independent of the compiled pipeline
     and the relation kernels: every context tuple, in index order, and every
     witness of each quantifier is tried.  The formula is walked once per call
-    into closures sat(env) with each variable fixed at an env position: the
-    context at 0..k-1, and a witness at its quantifier's depth.  An unknown
-    symbol or an arity mismatch raises only when evaluation reaches it."""
+    into closures sat(env) that read variable i at env[i-1]: the context
+    fills 0..k-1, and each witness the slot after its quantifier's context,
+    its depth.  An unknown symbol or an arity mismatch raises only when
+    evaluation reaches it."""
     n, k = structure.universe.size, len(f.context)
     width = k
 
-    def build(node: FONode, layout: list[int], depth: int):
+    def build(node: FONode, depth: int):
         nonlocal width
         if isinstance(node, FOAtom):
             rel = structure.relations.get(node.name)
@@ -823,7 +806,7 @@ def eval_fo_naive(f: FOFormula, structure: Structure) -> Relation:
             if rel.arity != len(node.args):
                 return _failing(ArityError, f"symbol {node.name} has arity {rel.arity}, "
                                             f"atom has {len(node.args)} arguments")
-            bits, pos = rel.bits, [layout[i - 1] for i in node.args]
+            bits, pos = rel.bits, [i - 1 for i in node.args]
             if len(pos) == 1:
                 return lambda env, p=pos[0]: bits >> env[p] & 1
             if len(pos) == 2:
@@ -834,20 +817,19 @@ def eval_fo_naive(f: FOFormula, structure: Structure) -> Relation:
             weights = [n ** e for e in range(len(pos) - 1, -1, -1)]
             return lambda env: bits >> sum(map(mul, map(env.__getitem__, pos), weights)) & 1
         if isinstance(node, FOEq):
-            return lambda env, p=layout[node.i - 1], q=layout[node.j - 1]: env[p] == env[q]
+            return lambda env, p=node.i - 1, q=node.j - 1: env[p] == env[q]
         if isinstance(node, (FOTop, FOBot)):
             return lambda env, truth=isinstance(node, FOTop): truth
         if isinstance(node, (FOAnd, FOOr)):
-            left, right = build(node.left, layout, depth), build(node.right, layout, depth)
+            left, right = build(node.left, depth), build(node.right, depth)
             if isinstance(node, FOAnd):
                 return lambda env: left(env) and right(env)
             return lambda env: left(env) or right(env)
         if isinstance(node, FONot):
-            child = build(node.child, layout, depth)
+            child = build(node.child, depth)
             return lambda env: not child(env)
         if isinstance(node, FOExists):
-            at = node.at if node.at is not None else len(layout) + 1
-            body = build(node.body, layout[:at - 1] + [depth] + layout[at - 1:], depth + 1)
+            body = build(node.body, depth + 1)
             width = max(width, depth + 1)
 
             def exists(env):
@@ -858,7 +840,7 @@ def eval_fo_naive(f: FOFormula, structure: Structure) -> Relation:
             return exists
         raise TypeError(f"not a formula node: {node!r}")
 
-    sat = build(f.body, list(range(k)), k)
+    sat = build(f.body, k)
     env, out = [0] * width, 0
     for idx, tup in enumerate(product(range(n), repeat=k)):
         env[:k] = tup

@@ -16,7 +16,6 @@ strided slices of the binary digits, and a diagonal is built by repetition.
 
 from __future__ import annotations
 
-import re
 import sys
 from array import array
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from functools import lru_cache
 from itertools import compress, count, product as iproduct
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ArityError, FormatError, UniverseMismatchError
+from .errors import ArityError
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,6 @@ class Substitution:
     def identity(cls, n: int) -> "Substitution":
         return cls(n, n, tuple(range(1, n + 1)))
 
-    @property
-    def is_cylindrification(self) -> bool:
-        """True when the index map is strictly increasing."""
-        return all(a < b for a, b in zip(self.map, self.map[1:]))
-
     def __str__(self) -> str:
         return f"[{','.join(str(i) for i in self.map)}]:{self.dom}->{self.cod}"
 
@@ -118,10 +112,6 @@ class Relation:
     def num_tuples(self) -> int:
         return self.universe.size ** self.arity
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.num_tuples) - 1
-
     @classmethod
     def from_tuples(cls, universe: Universe, arity: int, tuples: Iterable[Sequence[int]]) -> "Relation":
         bits = 0
@@ -149,40 +139,6 @@ class Relation:
 
     def __str__(self) -> str:
         return relation_literal(self)
-
-
-def _check_same_sort(r: Relation, s: Relation) -> None:
-    if r.universe != s.universe:
-        raise UniverseMismatchError(f"universes of sizes {r.universe.size} and {s.universe.size}")
-    if r.arity != s.arity:
-        raise ArityError(f"arities {r.arity} and {s.arity} differ")
-
-
-def meet(r: Relation, s: Relation) -> Relation:
-    _check_same_sort(r, s)
-    return Relation(r.universe, r.arity, r.bits & s.bits)
-
-
-def join(r: Relation, s: Relation) -> Relation:
-    _check_same_sort(r, s)
-    return Relation(r.universe, r.arity, r.bits | s.bits)
-
-
-def complement(r: Relation) -> Relation:
-    return Relation(r.universe, r.arity, r.bits ^ r.full_mask)
-
-
-def top(universe: Universe, arity: int) -> Relation:
-    return Relation(universe, arity, (1 << universe.size ** arity) - 1)
-
-
-def bottom(universe: Universe, arity: int) -> Relation:
-    return Relation(universe, arity, 0)
-
-
-def leq(r: Relation, s: Relation) -> bool:
-    _check_same_sort(r, s)
-    return r.bits & s.bits == r.bits
 
 
 @lru_cache(maxsize=None)
@@ -245,7 +201,7 @@ def delta(universe: Universe, arity: int, i: int, j: int) -> Relation:
     if not (1 <= i <= arity and 1 <= j <= arity):
         raise ArityError(f"diagonal indices ({i},{j}) outside 1..{arity}")
     if i == j:
-        return top(universe, arity)
+        return Relation(universe, arity, (1 << universe.size**arity) - 1)
     size, (lo, hi) = universe.size, sorted((i, j))
     # Coordinate lo = x repeats, once per tuple of those between, a run of 1s
     # where coordinate hi = x; those before lo repeat it all.  x -> size-1-x
@@ -323,33 +279,6 @@ def assoc_cylindrification(n: int) -> Substitution:
     return Substitution(n, n + 1, tuple(range(1, n + 1)))
 
 
-_LITERAL_RE = re.compile(r"arity=(\d+)universe=(\d+)\{(.*)\}\Z")
-
-
 def relation_literal(r: Relation) -> str:
     body = ",".join("(" + ",".join(str(x) for x in t) + ")" for t in r.tuples())
     return f"arity={r.arity} universe={r.universe.size} {{{body}}}"
-
-
-def parse_relation_literal(text: str) -> Relation:
-    """Parse ``arity=2 universe=3 {(0,1),(2,0)}``; whitespace-insensitive."""
-    squeezed = re.sub(r"\s+", "", text)
-    m = _LITERAL_RE.match(squeezed)
-    if m is None:
-        raise FormatError(f"malformed relation literal: {text!r}")
-    arity, size, body = int(m.group(1)), int(m.group(2)), m.group(3)
-    universe = Universe(size)
-    if body == "":
-        return bottom(universe, arity)
-    parts = re.findall(r"\(([\d,]*)\)", body)
-    if ",".join(f"({p})" for p in parts) != body:
-        raise FormatError(f"malformed tuple list in relation literal: {text!r}")
-    tuples = []
-    for p in parts:
-        if p and not re.fullmatch(r"\d+(,\d+)*", p):
-            raise FormatError(f"malformed tuple ({p}) in relation literal")
-        tuples.append(tuple(int(x) for x in p.split(",")) if p else ())
-    try:
-        return Relation.from_tuples(universe, arity, tuples)
-    except (ArityError, ValueError) as exc:
-        raise FormatError(f"bad relation literal: {exc}") from exc

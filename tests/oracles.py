@@ -2,8 +2,10 @@
 
 Everything here works on plain Python sets of tuples and never touches the
 bitset engine or its index encoding, so agreement is a genuine cross-check.
-The one exception, is_prime_filter_pairwise, asks an algebra for one scalar
-meet, join or order test per pair and never for a batch.
+The exceptions: is_prime_filter_pairwise asks an algebra for one scalar
+meet, join or order test per pair and never for a batch, and projection
+splits a concrete algebra's elements into their factor components.
+parse_relation_literal reads the text relation_literal prints.
 
 The per-tuple kernels at the end are the definitions the bitset kernels of
 relalg.relations compute: they walk the encoding one tuple index at a time
@@ -13,6 +15,7 @@ satisfaction recursion that relalg.formulas.eval_fo_naive compiles into
 closures once per formula.
 """
 
+import re
 from itertools import combinations, product
 
 from relalg import ArityError, FormatError, PrimeFilter, Relation, Universe, sort_lattice
@@ -30,6 +33,37 @@ def as_set(rel: Relation) -> set[tuple[int, ...]]:
 
 def from_set(size: int, arity: int, tuples) -> Relation:
     return Relation.from_tuples(Universe(size), arity, tuples)
+
+
+_LITERAL_RE = re.compile(r"arity=(\d+)universe=(\d+)\{(.*)\}\Z")
+
+
+def parse_relation_literal(text: str) -> Relation:
+    """Parse ``arity=2 universe=3 {(0,1),(2,0)}``; whitespace-insensitive."""
+    squeezed = re.sub(r"\s+", "", text)
+    m = _LITERAL_RE.match(squeezed)
+    if m is None:
+        raise FormatError(f"malformed relation literal: {text!r}")
+    arity, size, body = int(m.group(1)), int(m.group(2)), m.group(3)
+    parts = re.findall(r"\(([\d,]*)\)", body)
+    if ",".join(f"({p})" for p in parts) != body:
+        raise FormatError(f"malformed tuple list in relation literal: {text!r}")
+    tuples = []
+    for p in parts:
+        if p and not re.fullmatch(r"\d+(,\d+)*", p):
+            raise FormatError(f"malformed tuple ({p}) in relation literal")
+        tuples.append(tuple(int(x) for x in p.split(",")) if p else ())
+    try:
+        return Relation.from_tuples(Universe(size), arity, tuples)
+    except (ArityError, ValueError) as exc:
+        raise FormatError(f"bad relation literal: {exc}") from exc
+
+
+def projection(algebra, i: int) -> dict[int, list[int]]:
+    """The projection of a concrete algebra onto its i-th block, a factor of
+    a product, as a per-sort element map."""
+    return {n: [algebra._parts(n, a)[i] for a in algebra.elements(n)]
+            for n in range(algebra.max_sort + 1)}
 
 
 def apply_tuple(alpha_map, x):
@@ -182,11 +216,10 @@ def _sat(node, env: list[int], structure) -> bool:
     if isinstance(node, FONot):
         return not _sat(node.child, env, structure)
     if isinstance(node, FOExists):
-        at = node.at if node.at is not None else len(env) + 1
         for w in range(structure.universe.size):
-            env.insert(at - 1, w)
+            env.append(w)
             ok = _sat(node.body, env, structure)
-            env.pop(at - 1)
+            env.pop()
             if ok:
                 return True
         return False

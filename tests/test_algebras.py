@@ -31,6 +31,8 @@ from relalg import (
 from relalg.fragments import FO, PE, PQF, QF
 from relalg.relations import all_substitutions, delta as rel_delta
 
+from oracles import projection
+
 
 def test_concrete_sort_sizes():
     assert [concrete(Universe(1), PQF, 2).sort_size(n) for n in range(3)] == [2, 2, 2]
@@ -135,6 +137,8 @@ def test_product_mixed_sizes():
 
 
 def test_product_mismatch_errors():
+    with pytest.raises(ArityError, match="^product needs at least one factor$"):
+        product([])
     with pytest.raises(FragmentError):
         product([concrete(Universe(1), PQF, 2), concrete(Universe(1), QF, 2)])
     with pytest.raises(ArityError):
@@ -153,7 +157,7 @@ PRODUCT_CASES = [
 def test_product_projections_are_morphisms():
     for factors in PRODUCT_CASES:
         alg = product(factors)
-        fmaps = [alg.projection(i) for i in range(len(factors))]
+        fmaps = [projection(alg, i) for i in range(len(factors))]
         for fmap, factor in zip(fmaps, factors):
             report = verify_morphism(fmap, alg, factor)
             assert report.ok, (alg.provenance, report.violations)
@@ -218,6 +222,14 @@ def test_generated_witness_terms_evaluate_to_their_element():
             assert eval_term(term, structure).bits == alg.to_parent(n, a)
 
 
+def test_generated_subalgebra_refuses_bad_generators():
+    parent = concrete(Universe(2), PQF, 1)
+    with pytest.raises(ArityError, match="^one name per generator required$"):
+        generated_subalgebra(parent, [(1, 0b01)], names=["a", "b"])
+    with pytest.raises(ArityError, match="^generator 4 outside parent sort 1$"):
+        generated_subalgebra(parent, [(1, 4)])
+
+
 def test_generated_extension_conservative_for_pqf():
     parent = concrete(Universe(2), PQF, 1)
     alg = generated_subalgebra(parent, [(1, 0b01)])
@@ -248,6 +260,13 @@ def test_verify_morphism_constant_clash():
     report = verify_morphism(fmap, alg, alg)
     assert not report.ok
     assert any("constant" in v for v in report.violations)
+
+
+def test_verify_morphism_refuses_an_unknown_mode():
+    alg = concrete(Universe(1), PQF, 1)
+    fmap = {n: list(alg.elements(n)) for n in range(2)}
+    with pytest.raises(ValueError, match="^unknown mode 'x'$"):
+        verify_morphism(fmap, alg, alg, mode="x")
 
 
 def test_kernel_and_injectivity():

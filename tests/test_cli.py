@@ -550,16 +550,21 @@ def test_unknown_fragment_exits_2(capsys):
 
 def refusal_files(tmp_path):
     """Files that are valid JSON but break one rule of their format: a table
-    with one sort entry too few, a substitution key without brackets, and a
-    structure whose relation is named like a connective."""
+    with one sort entry too few, a substitution key without brackets, a
+    negative sort bound, and structures whose relation is named like a
+    connective or has a negative arity; and a lawful structure with one unary
+    relation R, for refused formulas and terms."""
     from relalg import PQF, Universe, as_table_algebra, concrete
 
     text = as_table_algebra(concrete(Universe(1), PQF, 2)).to_json()
-    short, bad_key = json.loads(text), json.loads(text)
+    short, bad_key, negative_bound = json.loads(text), json.loads(text), json.loads(text)
     short["sorts"].pop()
     bad_key["subst"]["1->2:1"] = bad_key["subst"].pop("1->2:[1]")
-    files = {"short": short, "bad_key": bad_key,
-             "and_structure": {"universe": 2, "relations": {"and": {"arity": 1, "tuples": [[0]]}}}}
+    negative_bound["max_sort"] = -1
+    files = {"short": short, "bad_key": bad_key, "negative_bound": negative_bound,
+             "and_structure": {"universe": 2, "relations": {"and": {"arity": 1, "tuples": [[0]]}}},
+             "negative_arity": {"universe": 2, "relations": {"R": {"arity": -1, "tuples": []}}},
+             "r_structure": {"universe": 2, "relations": {"R": {"arity": 1, "tuples": [[0]]}}}}
     for name, data in files.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(data))
@@ -572,11 +577,46 @@ def refusal_files(tmp_path):
     (("axioms", "check", "--algebra", "{short}"), "expected data for 3 sorts"),
     (("axioms", "check", "--algebra", "{bad_key}"), "bad substitution key '1->2:1'"),
     (("eval", "--structure", "{and_structure}", "[x] true"), "bad relation symbol name 'and'"),
-], ids=["scope-above-bound", "short-table", "bad-subst-key", "connective-relation"])
+    (("axioms", "check", "--algebra", "{negative_bound}"), "max_sort must be >= 0, got -1"),
+    (("eval", "--structure", "{negative_arity}", "[x] true"), "negative arity -1"),
+    (("eval", "--structure", "{r_structure}", "[x] " + "!" * 5000 + "R(x)"),
+     "input nested too deeply to parse or evaluate"),
+    (("eval", "--structure", "{r_structure}", "--syntax", "term", "--mode", "compiled",
+      "not(" * 5000 + "R" + ")" * 5000), "input nested too deeply to parse or evaluate"),
+    (("eval", "--structure", "{r_structure}", "--syntax", "term", "--mode", "compiled",
+      "sub [3]->2 R"), "substitution entry 3 outside 1..2 (at position 0)"),
+    (("eval", "--structure", "{r_structure}", "--syntax", "term", "--mode", "compiled",
+      "exists(top 0)"), "projection of a sort-0 term (at position 0)"),
+    (("eval", "--structure", "{r_structure}", "--syntax", "term", "--mode", "compiled",
+      "delta 2 3 1"), "diagonal indices (3,1) outside 1..2 (at position 0)"),
+    (("eval", "--structure", "{r_structure}", "--syntax", "term", "--mode", "compiled",
+      "or(top 1, top 2)"), "disjunction of sorts 1 and 2 (at position 0)"),
+], ids=["scope-above-bound", "short-table", "bad-subst-key", "connective-relation",
+        "negative-max-sort-file", "negative-arity", "deep-formula", "deep-term",
+        "substitution-entry", "sort-0-projection", "diagonal-index", "sort-mismatch"])
 def test_reachable_refusals_exit_2(argv, error, tmp_path, capsys):
     files = refusal_files(tmp_path)
     assert run_cli(*(arg.format(**files) for arg in argv)) == (2, "")
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_embed_skips_the_one_element_sort_of_an_empty_universe(capsys):
+    """Over the empty universe sort 1 has one element and no pair to
+    separate, so the separating family lives on sort 0 alone."""
+    code, text = run_cli("embed", "--algebra", "builtin:concrete:0", "--max-sort", "1",
+                         "--scope", "1")
+    assert code == 0
+    assert text.splitlines() == [
+        "status: full  fragment: pqf  target universe size: 0",
+        "  separating family: 1 prime filter(s) on sorts [0]",
+        "  master filter on sort 0, generator 1",
+        "  morphic conditions checked: 19, violations: 0",
+        "  injective on sorts 0..1: True",
+        "  sort 0 element 0 -> arity=0 universe=0 {}",
+        "  sort 0 element 1 -> arity=0 universe=0 {()}",
+        "  sort 1 element 0 -> arity=1 universe=0 {}",
+    ]
+    assert capsys.readouterr().err == ""
 
 
 def test_embed_table_file_without_extension_names_a_pair_obstruction(tmp_path, capsys):

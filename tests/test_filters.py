@@ -351,6 +351,13 @@ def test_witness_filter_inconsistent_pair_rejected():
     bad = next(pf for pf in prime_filters(sort_lattice(alg, 2)) if pf.generator == bits(2, 2, [(1, 0)]))
     with pytest.raises(PreconditionError):
         witness_filter(alg, p, [(bad, Substitution.identity(1))])
+    # a request whose substitution or filter has the wrong sort
+    with pytest.raises(PreconditionError, match="^witness request 1: substitution lands in "
+                                                "sort 2, base filter lives on sort 1$"):
+        witness_filter(alg, p, [(bad, Substitution.identity(2))])
+    with pytest.raises(PreconditionError, match="^witness request 1: filter sort 1 does not "
+                                                "extend the selected subtuple of length 1$"):
+        witness_filter(alg, p, [(p, Substitution.identity(1))])
 
 
 def test_non_distributive_lattice_rejected():

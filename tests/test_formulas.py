@@ -1,6 +1,4 @@
 import re
-from dataclasses import replace
-from itertools import product
 from random import Random
 
 import pytest
@@ -35,7 +33,6 @@ from relalg.formulas import (
     FOBot,
     FOExists,
     FOFormula,
-    FONot,
     FOOr,
     FOTop,
     Not,
@@ -221,22 +218,6 @@ def test_compile_fragment_violations():
         compile_fo(g, FO)  # no equality flag
 
 
-def test_compile_interior_variable_rotation():
-    # exists over a variable inserted in the middle of the context:
-    # [x] exists y at position 1 (S(y, x)) means {x | exists y S(y,x)}
-    sig = Signature((("S", 2),))
-    body = FOExists("y", FOAtom("S", (1, 2)), at=1)
-    f = FOFormula(("x",), body)
-    t = compile_fo(f)
-    u = Universe(3)
-    s_rel = from_set(3, 2, [(0, 1), (2, 2)])
-    structure = Structure(u, {"S": s_rel})
-    compiled = eval_term(t, structure)
-    naive = eval_fo_naive(f, structure)
-    assert compiled == naive
-    assert as_set(compiled) == {(1,), (2,)}
-
-
 def test_eval_fixed_example():
     u = Universe(2)
     structure = Structure(u, {
@@ -340,19 +321,6 @@ SIG5 = Signature(SIG4.symbols + (("R4", 4),))
 FRAGMENTS = [None] + [f for base in (PQF, QF, PE, FO) for f in (base, base.with_equality())]
 
 
-def _scatter_positions(rng, node, k):
-    """node with each quantifier's bound variable moved to a random position
-    in 1..k+1 of its extended context; the parser only ever appends."""
-    if isinstance(node, FOExists):
-        return replace(node, body=_scatter_positions(rng, node.body, k + 1), at=rng.randint(1, k + 1))
-    if isinstance(node, (FOAnd, FOOr)):
-        return replace(node, left=_scatter_positions(rng, node.left, k),
-                       right=_scatter_positions(rng, node.right, k))
-    if isinstance(node, FONot):
-        return FONot(_scatter_positions(rng, node.child, k))
-    return node
-
-
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_naive_closures_match_the_definitional_recursion(data):
@@ -360,26 +328,7 @@ def test_naive_closures_match_the_definitional_recursion(data):
     structure = random_structure(rng, SIG5, data.draw(st.integers(0, 4)))
     k = data.draw(st.integers(0, 3))
     f = random_formula(rng, SIG5, k, data.draw(st.integers(0, 4)), data.draw(st.sampled_from(FRAGMENTS)))
-    moved = FOFormula(f.context, _scatter_positions(rng, f.body, k))
-    for formula in (f, moved):
-        assert eval_fo_naive(formula, structure) == eval_fo_definitional(formula, structure), formula
-
-
-def test_naive_quantifiers_bind_the_position_they_name():
-    """exists at position a over R(x1..xn) drops coordinate a of R's tuples;
-    nested quantifiers drop theirs innermost first."""
-    rng = Random(4242)
-    for k, depth in [(0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (1, 2), (2, 2)]:
-        n = k + depth
-        tuples = {tuple(rng.randrange(3) for _ in range(n)) for _ in range(4)}
-        structure = Structure(Universe(3), {"R": from_set(3, n, tuples)})
-        for ats in product(*(range(1, k + d + 2) for d in range(depth))):
-            body, expected = FOAtom("R", tuple(range(1, n + 1))), tuples
-            for at in reversed(ats):
-                body = FOExists("y", body, at=at)
-                expected = {t[:at - 1] + t[at:] for t in expected}
-            f = FOFormula(tuple(f"x{i}" for i in range(1, k + 1)), body)
-            assert as_set(eval_fo_naive(f, structure)) == expected, ats
+    assert eval_fo_naive(f, structure) == eval_fo_definitional(f, structure), f
 
 
 def test_naive_errors_stay_lazy_and_keep_their_messages():

@@ -21,6 +21,8 @@ from pathlib import Path
 from relalg import Universe, as_table_algebra, concrete, product, verify_morphism
 from relalg.fragments import FO, PE, PQF, QF
 
+from oracles import projection
+
 GOLDEN = Path(__file__).with_name("morphism_reports_golden.jsonl")
 
 FRAGMENTS = [f for base in (PQF, QF, PE, FO) for f in (base, base.with_equality())]
@@ -69,8 +71,8 @@ def maps(algebra, factors, rng: random.Random):
         change, fmap = perturbed(identity, algebra, rng)
         yield f"identity, {change}", "source", algebra, fmap
     for i, factor in enumerate(factors):
-        yield f"projection {i}", f"factor {i}", factor, algebra.projection(i)
-        change, fmap = perturbed(algebra.projection(i), factor, rng)
+        yield f"projection {i}", f"factor {i}", factor, projection(algebra, i)
+        change, fmap = perturbed(projection(algebra, i), factor, rng)
         yield f"projection {i}, {change}", f"factor {i}", factor, fmap
 
 
