@@ -275,6 +275,8 @@ class ConcreteAlgebra(FiniteAlgebra):
     def subst_planes(self, alpha: Substitution) -> list[int]:
         """For each bit of subst(alpha, a), lowest first, the bit of a it
         copies: relations._index_map, block by block from the last block."""
+        if (planes := self._tables.get(("planes", "subst", alpha))) is not None:
+            return planes  # a store hit, without building the closure
         def build() -> list[int]:
             self._check_sort(alpha.dom)
             self._check_sort(alpha.cod)
@@ -288,6 +290,8 @@ class ConcreteAlgebra(FiniteAlgebra):
     def exists_planes(self, n: int) -> list[range]:
         """For each bit of exists(n, a), lowest first, the bits of a whose OR
         it is: the |U| tuples that extend it by one coordinate, per block."""
+        if (planes := self._tables.get(("planes", "exists", n))) is not None:
+            return planes
         def build() -> list[range]:
             self._require("exists")
             self._check_sort(n)

@@ -8,7 +8,9 @@ equations between terms of the operation signature (formulas.py, the
 (0), the one non-equational schema, has a premise: where it holds, some
 equation must; reports label (0) apart.  Each term repeats its schema's
 operation sequence (folds start from 1 or 0; a <= b is meet(a, b) = a),
-since on tables that break the laws equivalent terms can disagree.
+since on tables that break the laws equivalent terms can disagree.  A
+subterm that clauses repeat, such as sub(alpha, r) in (3), is built once per
+schema call and shared; values are still memoized per clause, by identity.
 
 A clause runs over batches of slot tuples: all of them when the space fits
 the exhaustive cap, else a seeded uniform sample.  A subalgebra generated in
@@ -46,7 +48,7 @@ from functools import reduce
 from itertools import chain, compress, count, product as iproduct
 from math import prod
 from random import Random
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .algebras import (ConcreteAlgebra, FiniteAlgebra, GeneratedSubalgebra, concrete,
                        generated_subalgebra, product)
@@ -62,7 +64,6 @@ from .relations import (
     _transpose,
     all_substitutions,
     assoc_cylindrification,
-    compose,
     partitioning,
 )
 
@@ -164,15 +165,16 @@ def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckRepo
     one_batch: dict = {}  # the exhaustive space of each tuple of slot sorts that fits a batch
     for clause in _clauses(algebra, axiom, bounds):
         params += 1
-        sorts = [slot.sort for slot in clause.slots]
-        sizes = [algebra.sort_size(s) for s in sorts]
-        if prod(sizes) > bounds.exhaustive_cap:
-            sampled = True
-            batches = _sampled(host, to_parent, sorts, sizes, bounds.samples, rng)
-        elif prod(sizes) > BATCH:
-            batches = _exhaustive(host, to_parent, sorts, sizes)
-        elif (batches := one_batch.get(tuple(sorts))) is None:
-            batches = one_batch[tuple(sorts)] = list(_exhaustive(host, to_parent, sorts, sizes))
+        sorts = tuple(slot.sort for slot in clause.slots)
+        if (batches := one_batch.get(sorts)) is None:
+            sizes = [algebra.sort_size(s) for s in sorts]
+            if prod(sizes) > bounds.exhaustive_cap:
+                sampled = True
+                batches = _sampled(host, to_parent, sorts, sizes, bounds.samples, rng)
+            elif prod(sizes) > BATCH:
+                batches = _exhaustive(host, to_parent, sorts, sizes)
+            else:
+                batches = one_batch[sorts] = list(_exhaustive(host, to_parent, sorts, sizes))
         consts: dict = {}
         for values, slot_values in batches:
             instances += values.size
@@ -348,7 +350,7 @@ def _values(host: FiniteAlgebra, size: int) -> Values:
     return Planes(host, size) if isinstance(host, ConcreteAlgebra) else Columns(host, size)
 
 
-def _exhaustive(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: list[int],
+def _exhaustive(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: Sequence[int],
                 sizes: list[int]) -> Iterator[tuple[Values, list]]:
     """Every slot tuple, in lexicographic order, as (values, slot values)
     batches: the planes of _row_planes in a concrete host, the columns of
@@ -362,7 +364,7 @@ def _exhaustive(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: l
         yield from _from_columns(host, to_parent, sorts, _exhaustive_batches(sizes))
 
 
-def _sampled(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: list[int],
+def _sampled(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: Sequence[int],
              sizes: list[int], count: int, rng: Random) -> Iterator[tuple[Values, list]]:
     """count uniform slot tuples as (values, slot values) batches: the planes
     of _sampled_planes for a concrete algebra whose sorts have below 2**32
@@ -375,7 +377,7 @@ def _sampled(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: list
         yield from _from_columns(host, to_parent, sorts, _sampled_batches(sizes, count, rng))
 
 
-def _from_columns(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: list[int],
+def _from_columns(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: Sequence[int],
                   batches: Iterable[tuple[list, int]]) -> Iterator[tuple[Values, list]]:
     """(columns, size) batches of slot elements as (values, slot values)
     batches: each column mapped up by to_parent if given, then held as
@@ -538,29 +540,35 @@ def _ax1(n_max: int) -> Iterator[Clause]:
 def _ax2(n_max: int) -> Iterator[Clause]:
     for n, k in iproduct(range(n_max + 1), repeat=2):
         r, s = Sym("r", n), Sym("s", n)
+        bot, top, r_or_s, r_and_s = Bot(n), Top(n), Or(r, s), And(r, s)
+        d = f"sort {n}->{k}"
         for alpha in all_substitutions(n, k):
             yield Clause({"alpha": _ser(alpha), "part": "constants"}, (), (
-                ("constants", "0 not preserved", Sub(alpha, Bot(n)), Bot(k)),
-                ("constants", "1 not preserved", Sub(alpha, Top(n)), Top(k)),
+                ("constants", "0 not preserved", Sub(alpha, bot), Bot(k)),
+                ("constants", "1 not preserved", Sub(alpha, top), Top(k)),
             ))
-            d = f"sort {n}->{k}"
             ar, as_ = Sub(alpha, r), Sub(alpha, s)  # shared: values are memoized by identity
             yield Clause({"alpha": _ser(alpha), "part": "binary"}, (r, s), (
-                ("join", d, Sub(alpha, Or(r, s)), Or(ar, as_)),
-                ("meet", d, Sub(alpha, And(r, s)), And(ar, as_)),
+                ("join", d, Sub(alpha, r_or_s), Or(ar, as_)),
+                ("meet", d, Sub(alpha, r_and_s), And(ar, as_)),
             ))
 
 
 def _ax3(n_max: int) -> Iterator[Clause]:
-    subs = {(k, m): list(all_substitutions(k, m)) for k, m in iproduct(range(n_max + 1), repeat=2)}
-    for n, k in iproduct(range(n_max + 1), repeat=2):
-        r = Sym("r", n)
-        for alpha in subs[n, k]:
-            for m in range(n_max + 1):
-                for beta in subs[k, m]:
-                    yield Clause({"alpha": _ser(alpha), "beta": _ser(beta)}, (r,), (
-                        ("", "composite substitution differs",
-                         Sub(compose(beta, alpha), r), Sub(beta, Sub(alpha, r))),
+    sorts = range(n_max + 1)
+    subs = {(k, m): [(a, _ser(a)) for a in all_substitutions(k, m)]
+            for k, m in iproduct(sorts, repeat=2)}
+    rs = [Sym("r", n) for n in sorts]
+    # Sub(gamma, r) for each gamma in subs, by codomain and map: the composites
+    composites = {(a.cod, a.map): Sub(a, rs[a.dom]) for pairs in subs.values() for a, _ in pairs}
+    for n, k in iproduct(sorts, repeat=2):
+        for alpha, alpha_ser in subs[n, k]:
+            ar = Sub(alpha, rs[n])
+            for m in sorts:
+                for beta, beta_ser in subs[k, m]:
+                    composite = composites[m, tuple(beta.map[a - 1] for a in alpha.map)]
+                    yield Clause({"alpha": alpha_ser, "beta": beta_ser}, (rs[n],), (
+                        ("", "composite substitution differs", composite, Sub(beta, ar)),
                     ))
 
 
@@ -575,10 +583,11 @@ def _ax4(n_max: int) -> Iterator[Clause]:
 def _ax5(n_max: int) -> Iterator[Clause]:
     for n, k in iproduct(range(n_max + 1), repeat=2):
         r = Sym("r", n)
+        not_r = Not(r)
         for alpha in all_substitutions(n, k):
             yield Clause({"alpha": _ser(alpha)}, (r,), (
                 ("", "substitution does not commute with negation",
-                 Sub(alpha, Not(r)), Not(Sub(alpha, r))),
+                 Sub(alpha, not_r), Not(Sub(alpha, r))),
             ))
 
 
@@ -626,15 +635,16 @@ def _ax10(n_max: int) -> Iterator[Clause]:
         for m in range(n_max - n_w + 1):
             for ks in iproduct(range(n_max), repeat=n_w):
                 rs = tuple(Sym(f"r{i}", k + 1) for i, k in enumerate(ks, start=1))
+                projections, top_lhs, top_rhs = [*map(Exists, rs)], Top(m + n_w), Top(m)
                 for alphas in iproduct(*(all_substitutions(k, m) for k in ks)):
                     betas = [
                         Substitution(k + 1, m + n_w, alpha.map + (m + i,))
                         for i, (k, alpha) in enumerate(zip(ks, alphas), start=1)
                     ]
-                    lhs = reduce(And, (Sub(beta, r) for beta, r in zip(betas, rs)), Top(m + n_w))
+                    lhs = reduce(And, (Sub(beta, r) for beta, r in zip(betas, rs)), top_lhs)
                     for _ in range(n_w):
                         lhs = Exists(lhs)
-                    rhs = reduce(And, (Sub(a, Exists(r)) for a, r in zip(alphas, rs)), Top(m))
+                    rhs = reduce(And, map(Sub, alphas, projections), top_rhs)
                     yield Clause({"m": m, "ks": list(ks), "alphas": [_ser(a) for a in alphas]},
                                  rs, (("", "batched projection differs from separate projections",
                                        lhs, rhs),))
@@ -642,45 +652,49 @@ def _ax10(n_max: int) -> Iterator[Clause]:
 
 def _ax11(n_max: int) -> Iterator[Clause]:
     for n in range(1, n_max + 1):
-        idx = range(1, n + 1)
+        idx, top = range(1, n + 1), Top(n)
+        delta = {(i, j): Delta(n, i, j) for i, j in iproduct(idx, idx)}
         for i in idx:
             yield Clause({"sort": n, "part": "a", "i": i}, (), (
-                ("11a", f"diagonal ({i},{i}) of sort {n} is not 1", Delta(n, i, i), Top(n)),
+                ("11a", f"diagonal ({i},{i}) of sort {n} is not 1", delta[i, i], top),
             ))
         for i, j in iproduct(idx, idx):
             yield Clause({"sort": n, "part": "b", "i": i, "j": j}, (), (
                 ("11b", f"diagonal of sort {n} not symmetric at ({i},{j})",
-                 Delta(n, i, j), Delta(n, j, i)),
+                 delta[i, j], delta[j, i]),
             ))
         for i, j, k in iproduct(idx, idx, idx):
-            both = And(Delta(n, i, j), Delta(n, j, k))
+            both = And(delta[i, j], delta[j, k])
             yield Clause({"sort": n, "part": "c", "i": i, "j": j, "k": k}, (), (
                 ("11c", f"diagonal transitivity fails at ({i},{j},{k}) of sort {n}",
-                 And(both, Delta(n, i, k)), both),
+                 And(both, delta[i, k]), both),
             ))
 
 
 def _ax12(n_max: int) -> Iterator[Clause]:
     for k, n in iproduct(range(n_max + 1), repeat=2):
-        r = Sym("r", k)
-        subs = list(all_substitutions(k, n))
-        for alpha in subs:
-            for beta in subs:
-                agree = reduce(And, (Delta(n, a, b) for a, b in zip(alpha.map, beta.map)), Top(n))
-                yield Clause({"alpha": _ser(alpha), "beta": _ser(beta)}, (r,), (
+        r, top = Sym("r", k), Top(n)
+        deltas = {(a, b): Delta(n, a, b) for a, b in iproduct(range(1, n + 1), repeat=2)}
+        subs = [(a, Sub(a, r), _ser(a)) for a in all_substitutions(k, n)]
+        for alpha, ar, alpha_ser in subs:
+            for beta, br, beta_ser in subs:
+                agree = reduce(And, map(deltas.__getitem__, zip(alpha.map, beta.map)), top)
+                yield Clause({"alpha": alpha_ser, "beta": beta_ser}, (r,), (
                     ("", "substitutions differ under the agreement diagonal",
-                     And(Sub(alpha, r), agree), And(Sub(beta, r), agree)),
+                     And(ar, agree), And(br, agree)),
                 ))
 
 
 def _ax13(n_max: int) -> Iterator[Clause]:
     for k, n in iproduct(range(1, n_max + 1), repeat=2):
+        diagonals = [(i, j, Delta(k, i, j)) for i, j in iproduct(range(1, k + 1), repeat=2)]
+        deltas = {(a, b): Delta(n, a, b) for a, b in iproduct(range(1, n + 1), repeat=2)}
         for alpha in all_substitutions(k, n):
-            for i, j in iproduct(range(1, k + 1), repeat=2):
-                yield Clause({"alpha": _ser(alpha), "i": i, "j": j}, (), (
+            alpha_ser = _ser(alpha)
+            for i, j, delta in diagonals:
+                yield Clause({"alpha": alpha_ser, "i": i, "j": j}, (), (
                     ("", "substitution image of a diagonal differs",
-                     Sub(alpha, Delta(k, i, j)),
-                     Delta(n, alpha.map[i - 1], alpha.map[j - 1])),
+                     Sub(alpha, delta), deltas[alpha.map[i - 1], alpha.map[j - 1]]),
                 ))
 
 

@@ -173,9 +173,10 @@ class Delta(Term):
 
 _KEYWORDS = {"sub", "and", "or", "not", "exists", "top", "bot", "delta", "true", "false"}
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<name>{_NAME_RE.pattern})"
     r"|(?P<int>\d+)"
     r"|(?P<op>->|[()\[\],=&|!⊤⊥])"
 )
@@ -376,25 +377,30 @@ class FOFormula:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "context", tuple(self.context))
-        _check_bound(self.body, len(self.context))
+        _check_bound(self.body, reduce(_bind, self.context, []))
 
 
-def _check_bound(node: FONode, k: int) -> None:
-    if isinstance(node, FOAtom):
-        for i in node.args:
-            if not 1 <= i <= k:
-                raise ArityError(f"variable index {i} outside context of length {k}")
-    elif isinstance(node, FOEq):
-        for i in (node.i, node.j):
-            if not 1 <= i <= k:
-                raise ArityError(f"variable index {i} outside context of length {k}")
+def _bind(ctx: list[str], name: str) -> list[str]:
+    """ctx with name bound last, refused where parse_fo refuses its text."""
+    if not _NAME_RE.fullmatch(name) or name in _KEYWORDS:
+        raise FormatError(f"expected a variable name, found {name!r}")
+    if name in ctx:
+        raise FormatError(f"variable {name!r} already bound")
+    return ctx + [name]
+
+
+def _check_bound(node: FONode, ctx: list[str]) -> None:
+    if isinstance(node, (FOAtom, FOEq)):
+        for i in node.args if isinstance(node, FOAtom) else (node.i, node.j):
+            if not 1 <= i <= len(ctx):
+                raise ArityError(f"variable index {i} outside context of length {len(ctx)}")
     elif isinstance(node, (FOAnd, FOOr)):
-        _check_bound(node.left, k)
-        _check_bound(node.right, k)
+        _check_bound(node.left, ctx)
+        _check_bound(node.right, ctx)
     elif isinstance(node, FONot):
-        _check_bound(node.child, k)
+        _check_bound(node.child, ctx)
     elif isinstance(node, FOExists):
-        _check_bound(node.body, k + 1)
+        _check_bound(node.body, _bind(ctx, node.var))
 
 
 def parse_fo(text: str, signature: Signature) -> FOFormula:
@@ -665,33 +671,32 @@ def term_value(values: "Values", t: Term, env: dict, consts: dict) -> int | list
         return env[key]
     if key in consts:
         return consts[key]
-    alg = values.alg
-    match t:
-        case Top(n):
-            v = alg.one(n)
-        case Bot(n):
-            v = alg.zero(n)
-        case Delta(n, i, j):
-            v = alg.delta(n, i, j)
-        case Sub(alpha, child):
-            x = term_value(values, child, env, consts)
-            v = values.subst(alpha, x) if isinstance(x, list) else alg.subst(alpha, x)
-        case Not(child):
-            x = term_value(values, child, env, consts)
-            v = values.neg(t.sort, x) if isinstance(x, list) else alg.neg(t.sort, x)
-        case Exists(child):
-            x = term_value(values, child, env, consts)
-            v = values.exists(t.sort, x) if isinstance(x, list) else alg.exists(t.sort, x)
-        case And(left, right) | Or(left, right):
-            x = term_value(values, left, env, consts)
-            y = term_value(values, right, env, consts)
-            name = "meet" if isinstance(t, And) else "join"
-            if isinstance(x, list) or isinstance(y, list):
-                v = getattr(values, name)(t.sort, values.lift(t.sort, x), values.lift(t.sort, y))
-            else:
-                v = getattr(alg, name)(t.sort, x, y)
-        case _:
-            raise TypeError(f"no value for term {t!r}")
+    alg, kind = values.alg, type(t)  # the most common kinds first
+    if kind is Sub:
+        x = term_value(values, t.child, env, consts)
+        v = values.subst(t.alpha, x) if isinstance(x, list) else alg.subst(t.alpha, x)
+    elif kind is And or kind is Or:
+        x = term_value(values, t.left, env, consts)
+        y = term_value(values, t.right, env, consts)
+        name = "meet" if kind is And else "join"
+        if isinstance(x, list) or isinstance(y, list):
+            v = getattr(values, name)(t.sort, values.lift(t.sort, x), values.lift(t.sort, y))
+        else:
+            v = getattr(alg, name)(t.sort, x, y)
+    elif kind is Not:
+        x = term_value(values, t.child, env, consts)
+        v = values.neg(t.sort, x) if isinstance(x, list) else alg.neg(t.sort, x)
+    elif kind is Exists:
+        x = term_value(values, t.child, env, consts)
+        v = values.exists(t.sort, x) if isinstance(x, list) else alg.exists(t.sort, x)
+    elif kind is Top:
+        v = alg.one(t.sort)
+    elif kind is Bot:
+        v = alg.zero(t.sort)
+    elif kind is Delta:
+        v = alg.delta(t.sort, t.i, t.j)
+    else:
+        raise TypeError(f"no value for term {t!r}")
     (env if isinstance(v, list) else consts)[key] = v
     return v
 

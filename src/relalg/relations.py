@@ -68,6 +68,11 @@ class Substitution:
         for entry in self.map:
             if not 1 <= entry <= self.cod:
                 raise ArityError(f"substitution entry {entry} outside 1..{self.cod}")
+        # hashed once: the evaluator's stores look a substitution up per clause
+        object.__setattr__(self, "_hash", hash((self.dom, self.cod, self.map)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def identity(cls, n: int) -> "Substitution":

@@ -33,6 +33,7 @@ from relalg.formulas import (
     FOBot,
     FOExists,
     FOFormula,
+    FONot,
     FOOr,
     FOTop,
     Not,
@@ -281,6 +282,54 @@ def test_print_fo_round_trips_through_parse_fo():
     for _ in range(500):
         f = random_formula(rng, SIG4, rng.randint(0, 3), rng.randint(0, 4))
         assert parse_fo(print_fo(f), SIG4) == f, print_fo(f)
+
+
+def test_formulas_refuse_names_that_parse_fo_refuses():
+    """A context that repeats a name, or a quantifier that rebinds one in
+    scope, is refused as parse_fo refuses its text."""
+    for context, body, message in [
+        (("x",), FOExists("x", FOAtom("R2", (1, 2))), "variable 'x' already bound"),
+        (("x", "x"), FOTop(), "variable 'x' already bound"),
+        (("x",), FOExists("y", FOExists("y", FOTop())), "variable 'y' already bound"),
+        (("and",), FOTop(), "expected a variable name, found 'and'"),
+        (("1x",), FOTop(), "expected a variable name, found '1x'"),
+    ]:
+        with pytest.raises(FormatError) as caught:
+            FOFormula(context, body)
+        assert str(caught.value) == message
+    with pytest.raises(FormatError) as caught:
+        parse_fo("[x] exists x (R2(x,x))", SIG4)
+    assert str(caught.value) == "variable 'x' already bound (at position 11)"
+    # a name bound in one branch is free again in the other
+    f = FOFormula(("x",), FOAnd(FOExists("y", FOTop()), FOExists("y", FOAtom("R2", (1, 2)))))
+    assert parse_fo(print_fo(f), SIG4) == f
+
+
+def _renamed(node, rng, names):
+    """node with each quantifier's name drawn from names."""
+    if isinstance(node, FOExists):
+        return FOExists(rng.choice(names), _renamed(node.body, rng, names))
+    if isinstance(node, (FOAnd, FOOr)):
+        return type(node)(_renamed(node.left, rng, names), _renamed(node.right, rng, names))
+    if isinstance(node, FONot):
+        return FONot(_renamed(node.child, rng, names))
+    return node
+
+
+def test_every_formula_that_builds_round_trips_through_parse_fo():
+    rng = Random(4242)
+    names, built = ["x", "y", "z", "w"], 0
+    for _ in range(500):
+        f = random_formula(rng, SIG4, rng.randint(0, 3), rng.randint(0, 4))
+        context = tuple(rng.choice(names) for _ in f.context)
+        try:
+            g = FOFormula(context, _renamed(f.body, rng, names))
+        except FormatError as refused:
+            assert re.fullmatch(r"variable '[xyzw]' already bound", str(refused))
+            continue
+        built += 1
+        assert parse_fo(print_fo(g), SIG4) == g, print_fo(g)
+    assert 100 < built < 500
 
 
 def test_sort_soundness():

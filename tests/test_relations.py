@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -346,6 +349,36 @@ def test_substitution_validation():
         Substitution(1, 1, (2,))
     with pytest.raises(ArityError):
         Substitution(1, 1, (0,))
+
+
+def test_substitution_hash_is_stored_once_and_follows_equality():
+    """A substitution hashes once, when built; equal ones built apart hash
+    equal, and the hash survives pickling and dataclasses.replace."""
+    alpha, again = Substitution(3, 2, (2, 1, 2)), Substitution(3, 2, [2, 1, 2])
+    assert alpha == again and alpha is not again and hash(alpha) == hash(again)
+    assert {alpha: "a"}[again] == "a"
+    assert hash(alpha) == hash((3, 2, (2, 1, 2)))  # the hash of the generated __hash__
+    assert repr(alpha) == "Substitution(dom=3, cod=2, map=(2, 1, 2))"
+    assert [f.name for f in dataclasses.fields(alpha)] == ["dom", "cod", "map"]
+    copy = pickle.loads(pickle.dumps(alpha))
+    assert copy == alpha and hash(copy) == hash(alpha)
+    moved = dataclasses.replace(alpha, map=(1, 1, 2))
+    assert moved == Substitution(3, 2, (1, 1, 2)) and hash(moved) == hash(Substitution(3, 2, (1, 1, 2)))
+    assert dataclasses.replace(moved, map=(2, 1, 2)) == alpha
+    assert hash(dataclasses.replace(moved, map=(2, 1, 2))) == hash(alpha)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alpha.map = (1, 1, 1)
+    # the bad maps are refused as before, replace included
+    for args, message in [((-1, 1, ()), "negative sort in substitution -1->1"),
+                          ((2, 1, (1,)), "substitution map has length 1, expected 2"),
+                          ((1, 1, (2,)), "substitution entry 2 outside 1..1"),
+                          ((1, 1, (0,)), "substitution entry 0 outside 1..1")]:
+        with pytest.raises(ArityError) as caught:
+            Substitution(*args)
+        assert str(caught.value) == message
+    with pytest.raises(ArityError) as caught:
+        dataclasses.replace(alpha, cod=1)
+    assert str(caught.value) == "substitution entry 2 outside 1..1"
 
 
 # The C-speed kernels against their per-tuple definitions in oracles.py
