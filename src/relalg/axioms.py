@@ -653,21 +653,21 @@ def _ax10(n_max: int) -> Iterator[Clause]:
 def _ax11(n_max: int) -> Iterator[Clause]:
     for n in range(1, n_max + 1):
         idx, top = range(1, n + 1), Top(n)
-        delta = {(i, j): Delta(n, i, j) for i, j in iproduct(idx, idx)}
+        deltas = {(i, j): Delta(n, i, j) for i, j in iproduct(idx, idx)}
         for i in idx:
             yield Clause({"sort": n, "part": "a", "i": i}, (), (
-                ("11a", f"diagonal ({i},{i}) of sort {n} is not 1", delta[i, i], top),
+                ("11a", f"diagonal ({i},{i}) of sort {n} is not 1", deltas[i, i], top),
             ))
         for i, j in iproduct(idx, idx):
             yield Clause({"sort": n, "part": "b", "i": i, "j": j}, (), (
                 ("11b", f"diagonal of sort {n} not symmetric at ({i},{j})",
-                 delta[i, j], delta[j, i]),
+                 deltas[i, j], deltas[j, i]),
             ))
         for i, j, k in iproduct(idx, idx, idx):
-            both = And(delta[i, j], delta[j, k])
+            both = And(deltas[i, j], deltas[j, k])
             yield Clause({"sort": n, "part": "c", "i": i, "j": j, "k": k}, (), (
                 ("11c", f"diagonal transitivity fails at ({i},{j},{k}) of sort {n}",
-                 And(both, delta[i, k]), both),
+                 And(both, deltas[i, k]), both),
             ))
 
 
