@@ -25,13 +25,11 @@ from .relations import (
     Universe,
     all_substitutions,
     assoc_cylindrification,
-    compose,
     delta,
     exists_last,
     partitioning,
     rel_apply,
     relation_literal,
-    tuple_apply,
 )
 from .formulas import (
     FOFormula,

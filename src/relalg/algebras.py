@@ -20,13 +20,13 @@ where sorts are enumerated, plus eagerly in concrete() and extend().
 
 A table algebra is one table per symbol key.  Every algebra has one store,
 FiniteAlgebra.cached: operation tables under their symbol keys (a table
-algebra's given tables, or tables built on first use), a concrete algebra's
-diagonals and plane index lists under ("planes", *key), and the sort
-lattices of filters.sort_lattice.  All algebras are immutable after
-construction, with one exception: the command line sets element_cap on a
-gallery or table file it has loaded.  The store takes no lock: nothing
-starts a thread, and under the GIL dict.get and setdefault keep the first
-value stored; so an algebra pickles, store included.
+algebra's given tables, or the unary tables table(key) builds on first use),
+a concrete algebra's diagonals and plane index lists under ("planes", *key),
+and the sort lattices and prime filters of filters.py.  All algebras are
+immutable after construction, with one exception: the command line sets
+element_cap on a gallery or table file it has loaded.  The store takes no
+lock: nothing starts a thread, and under the GIL dict.get and setdefault
+keep the first value stored; so an algebra pickles, store included.
 """
 
 from __future__ import annotations
@@ -177,21 +177,20 @@ class FiniteAlgebra:
         stored wins.  This is the algebra's one store: operation tables under
         their symbol's key (see operations()), a concrete algebra's diagonals
         under theirs and its plane index lists under ("planes", *key), sort
-        lattices under ("lattice", n)."""
+        lattices under ("lattice", n) and their prime filters under
+        ("prime filters", n)."""
         value = self._tables.get(key)
         if value is None:
             value = self._tables.setdefault(key, build())
         return value
 
-    def subst_table(self, alpha: Substitution) -> list[int]:
-        return self.cached(("subst", alpha),
-                           lambda: [self.subst(alpha, a) for a in self.elements(alpha.dom)])
-
-    def exists_table(self, n: int) -> list[int]:
-        return self.cached(("exists", n), lambda: [self.exists(n, a) for a in self.elements(n + 1)])
-
-    def neg_table(self, n: int) -> list[int]:
-        return self.cached(("neg", n), lambda: [self.neg(n, a) for a in self.elements(n)])
+    def table(self, key) -> list[int]:
+        """A unary symbol's value at every element of its argument sort,
+        stored under the symbol's key; a miss applies the guarded operation."""
+        def build() -> list[int]:
+            op = partial(getattr(self, key[0]), *key[1:])
+            return list(map(op, self.elements(_sorts(key)[0])))
+        return self.cached(key, build)
 
     # -- reporting ----------------------------------------------------------
 
@@ -495,15 +494,9 @@ class GeneratedSubalgebra(FiniteAlgebra):
 
     def _apply(self, key, *args) -> int:
         """The parent's operation on the arguments' parent values, wrapped."""
-        name, param = key[0], key[1]
-        if name == "subst":
-            arg_sort, result = param.dom, param.cod
-        elif name == "exists":
-            arg_sort, result = param + 1, param
-        else:
-            arg_sort = result = param
+        arg_sort, result = _sorts(key)
         up = self._to_parent[arg_sort]
-        return self._wrap(result, getattr(self.parent, name)(*key[1:], *(up[a] for a in args)))
+        return self._wrap(result, getattr(self.parent, key[0])(*key[1:], *(up[a] for a in args)))
 
     def _apply_all(self, key, xs: list[int], ys: list[int]) -> list[int]:
         """The parent's batched operation on two columns of local indices."""
@@ -572,6 +565,15 @@ def operations(fragment: Fragment, max_sort: int):
             yield ("exists", n), (n + 1,), n
 
 
+def _sorts(key) -> tuple[int, int]:
+    """A symbol key's argument sort (that of any argument) and result sort."""
+    if key[0] == "subst":
+        return key[1].dom, key[1].cod
+    if key[0] == "exists":
+        return key[1] + 1, key[1]
+    return key[1], key[1]
+
+
 def _symbol(key) -> str:
     return " ".join(map(str, key))
 
@@ -580,9 +582,9 @@ class TableAlgebra(FiniteAlgebra):
     """One table per operation symbol, keyed as in operations(): an element
     for a constant, a list over the argument sort for a unary symbol, and
     rows for meet and join.  The given tables are validated, copied into the
-    algebra's store and read from there by the operations and the *_table
-    accessors.  Cannot materialize sorts above the bound unless a backing
-    algebra was attached at construction."""
+    algebra's store and read from there by the operations and table(key).
+    Cannot materialize sorts above the bound unless a backing algebra was
+    attached at construction."""
 
     def __init__(self, fragment: Fragment, max_sort: int, sizes: Sequence[int], tables: dict,
                  extension: FiniteAlgebra | None = None):
@@ -603,7 +605,7 @@ class TableAlgebra(FiniteAlgebra):
                 raise FormatError(f"missing table for {_symbol(key)}")
             self._tables[key] = self._checked(key, tables[key], arg_sorts, result)
         # Projection and diagonal tables outside the signature are kept,
-        # unchecked, for to_json alone; no operation or accessor serves them.
+        # unchecked, for to_json alone; no operation or table(key) serves them.
         self._unchecked = {key: t for key, t in tables.items() if key not in self._tables}
         for key in self._unchecked:
             if key[0] not in ("exists", "delta"):
@@ -741,8 +743,7 @@ def as_table_algebra(algebra: FiniteAlgebra, with_extension: bool = False) -> Ta
             batch, elems = getattr(algebra, name + "_all"), list(range(sizes[arg_sorts[0]]))
             tables[key] = [batch(*params, [a] * len(elems), elems) for a in elems]
         elif arg_sorts:
-            op = partial(getattr(algebra, name), *params)
-            tables[key] = list(map(op, range(sizes[arg_sorts[0]])))
+            tables[key] = algebra.table(key)
         else:
             tables[key] = getattr(algebra, name)(*params)
     return TableAlgebra(algebra.fragment, algebra.max_sort, sizes, tables,

@@ -10,7 +10,8 @@ equation must; reports label (0) apart.  Each term repeats its schema's
 operation sequence (folds start from 1 or 0; a <= b is meet(a, b) = a),
 since on tables that break the laws equivalent terms can disagree.  A
 subterm that clauses repeat, such as sub(alpha, r) in (3), is built once per
-schema call and shared; values are still memoized per clause, by identity.
+schema call and shared; values are memoized per batch of one clause, by
+identity.
 
 A clause runs over batches of slot tuples: all of them when the space fits
 the exhaustive cap, else a seeded uniform sample.  A subalgebra generated in
@@ -175,10 +176,9 @@ def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckRepo
                 batches = _exhaustive(host, to_parent, sorts, sizes)
             else:
                 batches = one_batch[sorts] = list(_exhaustive(host, to_parent, sorts, sizes))
-        consts: dict = {}
         for values, slot_values in batches:
             instances += values.size
-            for row, label, detail in _failures(values, clause, slot_values, consts):
+            for row, label, detail in _failures(values, clause, slot_values):
                 if len(violations) >= bounds.violation_cap:
                     break
                 elems = tuple(values.element(s, v, row) for s, v in zip(sorts, slot_values))
@@ -220,7 +220,7 @@ def replay_instance(algebra: FiniteAlgebra, instance: SchemaInstance, bounds: Bo
             sorts = [slot.sort for slot in clause.slots]
             batch = [[v] for v in given], 1
             (values, slot_values), = _from_columns(*_host(algebra), sorts, [batch])
-            return bool(_failures(values, clause, slot_values, {}))
+            return bool(_failures(values, clause, slot_values))
     return False
 
 
@@ -441,34 +441,34 @@ def _row_planes(ups: list[list[int]] | None, widths: list[int], sizes: list[int]
         yield batch, stop - start
 
 
-def _failures(values: Values, clause: Clause, slot_values: list[list[int]],
-              consts: dict) -> list[tuple[int, str, str]]:
+def _failures(values: Values, clause: Clause,
+              slot_values: list[list[int]]) -> list[tuple[int, str, str]]:
     """(row, label, detail) for each row of the batch that violates the
     clause, in row order: where the premise holds and no equation does, or
-    where an equation fails first, each set of rows a row mask.  consts
-    keeps the values of slot-free subterms across the batches of one clause."""
-    env = dict(zip(map(id, clause.slots), slot_values))
+    where an equation fails first, each set of rows a row mask.  The batch's
+    one term_value memo starts from the clause's slot values."""
+    memo = dict(zip(map(id, clause.slots), slot_values))
     if clause.premise is not None:
         label, detail, lhs, rhs = clause.premise
-        bad = values.rows & ~_differ(values, lhs, rhs, env, consts)
+        bad = values.rows & ~_differ(values, lhs, rhs, memo)
         for _, _, lhs, rhs in clause.equations:
             if not bad:
                 break
-            bad &= _differ(values, lhs, rhs, env, consts)
+            bad &= _differ(values, lhs, rhs, memo)
         return [(row, label, detail) for row in _rows(bad)]
     failures, seen = [], 0
     for label, detail, lhs, rhs in clause.equations:
-        new = _differ(values, lhs, rhs, env, consts) & ~seen
+        new = _differ(values, lhs, rhs, memo) & ~seen
         if new:
             failures += [(row, label, detail) for row in _rows(new)]
             seen |= new
     return sorted(failures)
 
 
-def _differ(values: Values, lhs: Term, rhs: Term, env: dict, consts: dict) -> int:
+def _differ(values: Values, lhs: Term, rhs: Term, memo: dict) -> int:
     """The row mask of the rows where lhs = rhs fails."""
-    x = term_value(values, lhs, env, consts)
-    y = term_value(values, rhs, env, consts)
+    x = term_value(values, lhs, memo)
+    y = term_value(values, rhs, memo)
     if x == y:
         return 0
     if not isinstance(x, list) and not isinstance(y, list):

@@ -19,7 +19,8 @@ their filter/ideal generators, extend to a prime filter, and re-verify their
 postconditions exhaustively, as set comparisons of pullbacks.
 
 sort_lattice keeps each SortLattice in its algebra's store (see
-FiniteAlgebra.cached), so a lattice lives exactly as long as its algebra.
+FiniteAlgebra.cached), and prime_filters its sort's list, so both live
+exactly as long as their algebra.
 
 Verification is row-batched: SortLattice and is_prime_filter check every
 pair, but ask the algebra for one row at a time, the meets or joins of one
@@ -73,7 +74,6 @@ class SortLattice:
         self.zero = algebra.zero(sort)
         self.one = algebra.one(sort)
         self._build_order()
-        self._prime_filters: list[PrimeFilter] | None = None
 
     def _build_order(self) -> None:
         alg, n, size = self.algebra, self.sort, self.size
@@ -199,8 +199,9 @@ def is_prime_filter(algebra: FiniteAlgebra, sort: int, members: frozenset[int] |
 
 def prime_filters(lattice: SortLattice) -> list[PrimeFilter]:
     """All prime filters: exactly the up-sets of join-irreducibles.  Each
-    output is re-verified by the direct primality predicate."""
-    if lattice._prime_filters is None:
+    output is re-verified by the direct primality predicate, once: the list
+    is kept in the algebra's store under ("prime filters", sort)."""
+    def build() -> list[PrimeFilter]:
         out = []
         for j in lattice.join_irreducibles:
             if not is_prime_filter(lattice.algebra, lattice.sort, lattice.up_set(j)):
@@ -208,8 +209,8 @@ def prime_filters(lattice: SortLattice) -> list[PrimeFilter]:
                     f"up-set of join-irreducible {j} fails the direct primality test"
                 )
             out.append(PrimeFilter(lattice.sort, j))
-        lattice._prime_filters = out
-    return list(lattice._prime_filters)
+        return out
+    return list(lattice.algebra.cached(("prime filters", lattice.sort), build))
 
 
 def prime_filter_from_members(algebra: FiniteAlgebra, sort: int, members) -> PrimeFilter:
@@ -246,7 +247,7 @@ def pullback(algebra: FiniteAlgebra, filt: PrimeFilter, alpha: Substitution) -> 
     if alpha.cod != filt.sort:
         raise PreconditionError(f"substitution {alpha} does not land in the "
                                 f"filter's sort {filt.sort}")
-    return _members(algebra, filt, algebra.subst_table(alpha))
+    return _members(algebra, filt, algebra.table(("subst", alpha)))
 
 
 def _members(algebra: FiniteAlgebra, filt: PrimeFilter, xs=None) -> frozenset[int]:

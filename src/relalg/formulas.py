@@ -635,7 +635,7 @@ def eval_term(t: Term, structure: Structure) -> Relation:
     up to the largest sort in t, with each symbol's relation as a constant.
     Symbols are checked left to right, so the first bad one is reported; a
     shared subterm is walked once, on its first visit."""
-    symbols: dict[int, int] = {}
+    memo: dict[int, int] = {}  # term_value's memo, seeded with each symbol's relation
     seen: set[int] = set()
     max_sort, stack = 0, [t]
     while stack:
@@ -651,43 +651,42 @@ def eval_term(t: Term, structure: Structure) -> Relation:
             if rel.arity != node.sort:
                 raise ArityError(f"symbol {node.name} has arity {rel.arity} in the structure, "
                                  f"term expects {node.sort}")
-            symbols[id(node)] = rel.bits
+            memo[id(node)] = rel.bits
         else:
             stack.extend(reversed([c for c in vars(node).values() if isinstance(c, Term)]))
     algebra = ConcreteAlgebra([structure.universe], FO.with_equality(), max_sort)
-    return Relation(structure.universe, t.sort, term_value(Planes(algebra, 1), t, {}, symbols))
+    return Relation(structure.universe, t.sort, term_value(Planes(algebra, 1), t, memo))
 
 
-def term_value(values: "Values", t: Term, env: dict, consts: dict) -> int | list[int]:
-    """The value of t in values.alg on a batch of values.size rows.  env maps
-    id(slot) to its batched value, a list in the representation of values
-    (Columns or Planes), and a term over a slot is batched too.  A slot-free
-    term is one element from the algebra's scalar operations, so its sorts
-    are never tabulated, and is broadcast where it meets a batched value.
-    Values are memoized by id(t), batched ones in env and elements in
-    consts: a term's hash recurses through all of it, two frames a level."""
-    key = id(t)
-    if key in env:
-        return env[key]
-    if key in consts:
-        return consts[key]
+def term_value(values: "Values", t: Term, memo: dict) -> int | list[int]:
+    """The value of t in values.alg on a batch of values.size rows.  memo is
+    the batch's one memo: it maps id(term) to the term's value, and is seeded
+    with the value of each slot or symbol.  A batched value is a list in the
+    representation of values (Columns or Planes), and a term over one is
+    batched too.  A slot-free term is one element from the algebra's scalar
+    operations, so its sorts are never tabulated, and is broadcast where it
+    meets a batched value.  The memo is keyed by id because a term's hash
+    recurses through all of it, two frames a level."""
+    v = memo.get(id(t))
+    if v is not None:
+        return v
     alg, kind = values.alg, type(t)  # the most common kinds first
     if kind is Sub:
-        x = term_value(values, t.child, env, consts)
+        x = term_value(values, t.child, memo)
         v = values.subst(t.alpha, x) if isinstance(x, list) else alg.subst(t.alpha, x)
     elif kind is And or kind is Or:
-        x = term_value(values, t.left, env, consts)
-        y = term_value(values, t.right, env, consts)
+        x = term_value(values, t.left, memo)
+        y = term_value(values, t.right, memo)
         name = "meet" if kind is And else "join"
         if isinstance(x, list) or isinstance(y, list):
             v = getattr(values, name)(t.sort, values.lift(t.sort, x), values.lift(t.sort, y))
         else:
             v = getattr(alg, name)(t.sort, x, y)
     elif kind is Not:
-        x = term_value(values, t.child, env, consts)
+        x = term_value(values, t.child, memo)
         v = values.neg(t.sort, x) if isinstance(x, list) else alg.neg(t.sort, x)
     elif kind is Exists:
-        x = term_value(values, t.child, env, consts)
+        x = term_value(values, t.child, memo)
         v = values.exists(t.sort, x) if isinstance(x, list) else alg.exists(t.sort, x)
     elif kind is Top:
         v = alg.one(t.sort)
@@ -697,7 +696,7 @@ def term_value(values: "Values", t: Term, env: dict, consts: dict) -> int | list
         v = alg.delta(t.sort, t.i, t.j)
     else:
         raise TypeError(f"no value for term {t!r}")
-    (env if isinstance(v, list) else consts)[key] = v
+    memo[id(t)] = v
     return v
 
 
@@ -728,13 +727,13 @@ class Columns(Values):
         return v[row]
 
     def subst(self, alpha: Substitution, x: list[int]) -> list[int]:
-        return _lookup(self.alg.subst_table(alpha), x)
+        return _lookup(self.alg.table(("subst", alpha)), x)
 
     def neg(self, n: int, x: list[int]) -> list[int]:
-        return _lookup(self.alg.neg_table(n), x)
+        return _lookup(self.alg.table(("neg", n)), x)
 
     def exists(self, n: int, x: list[int]) -> list[int]:
-        return _lookup(self.alg.exists_table(n), x)
+        return _lookup(self.alg.table(("exists", n)), x)
 
     def meet(self, n: int, x: list[int], y: list[int]) -> list[int]:
         return self.alg.meet_all(n, x, y)

@@ -94,13 +94,6 @@ def all_substitutions(dom: int, cod: int) -> Iterator[Substitution]:
         yield Substitution(dom, cod, entries)
 
 
-def tuple_apply(alpha: Substitution, x: Sequence[int]) -> tuple[int, ...]:
-    """Select coordinates: result[i] = x[alpha(i)].  Needs len(x) == alpha.cod."""
-    if len(x) != alpha.cod:
-        raise ArityError(f"tuple of length {len(x)} fed to substitution expecting {alpha.cod}")
-    return tuple(x[i - 1] for i in alpha.map)
-
-
 @dataclass(frozen=True)
 class Relation:
     universe: Universe
@@ -171,17 +164,11 @@ def _rel_apply_bits(alpha: Substitution, size: int, bits: int) -> int:
 
 
 def rel_apply(alpha: Substitution, r: Relation) -> Relation:
-    """Inverse image: x in result iff tuple_apply(alpha, x) in r.  Arity dom -> cod."""
+    """Inverse image: x in result iff (x[alpha(1)], ..., x[alpha(dom)]) in r.
+    Arity dom -> cod."""
     if r.arity != alpha.dom:
         raise ArityError(f"relation of arity {r.arity} fed to substitution {alpha}")
     return Relation(r.universe, alpha.cod, _rel_apply_bits(alpha, r.universe.size, r.bits))
-
-
-def compose(beta: Substitution, alpha: Substitution) -> Substitution:
-    """Composite with rel_apply(compose(beta, alpha), r) == rel_apply(beta, rel_apply(alpha, r))."""
-    if beta.dom != alpha.cod:
-        raise ArityError(f"cannot compose {beta} after {alpha}")
-    return Substitution(alpha.dom, beta.cod, tuple(beta.map[a - 1] for a in alpha.map))
 
 
 def exists_last(r: Relation) -> Relation:
@@ -264,9 +251,10 @@ def _transpose(column: Sequence[int], width: int) -> list[int]:
 
 
 def partitioning(*arities: int) -> list[Substitution]:
-    """Block-inclusion cylindrifications c_i: k_i -> k_1+..+k_m, with
-    tuple_apply(c_i, x_1...x_m) = x_i.  The empty call yields the empty family
-    on target sort 0."""
+    """Block-inclusion cylindrifications c_i: k_i -> k_1+..+k_m, where c_i
+    maps 1..k_i onto the positions of block i, so that rel_apply(c_i, r)
+    holds of x_1...x_m iff r holds of the block x_i.  The empty call yields
+    the empty family on target sort 0."""
     total = sum(arities)
     out = []
     offset = 0
@@ -279,8 +267,8 @@ def partitioning(*arities: int) -> list[Substitution]:
 
 
 def assoc_cylindrification(n: int) -> Substitution:
-    """The cylindrification n -> n+1 dropping the last coordinate:
-    tuple_apply(c, xy) = x."""
+    """The cylindrification n -> n+1 mapping i to i, so that rel_apply(c, r)
+    holds of xy iff r holds of x: it ignores the last coordinate."""
     return Substitution(n, n + 1, tuple(range(1, n + 1)))
 
 

@@ -5,7 +5,9 @@ bitset engine or its index encoding, so agreement is a genuine cross-check.
 The exceptions: is_prime_filter_pairwise asks an algebra for one scalar
 meet, join or order test per pair and never for a batch, and projection
 splits a concrete algebra's elements into their factor components.
-parse_relation_literal reads the text relation_literal prints.
+parse_relation_literal reads the text relation_literal prints, and
+tuple_apply and compose are the substitutions' action on tuples and their
+composite.
 
 The per-tuple kernels at the end are the definitions the bitset kernels of
 relalg.relations compute: they walk the encoding one tuple index at a time
@@ -18,7 +20,8 @@ closures once per formula.
 import re
 from itertools import combinations, product
 
-from relalg import ArityError, FormatError, PrimeFilter, Relation, Universe, sort_lattice
+from relalg import (ArityError, FormatError, PrimeFilter, Relation, Substitution, Universe,
+                    sort_lattice)
 from relalg.formulas import FOAnd, FOAtom, FOBot, FOEq, FOExists, FONot, FOOr, FOTop
 from relalg.relations import index_tuple, tuple_index
 
@@ -68,6 +71,20 @@ def projection(algebra, i: int) -> dict[int, list[int]]:
 
 def apply_tuple(alpha_map, x):
     return tuple(x[i - 1] for i in alpha_map)
+
+
+def tuple_apply(alpha: Substitution, x) -> tuple:
+    """Select coordinates: result[i] = x[alpha(i)].  Needs len(x) == alpha.cod."""
+    if len(x) != alpha.cod:
+        raise ArityError(f"tuple of length {len(x)} fed to substitution expecting {alpha.cod}")
+    return apply_tuple(alpha.map, x)
+
+
+def compose(beta: Substitution, alpha: Substitution) -> Substitution:
+    """Composite with rel_apply(compose(beta, alpha), r) == rel_apply(beta, rel_apply(alpha, r))."""
+    if beta.dom != alpha.cod:
+        raise ArityError(f"cannot compose {beta} after {alpha}")
+    return Substitution(alpha.dom, beta.cod, apply_tuple(alpha.map, beta.map))
 
 
 def inverse_image(alpha_map, cod: int, size: int, rel_set) -> set:

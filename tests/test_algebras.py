@@ -230,6 +230,24 @@ def test_generated_subalgebra_refuses_bad_generators():
         generated_subalgebra(parent, [(1, 4)])
 
 
+def test_generated_closure_past_the_element_cap_is_refused(monkeypatch):
+    import relalg.algebras
+
+    monkeypatch.setattr(relalg.algebras, "DEFAULT_ELEMENT_CAP", 3)
+    with pytest.raises(ElementCapExceededError,
+                       match="^closure of sort 1 exceeds element cap 3$"):
+        generated_subalgebra(concrete(Universe(2), PQF, 1), [(1, 1), (1, 2)])
+
+
+def test_generated_extension_that_grows_an_old_sort_is_refused():
+    """Projection from the new sort 3 adds a sort-2 element."""
+    alg = generated_subalgebra(concrete(Universe(2), PE, 2), [(2, 6)])
+    with pytest.raises(InsufficientSortsError,
+                       match="^extension to sort 3 is not conservative: "
+                             "sort 2 grows from 3 to 4 elements$"):
+        alg.extend(3)
+
+
 def test_generated_extension_conservative_for_pqf():
     parent = concrete(Universe(2), PQF, 1)
     alg = generated_subalgebra(parent, [(1, 0b01)])
@@ -355,13 +373,13 @@ def test_table_algebra_serves_its_given_tables():
     data = json.loads(as_table_algebra(concrete(Universe(2), FO, 2)).to_json())
     tables = TableAlgebra.from_json(json.dumps(data))
     alpha = Substitution(1, 2, (2,))
-    for table, given in ((lambda: tables.neg_table(1), data["sorts"][1]["neg"]),
-                         (lambda: tables.exists_table(1), data["exists"]["1"]),
-                         (lambda: tables.subst_table(alpha), data["subst"]["1->2:[2]"])):
+    for table, given in ((lambda: tables.table(("neg", 1)), data["sorts"][1]["neg"]),
+                         (lambda: tables.table(("exists", 1)), data["exists"]["1"]),
+                         (lambda: tables.table(("subst", alpha)), data["subst"]["1->2:[2]"])):
         assert table() is table()
         assert table() == given
     tables.neg = tables.exists = tables.subst = None  # a rebuild would call them
-    assert tables.neg_table(2) == data["sorts"][2]["neg"]
+    assert tables.table(("neg", 2)) == data["sorts"][2]["neg"]
 
 
 def test_table_algebra_never_serves_unchecked_tables():
@@ -372,13 +390,13 @@ def test_table_algebra_never_serves_unchecked_tables():
     tables = TableAlgebra.from_json(json.dumps(data))
     assert json.loads(tables.to_json()) == data
     with pytest.raises(FragmentError):
-        tables.exists_table(0)
+        tables.table(("exists", 0))
     with pytest.raises(ArityError):
         tables.delta(1, 2, 2)
     data["fragment"] = "pqf+eq"
     without_negation = TableAlgebra.from_json(json.dumps(data))
     with pytest.raises(FragmentError):
-        without_negation.neg_table(1)
+        without_negation.table(("neg", 1))
     assert "neg" not in json.loads(without_negation.to_json())["sorts"][1]
     with pytest.raises(FormatError):
         TableAlgebra(PQF, 0, [1], {("zero", 0): 0, ("one", 0): 0, ("meet", 0): [[0]],
@@ -406,13 +424,13 @@ def test_concurrent_readers_see_identical_tables():
     alg = concrete(Universe(2), PE, 2)
     substitutions = [alpha for n in range(3) for k in range(3)
                      for alpha in all_substitutions(n, k)]
-    serial = [list(alg.subst_table(a)) for a in substitutions]
+    serial = [list(alg.table(("subst", a))) for a in substitutions]
     fresh = concrete(Universe(2), PE, 2)
     with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda a: list(fresh.subst_table(a)), substitutions))
-        exists_tables = list(pool.map(lambda n: list(fresh.exists_table(n)), [0, 1] * 4))
+        parallel = list(pool.map(lambda a: list(fresh.table(("subst", a))), substitutions))
+        projections = list(pool.map(lambda n: list(fresh.table(("exists", n))), [0, 1] * 4))
     assert parallel == serial
-    assert exists_tables[0] == exists_tables[2]
+    assert projections[0] == projections[2]
 
 
 def test_table_algebra_validation():

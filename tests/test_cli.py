@@ -60,6 +60,21 @@ def test_eval_term_syntax(structure_file):
     assert text.strip() == "arity=1 universe=2 {(0)}"
 
 
+def test_eval_both_reports_a_disagreement_and_exits_1(structure_file, monkeypatch):
+    """A naive evaluator that answers the empty relation disagrees with the
+    compiled one; the two answers are printed and the verdict is exit 1."""
+    import relalg.cli
+    from relalg import Relation
+
+    monkeypatch.setattr(relalg.cli, "eval_fo_naive",
+                        lambda formula, structure: Relation(structure.universe, 1, 0))
+    assert run_cli("eval", "--structure", structure_file, "--mode", "both",
+                   "[x] exists y (R1(x,y) & R2(x,y))") == (1, (
+        "EVALUATOR DISAGREEMENT\n"
+        "compiled: arity=1 universe=2 {(0)}\n"
+        "naive:    arity=1 universe=2 {}\n"))
+
+
 def test_eval_formula_file(structure_file, tmp_path):
     formula_path = tmp_path / "formula.txt"
     formula_path.write_text("[x] exists y (R1(x,y) & R2(x,y))\n")

@@ -14,6 +14,7 @@ from relalg import (
     Structure,
     Substitution,
     Universe,
+    UniverseMismatchError,
     compile_fo,
     eval_fo_naive,
     eval_term,
@@ -282,6 +283,21 @@ def test_print_fo_round_trips_through_parse_fo():
     for _ in range(500):
         f = random_formula(rng, SIG4, rng.randint(0, 3), rng.randint(0, 4))
         assert parse_fo(print_fo(f), SIG4) == f, print_fo(f)
+
+
+def test_signature_refuses_bad_symbols():
+    with pytest.raises(ArityError, match="^negative arity for symbol R$"):
+        Signature((("R", -1),))
+    with pytest.raises(FormatError, match="^duplicate symbol 'R'$"):
+        Signature((("R", 1), ("R", 2)))
+    with pytest.raises(FormatError, match="^unknown relation symbol 'S'$"):
+        Signature((("R", 1),)).arity("S")
+
+
+def test_structure_refuses_a_relation_over_another_universe():
+    with pytest.raises(UniverseMismatchError,
+                       match="^relation R lives over a different universe$"):
+        Structure(Universe(2), {"R": Relation(Universe(3), 1, 0b101)})
 
 
 def test_formulas_refuse_names_that_parse_fo_refuses():

@@ -14,14 +14,12 @@ from relalg import (
     Substitution,
     Universe,
     assoc_cylindrification,
-    compose,
     concrete,
     delta,
     exists_last,
     partitioning,
     rel_apply,
     relation_literal,
-    tuple_apply,
 )
 from relalg.relations import (
     _exists_last_bits,
@@ -33,7 +31,8 @@ from relalg.relations import (
 )
 
 import oracles
-from oracles import as_set, diagonal, from_set, inverse_image, parse_relation_literal, project_last
+from oracles import (as_set, compose, diagonal, from_set, inverse_image, parse_relation_literal,
+                     project_last, tuple_apply)
 
 
 W2 = Universe(2)
@@ -255,6 +254,20 @@ def test_partitioning_examples():
     assert partitioning() == []
     for c in partitioning(2, 1, 3):
         assert all(a < b for a, b in zip(c.map, c.map[1:]))  # strictly increasing
+
+
+def test_partitioning_refuses_a_negative_block():
+    with pytest.raises(ArityError, match="^negative block arity -1$"):
+        partitioning(-1)
+
+
+def test_contains_refuses_a_wrong_length_and_misses_foreign_elements():
+    r = from_set(2, 2, [(0, 1)])
+    assert r.contains((0, 1)) and not r.contains((1, 0))
+    with pytest.raises(ArityError, match="^tuple of length 1 tested against arity 2$"):
+        r.contains((0,))
+    assert not r.contains((0, 2))
+    assert not r.contains((-1, 1))
 
 
 def test_partitioning_blocks_select_their_slice():
