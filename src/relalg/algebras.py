@@ -35,7 +35,7 @@ import json
 import operator
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
@@ -55,6 +55,7 @@ from .relations import (
     _exists_last_bits,
     _index_map,
     _rel_apply_bits,
+    _transpose,
     delta as rel_delta,
     relation_literal,
 )
@@ -186,7 +187,9 @@ class FiniteAlgebra:
 
     def table(self, key) -> list[int]:
         """A unary symbol's value at every element of its argument sort,
-        stored under the symbol's key; a miss applies the guarded operation."""
+        stored under the symbol's key; a miss applies the guarded operation to
+        each of elements().  A concrete algebra builds it in bulk, with the
+        same errors in the same order."""
         def build() -> list[int]:
             op = partial(getattr(self, key[0]), *key[1:])
             return list(map(op, self.elements(_sorts(key)[0])))
@@ -301,6 +304,24 @@ class ConcreteAlgebra(FiniteAlgebra):
                 low += u.size ** (n + 1)
             return out
         return self.cached(("planes", "exists", n), build)
+
+    def table(self, key) -> list[int]:
+        """In bulk: the planes of range(size), gathered, flipped or ORed as
+        formulas.Planes does, transposed back; a result of width 0 is zeros."""
+        def build() -> list[int]:
+            (name, param), src = key, _sorts(key)[0]
+            size = len(self.elements(src))
+            x = _transpose(range(size), self.width(src))
+            if name == "subst":
+                planes = list(map(x.__getitem__, self.subst_planes(param)))
+            elif name == "exists":
+                planes = [reduce(operator.or_, map(x.__getitem__, bits), 0)
+                          for bits in self.exists_planes(param)]
+            elif name == "neg":  # elements() has checked the sort
+                self._require("negation")
+                planes = list(map(((1 << size) - 1).__xor__, x))
+            return _transpose(planes, size) if planes else [0] * size
+        return self.cached(key, build)
 
     def extend(self, new_max_sort: int) -> "ConcreteAlgebra":
         if new_max_sort <= self.max_sort:

@@ -22,13 +22,14 @@ sort_lattice keeps each SortLattice in its algebra's store (see
 FiniteAlgebra.cached), and prime_filters its sort's list, so both live
 exactly as long as their algebra.
 
-Verification is row-batched: SortLattice and is_prime_filter check every
-pair, but ask the algebra for one row at a time, the meets or joins of one
-element against a list of others in a single meet_all/join_all call.
-SortLattice computes the order once and reads its down-sets by transposition;
-bounds and distributivity take one meet row and one join row per element.
-Beyond the order rows (two int bitmasks per element), a check holds O(size)
-values per row and never a size x size operation table.
+Verification is one homomorphism pass (Birkhoff): a finite lattice is
+distributive exactly when a -> {join-irreducibles below a} is an injective
+(meet, join)-homomorphism into a powerset.  _defects checks a map to small
+ints on every pair: one meet_all and one join_all row per element.
+SortLattice runs it on its join-irreducible masks, and only a sort that
+fails runs the pairwise checks on the order rows that name the failure;
+prime_filters runs it on all its filters at once, and a filter it does not
+prove prime goes to the direct predicate is_prime_filter alone.
 """
 
 from __future__ import annotations
@@ -60,10 +61,12 @@ class NotALatticeError(RelAlgError):
 class SortLattice:
     """One sort of an algebra, as a bounded distributive lattice.
 
-    Construction verifies that meet/join are greatest lower and least upper
-    bounds of the order a <= b iff a = a^b, that 0 and 1 bound everything, and
-    that the lattice is distributive (join-irreducible membership masks must
-    turn joins into unions).  Order rows are int bitmasks.
+    Construction verifies that the order a <= b iff a = a^b is reflexive,
+    antisymmetric and bounded by 0 and 1, and that the join-irreducible masks
+    are an injective (meet, join)-homomorphism into a powerset: then the sort
+    is a distributive lattice in that order, with meet and join its bounds.
+    Only a sort that fails runs the pairwise checks, which name the first
+    failing pair.  Order rows are int bitmasks.
     """
 
     def __init__(self, algebra: FiniteAlgebra, sort: int):
@@ -96,6 +99,8 @@ class SortLattice:
                 raise NotALatticeError(f"bounds fail at sort-{n} element {a}")
         self._find_join_irreducibles()
         ji_mask = self._ji_mask
+        if len(set(ji_mask)) == size and not _defects(alg, n, ji_mask):
+            return
         # Row a checks every meet and join of a on the order rows.  Once the
         # rows before a have passed, (a, b) with b < a fails exactly where
         # meet or join does not commute on it, as down- and up-sets determine
@@ -127,14 +132,17 @@ class SortLattice:
                 f"sort {n} is not distributive: join of {gains[0]},{gains[1]} gains "
                 f"join-irreducibles below neither"
             )
+        raise AssertionError(f"sort {n} passes the pairwise checks, but its join-irreducible "
+                             f"masks are not an injective lattice homomorphism")
 
     def _find_join_irreducibles(self) -> None:
         """j is join-irreducible when the join of the elements strictly below
-        it (0 for none) is not j.  This runs before meets and joins are
-        verified, and its result is used only after they are: joins are then
-        least upper bounds, so that join is the element whose up-set is the
-        intersection of theirs, and up-sets decide it.  _ji_mask[a] has bit p
-        where the p-th join-irreducible lies below a."""
+        it (0 for none) is not j: in a lattice, the element whose up-set is
+        the intersection of theirs.  _ji_mask[a] has bit p where the p-th
+        join-irreducible lies below a.  This runs before meets and joins are
+        verified, and its masks verify them: as an injective homomorphism into
+        a powerset they make the sort a distributive lattice, whose
+        join-irreducibles these then are."""
         up, elems = self.up, range(self.size)
         irr = []
         for j in elems:
@@ -171,6 +179,22 @@ def sort_lattice(algebra: FiniteAlgebra, sort: int) -> SortLattice:
     return algebra.cached(("lattice", sort), lambda: SortLattice(algebra, sort))
 
 
+def _defects(algebra: FiniteAlgebra, sort: int, phi: list[int]) -> int:
+    """The bits p at which x -> (phi[x] >> p & 1) fails to send some meet to
+    an AND or some join to an OR: 0 exactly when phi is a (meet, join)-
+    homomorphism into the powerset of its bits.  Every pair is checked, one
+    meet row and one join row per element."""
+    elems, image, out = list(range(len(phi))), phi.__getitem__, 0
+    for a in elems:
+        row = [a] * len(elems)
+        for combine, results in ((phi[a].__and__, algebra.meet_all(sort, row, elems)),
+                                 (phi[a].__or__, algebra.join_all(sort, row, elems))):
+            got, want = list(map(image, results)), list(map(combine, phi))
+            if got != want:
+                out |= reduce(operator.or_, map(operator.xor, got, want))
+    return out
+
+
 def is_prime_filter(algebra: FiniteAlgebra, sort: int, members: frozenset[int] | set[int]) -> bool:
     """Direct primality predicate, independent of the join-irreducible route:
     proper, upward-closed, meet-closed, and join-prime.  Each clause runs over
@@ -197,19 +221,36 @@ def is_prime_filter(algebra: FiniteAlgebra, sort: int, members: frozenset[int] |
     return True
 
 
+def _prime_verdicts(algebra: FiniteAlgebra, sort: int, candidates: list) -> list[bool]:
+    """is_prime_filter of each candidate member set, from one _defects pass
+    over V[x], bit i set where x is in candidate i: a proper candidate inside
+    the sort whose indicator preserves meets and joins is upward closed,
+    meet-closed and join-prime.  is_prime_filter decides the others."""
+    size = algebra.sort_size(sort)
+    if not candidates:
+        return []
+    masks = [_bitmask(map(m.__contains__, range(size))) for m in candidates]
+    inside = _bitmask(len(m) == mask.bit_count() for m, mask in zip(candidates, masks))
+    V = _transpose(masks, size)
+    sure = inside & reduce(operator.or_, V) & ~V[algebra.zero(sort)] & ~_defects(algebra, sort, V)
+    return [bool(sure >> i & 1) or is_prime_filter(algebra, sort, m)
+            for i, m in enumerate(candidates)]
+
+
 def prime_filters(lattice: SortLattice) -> list[PrimeFilter]:
     """All prime filters: exactly the up-sets of join-irreducibles.  Each
-    output is re-verified by the direct primality predicate, once: the list
-    is kept in the algebra's store under ("prime filters", sort)."""
+    output is re-verified by the direct primality predicate, all at once in
+    _prime_verdicts: the list is kept in the algebra's store under
+    ("prime filters", sort)."""
     def build() -> list[PrimeFilter]:
-        out = []
-        for j in lattice.join_irreducibles:
-            if not is_prime_filter(lattice.algebra, lattice.sort, lattice.up_set(j)):
+        irr = lattice.join_irreducibles
+        verdicts = _prime_verdicts(lattice.algebra, lattice.sort, list(map(lattice.up_set, irr)))
+        for j, prime in zip(irr, verdicts):
+            if not prime:
                 raise AssertionError(
                     f"up-set of join-irreducible {j} fails the direct primality test"
                 )
-            out.append(PrimeFilter(lattice.sort, j))
-        return out
+        return [PrimeFilter(lattice.sort, j) for j in irr]
     return list(lattice.algebra.cached(("prime filters", lattice.sort), build))
 
 

@@ -1,6 +1,7 @@
 import json
 import pickle
 import re
+from functools import partial
 from itertools import product as iproduct
 from random import Random
 
@@ -10,6 +11,7 @@ from relalg import (
     ArityError,
     Bounds,
     ElementCapExceededError,
+    FiniteAlgebra,
     FormatError,
     FragmentError,
     InsufficientSortsError,
@@ -28,6 +30,7 @@ from relalg import (
     sort_lattice,
     verify_morphism,
 )
+from relalg.algebras import ConcreteAlgebra, _sorts
 from relalg.fragments import FO, PE, PQF, QF
 from relalg.relations import all_substitutions, delta as rel_delta
 
@@ -460,3 +463,52 @@ def test_algebras_round_trip_through_pickle():
         sort_lattice(alg, 1)
         copy = pickle.loads(pickle.dumps(alg))
         assert check_fragment(copy, bounds) == check_fragment(alg, bounds), alg.provenance
+
+
+def unary_keys(alg):
+    return [key for key, arg_sorts, _ in operations(alg.fragment, alg.max_sort)
+            if len(arg_sorts) == 1]
+
+
+def test_concrete_bulk_tables_match_the_per_element_map():
+    keys = 0
+    for size in range(4):
+        for fragment in (FO, PQF):
+            for max_sort in range(4 if size < 3 else 3):
+                alg = concrete(Universe(size), fragment, max_sort)
+                for key in unary_keys(alg):
+                    op = partial(getattr(alg, key[0]), *key[1:])
+                    assert alg.table(key) == list(map(op, alg.elements(_sorts(key)[0]))), key
+                    keys += 1
+    assert keys == 537
+    alg = product([concrete(Universe(1), FO, 2), concrete(Universe(2), FO, 2)])
+    for key in unary_keys(alg):
+        assert alg.table(key) == list(map(partial(getattr(alg, key[0]), *key[1:]),
+                                          alg.elements(_sorts(key)[0]))), key
+
+
+@pytest.mark.parametrize("fragment, max_sort, cap, key", [
+    (FO, 2, None, ("subst", Substitution(1, 3, (2,)))),
+    (FO, 2, None, ("neg", 3)),
+    (FO, 2, None, ("exists", 2)),
+    (PQF, 2, None, ("neg", 1)),
+    (PQF, 2, None, ("exists", 1)),
+    (PQF, 2, None, ("exists", 2)),
+    (QF, 2, None, ("exists", 0)),
+    (FO, 3, 16, ("subst", Substitution(3, 1, (1, 1, 1)))),
+    (FO, 3, 16, ("exists", 2)),
+    (FO, 3, 16, ("neg", 3)),
+])
+def test_concrete_bulk_tables_raise_as_the_per_element_map(fragment, max_sort, cap, key):
+    """A sort out of bounds, a symbol outside the fragment and a sort past the
+    element cap: the bulk table raises the per-element map's first error."""
+    def attempt(table):
+        alg = concrete(Universe(2), fragment, max_sort)
+        if cap is not None:
+            alg.element_cap = cap
+        with pytest.raises(Exception) as exc:
+            table(alg, key)
+        return type(exc.value), str(exc.value)
+    bulk = attempt(ConcreteAlgebra.table)
+    assert bulk == attempt(FiniteAlgebra.table)
+    assert bulk[0] in (InsufficientSortsError, FragmentError, ElementCapExceededError)

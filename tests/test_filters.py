@@ -24,7 +24,9 @@ from relalg import (
     sum_filters,
     witness_filter,
 )
-from relalg.filters import NotALatticeError, SortLattice, complement_max
+from relalg import filters
+from relalg.filters import (NotALatticeError, SortLattice, complement_max,
+                            prime_filter_from_members)
 from relalg.fragments import PE, PQF
 from relalg.relations import assoc_cylindrification
 
@@ -452,7 +454,78 @@ def test_is_prime_filter_matches_pairwise_oracle_on_every_subset():
             if alg.sort_size(sort) > 16:
                 continue
             sorts += 1
-            for members in all_subsets(alg.sort_size(sort)):
-                assert is_prime_filter(alg, sort, members) == \
-                    is_prime_filter_pairwise(alg, sort, members), (alg.provenance, sort, members)
+            subsets = list(all_subsets(alg.sort_size(sort)))
+            verdicts = [is_prime_filter(alg, sort, members) for members in subsets]
+            assert verdicts == [is_prime_filter_pairwise(alg, sort, members)
+                                for members in subsets], (alg.provenance, sort)
+            # the batched verdicts of prime_filters, with their fallbacks
+            assert filters._prime_verdicts(alg, sort, subsets) == verdicts, (alg.provenance, sort)
     assert sorts == 51
+
+
+def one_entry_mutations(algebra, sort):
+    """The table form of the algebra, then each table form with one meet or
+    join entry of the sort moved to another element: every such mutation."""
+    text = as_table_algebra(algebra).to_json()
+    yield "none", TableAlgebra.from_json(text)
+    size = algebra.sort_size(sort)
+    for op in ("meet", "join"):
+        for a in range(size):
+            for b in range(size):
+                for shift in range(1, size):
+                    data = json.loads(text)
+                    row = data["sorts"][sort][op][a]
+                    row[b] = (row[b] + shift) % size
+                    yield f"{op}[{a}][{b}] +{shift}", TableAlgebra.from_json(json.dumps(data))
+
+
+def lattice_outcome(alg, sort):
+    try:
+        SortLattice(alg, sort)
+    except NotALatticeError as exc:
+        return str(exc)
+    return "ok"
+
+
+def test_homomorphism_pass_accepts_exactly_when_the_pairwise_loop_passes(monkeypatch):
+    cases = [(name, alg, 1) for base in (concrete(W2, PQF, 1), gallery_diamond()[0])
+             for name, alg in one_entry_mutations(base, 1)]
+    assert len(cases) == 2 * (1 + 2 * 16 * 3)
+    fast = [lattice_outcome(alg, sort) for _, alg, sort in cases]
+    # The pairwise loop alone: the homomorphism pass made to reject every sort.
+    # A sort the loop passes then ends in the AssertionError, so "ok" never.
+    monkeypatch.setattr(filters, "_defects", lambda algebra, sort, phi: -1)
+    loop = []
+    for _, alg, sort in cases:
+        try:
+            loop.append(lattice_outcome(alg, sort))
+        except AssertionError:
+            loop.append("ok")
+    assert fast == loop
+    assert [name for (name, _, _), out in zip(cases, fast) if out == "ok"] == ["none", "none"]
+    # mutations that pass the order checks, so the homomorphism pass rejects
+    assert sum("bound" in out and "bounds fail" not in out for out in fast) == 128
+
+
+def test_prime_filters_call_the_direct_predicate_only_on_fallback(monkeypatch):
+    calls = []
+    monkeypatch.setattr(filters, "is_prime_filter", lambda *args: calls.append(args))
+    for alg, sort in ((concrete(W2, PQF, 2), 2), (as_table_algebra(gallery_diamond()[0]), 1),
+                      (chain_algebra(5), 0)):
+        assert prime_filters(sort_lattice(alg, sort))
+    assert calls == []
+
+
+def test_is_prime_filter_refuses_a_member_outside_the_sort():
+    alg = concrete(W2, PQF, 1)
+    assert is_prime_filter(alg, 1, {1, 3})
+    assert not is_prime_filter(alg, 1, {1, 3, 4})
+    assert not is_prime_filter(alg, 1, {-1, 1, 3})
+    assert filters._prime_verdicts(alg, 1, [{1, 3}, {1, 3, 4}, {-1, 1, 3}]) == [True, False, False]
+
+
+def test_prime_filter_from_members_refuses_a_set_that_is_not_meet_closed():
+    alg = concrete(W2, PQF, 1)
+    assert prime_filter_from_members(alg, 1, {1, 3}).generator == 1
+    with pytest.raises(PreconditionError, match="member set of sort 1 is not meet-closed"):
+        prime_filter_from_members(alg, 1, {1, 2, 3})
