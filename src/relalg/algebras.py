@@ -21,8 +21,8 @@ where sorts are enumerated, plus eagerly in concrete() and extend().
 A table algebra is one table per symbol key.  Every algebra has one store,
 FiniteAlgebra.cached: operation tables under their symbol keys (a table
 algebra's given tables, or the unary tables table(key) builds on first use),
-a concrete algebra's diagonals and plane index lists under ("planes", *key),
-and the sort lattices and prime filters of filters.py.  All algebras are
+a concrete algebra's diagonals and plane index lists, and what filters.py
+keeps per sort: lattices, prime filters, verdicts.  All algebras are
 immutable after construction, with one exception: the command line sets
 element_cap on a gallery or table file it has loaded.  The store takes no
 lock: nothing starts a thread, and under the GIL dict.get and setdefault
@@ -177,9 +177,10 @@ class FiniteAlgebra:
         """The value stored under key, built on first use; the first value
         stored wins.  This is the algebra's one store: operation tables under
         their symbol's key (see operations()), a concrete algebra's diagonals
-        under theirs and its plane index lists under ("planes", *key), sort
-        lattices under ("lattice", n) and their prime filters under
-        ("prime filters", n)."""
+        under theirs and its plane index lists under ("planes", *fields),
+        sort lattices under ("lattice", n), their prime filters under
+        ("prime filters", n), and the homomorphism pass's verdict on each map
+        phi under ("defects", n, tuple(phi)), which prime_filters reads."""
         value = self._tables.get(key)
         if value is None:
             value = self._tables.setdefault(key, build())
@@ -277,7 +278,9 @@ class ConcreteAlgebra(FiniteAlgebra):
     def subst_planes(self, alpha: Substitution) -> list[int]:
         """For each bit of subst(alpha, a), lowest first, the bit of a it
         copies: relations._index_map, block by block from the last block."""
-        if (planes := self._tables.get(("planes", "subst", alpha))) is not None:
+        # by alpha's fields: a hit compares tuples, not two Substitutions
+        key = ("planes", "subst", alpha.dom, alpha.cod, alpha.map)
+        if (planes := self._tables.get(key)) is not None:
             return planes  # a store hit, without building the closure
         def build() -> list[int]:
             self._check_sort(alpha.dom)
@@ -287,7 +290,7 @@ class ConcreteAlgebra(FiniteAlgebra):
                 out += [low + i for i in _index_map(alpha, u.size)]
                 low += u.size**alpha.dom
             return out
-        return self.cached(("planes", "subst", alpha), build)
+        return self.cached(key, build)
 
     def exists_planes(self, n: int) -> list[range]:
         """For each bit of exists(n, a), lowest first, the bits of a whose OR

@@ -24,12 +24,14 @@ exactly as long as their algebra.
 
 Verification is one homomorphism pass (Birkhoff): a finite lattice is
 distributive exactly when a -> {join-irreducibles below a} is an injective
-(meet, join)-homomorphism into a powerset.  _defects checks a map to small
-ints on every pair: one meet_all and one join_all row per element.
+(meet, join)-homomorphism into a powerset.  The pass checks a map to small
+ints on every pair, one meet_all and one join_all row per element, once per
+sort and map: _defects keeps its verdict in the algebra's store.
 SortLattice runs it on its join-irreducible masks, and only a sort that
-fails runs the pairwise checks on the order rows that name the failure;
-prime_filters runs it on all its filters at once, and a filter it does not
-prove prime goes to the direct predicate is_prime_filter alone.
+fails runs the pairwise checks on the order rows that name the failure.
+prime_filters' membership vectors are those masks, so it reads the verdict
+from the store; a filter it does not prove prime goes to the direct
+predicate is_prime_filter alone.
 """
 
 from __future__ import annotations
@@ -180,6 +182,11 @@ def sort_lattice(algebra: FiniteAlgebra, sort: int) -> SortLattice:
 
 
 def _defects(algebra: FiniteAlgebra, sort: int, phi: list[int]) -> int:
+    """_homomorphism_pass(phi), run once per sort and map: kept in the store."""
+    return algebra.cached(("defects", sort, tuple(phi)), lambda: _homomorphism_pass(algebra, sort, phi))
+
+
+def _homomorphism_pass(algebra: FiniteAlgebra, sort: int, phi: list[int]) -> int:
     """The bits p at which x -> (phi[x] >> p & 1) fails to send some meet to
     an AND or some join to an OR: 0 exactly when phi is a (meet, join)-
     homomorphism into the powerset of its bits.  Every pair is checked, one
@@ -222,10 +229,11 @@ def is_prime_filter(algebra: FiniteAlgebra, sort: int, members: frozenset[int] |
 
 
 def _prime_verdicts(algebra: FiniteAlgebra, sort: int, candidates: list) -> list[bool]:
-    """is_prime_filter of each candidate member set, from one _defects pass
-    over V[x], bit i set where x is in candidate i: a proper candidate inside
-    the sort whose indicator preserves meets and joins is upward closed,
-    meet-closed and join-prime.  is_prime_filter decides the others."""
+    """is_prime_filter of each candidate member set, from the _defects
+    verdict on V[x], bit i set where x is in candidate i: a proper candidate
+    inside the sort whose indicator preserves meets and joins is upward
+    closed, meet-closed and join-prime.  is_prime_filter decides the others.
+    A map already checked in this sort is not checked again."""
     size = algebra.sort_size(sort)
     if not candidates:
         return []
@@ -240,8 +248,8 @@ def _prime_verdicts(algebra: FiniteAlgebra, sort: int, candidates: list) -> list
 def prime_filters(lattice: SortLattice) -> list[PrimeFilter]:
     """All prime filters: exactly the up-sets of join-irreducibles.  Each
     output is re-verified by the direct primality predicate, all at once in
-    _prime_verdicts: the list is kept in the algebra's store under
-    ("prime filters", sort)."""
+    _prime_verdicts, which reads the lattice's homomorphism-pass verdict from
+    the store; the list is kept there under ("prime filters", sort)."""
     def build() -> list[PrimeFilter]:
         irr = lattice.join_irreducibles
         verdicts = _prime_verdicts(lattice.algebra, lattice.sort, list(map(lattice.up_set, irr)))

@@ -27,7 +27,7 @@ from relalg import (
 from relalg import filters
 from relalg.filters import (NotALatticeError, SortLattice, complement_max,
                             prime_filter_from_members)
-from relalg.fragments import PE, PQF
+from relalg.fragments import FO, PE, PQF
 from relalg.relations import assoc_cylindrification
 
 from oracles import extend_to_prime_scan, is_prime_filter_pairwise
@@ -514,6 +514,46 @@ def test_prime_filters_call_the_direct_predicate_only_on_fallback(monkeypatch):
                       (chain_algebra(5), 0)):
         assert prime_filters(sort_lattice(alg, sort))
     assert calls == []
+
+
+def test_lattice_and_prime_filters_share_one_homomorphism_pass(monkeypatch):
+    passes, fallbacks = [], []
+    homomorphism_pass, direct = filters._homomorphism_pass, filters.is_prime_filter
+    defect_on = None  # the map on which the pass is made to report bit 0
+
+    def counted(algebra, sort, phi):
+        passes.append(sort)
+        return 1 if phi == defect_on else homomorphism_pass(algebra, sort, phi)
+
+    def counted_direct(algebra, sort, members):
+        fallbacks.append(members)
+        return direct(algebra, sort, members)
+    monkeypatch.setattr(filters, "_homomorphism_pass", counted)
+    monkeypatch.setattr(filters, "is_prime_filter", counted_direct)
+    base = concrete(W2, FO, 3)
+    for alg in (base, as_table_algebra(base)):
+        passes.clear()
+        lat = sort_lattice(alg, 3)
+        assert [pf.generator for pf in prime_filters(lat)] == [1 << i for i in range(8)]
+        assert passes == [3]
+        # another map runs a pass of its own, once
+        up_sets = list(map(lat.up_set, lat.join_irreducibles))
+        for _ in range(2):
+            assert filters._prime_verdicts(alg, 3, [up_sets[0], {lat.one}]) == [True, False]
+        assert passes == [3, 3]
+        assert fallbacks == [{lat.one}] * 2
+        fallbacks.clear()
+    # a defect reported on the lattice's own map: the pairwise loop, then the
+    # direct predicate on the filter whose bit it names
+    defect_on = lat._ji_mask
+    for alg in (concrete(W2, FO, 3), as_table_algebra(base)):
+        with pytest.raises(AssertionError, match="^sort 3 passes the pairwise checks, but its "
+                                                 "join-irreducible masks are not an injective "
+                                                 "lattice homomorphism$"):
+            sort_lattice(alg, 3)
+        assert filters._prime_verdicts(alg, 3, up_sets) == [True] * 8
+        assert fallbacks == [up_sets[0]]
+        fallbacks.clear()
 
 
 def test_is_prime_filter_refuses_a_member_outside_the_sort():

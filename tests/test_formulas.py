@@ -32,6 +32,7 @@ from relalg.formulas import (
     FOAnd,
     FOAtom,
     FOBot,
+    FOEq,
     FOExists,
     FOFormula,
     FONot,
@@ -218,6 +219,27 @@ def test_compile_fragment_violations():
     g = parse_fo("[x,y] x = y", sig)
     with pytest.raises(FragmentError):
         compile_fo(g, FO)  # no equality flag
+
+
+def test_compile_refuses_a_quantifier_outside_the_fragment():
+    f = parse_fo("[x] exists y (R(y))", Signature((("R", 1),)))
+    with pytest.raises(FragmentError, match="^quantifier not available in fragment pqf$"):
+        compile_fo(f, PQF)
+    assert compile_fo(f, PE) == compile_fo(f, FO)
+
+
+@pytest.mark.parametrize("context, body, index, length", [
+    (("x",), FOAtom("R", (1, 2)), 2, 1),
+    (("x",), FOAtom("R", (0,)), 0, 1),
+    ((), FOEq(1, 1), 1, 0),
+    (("x", "y"), FONot(FOEq(1, 3)), 3, 2),
+    # a quantifier binds its variable last
+    (("x",), FOExists("y", FOAtom("R", (3,))), 3, 2),
+])
+def test_formula_refuses_a_variable_index_outside_its_context(context, body, index, length):
+    with pytest.raises(ArityError, match=f"^variable index {index} outside context of length "
+                                         f"{length}$"):
+        FOFormula(context, body)
 
 
 def test_eval_fixed_example():
