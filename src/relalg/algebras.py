@@ -180,7 +180,8 @@ class FiniteAlgebra:
         under theirs and its plane index lists under ("planes", *fields),
         sort lattices under ("lattice", n), their prime filters under
         ("prime filters", n), and the homomorphism pass's verdict on each map
-        phi under ("defects", n, tuple(phi)), which prime_filters reads."""
+        phi under ("defects", n, tuple(phi)), which prime_filters reads; a
+        sort lattice's packed check stores the identity map's there."""
         value = self._tables.get(key)
         if value is None:
             value = self._tables.setdefault(key, build())

@@ -29,6 +29,10 @@ ints on every pair, one meet_all and one join_all row per element, once per
 sort and map: _defects keeps its verdict in the algebra's store.
 SortLattice runs it on its join-irreducible masks, and only a sort that
 fails runs the pairwise checks on the order rows that name the failure.
+A sort Boolean in canonical order (2**w elements, 0 first, 1 last, meet and
+join the index AND and OR: each first-order sort) checks just those rows,
+packed; they are the pass on the identity map, which its masks then are, so
+the answers, atoms 1, 2, 4, ... and verdict 0 are read off the index bits.
 prime_filters' membership vectors are those masks, so it reads the verdict
 from the store; a filter it does not prove prime goes to the direct
 predicate is_prime_filter alone.
@@ -37,6 +41,8 @@ predicate is_prime_filter alone.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import compress, count
@@ -44,8 +50,8 @@ from typing import Sequence
 
 from .algebras import FiniteAlgebra
 from .errors import ObstructionError, PreconditionError, RelAlgError
-from .relations import (Substitution, _bitmask, _flags, _transpose, assoc_cylindrification,
-                        partitioning)
+from .relations import (_LANE_CODES, Substitution, _bitmask, _flags, _transpose,
+                        assoc_cylindrification, partitioning)
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,9 @@ class SortLattice:
     antisymmetric and bounded by 0 and 1, and that the join-irreducible masks
     are an injective (meet, join)-homomorphism into a powerset: then the sort
     is a distributive lattice in that order, with meet and join its bounds.
-    Only a sort that fails runs the pairwise checks, which name the first
-    failing pair.  Order rows are int bitmasks.
+    A sort Boolean in canonical order passes it all in one packed check of
+    its rows.  Only a sort that fails runs the pairwise checks, which name the
+    first failing pair.  Order rows are int bitmasks.
     """
 
     def __init__(self, algebra: FiniteAlgebra, sort: int):
@@ -78,7 +85,8 @@ class SortLattice:
         self.size = algebra.sort_size(sort)
         self.zero = algebra.zero(sort)
         self.one = algebra.one(sort)
-        self._build_order()
+        if not self._boolean_in_canonical_order():
+            self._build_order()
 
     def _build_order(self) -> None:
         alg, n, size = self.algebra, self.sort, self.size
@@ -136,6 +144,35 @@ class SortLattice:
             )
         raise AssertionError(f"sort {n} passes the pairwise checks, but its join-irreducible "
                              f"masks are not an injective lattice homomorphism")
+
+    def _boolean_in_canonical_order(self) -> bool:
+        """Whether meet and join are the index AND and OR, 0 and 1 at the ends:
+        each element's rows, packed, against idx & a*rep and idx | a*rep.  If
+        so, up[a] and down[~a] AND the bit planes of a and their complements,
+        and the pass's verdict 0 on the masks, the indices, goes to the store."""
+        alg, n, size = self.algebra, self.sort, self.size
+        w = size.bit_length() - 1
+        if size != 1 << w or (self.zero, self.one) != (0, size - 1):
+            return False
+        code = _LANE_CODES[(w + 7) // 8 or 1]
+        def pack(row):
+            return int.from_bytes(array(code, row).tobytes(), sys.byteorder)
+        elems = list(range(size))
+        idx, rep = pack(elems), pack([1] * size)
+        for a in elems:
+            row = [a] * size
+            if (pack(alg.meet_all(n, row, elems)) != idx & a * rep
+                    or pack(alg.join_all(n, row, elems)) != idx | a * rep):
+                return False
+        planes, up, down = _transpose(elems, w), [(1 << size) - 1], [(1 << size) - 1]
+        for a in elems[1:]:
+            plane = planes[(a & -a).bit_length() - 1]
+            up.append(up[a & a - 1] & plane)
+            down.append(down[a & a - 1] & ~plane)
+        self.up, self.down = up, down[::-1]
+        self.join_irreducibles, self._ji_mask = tuple(1 << p for p in range(w)), elems
+        alg.cached(("defects", n, tuple(elems)), lambda: 0)
+        return True
 
     def _find_join_irreducibles(self) -> None:
         """j is join-irreducible when the join of the elements strictly below

@@ -191,7 +191,7 @@ def test_order_rows_and_masks_match_scalar_meets(diamond, pe_theory):
         assert lat._ji_mask == ji_mask
 
 
-def test_sort_lattice_makes_three_batched_calls_per_element(monkeypatch):
+def test_sort_lattice_makes_two_or_three_batched_calls_per_element(monkeypatch):
     calls = []
     for name in ("meet_all", "join_all"):
         def counted(self, n, xs, ys, _op=getattr(TableAlgebra, name)):
@@ -200,10 +200,36 @@ def test_sort_lattice_makes_three_batched_calls_per_element(monkeypatch):
         monkeypatch.setattr(TableAlgebra, name, counted)
     w2 = as_table_algebra(concrete(W2, PQF, 2))
     diamond = as_table_algebra(gallery_diamond()[0])
-    for alg, sort in ((w2, 0), (w2, 1), (w2, 2), (diamond, 1), (chain_algebra(5), 0)):
+    # two on a Boolean sort in canonical order, three on any other
+    for alg, sort, per_element in ((w2, 0, 2), (w2, 1, 2), (w2, 2, 2), (diamond, 1, 2),
+                                   (chain_algebra(5), 0, 3),
+                                   (complement_relabelled(concrete(W2, PQF, 2)), 2, 3)):
         calls.clear()
         SortLattice(alg, sort)
-        assert len(calls) == 3 * alg.sort_size(sort)
+        assert len(calls) == per_element * alg.sort_size(sort)
+
+
+def complement_relabelled(algebra):
+    """The table form of the algebra with every sort-n index x renamed
+    size_n - 1 - x: an isomorphic copy whose zero is the top index."""
+    data = json.loads(as_table_algebra(algebra).to_json())
+    sizes = [entry["size"] for entry in data["sorts"]]
+
+    def flip(n, xs):
+        return [sizes[n] - 1 - x for x in reversed(xs)]
+    for n, entry in enumerate(data["sorts"]):
+        entry["zero"], entry["one"] = flip(n, [entry["zero"], entry["one"]])[::-1]
+        for op in ("meet", "join"):
+            entry[op] = [flip(n, row) for row in reversed(entry[op])]
+        if "neg" in entry:
+            entry["neg"] = flip(n, entry["neg"])
+    for key, table in data["subst"].items():
+        data["subst"][key] = flip(int(key.split(":")[0].split("->")[1]), table)
+    for key, table in data.get("exists", {}).items():
+        data["exists"][key] = flip(int(key), table)
+    for key, value in data.get("delta", {}).items():
+        data["delta"][key] = flip(int(key.split(":")[0]), [value])[0]
+    return TableAlgebra.from_json(json.dumps(data))
 
 
 def test_sort_lattice_does_not_keep_its_algebra_alive():
@@ -519,17 +545,24 @@ def test_prime_filters_call_the_direct_predicate_only_on_fallback(monkeypatch):
 def test_lattice_and_prime_filters_share_one_homomorphism_pass(monkeypatch):
     passes, fallbacks = [], []
     homomorphism_pass, direct = filters._homomorphism_pass, filters.is_prime_filter
+    packed = SortLattice._boolean_in_canonical_order
     defect_on = None  # the map on which the pass is made to report bit 0
 
     def counted(algebra, sort, phi):
         passes.append(sort)
         return 1 if phi == defect_on else homomorphism_pass(algebra, sort, phi)
 
+    def counted_packed(lattice):
+        # the packed check is the pass on the identity map, and fails with it
+        passes.append(lattice.sort)
+        return defect_on != list(range(lattice.size)) and packed(lattice)
+
     def counted_direct(algebra, sort, members):
         fallbacks.append(members)
         return direct(algebra, sort, members)
     monkeypatch.setattr(filters, "_homomorphism_pass", counted)
     monkeypatch.setattr(filters, "is_prime_filter", counted_direct)
+    monkeypatch.setattr(SortLattice, "_boolean_in_canonical_order", counted_packed)
     base = concrete(W2, FO, 3)
     for alg in (base, as_table_algebra(base)):
         passes.clear()
@@ -543,8 +576,8 @@ def test_lattice_and_prime_filters_share_one_homomorphism_pass(monkeypatch):
         assert passes == [3, 3]
         assert fallbacks == [{lat.one}] * 2
         fallbacks.clear()
-    # a defect reported on the lattice's own map: the pairwise loop, then the
-    # direct predicate on the filter whose bit it names
+    # a defect reported on the lattice's own map: the general route, the
+    # pairwise loop, then the direct predicate on the filter whose bit it names
     defect_on = lat._ji_mask
     for alg in (concrete(W2, FO, 3), as_table_algebra(base)):
         with pytest.raises(AssertionError, match="^sort 3 passes the pairwise checks, but its "
@@ -569,3 +602,88 @@ def test_prime_filter_from_members_refuses_a_set_that_is_not_meet_closed():
     assert prime_filter_from_members(alg, 1, {1, 3}).generator == 1
     with pytest.raises(PreconditionError, match="member set of sort 1 is not meet-closed"):
         prime_filter_from_members(alg, 1, {1, 2, 3})
+
+
+@pytest.fixture
+def packed_verdicts(monkeypatch):
+    """The packed check's verdicts, in order, while the test runs."""
+    packed, verdicts = SortLattice._boolean_in_canonical_order, []
+
+    def recorded(lattice):
+        verdicts.append(packed(lattice))
+        return verdicts[-1]
+    monkeypatch.setattr(SortLattice, "_boolean_in_canonical_order", recorded)
+    return verdicts
+
+
+def general_route(monkeypatch, algebra, sort):
+    """The sort's lattice with the packed check made to fail."""
+    with monkeypatch.context() as m:
+        m.setattr(SortLattice, "_boolean_in_canonical_order", lambda self: False)
+        return SortLattice(algebra, sort)
+
+
+def test_packed_route_gives_the_general_routes_answers(monkeypatch, packed_verdicts):
+    makers = [(lambda: concrete(W2, PQF, 2), sort) for sort in range(3)]
+    makers += [(lambda: concrete(Universe(3), FO, 2), 2), (lambda: gallery_diamond()[0], 1)]
+    makers += [(lambda make=make: as_table_algebra(make()), sort) for make, sort in makers]
+    rng = Random(28)
+    for make, sort in makers:
+        # each route on an algebra of its own, so neither reads the other's store
+        fast, slow = sort_lattice(make(), sort), general_route(monkeypatch, make(), sort)
+        label = (fast.algebra.provenance, sort)
+        assert packed_verdicts == [True], label
+        packed_verdicts.clear()
+        for name in ("up", "down", "zero", "one", "join_irreducibles", "_ji_mask"):
+            assert getattr(fast, name) == getattr(slow, name), (*label, name)
+        assert prime_filters(fast) == prime_filters(slow), label
+        size = fast.size
+        pairs = [(r, s) for r in range(size) for s in range(size)] if size <= 16 else \
+            [(rng.randrange(size), rng.randrange(size)) for _ in range(300)]
+        for r, s in pairs:
+            if r != s:
+                assert fast.separator(r, s) == slow.separator(r, s), (*label, r, s)
+            if not fast.leq(r, s):
+                assert extend_to_prime(fast, r, s) == extend_to_prime(slow, r, s), (*label, r, s)
+
+
+def test_other_sorts_take_the_general_route(monkeypatch, packed_verdicts):
+    # zero at the top index, and chains of power-of-two size
+    for make, sort in ((lambda: complement_relabelled(concrete(W2, PQF, 2)), 2),
+                       (lambda: chain_algebra(4), 0), (lambda: chain_algebra(8), 0)):
+        lat, slow = SortLattice(make(), sort), general_route(monkeypatch, make(), sort)
+        assert packed_verdicts == [False]
+        packed_verdicts.clear()
+        for name in ("up", "down", "zero", "one", "join_irreducibles", "_ji_mask"):
+            assert getattr(lat, name) == getattr(slow, name), (sort, name)
+        if lat.zero:
+            assert sorted(lat.size - 1 - j for j in lat.join_irreducibles) == [1, 2, 4, 8]
+        else:
+            assert lat.join_irreducibles == tuple(range(1, lat.size))
+    # one join entry off in the last row: the check reads every join row, the
+    # last fails, and the general route raises its message
+    rows, join_all = [], TableAlgebra.join_all
+    monkeypatch.setattr(TableAlgebra, "join_all",
+                        lambda self, n, xs, ys: rows.append(xs[0]) or join_all(self, n, xs, ys))
+    mutated = corrupted(concrete(W2, PQF, 2), 2, "join", 15, 3)
+    message = lattice_outcome(mutated, 2)
+    assert packed_verdicts == [False]
+    assert rows[:17] == list(range(16)) + [0]
+    assert message == "join of sort-2 elements 15,3 is not their least upper bound"
+    with pytest.raises(NotALatticeError, match=f"^{message}$"):
+        general_route(monkeypatch, corrupted(concrete(W2, PQF, 2), 2, "join", 15, 3), 2)
+
+
+def test_packed_route_stores_the_verdict_prime_filters_reads(monkeypatch):
+    passes, homomorphism_pass = [], filters._homomorphism_pass
+    monkeypatch.setattr(filters, "_homomorphism_pass", lambda algebra, sort, phi:
+                        passes.append(sort) or homomorphism_pass(algebra, sort, phi))
+    for alg in (concrete(W2, PQF, 2), as_table_algebra(concrete(W2, PQF, 2))):
+        lat = sort_lattice(alg, 2)
+        assert alg._tables[("defects", 2, tuple(range(16)))] == 0
+        assert [pf.generator for pf in prime_filters(lat)] == [1, 2, 4, 8]
+        assert passes == []
+        # another map runs a pass of its own
+        assert filters._prime_verdicts(alg, 2, [lat.up_set(1), lat.up_set(3)]) == [True, False]
+        assert passes == [2]
+        passes.clear()
