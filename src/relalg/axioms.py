@@ -13,33 +13,35 @@ subterm that clauses repeat, such as sub(alpha, r) in (3), is built once per
 schema call and shared; values are memoized per batch of one clause, by
 identity.
 
-A clause runs over batches of slot tuples: all of them when the space fits
-the exhaustive cap, else a seeded uniform sample.  A subalgebra generated in
-a concrete algebra (a concrete() or a product()) runs its clauses in that
-parent, on its elements' images; any other algebra in itself (_host).  In a
+A clause runs over batches of slot tuples, and _batches is their one source:
+a replayed tuple alone, all of them when the space fits the exhaustive cap,
+else a seeded uniform sample.  It also decides where the clause runs: a
+subalgebra generated in a concrete algebra (a concrete() or a product()) in
+that parent, on its elements' images; any other algebra in itself.  In a
 concrete host a batch holds each slot as bit planes, plane p being the int
 whose bit r is bit p of row r's element; elsewhere one column of elements
 per slot.  Exhaustive batches run in lexicographic row order.  A concrete
 sort has 2**w elements, so plane p of a slot is bit e + p of the row index,
 e the later slots' widths; a mapped-up slot's planes are built per clause
-where they repeat or run long; exhaustive columns are joined from runs of
-equal values.  A space that fits one batch is built once per check_axiom
-for each tuple of slot sorts and shared by its clauses.  A sample is the
-stream of Random(seed).randrange(n), row by row and slot by slot, one
-generator per check_axiom shared by its clauses: a concrete algebra whose
-sorts have below 2**32 elements draws it straight into planes, 32-bit words
-at a time through byte lanes; other algebras draw columns through
-randrange's own getrandbits loop.  Columns are mapped up to the host and,
-for planes, transposed by byte lanes (relations._transpose); only a
-violation's elements are mapped back, through the closure check.  A
-clause's terms go through formulas.term_value, the one term evaluator,
-which eval_term also runs on structures: batched slot values through the
-batch's representation, slot-free terms through the host's scalar
-operations.  An equation's failing rows are a row mask, and so is a
-premise.  A violation's params and slot values replay it bit-exactly
-through replay_instance, a batch of one, which refuses values that do not
-fit the clause's slots.  Applicability: (0)-(4) everywhere; (5)-(6) need
-negation, (7)-(10) projection, (11)-(13) equality constants.
+where they repeat or run long, else joined from runs of equal values as a
+column of parent values and transposed; exhaustive columns are joined from
+runs too.  A space that fits one batch is built once per check_axiom for
+each tuple of slot sorts and shared by its clauses.  A sample is the stream
+of Random(seed).randrange(n), row by row and slot by slot, one generator per
+check_axiom shared by its clauses: a concrete algebra whose sorts have below
+2**32 elements draws it straight into planes, 32-bit words at a time through
+byte lanes; other algebras draw columns through randrange's own getrandbits
+loop.  Columns, sampled or replayed, are mapped up to the host and, in a
+concrete host, transposed by byte lanes (relations._transpose) at its
+widths; only a violation's elements are mapped back, through the closure
+check.  A clause's terms go through formulas.term_value, the one term
+evaluator, which eval_term also runs on structures: batched slot values
+through the batch's representation, slot-free terms through the host's
+scalar operations.  An equation's failing rows are a row mask, and so is a
+premise.  A violation's params and slot values replay it bit-exactly through
+replay_instance, a batch of one, which refuses values that do not fit the
+clause's slots.  Applicability: (0)-(4) everywhere; (5)-(6) need negation,
+(7)-(10) projection, (11)-(13) equality constants.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from functools import reduce
 from itertools import chain, compress, count, product as iproduct
 from math import prod
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .algebras import (ConcreteAlgebra, FiniteAlgebra, GeneratedSubalgebra, concrete,
                        generated_subalgebra, product)
@@ -158,7 +160,6 @@ def applicable_axioms(fragment: Fragment) -> list[int]:
 
 def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckReport:
     _require_applicable(algebra, axiom)
-    host, to_parent = _host(algebra)
     rng = Random(bounds.seed)
     violations: list[SchemaInstance] = []
     params = instances = 0
@@ -168,21 +169,18 @@ def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckRepo
         params += 1
         sorts = tuple(slot.sort for slot in clause.slots)
         if (batches := one_batch.get(sorts)) is None:
-            sizes = [algebra.sort_size(s) for s in sorts]
-            if prod(sizes) > bounds.exhaustive_cap:
-                sampled = True
-                batches = _sampled(host, to_parent, sorts, sizes, bounds.samples, rng)
-            elif prod(sizes) > BATCH:
-                batches = _exhaustive(host, to_parent, sorts, sizes)
-            else:
-                batches = one_batch[sorts] = list(_exhaustive(host, to_parent, sorts, sizes))
+            space = prod(map(algebra.sort_size, sorts))
+            sampled |= space > bounds.exhaustive_cap
+            batches = _batches(algebra, sorts, bounds, rng)
+            if space <= min(BATCH, bounds.exhaustive_cap):
+                batches = one_batch[sorts] = list(batches)
         for values, slot_values in batches:
             instances += values.size
             for row, label, detail in _failures(values, clause, slot_values):
                 if len(violations) >= bounds.violation_cap:
                     break
                 elems = tuple(values.element(s, v, row) for s, v in zip(sorts, slot_values))
-                if to_parent is not None:
+                if values.alg is not algebra:  # run in the parent: map the elements back
                     elems = tuple(map(algebra._wrap, sorts, elems))
                 shown = ", ".join(algebra.element_label(s, v) for s, v in zip(sorts, elems))
                 if shown:
@@ -218,8 +216,7 @@ def replay_instance(algebra: FiniteAlgebra, instance: SchemaInstance, bounds: Bo
                     raise PreconditionError(f"slot {i} holds an element of sort {slot.sort}, "
                                             f"an index below {size}, got {shown}")
             sorts = [slot.sort for slot in clause.slots]
-            batch = [[v] for v in given], 1
-            (values, slot_values), = _from_columns(*_host(algebra), sorts, [batch])
+            (values, slot_values), = _batches(algebra, sorts, bounds, None, given)
             return bool(_failures(values, clause, slot_values))
     return False
 
@@ -240,16 +237,21 @@ def _exhaustive_batches(sizes: list[int]) -> Iterator[tuple[list[list[int]], int
     with period n * stride.  Each column is joined from its runs: [v] * run,
     or consecutive values where the stride is 1."""
     total = prod(sizes)
+    strides = [prod(sizes[j + 1:]) for j in range(len(sizes))]
     for start in range(0, total, BATCH):
         stop = min(start + BATCH, total)
-        columns, stride = [], total
-        for n in sizes:
-            stride //= n
-            col = []
-            for _, v, run in _runs(n, stride, start, stop):
-                col += range(v, v + run) if stride == 1 else [v] * run
-            columns.append(col)
-        yield columns, stop - start
+        yield ([_column(range(n), stride, start, stop) for n, stride in zip(sizes, strides)],
+               stop - start)
+
+
+def _column(values: Sequence[int], stride: int, start: int, stop: int) -> list[int]:
+    """Rows start..stop of a slot whose row i holds values[(i // stride) % n],
+    n = len(values), values being range(n) or a map up to the host: joined
+    from its runs, consecutive values where stride is 1, else one repeated."""
+    col: list[int] = []
+    for _, v, run in _runs(len(values), stride, start, stop):
+        col += values[v:v + run] if stride == 1 else [values[v]] * run
+    return col
 
 
 def _runs(n: int, stride: int, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
@@ -335,58 +337,38 @@ def _sampled_planes(widths: list[int], count: int,
         yield batch, size
 
 
-def _host(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, list[list[int]] | None]:
-    """Where algebra's clauses run, and each sort's map of local indices up to
-    it: a subalgebra generated in a concrete algebra runs in its parent, on
-    its elements' images (so the same rows fail); any other in itself."""
+def _batches(algebra: FiniteAlgebra, sorts: Sequence[int], bounds: Bounds, rng: Random | None,
+             given: Sequence[int] | None = None) -> Iterator[tuple[Values, list]]:
+    """The (values, slot values) batches of a clause whose slots have these
+    sorts: the given slot tuple alone; else every slot tuple, in
+    lexicographic order, when they number at most bounds.exhaustive_cap;
+    else bounds.samples draws from rng.  A subalgebra generated in a concrete
+    algebra runs in its parent, on its elements' images (so the same rows
+    fail); any other algebra in itself.  A concrete host holds each slot as
+    bit planes, read off the row index (_row_planes) or drawn as planes
+    (_sampled_planes) where it can, else as columns of slot elements mapped
+    up and transposed; any other host holds the columns."""
+    sizes = [algebra.sort_size(s) for s in sorts]
+    host, ups = algebra, None
     if isinstance(algebra, GeneratedSubalgebra) and isinstance(algebra.parent, ConcreteAlgebra):
-        return algebra.parent, algebra._to_parent
-    return algebra, None
-
-
-def _values(host: FiniteAlgebra, size: int) -> Values:
-    """How a batch of size rows holds its values: bit planes in a concrete
-    host, columns elsewhere."""
-    return Planes(host, size) if isinstance(host, ConcreteAlgebra) else Columns(host, size)
-
-
-def _exhaustive(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: Sequence[int],
-                sizes: list[int]) -> Iterator[tuple[Values, list]]:
-    """Every slot tuple, in lexicographic order, as (values, slot values)
-    batches: the planes of _row_planes in a concrete host, the columns of
-    _exhaustive_batches elsewhere."""
-    if isinstance(host, ConcreteAlgebra):
-        ups = None if to_parent is None else [to_parent[s] for s in sorts]
-        widths = [n.bit_length() - 1 for n in sizes] if ups is None else [*map(host.width, sorts)]
-        for planes, size in _row_planes(ups, widths, sizes):
-            yield Planes(host, size), planes
+        host, ups = algebra.parent, [algebra._to_parent[s] for s in sorts]
+    widths = [*map(host.width, sorts)] if isinstance(host, ConcreteAlgebra) else None
+    # columns: the batches hold columns of slot elements, not yet the host's values
+    if given is not None:
+        columns, batches = True, [([[v] for v in given], 1)]
+    elif prod(sizes) <= bounds.exhaustive_cap:
+        columns = widths is None
+        batches = _exhaustive_batches(sizes) if columns else _row_planes(ups, widths, sizes)
     else:
-        yield from _from_columns(host, to_parent, sorts, _exhaustive_batches(sizes))
-
-
-def _sampled(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: Sequence[int],
-             sizes: list[int], count: int, rng: Random) -> Iterator[tuple[Values, list]]:
-    """count uniform slot tuples as (values, slot values) batches: the planes
-    of _sampled_planes for a concrete algebra whose sorts have below 2**32
-    elements, the columns of _sampled_batches for any other."""
-    if (to_parent is None and isinstance(host, ConcreteAlgebra)
-            and all(n <= 1 << 31 for n in sizes)):
-        for planes, size in _sampled_planes([n.bit_length() - 1 for n in sizes], count, rng):
-            yield Planes(host, size), planes
-    else:
-        yield from _from_columns(host, to_parent, sorts, _sampled_batches(sizes, count, rng))
-
-
-def _from_columns(host: FiniteAlgebra, to_parent: list[list[int]] | None, sorts: Sequence[int],
-                  batches: Iterable[tuple[list, int]]) -> Iterator[tuple[Values, list]]:
-    """(columns, size) batches of slot elements as (values, slot values)
-    batches: each column mapped up by to_parent if given, then held as
-    _values picks for the host, transposed where it picks planes."""
-    for columns, size in batches:
-        values = _values(host, size)
-        if to_parent is not None:
-            columns = [_lookup(to_parent[s], col) for s, col in zip(sorts, columns)]
-        yield values, [values.column(s, col) for s, col in zip(sorts, columns)]
+        columns = widths is None or ups is not None or max(widths, default=0) > 31
+        batches = (_sampled_batches(sizes, bounds.samples, rng) if columns
+                   else _sampled_planes(widths, bounds.samples, rng))
+    for batch, size in batches:
+        if columns and ups is not None:
+            batch = [_lookup(up, col) for up, col in zip(ups, batch)]
+        if columns and widths is not None:
+            batch = [_transpose(col, w) for col, w in zip(batch, widths)]
+        yield (Columns if widths is None else Planes)(host, size), batch
 
 
 def _row_planes(ups: list[list[int]] | None, widths: list[int], sizes: list[int]
@@ -433,10 +415,7 @@ def _row_planes(ups: list[list[int]] | None, widths: list[int], sizes: list[int]
                     for p in compress(count(), _flags(up[v])):
                         planes[p] |= mask
             else:
-                col = []
-                for _, v, run in _runs(n, stride, start, stop):
-                    col += up[v:v + run] if stride == 1 else [up[v]] * run
-                planes = _transpose(col, w)
+                planes = _transpose(_column(up, stride, start, stop), w)
             batch.append(planes)
         yield batch, stop - start
 

@@ -8,8 +8,9 @@ say how batched values are held and operated on: Columns, one element per
 row through the algebra's tables, fit any algebra; Planes, one int per bit of
 a concrete algebra's elements with bit r for row r, turn substitution into a
 reordering of planes, projection into ORs of plane groups and meet, join and
-negation into bitwise operations, and never tabulate a sort; axioms.py runs
-a subalgebra generated in a concrete algebra on its parent's planes.  A
+negation into bitwise operations, and never tabulate a sort.  axioms.py
+builds each batch's slot values already held as its Values hold them, and
+runs a subalgebra generated in a concrete algebra on its parent's planes.  A
 structure over W assigns its symbols elements of the algebra of all
 relations over W, and eval_term is term_value there.  eval_fo_naive
 enumerates every context tuple and every witness instead, without the
@@ -53,7 +54,7 @@ from random import Random
 from .algebras import ConcreteAlgebra, FiniteAlgebra
 from .errors import ArityError, FormatError, FragmentError, UniverseMismatchError
 from .fragments import FO, Fragment
-from .relations import Relation, Substitution, Universe, _bitmask, _transpose
+from .relations import Relation, Substitution, Universe, _bitmask
 
 
 @dataclass(frozen=True)
@@ -718,10 +719,6 @@ class Columns(Values):
         """A batched value as it is; a sort-n element broadcast to every row."""
         return v if isinstance(v, list) else [v] * self.size
 
-    def column(self, n: int, column: list[int]) -> list[int]:
-        """The batched value of a column of sort-n elements."""
-        return column
-
     def element(self, n: int, v: list[int], row: int) -> int:
         """The sort-n element a batched value holds at a row."""
         return v[row]
@@ -760,9 +757,6 @@ class Planes(Values):
             return v
         rows = self.rows
         return [rows if v >> p & 1 else 0 for p in range(self.alg.width(n))]
-
-    def column(self, n: int, column: list[int]) -> list[int]:
-        return _transpose(column, self.alg.width(n))
 
     def element(self, n: int, v: list[int], row: int) -> int:
         return sum((plane >> row & 1) << p for p, plane in enumerate(v))

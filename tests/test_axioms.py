@@ -24,8 +24,8 @@ from relalg import (
     product,
     replay_instance,
 )
-from relalg.axioms import (BATCH, PATTERN, SHORT_RUN, _exhaustive_batches, _row_planes,
-                           _sampled_batches, _sampled_planes)
+from relalg.axioms import (BATCH, PATTERN, SHORT_RUN, _batches, _exhaustive_batches,
+                           _row_planes, _sampled_batches, _sampled_planes)
 from relalg.fragments import FO, PE, PQF, QF, parse_fragment
 from relalg.relations import _transpose
 
@@ -251,6 +251,22 @@ def test_sampled_planes_are_the_transposed_columns(count):
     assert rng.getstate() == ref.getstate()
 
 
+def test_wide_concrete_sort_is_sampled_as_transposed_columns():
+    """A concrete sort of 2**32 elements is past the planes sampler's 31
+    bits, so its draws come as columns and are transposed; the sorts below
+    it run exhaustively on planes read off the row index."""
+    algebra = concrete(Universe(2), QF, 5, element_cap=2**33)
+    bounds = Bounds(max_sort=5, samples=300, seed=1)
+    for axiom in (4, 6):
+        report = check_axiom(algebra, axiom, bounds)
+        assert report.ok
+        assert report.mode == "sampled(seed=1,count=300)"
+        assert (report.params_checked, report.instances_checked) == (6, 65_814 + 300)
+    (values, planes), = _batches(algebra, (5,), bounds, Random(1))
+    (columns, size), = _sampled_batches([2**32], 300, Random(1))
+    assert (values.size, planes) == (size, [_transpose(columns[0], 32)])
+
+
 def _reference_batches(sizes):
     rows = iproduct(*[range(n) for n in sizes])
     while batch := list(islice(rows, BATCH)):
@@ -388,9 +404,12 @@ def test_parent_planes_and_columns_give_the_same_reports(data):
     rng = data.draw(st.randoms(use_true_random=False))
     sorts = [rng.randint(0, parent.max_sort) for _ in range(rng.randint(1, 3))]
     generators = [(n, rng.randrange(parent.sort_size(n))) for n in sorts]
-    planes = _same_reports(generated_subalgebra(parent, generators), axiom, bounds)
+    subalgebra = generated_subalgebra(parent, generators)
+    planes = _same_reports(subalgebra, axiom, bounds)
     in_tables = generated_subalgebra(as_table_algebra(parent), generators)
     assert check_axiom(in_tables, axiom, bounds) == planes
+    for instance in planes.violations:  # a batch of one, mapped up to the parent's planes
+        assert replay_instance(subalgebra, instance, bounds)
 
 
 @pytest.mark.parametrize("cap", [0, 10**6])

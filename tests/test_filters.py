@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from relalg import (
+    Bounds,
     ObstructionError,
     PreconditionError,
     Relation,
@@ -13,6 +14,7 @@ from relalg import (
     TableAlgebra,
     Universe,
     as_table_algebra,
+    check_axiom,
     concrete,
     extend_to_prime,
     gallery_diamond,
@@ -25,7 +27,7 @@ from relalg import (
     witness_filter,
 )
 from relalg import filters
-from relalg.filters import (NotALatticeError, SortLattice, complement_max,
+from relalg.filters import (NotALatticeError, PrimeFilter, SortLattice, complement_max,
                             prime_filter_from_members)
 from relalg.fragments import FO, PE, PQF
 from relalg.relations import assoc_cylindrification
@@ -386,6 +388,26 @@ def test_witness_filter_inconsistent_pair_rejected():
     with pytest.raises(PreconditionError, match="^witness request 1: filter sort 1 does not "
                                                 "extend the selected subtuple of length 1$"):
         witness_filter(alg, p, [(p, Substitution.identity(1))])
+
+
+def test_witness_filter_obstruction_on_a_table_that_breaks_projection():
+    """One subst entry set to 0 in the table form of a positive-existential
+    algebra: packing the first sort-1 prime filter with the second as a
+    witness request over the empty subtuple, the packed filter meets the
+    packed ideal.  The same table fails axiom (10)."""
+    base = as_table_algebra(concrete(W2, PE, 2))
+    pfs = prime_filters(sort_lattice(base, 1))
+    data = json.loads(base.to_json())
+    data["subst"]["1->2:[2]"][pfs[1].generator] = 0
+    broken = TableAlgebra.from_json(json.dumps(data))
+    with pytest.raises(ObstructionError, match="^witness obstruction: ") as exc:
+        witness_filter(broken, PrimeFilter(1, pfs[0].generator),
+                       [(PrimeFilter(1, pfs[1].generator), Substitution(0, 1, ()))])
+    assert exc.value.axiom_id == 10
+    assert exc.value.shape == (1, 1)
+    assert exc.value.r_elems == (1, 2)
+    assert exc.value.s_elems == (12,)
+    assert not check_axiom(broken, 10, Bounds(max_sort=2)).ok
 
 
 def test_non_distributive_lattice_rejected():
