@@ -7,10 +7,11 @@ projection (per fragment), negation (per fragment) and diagonal constants
 (per fragment).  operations() lists them, one key per symbol; the table
 algebras and verify_morphism read that list.  FiniteAlgebra guards each
 symbol once, for every kind: the fragment feature, then the sorts, then a
-diagonal's indices.  A kind supplies only _apply(key, *args) and
-_apply_all(key, xs, ys), keyed as in operations().  Operations whose sorts
-exceed the bound raise InsufficientSortsError; algebras with concrete,
-product or generated provenance can materialize higher sorts via extend().
+diagonal's indices.  A kind supplies _apply(key, *args) and _apply_all(key,
+xs, ys), keyed as in operations(), and may supply map_all(key, column), a
+unary symbol over a column in bulk.  Operations whose sorts exceed the bound
+raise InsufficientSortsError; algebras with concrete, product or generated
+provenance can materialize higher sorts via extend().
 
 Concrete algebras are bitset algebras over an ordered list of universes
 (blocks): concrete() builds one block, and product() of concrete factors is a
@@ -34,6 +35,7 @@ from __future__ import annotations
 import json
 import operator
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import product as iproduct
@@ -74,7 +76,7 @@ class FiniteAlgebra:
     index check.  It then hands its symbol's key (see operations()) to the
     kind's hook: _apply(key, *args) for one application, _apply_all(key, xs,
     ys) for meet_all and join_all.  A kind supplies sort_size, extend and
-    the two hooks."""
+    the two hooks, and may override map_all."""
 
     fragment: Fragment
     max_sort: int
@@ -187,15 +189,16 @@ class FiniteAlgebra:
             value = self._tables.setdefault(key, build())
         return value
 
+    def map_all(self, key, column: Sequence[int]) -> list[int]:
+        """A unary symbol's value at each element of a column of its argument
+        sort: the guarded operation, applied element by element.  A concrete
+        algebra maps in bulk, with the same errors in the same order."""
+        return list(map(partial(getattr(self, key[0]), *key[1:]), column))
+
     def table(self, key) -> list[int]:
-        """A unary symbol's value at every element of its argument sort,
-        stored under the symbol's key; a miss applies the guarded operation to
-        each of elements().  A concrete algebra builds it in bulk, with the
-        same errors in the same order."""
-        def build() -> list[int]:
-            op = partial(getattr(self, key[0]), *key[1:])
-            return list(map(op, self.elements(_sorts(key)[0])))
-        return self.cached(key, build)
+        """map_all over elements() of a unary symbol's argument sort, stored
+        under the symbol's key."""
+        return self.cached(key, lambda: self.map_all(key, self.elements(_sorts(key)[0])))
 
     # -- reporting ----------------------------------------------------------
 
@@ -309,23 +312,23 @@ class ConcreteAlgebra(FiniteAlgebra):
             return out
         return self.cached(("planes", "exists", n), build)
 
-    def table(self, key) -> list[int]:
-        """In bulk: the planes of range(size), gathered, flipped or ORed as
+    def map_all(self, key, column: Sequence[int]) -> list[int]:
+        """In bulk, on a nonempty column: the symbol guarded through its plane
+        index lists, then the column's planes gathered, flipped or ORed as
         formulas.Planes does, transposed back; a result of width 0 is zeros."""
-        def build() -> list[int]:
-            (name, param), src = key, _sorts(key)[0]
-            size = len(self.elements(src))
-            x = _transpose(range(size), self.width(src))
-            if name == "subst":
-                planes = list(map(x.__getitem__, self.subst_planes(param)))
-            elif name == "exists":
-                planes = [reduce(operator.or_, map(x.__getitem__, bits), 0)
-                          for bits in self.exists_planes(param)]
-            elif name == "neg":  # elements() has checked the sort
-                self._require("negation")
-                planes = list(map(((1 << size) - 1).__xor__, x))
-            return _transpose(planes, size) if planes else [0] * size
-        return self.cached(key, build)
+        (name, param), size = key, len(column)
+        if name == "subst":
+            index = self.subst_planes(param)
+            gather = lambda x: list(map(x.__getitem__, index))
+        elif name == "exists":
+            index = self.exists_planes(param)
+            gather = lambda x: [reduce(operator.or_, map(x.__getitem__, bits), 0) for bits in index]
+        else:
+            self._require("negation")
+            self._check_sort(param)
+            gather = lambda x: list(map(((1 << size) - 1).__xor__, x))
+        planes = gather(_transpose(column, self.width(_sorts(key)[0])))
+        return _transpose(planes, size) if planes else [0] * size
 
     def extend(self, new_max_sort: int) -> "ConcreteAlgebra":
         if new_max_sort <= self.max_sort:
@@ -415,13 +418,17 @@ class GeneratedSubalgebra(FiniteAlgebra):
     Elements are identified by their parent value; the local index is the rank
     in parent canonical order.  Each element records the first witnessing term
     found by breadth-first closure (generators in input order), written in the
-    term grammar over the generator names.  The closure is batched row by row:
-    a dequeued element meets and joins a snapshot of its sort in one
-    meet_all and one join_all call, adding new values in snapshot order, meet
-    before join.  In a concrete parent, axioms.py runs clauses in the parent,
-    on the images of the elements (_to_parent), and maps only violations back
-    through _wrap; meet_all and join_all here serve filters.py and
-    as_table_algebra."""
+    term grammar over the generator names.  The closure runs in waves, one per
+    queue snapshot: each unary symbol maps the wave's elements of a sort in
+    one parent map_all call, and then each element, in queue order, adds its
+    unary images and its row.  The row meets and joins the element with its
+    sort as found so far, in one meet_all and one join_all call, but leaves
+    out the earlier rows that already met it, so each pair is met and joined
+    once; new values are added in row order, meet before join, and a row
+    that adds nothing is not scanned.  In a concrete parent, axioms.py runs
+    clauses in the parent, on the images of the elements (_to_parent), and
+    maps only violations back through _wrap; meet_all and join_all here serve
+    filters.py and as_table_algebra."""
 
     def __init__(self, parent: FiniteAlgebra, generators: Sequence[tuple[int, int]],
                  names: Sequence[str] | None = None):
@@ -464,28 +471,41 @@ class GeneratedSubalgebra(FiniteAlgebra):
         for (sort, g), name in zip(self.generators, self.generator_names):
             add(sort, g, name)
 
+        unary = []  # per sort: each unary symbol's key, result sort and term template
+        for n in range(bound + 1):
+            ops = [(("neg", n), n, "not({})")] if frag.negation else []
+            if frag.exists and n >= 1:
+                ops.append((("exists", n - 1), n - 1, "exists({})"))
+            unary.append(ops + [(("subst", alpha), k, alpha.term_prefix() + " {}")
+                                for k in range(bound + 1) for alpha in all_substitutions(n, k)])
+        reach: list[list[int]] = [[] for _ in range(bound + 1)]  # each sort-n row's snapshot length
         head = 0
         while head < len(queue):
-            n, val = queue[head]
-            head += 1
-            term = found[n][val]
-            if frag.negation:
-                add(n, parent.neg(n, val), f"not({term})")
-            if frag.exists and n >= 1:
-                add(n - 1, parent.exists(n - 1, val), f"exists({term})")
-            for k in range(bound + 1):
-                for alpha in all_substitutions(n, k):
-                    add(k, parent.subst(alpha, val), f"{alpha.term_prefix()} {term}")
-            seen = found[n]
-            others = list(seen)
-            row = [val] * len(others)
-            meets = parent.meet_all(n, row, others)
-            joins = parent.join_all(n, row, others)
-            for other, m, j in zip(others, meets, joins):
-                if m not in seen:
-                    add(n, m, f"and({term}, {seen[other]})")
-                if j not in seen:
-                    add(n, j, f"or({term}, {seen[other]})")
+            chunk, head = queue[head:], len(queue)
+            columns: dict[int, list[int]] = {}
+            for n, val in chunk:
+                columns.setdefault(n, []).append(val)
+            images = {n: zip(*[parent.map_all(key, column) for key, _, _ in unary[n]])
+                      for n, column in columns.items()}
+            for n, val in chunk:
+                term = found[n][val]
+                for (_, k, template), image in zip(unary[n], next(images[n])):
+                    if image not in found[k]:
+                        add(k, image, template.format(term))
+                # val is row i of sort n; earlier rows whose snapshots reached past i met it
+                seen, i = found[n], len(reach[n])
+                others = list(seen)
+                del others[bisect_right(reach[n], i):i]
+                reach[n].append(len(seen))
+                row = [val] * len(others)
+                meets = parent.meet_all(n, row, others)
+                joins = parent.join_all(n, row, others)
+                if not seen.keys() >= {*meets, *joins}:
+                    for other, m, j in zip(others, meets, joins):
+                        if m not in seen:
+                            add(n, m, f"and({term}, {seen[other]})")
+                        if j not in seen:
+                            add(n, j, f"or({term}, {seen[other]})")
 
         self._to_parent = [sorted(found[n]) for n in range(bound + 1)]
         self._from_parent = [

@@ -7,7 +7,8 @@ meet, join or order test per pair and never for a batch, and projection
 splits a concrete algebra's elements into their factor components.
 parse_relation_literal reads the text relation_literal prints, and
 tuple_apply and compose are the substitutions' action on tuples and their
-composite.
+composite.  closure_bfs asks its parent for one scalar operation per
+application and never for a batch.
 
 The per-tuple kernels at the end are the definitions the bitset kernels of
 relalg.relations compute: they walk the encoding one tuple index at a time
@@ -23,7 +24,7 @@ from itertools import combinations, product
 from relalg import (ArityError, FormatError, PrimeFilter, Relation, Substitution, Universe,
                     sort_lattice)
 from relalg.formulas import FOAnd, FOAtom, FOBot, FOEq, FOExists, FONot, FOOr, FOTop
-from relalg.relations import index_tuple, tuple_index
+from relalg.relations import all_substitutions, index_tuple, tuple_index
 
 
 def all_tuples(size: int, arity: int) -> list[tuple[int, ...]]:
@@ -152,6 +153,51 @@ def extend_to_prime_scan(lattice, gen_f: int, gen_i: int):
     j = next(j for j in lattice.join_irreducibles
              if lattice.leq(j, gen_f) and not lattice.leq(j, gen_i))
     return PrimeFilter(lattice.sort, j)
+
+
+def closure_bfs(parent, generators, names=None):
+    """The generated subalgebra's closure by plain breadth-first search: each
+    dequeued element takes its negation, projection and substitutions, then
+    meets and joins every element of its sort found so far, one scalar
+    operation per pair, meet before join.  Returns the sorted parent values
+    and their first witness terms per sort, and the number of pairs met."""
+    bound, frag = parent.max_sort, parent.fragment
+    names = names or [f"g{i + 1}" for i in range(len(generators))]
+    found = [dict() for _ in range(bound + 1)]
+    queue = []
+
+    def add(n, val, term):
+        if val not in found[n]:
+            found[n][val] = term
+            queue.append((n, val))
+
+    for n in range(bound + 1):
+        add(n, parent.zero(n), f"bot {n}")
+        add(n, parent.one(n), f"top {n}")
+        if frag.equality:
+            for i, j in product(range(1, n + 1), repeat=2):
+                add(n, parent.delta(n, i, j), f"delta {n} {i} {j}")
+    for (sort, g), name in zip(generators, names):
+        add(sort, g, name)
+    pairs = 0
+    for n, val in queue:  # the loop reaches what the adds append
+        term, seen = found[n][val], found[n]
+        if frag.negation:
+            add(n, parent.neg(n, val), f"not({term})")
+        if frag.exists and n >= 1:
+            add(n - 1, parent.exists(n - 1, val), f"exists({term})")
+        for k in range(bound + 1):
+            for alpha in all_substitutions(n, k):
+                add(k, parent.subst(alpha, val), f"{alpha.term_prefix()} {term}")
+        for other in list(seen):
+            pairs += 1
+            if (m := parent.meet(n, val, other)) not in seen:
+                add(n, m, f"and({term}, {seen[other]})")
+            if (j := parent.join(n, val, other)) not in seen:
+                add(n, j, f"or({term}, {seen[other]})")
+    to_parent = [sorted(vals) for vals in found]
+    witness = [[vals[v] for v in sorted(vals)] for vals in found]
+    return to_parent, witness, pairs
 
 
 def index_map(alpha, size: int) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 import json
 import pickle
 import re
+from collections import Counter
 from functools import partial
 from itertools import product as iproduct
 from random import Random
@@ -34,7 +35,7 @@ from relalg.algebras import ConcreteAlgebra, _sorts
 from relalg.fragments import FO, PE, PQF, QF
 from relalg.relations import all_substitutions, delta as rel_delta
 
-from oracles import projection
+from oracles import closure_bfs, projection
 
 
 def test_concrete_sort_sizes():
@@ -223,6 +224,53 @@ def test_generated_witness_terms_evaluate_to_their_element():
             term = parse_term(alg.witness_term(n, a), sig)
             assert term.sort == n
             assert eval_term(term, structure).bits == alg.to_parent(n, a)
+
+
+CLOSURE_PARENTS = {
+    "fo+eq": lambda: concrete(Universe(2), FO.with_equality(), 2),
+    "pqf": lambda: concrete(Universe(2), PQF, 2),
+    "product": lambda: product([concrete(Universe(2), PE, 2), concrete(Universe(2), PE, 2)]),
+    # parents without a bulk map_all of their own
+    "table": lambda: as_table_algebra(concrete(Universe(2), PE, 2)),
+    "generated": lambda: generated_subalgebra(concrete(Universe(2), PE, 2), [(2, 0b0110), (1, 1)]),
+}
+
+
+@pytest.mark.parametrize("kind, seed", [
+    (kind, seed) for kind, count in (("fo+eq", 10), ("pqf", 10), ("product", 10),
+                                     ("table", 6), ("generated", 3))
+    for seed in range(count)])
+def test_generated_closure_matches_the_scalar_bfs(kind, seed):
+    parent, rng = CLOSURE_PARENTS[kind](), Random(seed)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randint(1, parent.max_sort)
+        gens.append((n, rng.randrange(parent.sort_size(n))))
+    alg = generated_subalgebra(parent, gens)
+    to_parent, witness, _ = closure_bfs(parent, gens)
+    assert alg._to_parent == to_parent
+    assert alg._witness == witness
+
+
+def test_pe_theory_closure_matches_the_scalar_bfs_on_fewer_pairs(pe_theory):
+    """The gallery's closure, rebuilt on a parent whose batched meets and
+    joins are counted: each pair is met once, where the scalar search meets
+    every element with its whole sort."""
+    a_bits, b_bits = 0b011, 0b110
+    gens = [(1, a_bits << 3 | b_bits), (1, a_bits << 3 | a_bits), (1, b_bits << 3 | b_bits)]
+    parent = product([concrete(Universe(3), PE, 2)] * 2)
+    pairs, apply_all = Counter(), parent._apply_all
+
+    def counted(key, xs, ys):
+        pairs[key[0]] += len(xs)
+        return apply_all(key, xs, ys)
+
+    parent._apply_all = counted
+    alg = generated_subalgebra(parent, gens, ["R", "A", "B"])
+    to_parent, witness, scalar_pairs = closure_bfs(parent, gens, ["R", "A", "B"])
+    assert alg._to_parent == to_parent == pe_theory[0]._to_parent
+    assert alg._witness == witness == pe_theory[0]._witness
+    assert pairs["meet"] == pairs["join"] <= 0.6 * scalar_pairs
 
 
 def test_generated_subalgebra_refuses_bad_generators():
@@ -470,21 +518,30 @@ def unary_keys(alg):
             if len(arg_sorts) == 1]
 
 
+def assert_bulk_maps_match(alg, key, rng) -> None:
+    """table(key) and map_all on columns that repeat values, are unsorted or
+    hold one element agree with the guarded operation, element by element."""
+    op, src = partial(getattr(alg, key[0]), *key[1:]), _sorts(key)[0]
+    assert alg.table(key) == list(map(op, alg.elements(src))), key
+    drawn = rng.choices(alg.elements(src), k=5)
+    for column in ([*drawn, *reversed(drawn)], [rng.randrange(alg.sort_size(src))],
+                   list(reversed(alg.elements(src)))):
+        assert alg.map_all(key, column) == list(map(op, column)), (key, column)
+
+
 def test_concrete_bulk_tables_match_the_per_element_map():
-    keys = 0
+    keys, rng = 0, Random(30)
     for size in range(4):
         for fragment in (FO, PQF):
             for max_sort in range(4 if size < 3 else 3):
                 alg = concrete(Universe(size), fragment, max_sort)
                 for key in unary_keys(alg):
-                    op = partial(getattr(alg, key[0]), *key[1:])
-                    assert alg.table(key) == list(map(op, alg.elements(_sorts(key)[0]))), key
+                    assert_bulk_maps_match(alg, key, rng)
                     keys += 1
     assert keys == 537
     alg = product([concrete(Universe(1), FO, 2), concrete(Universe(2), FO, 2)])
     for key in unary_keys(alg):
-        assert alg.table(key) == list(map(partial(getattr(alg, key[0]), *key[1:]),
-                                          alg.elements(_sorts(key)[0]))), key
+        assert_bulk_maps_match(alg, key, rng)
 
 
 @pytest.mark.parametrize("fragment, max_sort, cap, key", [
@@ -501,14 +558,23 @@ def test_concrete_bulk_tables_match_the_per_element_map():
 ])
 def test_concrete_bulk_tables_raise_as_the_per_element_map(fragment, max_sort, cap, key):
     """A sort out of bounds, a symbol outside the fragment and a sort past the
-    element cap: the bulk table raises the per-element map's first error."""
-    def attempt(table):
+    element cap: the bulk table raises the per-element map's first error, and
+    the bulk map_all raises as the per-element one on the same column, which
+    no cap guards."""
+    def attempt(run):
         alg = concrete(Universe(2), fragment, max_sort)
         if cap is not None:
             alg.element_cap = cap
-        with pytest.raises(Exception) as exc:
-            table(alg, key)
-        return type(exc.value), str(exc.value)
-    bulk = attempt(ConcreteAlgebra.table)
-    assert bulk == attempt(FiniteAlgebra.table)
+        try:
+            return run(alg)
+        except Exception as exc:
+            return type(exc), str(exc)
+    op = lambda alg: partial(getattr(alg, key[0]), *key[1:])
+    bulk = attempt(lambda alg: alg.table(key))
+    assert bulk == attempt(lambda alg: list(map(op(alg), alg.elements(_sorts(key)[0]))))
     assert bulk[0] in (InsufficientSortsError, FragmentError, ElementCapExceededError)
+    for column in ([1], [3, 0, 3, 1]):
+        bulk = attempt(lambda alg: ConcreteAlgebra.map_all(alg, key, column))
+        assert bulk == attempt(lambda alg: FiniteAlgebra.map_all(alg, key, column))
+        assert bulk == attempt(lambda alg: list(map(op(alg), column)))
+        assert (type(bulk) is list) == (cap is not None)
