@@ -32,6 +32,7 @@ keep the first value stored; so an algebra pickles, store included.
 
 from __future__ import annotations
 
+import copy
 import json
 import operator
 import sys
@@ -628,8 +629,8 @@ class TableAlgebra(FiniteAlgebra):
     for a constant, a list over the argument sort for a unary symbol, and
     rows for meet and join.  The given tables are validated, copied into the
     algebra's store and read from there by the operations and table(key).
-    Cannot materialize sorts above the bound unless a backing algebra was
-    attached at construction."""
+    Has no sorts above the bound unless a backing algebra was attached at
+    construction; extend() then serves them from it."""
 
     def __init__(self, fragment: Fragment, max_sort: int, sizes: Sequence[int], tables: dict,
                  extension: FiniteAlgebra | None = None):
@@ -682,16 +683,26 @@ class TableAlgebra(FiniteAlgebra):
 
     def sort_size(self, n: int) -> int:
         self._check_sort(n)
-        return self.sizes[n]
+        return self.sizes[n] if n < len(self.sizes) else self._extension.sort_size(n)
 
     def _apply(self, key, *args) -> int:
-        entry = self._tables[key]
+        if (entry := self._tables.get(key)) is None:  # a symbol above the checked sorts
+            return self._extension._apply(key, *args)
         for a in args:
             entry = entry[a]
         return entry
 
     def _apply_all(self, key, xs: list[int], ys: list[int]) -> list[int]:
-        return _look_up_all(self._tables[key], xs, ys)
+        if (table := self._tables.get(key)) is None:
+            return self._extension._apply_all(key, xs, ys)
+        return _look_up_all(table, xs, ys)
+
+    def map_all(self, key, column: Sequence[int]) -> list[int]:
+        """Above the checked sorts, in bounds, the backing's own map_all."""
+        if (self._extension is not None and column and key not in self._tables
+                and 0 <= min(sorts := _sorts(key)) and max(sorts) <= self.max_sort):
+            return self._extension.map_all(key, column)
+        return super().map_all(key, column)
 
     def extend(self, new_max_sort: int) -> "TableAlgebra":
         if new_max_sort <= self.max_sort:
@@ -700,7 +711,11 @@ class TableAlgebra(FiniteAlgebra):
             raise InsufficientSortsError(
                 f"table algebra has no sorts above {self.max_sort}"
             )
-        return as_table_algebra(self._extension.extend(new_max_sort), with_extension=True)
+        served = copy.copy(self)
+        served.max_sort, served._extension = new_max_sort, self._extension.extend(new_max_sort)
+        served._extension.ensure_enumerable(new_max_sort)  # past the cap, embed tries pairs
+        served._tables = {k: self._tables[k] for k, _, _ in operations(self.fragment, len(self.sizes) - 1)}
+        return served
 
     # -- JSON ----------------------------------------------------------------
 
@@ -732,6 +747,8 @@ class TableAlgebra(FiniteAlgebra):
             raise FormatError(f"bad algebra file: {exc!r}") from exc
 
     def to_json(self) -> str:
+        if self.max_sort >= len(self.sizes):  # served sorts are tabulated first
+            return as_table_algebra(self).to_json()
         sorts = [{"size": size} for size in self.sizes]
         data = {"fragment": str(self.fragment), "max_sort": self.max_sort, "sorts": sorts,
                 "subst": {}}
@@ -775,8 +792,9 @@ def _parse_subst_key(key: str) -> Substitution:
 
 def as_table_algebra(algebra: FiniteAlgebra, with_extension: bool = False) -> TableAlgebra:
     """Re-present an algebra as anonymous operation tables, one per symbol.
-    With with_extension=True the original is kept as a backing so higher
-    sorts can still be materialized (as tables) on demand."""
+    With with_extension=True the original is kept as a backing: extend()
+    serves the sorts above max_sort from it, operation by operation, and
+    never tabulates them."""
     sizes = []
     for n in range(algebra.max_sort + 1):
         algebra.ensure_enumerable(n)

@@ -41,8 +41,6 @@ predicate is_prime_filter alone.
 from __future__ import annotations
 
 import operator
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import compress, count
@@ -50,7 +48,7 @@ from typing import Sequence
 
 from .algebras import FiniteAlgebra
 from .errors import ObstructionError, PreconditionError, RelAlgError
-from .relations import (_LANE_CODES, Substitution, _bitmask, _flags, _transpose,
+from .relations import (Substitution, _bitmask, _flags, _lanes, _transpose,
                         assoc_cylindrification, partitioning)
 
 
@@ -154,9 +152,7 @@ class SortLattice:
         w = size.bit_length() - 1
         if size != 1 << w or (self.zero, self.one) != (0, size - 1):
             return False
-        code = _LANE_CODES[(w + 7) // 8 or 1]
-        def pack(row):
-            return int.from_bytes(array(code, row).tobytes(), sys.byteorder)
+        pack = lambda row: int.from_bytes(_lanes(row, w)[0], "little")
         elems = list(range(size))
         idx, rep = pack(elems), pack([1] * size)
         for a in elems:

@@ -21,6 +21,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, product as iproduct
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ArityError
@@ -155,12 +156,13 @@ def _index_map(alpha: Substitution, size: int) -> tuple[int, ...]:
 
 
 def _rel_apply_bits(alpha: Substitution, size: int, bits: int) -> int:
-    """Gather the source's _flags bytes through the index map."""
+    """Gather the source's _flags bytes through the index map by one
+    itemgetter, which returns a scalar for one index."""
     idx = _index_map(alpha, size)
     if not idx:
         return 0
     flags = _flags(bits).ljust(size**alpha.dom, b"\0")
-    return _bitmask(map(flags.__getitem__, idx))
+    return _bitmask(itemgetter(*idx)(flags) if len(idx) > 1 else (flags[idx[0]],))
 
 
 def rel_apply(alpha: Substitution, r: Relation) -> Relation:
@@ -211,8 +213,23 @@ def delta(universe: Universe, arity: int, i: int, j: int) -> Relation:
 # of 2**p zeros and ones.
 _DIGITS = [(b"0" * (1 << p) + b"1" * (1 << p)) * (128 >> p) for p in range(8)]
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-# The array type code of the narrowest item that holds k bytes, k <= 8.
-_LANE_CODES = {k: next(c for c in "BHILQ" if array(c).itemsize >= k) for k in range(1, 9)}
+# The narrowest of the array codes that convert an item by one PyLong call
+# ('B' and 'H' take the generic argument parser) whose item holds k bytes.
+_LANE_CODES = {k: next(c for c in "ILQ" if array(c).itemsize >= k) for k in range(2, 9)}
+
+
+def _lanes(column: Sequence[int], width: int) -> tuple[bytes, int]:
+    """A column of values below 2**width as little-endian lanes, and their
+    size: bytes() for 1 byte, an array item up to 8, to_bytes past that."""
+    k = (width + 7) // 8
+    if k <= 1:
+        return bytes(column), 1
+    if k > 8:
+        return b"".join([v.to_bytes(k, "little") for v in column]), k
+    items = array(_LANE_CODES[k], column)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items.tobytes(), items.itemsize
 
 
 def _bitmask(flags) -> int:
@@ -227,21 +244,15 @@ def _flags(mask: int) -> bytes:
 
 def _transpose(column: Sequence[int], width: int) -> list[int]:
     """The bit planes of a nonempty column of values below 2**width: plane p
-    has bit r set where column[r] has bit p.  Each value becomes k
-    little-endian bytes (an array item up to 64 bits, to_bytes above), and
-    the whole string is reversed: then every k-th byte from k-1-j on is byte
-    j of each value, last row first, and one translate per bit turns those
-    bytes into the binary digits of a plane."""
-    k = (width + 7) // 8
-    if not k:
+    has bit r set where column[r] has bit p.  Each value becomes a lane of k
+    little-endian bytes (_lanes: one byte, a 4- or 8-byte array item, or
+    to_bytes past 64 bits), and the whole string is reversed: then every k-th
+    byte from k-1-j on is byte j of each value, last row first, and one
+    translate per bit turns those bytes into the binary digits of a plane."""
+    if not width:
         return []
-    if k <= 8:
-        items = array(_LANE_CODES[k], column)
-        if sys.byteorder == "big":
-            items.byteswap()
-        data, k = items.tobytes()[::-1], items.itemsize
-    else:
-        data = b"".join([v.to_bytes(k, "little") for v in column])[::-1]
+    data, k = _lanes(column, width)
+    data = data[::-1]
     planes = []
     for p in range(width):
         if p % 8 == 0:

@@ -469,6 +469,48 @@ def test_table_algebra_with_extension():
     assert isinstance(ext, TableAlgebra)
 
 
+@pytest.mark.parametrize("make", [
+    lambda bound: concrete(Universe(2), FO.with_equality(), bound),
+    lambda bound: generated_subalgebra(concrete(Universe(2), PQF, bound), [(1, 1)]),
+], ids=["concrete", "generated"])
+def test_table_algebra_extension_is_served_by_its_backing(monkeypatch, make):
+    """Above the checked sorts, the extension answers every symbol, meet_all
+    and table(key) exactly as the extended backing does, unary tables through
+    the backing's own map_all; below them it keeps the checked tables, and
+    nothing above them is tabulated until asked for."""
+    tables = as_table_algebra(make(1), with_extension=True)
+    ext, backing = tables.extend(3), make(3)
+    assert [ext.sort_size(n) for n in range(4)] == [backing.sort_size(n) for n in range(4)]
+    checked = [key for key, _, _ in operations(tables.fragment, 1)]
+    assert all(ext._tables[key] is tables._tables[key] for key in checked)
+    assert set(ext._tables) == set(checked)
+    maps, map_all = [], type(backing).map_all
+    monkeypatch.setattr(type(backing), "map_all",
+                        lambda alg, key, column: maps.append(key) or map_all(alg, key, column))
+    rng, served = Random(31), 0
+    for key, arg_sorts, result in operations(ext.fragment, 3):
+        if max((result, *arg_sorts)) <= 1:
+            continue
+        served += 1
+        if len(arg_sorts) == 1:
+            assert ext.table(key) == backing.table(key), key
+            assert maps == [key, key], key  # one bulk call for each table
+            maps.clear()
+        elif arg_sorts:
+            size = ext.sort_size(result)
+            xs, ys = ([rng.randrange(size) for _ in range(50)] for _ in range(2))
+            for name in ("meet", "join"):
+                got = getattr(ext, name + "_all")(result, xs, ys)
+                assert got == getattr(backing, name + "_all")(result, xs, ys), key
+                assert getattr(ext, name)(result, xs[0], ys[0]) == got[0], key
+        else:
+            assert getattr(ext, key[0])(*key[1:]) == getattr(backing, key[0])(*key[1:]), key
+    assert served > 0 and maps == []
+    assert ext.to_json() == as_table_algebra(backing).to_json()
+    with pytest.raises(InsufficientSortsError, match=r"\(tables\)"):
+        ext.table(("subst", Substitution(1, 4, (1,))))
+
+
 def test_concurrent_readers_see_identical_tables():
     from concurrent.futures import ThreadPoolExecutor
 

@@ -301,6 +301,21 @@ def test_transpose_matches_per_element_bits(width, size, draw_seed):
     assert _transpose(column, width) == want
 
 
+@pytest.mark.parametrize("first", range(3))
+@pytest.mark.parametrize("size", [1, 2, 4096])
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 32, 33, 64, 65])
+def test_transpose_at_every_lane_boundary(width, size, first):
+    """Every lane branch on every run: one-byte lanes, 4- and 8-byte array
+    items and to_bytes, on a column of 0, the top value and random values,
+    starting with the one `first` names, passed as a list and as a tuple."""
+    rng = Random(width * 10_000 + size * 3 + first)
+    top = (1 << width) - 1
+    column = [(0, top, rng.getrandbits(width))[(r + first) % 3] for r in range(size)]
+    want = [sum((v >> p & 1) << r for r, v in enumerate(column)) for p in range(width)]
+    assert _transpose(column, width) == want
+    assert _transpose(tuple(column), width) == want
+
+
 @pytest.mark.parametrize("sizes", EXHAUSTIVE_SIZES)
 def test_row_planes_are_the_transposed_exhaustive_columns(sizes):
     """Concrete sorts have 2**w elements: with each size rounded up to a

@@ -709,3 +709,22 @@ def test_packed_route_stores_the_verdict_prime_filters_reads(monkeypatch):
         assert filters._prime_verdicts(alg, 2, [lat.up_set(1), lat.up_set(3)]) == [True, False]
         assert passes == [2]
         passes.clear()
+
+
+@pytest.mark.parametrize("universe, sort, size", [(2, 3, 256), (3, 2, 512)])
+def test_packed_check_at_one_and_four_byte_lanes(monkeypatch, packed_verdicts, universe,
+                                                 sort, size):
+    """Sorts of 256 and 512 elements pack their rows in one-byte lanes and in
+    four-byte array items; the concrete and table forms both take the packed
+    route.  One meet entry off in the last row of the 512-element table
+    fails the packed check, and the general route raises its own message."""
+    base = concrete(Universe(universe), FO, sort)
+    for alg in (base, as_table_algebra(base)):
+        lattice = SortLattice(alg, sort)
+        assert (lattice.size, packed_verdicts) == (size, [True])
+        assert lattice.join_irreducibles == tuple(1 << p for p in range(size.bit_length() - 1))
+        packed_verdicts.clear()
+    if size == 512:
+        message = lattice_outcome(corrupted(base, sort, "meet", size - 1, 5), sort)
+        assert packed_verdicts == [False]
+        assert message == "meet of sort-2 elements 511,5 is not their greatest lower bound"

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -408,6 +409,33 @@ def test_every_substitution_kernel_matches_the_per_tuple_oracle(rng):
                     for bits in (0, (1 << size**dom) - 1, rng.getrandbits(size**dom)):
                         assert _rel_apply_bits(alpha, size, bits) == oracles.rel_apply_bits(
                             alpha, size, bits), (alpha, size, bits)
+
+
+def fo_eval_substitutions() -> list[tuple[int, Substitution]]:
+    """42 seeded (|W|, alpha) at the shapes fo-eval feeds the kernel: |W| 5
+    and 6 with dom and cod up to 6, cod 0 among them, and the maps at
+    |W| = 1 too, where every gather has one entry."""
+    rng = Random(31)
+    maps = [Substitution(0, 0, ()), Substitution(0, 3, ()), Substitution(6, 1, (1,) * 6),
+            Substitution(1, 6, (6,)), Substitution(6, 6, (6, 5, 4, 3, 2, 1))]
+    while len(maps) < 14:
+        dom, cod = rng.randint(1, 6), rng.randint(1, 6)
+        maps.append(Substitution(dom, cod, tuple(rng.randint(1, cod) for _ in range(dom))))
+    return [(size, alpha) for alpha in maps for size in (1, 5, 6)]
+
+
+def test_substitution_kernel_matches_the_oracle_at_fo_eval_shapes():
+    cases = fo_eval_substitutions()
+    maps = {alpha for _, alpha in cases}
+    assert len(cases) == 42 and len(maps) == 14
+    assert any(alpha.cod == 0 for alpha in maps)
+    assert any(len(set(alpha.map)) < alpha.dom for alpha in maps)  # not injective
+    assert any(len(set(alpha.map)) < alpha.cod for alpha in maps)  # not surjective
+    rng = Random(32)
+    for size, alpha in cases:
+        for bits in (0, full(alpha.dom, size), rng.getrandbits(size**alpha.dom)):
+            assert _rel_apply_bits(alpha, size, bits) == oracles.rel_apply_bits(alpha, size, bits), \
+                (size, alpha, bits)
 
 
 @given(st.integers(0, 4), st.integers(1, 4), st.data())

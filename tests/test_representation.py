@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 from hypothesis import given, seed, settings
@@ -167,6 +168,17 @@ def test_embed_tables_past_the_element_cap(frag):
     cert = embed(tables, scope=2)
     assert cert.status == "full"
     assert cert.injective
+    assert cert.verification.ok
+
+
+def test_embed_tables_with_extension_at_scope_four():
+    """The extension to the master sort 10 is served by the backing algebra,
+    not tabulated, so the table form embeds at scope 4 within seconds."""
+    tables = as_table_algebra(concrete(Universe(1), FO, 4), with_extension=True)
+    started = time.perf_counter()
+    cert = embed(tables, scope=4)
+    assert time.perf_counter() - started < 20
+    assert (cert.status, cert.injective, cert.target_size) == ("full", True, 10)
     assert cert.verification.ok
 
 
