@@ -223,13 +223,16 @@ class ConcreteAlgebra(FiniteAlgebra):
     def __init__(self, blocks: Sequence[Universe], fragment: Fragment, max_sort: int,
                  element_cap: int = DEFAULT_ELEMENT_CAP, provenance: str | None = None):
         self.blocks = tuple(blocks)
+        self._widths: dict[int, int] = {}
         if provenance is None:
             provenance = f"concrete({self.blocks[0].size})"
         super().__init__(fragment, max_sort, element_cap, provenance)
 
     def width(self, n: int) -> int:
-        """The number of bits of a sort-n element."""
-        return sum(u.size**n for u in self.blocks)
+        """The number of bits of a sort-n element, summed once per sort."""
+        if (w := self._widths.get(n)) is None:
+            w = self._widths[n] = sum(u.size**n for u in self.blocks)
+        return w
 
     def _parts(self, n: int, a: int) -> list[int]:
         """The block bitsets of a sort-n element, first block first."""

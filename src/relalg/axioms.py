@@ -10,8 +10,8 @@ equation must; reports label (0) apart.  Each term repeats its schema's
 operation sequence (folds start from 1 or 0; a <= b is meet(a, b) = a),
 since on tables that break the laws equivalent terms can disagree.  A
 subterm that clauses repeat, such as sub(alpha, r) in (3), is built once per
-schema call and shared; values are memoized per batch of one clause, by
-identity.
+schema call and shared; values are memoized by identity, per run of clauses
+that share one batch and the same slot objects, else per batch of one clause.
 
 A clause runs over batches of slot tuples, and _batches is their one source:
 a replayed tuple alone, all of them when the space fits the exhaustive cap,
@@ -51,7 +51,7 @@ from functools import reduce
 from itertools import chain, compress, count, product as iproduct
 from math import prod
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebras import (ConcreteAlgebra, FiniteAlgebra, GeneratedSubalgebra, concrete,
                        generated_subalgebra, product)
@@ -134,8 +134,7 @@ class CheckReport:
 Equation = tuple[str, str, Term, Term]  # label, detail, lhs, rhs
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """One parameterization of a schema.  Without a premise, every equation
     must hold, and the first that fails names a violation.  With a premise,
     at least one equation must hold wherever the premise does, and the
@@ -165,18 +164,26 @@ def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckRepo
     params = instances = 0
     sampled = False
     one_batch: dict = {}  # the exhaustive space of each tuple of slot sorts that fits a batch
+    # the running group of clauses on one such space with the same slot objects:
+    # their slot ids, the memo they share, and the clauses, which pin its ids
+    group, memo, pinned = None, None, []
     for clause in _clauses(algebra, axiom, bounds):
         params += 1
-        sorts = tuple(slot.sort for slot in clause.slots)
-        if (batches := one_batch.get(sorts)) is None:
-            space = prod(map(algebra.sort_size, sorts))
-            sampled |= space > bounds.exhaustive_cap
-            batches = _batches(algebra, sorts, bounds, rng)
-            if space <= min(BATCH, bounds.exhaustive_cap):
-                batches = one_batch[sorts] = list(batches)
+        if (slots := tuple(map(id, clause.slots))) != group:  # a new group, or none
+            sorts = tuple(slot.sort for slot in clause.slots)
+            if (batches := one_batch.get(sorts)) is None:
+                space = prod(map(algebra.sort_size, sorts))
+                sampled |= space > bounds.exhaustive_cap
+                batches = _batches(algebra, sorts, bounds, rng)
+                if space <= min(BATCH, bounds.exhaustive_cap):
+                    batches = one_batch[sorts] = list(batches)
+            shared = sorts in one_batch
+            group, pinned = slots if shared else None, []
+            memo = dict(zip(slots, batches[0][1])) if shared else None
+        pinned.append(clause)
         for values, slot_values in batches:
             instances += values.size
-            for row, label, detail in _failures(values, clause, slot_values):
+            for row, label, detail in _failures(values, clause, slot_values, memo):
                 if len(violations) >= bounds.violation_cap:
                     break
                 elems = tuple(values.element(s, v, row) for s, v in zip(sorts, slot_values))
@@ -420,13 +427,17 @@ def _row_planes(ups: list[list[int]] | None, widths: list[int], sizes: list[int]
         yield batch, stop - start
 
 
-def _failures(values: Values, clause: Clause,
-              slot_values: list[list[int]]) -> list[tuple[int, str, str]]:
+def _failures(values: Values, clause: Clause, slot_values: list[list[int]],
+              memo: dict | None = None) -> list[tuple[int, str, str]]:
     """(row, label, detail) for each row of the batch that violates the
     clause, in row order: where the premise holds and no equation does, or
-    where an equation fails first, each set of rows a row mask.  The batch's
-    one term_value memo starts from the clause's slot values."""
-    memo = dict(zip(map(id, clause.slots), slot_values))
+    where an equation fails first, each set of rows a row mask.  The
+    term_value memo is the given one, which a group of clauses on one shared
+    batch with the same slots passes on from clause to clause; it is keyed by
+    id, so the caller keeps every term it holds alive.  Without one, a fresh
+    memo starts from the clause's slot values and ends with this batch."""
+    if memo is None:
+        memo = dict(zip(map(id, clause.slots), slot_values))
     if clause.premise is not None:
         label, detail, lhs, rhs = clause.premise
         bad = values.rows & ~_differ(values, lhs, rhs, memo)
@@ -542,10 +553,10 @@ def _ax3(n_max: int) -> Iterator[Clause]:
     composites = {(a.cod, a.map): Sub(a, rs[a.dom]) for pairs in subs.values() for a, _ in pairs}
     for n, k in iproduct(sorts, repeat=2):
         for alpha, alpha_ser in subs[n, k]:
-            ar = Sub(alpha, rs[n])
+            ar, index = Sub(alpha, rs[n]), [a - 1 for a in alpha.map]
             for m in sorts:
                 for beta, beta_ser in subs[k, m]:
-                    composite = composites[m, tuple(beta.map[a - 1] for a in alpha.map)]
+                    composite = composites[m, tuple(map(beta.map.__getitem__, index))]
                     yield Clause({"alpha": alpha_ser, "beta": beta_ser}, (rs[n],), (
                         ("", "composite substitution differs", composite, Sub(beta, ar)),
                     ))
@@ -655,9 +666,14 @@ def _ax12(n_max: int) -> Iterator[Clause]:
         r, top = Sym("r", k), Top(n)
         deltas = {(a, b): Delta(n, a, b) for a, b in iproduct(range(1, n + 1), repeat=2)}
         subs = [(a, Sub(a, r), _ser(a)) for a in all_substitutions(k, n)]
+        folds: dict = {}  # each prefix of an agreement fold, keyed by its diagonals' pairs
         for alpha, ar, alpha_ser in subs:
             for beta, br, beta_ser in subs:
-                agree = reduce(And, map(deltas.__getitem__, zip(alpha.map, beta.map)), top)
+                agree, pairs = top, tuple(zip(alpha.map, beta.map))
+                for i in range(1, k + 1):
+                    if (fold := folds.get(pairs[:i])) is None:
+                        fold = folds[pairs[:i]] = And(agree, deltas[pairs[i - 1]])
+                    agree = fold
                 yield Clause({"alpha": alpha_ser, "beta": beta_ser}, (r,), (
                     ("", "substitutions differ under the agreement diagonal",
                      And(ar, agree), And(br, agree)),

@@ -660,14 +660,16 @@ def eval_term(t: Term, structure: Structure) -> Relation:
 
 
 def term_value(values: "Values", t: Term, memo: dict) -> int | list[int]:
-    """The value of t in values.alg on a batch of values.size rows.  memo is
-    the batch's one memo: it maps id(term) to the term's value, and is seeded
-    with the value of each slot or symbol.  A batched value is a list in the
-    representation of values (Columns or Planes), and a term over one is
-    batched too.  A slot-free term is one element from the algebra's scalar
-    operations, so its sorts are never tabulated, and is broadcast where it
-    meets a batched value.  The memo is keyed by id because a term's hash
-    recurses through all of it, two frames a level."""
+    """The value of t in values.alg on a batch of values.size rows.  memo
+    maps id(term) to the term's value on this batch, seeded with the value of
+    each slot or symbol; it may serve several terms on the same batch, and
+    whoever keeps it keeps their terms alive, so no id is reused while it
+    lives.  A batched value is a list in the representation of values
+    (Columns or Planes), and a term over one is batched too.  A slot-free
+    term is one element from the algebra's scalar operations, so its sorts
+    are never tabulated, and is broadcast where it meets a batched value,
+    once per batch.  The memo is keyed by id because a term's hash recurses
+    through all of it, two frames a level."""
     v = memo.get(id(t))
     if v is not None:
         return v
@@ -703,11 +705,21 @@ def term_value(values: "Values", t: Term, memo: dict) -> int | list[int]:
 
 class Values:
     """How the values of a batch of size rows in alg are held: a subclass
-    lifts, reads and operates on them, term_value walks the term."""
+    broadcasts, reads and operates on them, term_value walks the term."""
 
     def __init__(self, alg: FiniteAlgebra, size: int):
         self.alg, self.size = alg, size
         self.rows = (1 << size) - 1  # the row mask: bit r for row r
+        self._lifted: dict = {}  # (n, v) -> v broadcast, shared: no op mutates its inputs
+
+    def lift(self, n: int, v: int | list[int]) -> list[int]:
+        """A batched value as it is; a sort-n element broadcast to every row,
+        once per batch."""
+        if isinstance(v, list):
+            return v
+        if (lifted := self._lifted.get((n, v))) is None:
+            lifted = self._lifted[n, v] = self._broadcast(n, v)
+        return lifted
 
 
 class Columns(Values):
@@ -715,9 +727,8 @@ class Columns(Values):
     the algebra's cached tables and its batched meet and join.  Any finite
     algebra's values can be columns."""
 
-    def lift(self, n: int, v: int | list[int]) -> list[int]:
-        """A batched value as it is; a sort-n element broadcast to every row."""
-        return v if isinstance(v, list) else [v] * self.size
+    def _broadcast(self, n: int, v: int) -> list[int]:
+        return [v] * self.size
 
     def element(self, n: int, v: list[int], row: int) -> int:
         """The sort-n element a batched value holds at a row."""
@@ -752,9 +763,7 @@ class Planes(Values):
 
     alg: ConcreteAlgebra
 
-    def lift(self, n: int, v: int | list[int]) -> list[int]:
-        if isinstance(v, list):
-            return v
+    def _broadcast(self, n: int, v: int) -> list[int]:
         rows = self.rows
         return [rows if v >> p & 1 else 0 for p in range(self.alg.width(n))]
 

@@ -140,6 +140,14 @@ def test_product_mixed_sizes():
     assert alg.sort_size(1) == 8
 
 
+def test_product_widths_are_memoized_per_sort():
+    alg = product([concrete(Universe(size), PQF, 3) for size in (0, 1, 2)])
+    for n in range(4):
+        assert alg.width(n) == alg.width(n) == sum(u.size**n for u in alg.blocks)
+        assert alg.sort_size(n) == 2 ** alg._widths[n]
+    assert alg._widths == {0: 3, 1: 3, 2: 5, 3: 9}
+
+
 def test_product_mismatch_errors():
     with pytest.raises(ArityError, match="^product needs at least one factor$"):
         product([])

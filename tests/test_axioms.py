@@ -24,8 +24,9 @@ from relalg import (
     product,
     replay_instance,
 )
-from relalg.axioms import (BATCH, PATTERN, SHORT_RUN, _batches, _exhaustive_batches,
-                           _row_planes, _sampled_batches, _sampled_planes)
+from relalg.axioms import (BATCH, PATTERN, SHORT_RUN, CheckReport, _batches, _clauses,
+                           _exhaustive_batches, _failures, _row_planes, _sampled_batches,
+                           _sampled_planes)
 from relalg.fragments import FO, PE, PQF, QF, parse_fragment
 from relalg.relations import _transpose
 
@@ -463,3 +464,55 @@ def test_replay_refuses_instances_that_do_not_fit(kind):
     # an instance that fits but holds does not reproduce; unknown params find no clause
     assert not replay_instance(algebra, SchemaInstance(1, "", {"sort": 1}, (1, 0, 1)), B2)
     assert not replay_instance(algebra, SchemaInstance(4, "", {"sort": 9}, (0,)), B2)
+
+
+def _fresh_memo_report(algebra, axiom, bounds):
+    """check_axiom's report, with each batch of each clause drawn anew and
+    run with a fresh term_value memo: no value is shared between clauses."""
+    rng = Random(bounds.seed)
+    violations, instances, sampled = [], 0, False
+    clauses = list(_clauses(algebra, axiom, bounds))
+    for clause in clauses:
+        sorts = [slot.sort for slot in clause.slots]
+        sampled |= prod(map(algebra.sort_size, sorts)) > bounds.exhaustive_cap
+        for values, slot_values in _batches(algebra, sorts, bounds, rng):
+            instances += values.size
+            for row, label, detail in _failures(values, clause, slot_values):
+                if len(violations) < bounds.violation_cap:
+                    elems = tuple(values.element(s, v, row) for s, v in zip(sorts, slot_values))
+                    shown = ", ".join(map(algebra.element_label, sorts, elems))
+                    if shown:
+                        detail = f"{detail}; elements: [{shown}]" if detail else f"elements: [{shown}]"
+                    violations.append(SchemaInstance(axiom, label, clause.params, elems, detail))
+    mode = "exhaustive" if not sampled else f"sampled(seed={bounds.seed},count={bounds.samples})"
+    note = "non-Horn schema: conclusion is a disjunction" if axiom == 0 else ""
+    return CheckReport(axiom, str(algebra.fragment), mode, len(clauses), instances, violations,
+                       bounds.seed, note)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_shared_memo_reports_as_a_fresh_memo_per_clause(size):
+    """Clauses on one shared batch with the same slots share one memo; the
+    reports are those of a memo per clause."""
+    algebra = concrete(Universe(size), FO.with_equality(), 3)
+    bounds = Bounds(max_sort=3)
+    for axiom in (3, 12, 13):
+        assert check_axiom(algebra, axiom, bounds) == _fresh_memo_report(algebra, axiom, bounds)
+
+
+def test_shared_memo_reports_violations_as_a_fresh_memo_per_clause():
+    """Seeded one-entry mutations of substitution tables make grouped
+    clauses fail; every violation, label, slot values and detail alike, is
+    the one a fresh memo per clause finds."""
+    base = json.loads(as_table_algebra(concrete(Universe(1), FO.with_equality(), 2)).to_json())
+    rng, bounds, failing = Random(32), Bounds(max_sort=2, violation_cap=50), 0
+    for _ in range(30):
+        data = json.loads(json.dumps(base))
+        table = data["subst"][rng.choice(sorted(data["subst"]))]
+        table[rng.randrange(len(table))] ^= 1  # every sort has two elements
+        algebra = TableAlgebra.from_json(json.dumps(data))
+        for axiom in (2, 3, 5, 12, 13):
+            report = check_axiom(algebra, axiom, bounds)
+            assert report == _fresh_memo_report(algebra, axiom, bounds)
+            failing += not report.ok
+    assert failing >= 30

@@ -15,7 +15,9 @@ from relalg import (
     Substitution,
     Universe,
     UniverseMismatchError,
+    as_table_algebra,
     compile_fo,
+    concrete,
     eval_fo_naive,
     eval_term,
     parse_fo,
@@ -27,6 +29,7 @@ from relalg import (
 from relalg.formulas import (
     And,
     Bot,
+    Columns,
     Delta,
     Exists,
     FOAnd,
@@ -40,6 +43,7 @@ from relalg.formulas import (
     FOTop,
     Not,
     Or,
+    Planes,
     Sub,
     Sym,
     Top,
@@ -525,3 +529,13 @@ def test_eval_deeply_nested_terms_and_formulas():
     formula = parse_fo(DEEP_FORMULA, sig)
     assert str(eval_term(compile_fo(formula), structure)) == "arity=1 universe=2 {(0)}"
     assert str(eval_fo_naive(formula, structure)) == "arity=1 universe=2 {(0)}"
+
+
+def test_lifted_constants_are_broadcast_once_per_batch_and_sort():
+    alg = concrete(Universe(2), FO, 2)
+    for values in (Planes(alg, 3), Columns(as_table_algebra(alg), 3)):
+        zero1, zero2 = values.lift(1, 0), values.lift(2, 0)
+        assert values.lift(1, 0) is zero1 and values.lift(2, 0) is zero2
+        assert values.lift(2, zero1) is zero1  # a batched value is as it is
+        assert (zero1, zero2) == (([0] * 2, [0] * 4) if values.alg is alg else ([0] * 3,) * 2)
+    assert Planes(alg, 3).lift(2, 0b1001) == [0b111, 0, 0, 0b111]
