@@ -12,6 +12,9 @@ since on tables that break the laws equivalent terms can disagree.  A
 subterm that clauses repeat, such as sub(alpha, r) in (3), is built once per
 schema call and shared; values are memoized by identity, per run of clauses
 that share one batch and the same slot objects, else per batch of one clause.
+A schema's clauses depend only on the axiom and the sort bound, so a Bounds
+keeps each list that its checks ask for twice, as a tuple that later checks
+and replays iterate; a first request streams the schema and keeps nothing.
 
 A clause runs over batches of slot tuples, and _batches is their one source:
 a replayed tuple alone, all of them when the space fits the exhaustive cap,
@@ -46,12 +49,13 @@ clause's slots.  Applicability: (0)-(4) everywhere; (5)-(6) need negation,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from copy import deepcopy
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import chain, compress, count, product as iproduct
 from math import prod
 from random import Random
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebras import (ConcreteAlgebra, FiniteAlgebra, GeneratedSubalgebra, concrete,
                        generated_subalgebra, product)
@@ -92,16 +96,28 @@ _REJECTED = bytes(range(128, 256))
 
 @dataclass(frozen=True)
 class Bounds:
+    """The bounds of a check.  A Bounds also keeps the clause lists that its
+    checks ask for more than once (_clauses), keyed by (axiom, sort bound):
+    they are not fields for ==, hash or repr, a copy made by
+    dataclasses.replace starts without them, and they go with the Bounds."""
+
     max_sort: int
     exhaustive_cap: int = 10**6
     samples: int = 10**5
     seed: int = 0
     violation_cap: int = 5
+    _clause_lists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.init and (not isinstance(value, int) or isinstance(value, bool)):
+                raise PreconditionError(f"{f.name} must be an int, got {value!r}")
         # below these a check passes vacuously: no sort is in bounds, a
-        # sampled clause checks nothing, or no violation can be kept
-        for name, least in (("max_sort", 0), ("samples", 1), ("violation_cap", 1)):
+        # sampled clause checks nothing, or no violation can be kept; a
+        # negative cap is no space's size
+        for name, least in (("max_sort", 0), ("exhaustive_cap", 0), ("samples", 1),
+                            ("violation_cap", 1)):
             if getattr(self, name) < least:
                 raise PreconditionError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
@@ -192,7 +208,9 @@ def check_axiom(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> CheckRepo
                 shown = ", ".join(algebra.element_label(s, v) for s, v in zip(sorts, elems))
                 if shown:
                     detail = f"{detail}; elements: [{shown}]" if detail else f"elements: [{shown}]"
-                violations.append(SchemaInstance(axiom, label, clause.params, elems, detail))
+                # a copy: the clause may be kept on bounds for later checks
+                violations.append(SchemaInstance(axiom, label, deepcopy(clause.params),
+                                                 elems, detail))
     mode = "exhaustive" if not sampled else f"sampled(seed={bounds.seed},count={bounds.samples})"
     note = "non-Horn schema: conclusion is a disjunction" if axiom == 0 else ""
     return CheckReport(axiom, str(algebra.fragment), mode, params, instances,
@@ -317,8 +335,10 @@ def _sampled_planes(widths: list[int], count: int,
     width = len(widths)
     lanes_used = (max(widths, default=0) + 6) // 7
     unit = int.from_bytes(b"\1\0\0\0" * min(count, BATCH) * width, "little")
-    bit7, low4 = unit << 7, unit * 0x70
+    # each of these is as long as a batch of words: keep only those in use
+    bit7, low4 = unit << 7, unit * 0x70 if lanes_used > 4 else 0
     masks = [unit * (0x7F << 24 - 8 * c) for c in range(min(lanes_used, 4))]
+    del unit
     for start in range(0, count, BATCH):
         size = min(BATCH, count - start)
         need = size * width
@@ -474,10 +494,24 @@ def _rows(mask: int) -> list[int]:
 # The schemas, one clause per parameterization
 
 
-def _clauses(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> Iterator[Clause]:
+def _clauses(algebra: FiniteAlgebra, axiom: int, bounds: Bounds) -> Iterable[Clause]:
+    """The axiom's clauses up to n = min(bounds.max_sort, algebra.max_sort),
+    which are all they depend on.  The first request for (axiom, n) streams
+    the schema and records the key on bounds; the second builds the list as
+    a tuple and keeps it there, and later ones iterate that tuple.  So one
+    check_fragment keeps nothing, and a sweep that passes one Bounds to many
+    algebras builds each list twice."""
+    key = (axiom, min(bounds.max_sort, algebra.max_sort))
+    kept = bounds._clause_lists
+    if (clauses := kept.get(key)) is not None:
+        return clauses
     schema = (_ax0, _ax1, _ax2, _ax3, _ax4, _ax5, _ax6,
               _ax7, _ax8, _ax9, _ax10, _ax11, _ax12, _ax13)[axiom]
-    return schema(min(bounds.max_sort, algebra.max_sort))
+    if key not in kept:
+        kept[key] = None
+        return schema(key[1])
+    clauses = kept[key] = tuple(schema(key[1]))
+    return clauses
 
 
 def _ser(alpha: Substitution) -> list:
@@ -549,6 +583,7 @@ def _ax3(n_max: int) -> Iterator[Clause]:
     subs = {(k, m): [(a, _ser(a)) for a in all_substitutions(k, m)]
             for k, m in iproduct(sorts, repeat=2)}
     rs = [Sym("r", n) for n in sorts]
+    slots = [(r,) for r in rs]  # shared: a kept list holds one tuple per sort
     # Sub(gamma, r) for each gamma in subs, by codomain and map: the composites
     composites = {(a.cod, a.map): Sub(a, rs[a.dom]) for pairs in subs.values() for a, _ in pairs}
     for n, k in iproduct(sorts, repeat=2):
@@ -557,7 +592,7 @@ def _ax3(n_max: int) -> Iterator[Clause]:
             for m in sorts:
                 for beta, beta_ser in subs[k, m]:
                     composite = composites[m, tuple(map(beta.map.__getitem__, index))]
-                    yield Clause({"alpha": alpha_ser, "beta": beta_ser}, (rs[n],), (
+                    yield Clause({"alpha": alpha_ser, "beta": beta_ser}, slots[n], (
                         ("", "composite substitution differs", composite, Sub(beta, ar)),
                     ))
 
@@ -664,6 +699,7 @@ def _ax11(n_max: int) -> Iterator[Clause]:
 def _ax12(n_max: int) -> Iterator[Clause]:
     for k, n in iproduct(range(n_max + 1), repeat=2):
         r, top = Sym("r", k), Top(n)
+        slots = (r,)
         deltas = {(a, b): Delta(n, a, b) for a, b in iproduct(range(1, n + 1), repeat=2)}
         subs = [(a, Sub(a, r), _ser(a)) for a in all_substitutions(k, n)]
         folds: dict = {}  # each prefix of an agreement fold, keyed by its diagonals' pairs
@@ -674,7 +710,7 @@ def _ax12(n_max: int) -> Iterator[Clause]:
                     if (fold := folds.get(pairs[:i])) is None:
                         fold = folds[pairs[:i]] = And(agree, deltas[pairs[i - 1]])
                     agree = fold
-                yield Clause({"alpha": alpha_ser, "beta": beta_ser}, (r,), (
+                yield Clause({"alpha": alpha_ser, "beta": beta_ser}, slots, (
                     ("", "substitutions differ under the agreement diagonal",
                      And(ar, agree), And(br, agree)),
                 ))

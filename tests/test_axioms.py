@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import weakref
 from itertools import islice, product as iproduct
 from math import prod
 from random import Random
@@ -189,10 +191,20 @@ def test_violation_replay_on_sampled_run():
 
 
 @pytest.mark.parametrize("field, value, least", [("max_sort", -1, 0), ("samples", 0, 1),
-                                                 ("violation_cap", 0, 1)])
+                                                 ("violation_cap", 0, 1),
+                                                 ("exhaustive_cap", -1, 0)])
 def test_vacuous_bounds_rejected(field, value, least, diamond):
     with pytest.raises(PreconditionError, match=f"{field} must be >= {least}, got {value}"):
         check_axiom(diamond[0], 0, Bounds(**{"max_sort": 2, field: value}))
+
+
+@pytest.mark.parametrize("field", ["max_sort", "exhaustive_cap", "samples", "seed",
+                                   "violation_cap"])
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+def test_bounds_refuse_a_field_that_is_not_an_int(field, value):
+    """A float or a bool would run as another bound, a str not at all."""
+    with pytest.raises(PreconditionError, match=f"^{field} must be an int, got {value!r}$"):
+        Bounds(**{"max_sort": 2, field: value})
 
 
 def test_violation_cap_limits_collection():
@@ -500,19 +512,106 @@ def test_shared_memo_reports_as_a_fresh_memo_per_clause(size):
         assert check_axiom(algebra, axiom, bounds) == _fresh_memo_report(algebra, axiom, bounds)
 
 
-def test_shared_memo_reports_violations_as_a_fresh_memo_per_clause():
-    """Seeded one-entry mutations of substitution tables make grouped
-    clauses fail; every violation, label, slot values and detail alike, is
-    the one a fresh memo per clause finds."""
+MUTATED_AXIOMS = (2, 3, 5, 12, 13)
+
+
+def _mutated_tables():
+    """30 seeded one-entry mutations of the substitution tables of the |W|=1
+    table algebra to sort 2, which make grouped clauses fail."""
     base = json.loads(as_table_algebra(concrete(Universe(1), FO.with_equality(), 2)).to_json())
-    rng, bounds, failing = Random(32), Bounds(max_sort=2, violation_cap=50), 0
+    rng = Random(32)
     for _ in range(30):
         data = json.loads(json.dumps(base))
         table = data["subst"][rng.choice(sorted(data["subst"]))]
         table[rng.randrange(len(table))] ^= 1  # every sort has two elements
-        algebra = TableAlgebra.from_json(json.dumps(data))
-        for axiom in (2, 3, 5, 12, 13):
+        yield TableAlgebra.from_json(json.dumps(data))
+
+
+def test_shared_memo_reports_violations_as_a_fresh_memo_per_clause():
+    """Seeded one-entry mutations of substitution tables make grouped
+    clauses fail; every violation, label, slot values and detail alike, is
+    the one a fresh memo per clause finds."""
+    bounds, failing = Bounds(max_sort=2, violation_cap=50), 0
+    for algebra in _mutated_tables():
+        for axiom in MUTATED_AXIOMS:
             report = check_axiom(algebra, axiom, bounds)
             assert report == _fresh_memo_report(algebra, axiom, bounds)
             failing += not report.ok
     assert failing >= 30
+
+
+def _sweep_algebras():
+    """The sweep's 11 algebras in its order: |W| = 0 and 1 in each fragment,
+    |W| = 2 in fo+eq, all to sort 3."""
+    return [concrete(Universe(size), fragment, 3) for size in (0, 1, 2)
+            for fragment in (PQF, QF, PE, FO, FO.with_equality())
+            if size < 2 or fragment == FO.with_equality()]
+
+
+def test_kept_clause_lists_change_no_sweep_report():
+    """One Bounds passed through the whole sweep, which keeps every clause
+    list from its second algebra on, reports as a fresh Bounds per check."""
+    shared = Bounds(max_sort=3)
+    for algebra in _sweep_algebras():
+        for axiom in applicable_axioms(algebra.fragment):
+            fresh = Bounds(max_sort=3)
+            assert check_axiom(algebra, axiom, shared) == check_axiom(algebra, axiom, fresh)
+    assert all(isinstance(kept, tuple) for kept in shared._clause_lists.values())
+    assert len(shared._clause_lists) == 14
+
+
+def test_kept_clause_lists_change_no_violation():
+    """The mutated tables, checked twice through one Bounds, report as a
+    fresh Bounds does; every violation replays through the shared Bounds, and
+    editing a reported violation's params changes no later report."""
+    shared, failing = Bounds(max_sort=2, violation_cap=50), 0
+    for _ in range(2):
+        for algebra in _mutated_tables():
+            for axiom in MUTATED_AXIOMS:
+                report = check_axiom(algebra, axiom, shared)
+                assert report == check_axiom(algebra, axiom, Bounds(max_sort=2, violation_cap=50))
+                for instance in report.violations:
+                    assert replay_instance(algebra, instance, shared) is True
+                    instance.params.clear()
+                failing += not report.ok
+    assert failing >= 60
+    assert {kept is not None for kept in shared._clause_lists.values()} == {True}
+
+
+def _kept_term(bounds):
+    """A weak reference to a term that only the Bounds's kept lists hold."""
+    clauses = bounds._clause_lists[3, 2]
+    return weakref.ref(clauses[-1].equations[0][3])
+
+
+def test_clause_lists_are_kept_from_the_second_request_on():
+    algebras = [concrete(Universe(size), PQF, 2) for size in (0, 1, 2)]
+    axioms = applicable_axioms(PQF)
+    bounds = Bounds(max_sort=2)
+    check_fragment(algebras[0], bounds)  # the first request streams: nothing kept
+    assert bounds._clause_lists == {(axiom, 2): None for axiom in axioms}
+    check_fragment(algebras[1], bounds)  # the second keeps one tuple per axiom
+    kept = dict(bounds._clause_lists)
+    assert [type(kept[axiom, 2]) for axiom in axioms] == [tuple] * len(axioms)
+    for axiom in axioms:  # the third yields the same clause objects
+        again = list(_clauses(algebras[2], axiom, bounds))
+        assert len(again) == len(kept[axiom, 2])
+        assert all(a is b for a, b in zip(again, kept[axiom, 2]))
+    # a lower sort bound is another list; the kept ones are not in ==, hash or repr
+    check_axiom(concrete(Universe(1), PQF, 1), 3, bounds)
+    assert bounds._clause_lists[3, 1] is None
+    assert bounds == Bounds(max_sort=2) and hash(bounds) == hash(Bounds(max_sort=2))
+    assert repr(bounds) == repr(Bounds(max_sort=2))
+    assert dataclasses.replace(bounds)._clause_lists == {}
+
+
+def test_kept_clause_lists_go_with_their_bounds():
+    """No cycle holds a kept list: the last reference to its Bounds frees it,
+    with no garbage collection."""
+    bounds = Bounds(max_sort=2)
+    for size in (0, 1):
+        check_axiom(concrete(Universe(size), PQF, 2), 3, bounds)
+    term = _kept_term(bounds)
+    assert term() is not None
+    del bounds
+    assert term() is None

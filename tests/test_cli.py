@@ -429,6 +429,8 @@ def test_eval_naive_past_element_cap_exits_2(tmp_path, capsys):
     ("axioms", "check", "--algebra", "builtin:concrete:x"),
     ("axioms", "check", "--algebra", "builtin:concrete:"),
     ("axioms", "check", "--algebra", "builtin:concrete:-1"),
+    ("axioms", "check", "--algebra", "builtin:concrete:1", "--max-sort", "1",
+     "--exhaustive-cap", "-1"),
 ])
 def test_vacuous_bounds_exit_2(argv, capsys):
     """A run that could check nothing, or over a universe size that is not a
