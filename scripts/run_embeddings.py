@@ -2,12 +2,14 @@
 
 Covers: the substitution/lattice fragments via the master prime filter, the
 projection fragments via witness saturation, and the diamond obstruction.
+The elapsed time goes to stderr.
 
 Usage: python3 scripts/run_embeddings.py [--size 1] [--scope 2] [--rounds 5]
 """
 
 import argparse
 import sys
+import time
 
 from relalg import (
     ObstructionError,
@@ -28,6 +30,7 @@ def main() -> int:
     args = parser.parse_args()
 
     bad = 0
+    started = time.monotonic()
     for fragment in (PQF, QF, PE, FO):
         base = concrete(Universe(args.size), fragment, 2)
         tables = as_table_algebra(base, with_extension=True)
@@ -50,6 +53,8 @@ def main() -> int:
         bad += 1
     except ObstructionError as exc:
         print(f"obstruction at axiom ({exc.axiom_id}) as expected: blocks {list(exc.shape)}")
+    # the time goes to stderr, so stdout is the same for every run
+    print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)
     return bad
 
 

@@ -429,23 +429,29 @@ class GeneratedSubalgebra(FiniteAlgebra):
     sort as found so far, in one meet_all and one join_all call, but leaves
     out the earlier rows that already met it, so each pair is met and joined
     once; new values are added in row order, meet before join, and a row
-    that adds nothing is not scanned.  In a concrete parent, axioms.py runs
-    clauses in the parent, on the images of the elements (_to_parent), and
-    maps only violations back through _wrap; meet_all and join_all here serve
-    filters.py and as_table_algebra."""
+    that adds nothing is not scanned.  In a concrete parent (meet is AND,
+    join is OR), a wave whose rows of a sort outnumber its bits first tests
+    the sort as found for being a sublattice (_is_sublattice, exact, after
+    Birkhoff); if it is, those rows would add nothing and are skipped, each
+    counted as having met the sort so far, until an add to the sort.  In a
+    concrete parent axioms.py runs clauses in the parent, on the images of
+    the elements (_to_parent), and maps only violations back through _wrap;
+    meet_all and join_all here serve filters.py and as_table_algebra."""
 
     def __init__(self, parent: FiniteAlgebra, generators: Sequence[tuple[int, int]],
                  names: Sequence[str] | None = None):
         super().__init__(parent.fragment, parent.max_sort, DEFAULT_ELEMENT_CAP,
                          f"generated({parent.provenance})")
         self.parent = parent
-        self.generators = tuple((int(s), int(g)) for s, g in generators)
+        self.generators = tuple((s, g) for s, g in generators)
         if names is None:
             names = [f"g{i + 1}" for i in range(len(self.generators))]
         if len(names) != len(self.generators):
             raise ArityError("one name per generator required")
         self.generator_names = tuple(names)
         for sort, g in self.generators:
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in (sort, g)):
+                raise ArityError(f"generator {(sort, g)!r} is not a pair of integers")
             self._check_sort(sort)
             if not 0 <= g < parent.sort_size(sort):
                 raise ArityError(f"generator {g} outside parent sort {sort}")
@@ -455,6 +461,7 @@ class GeneratedSubalgebra(FiniteAlgebra):
         parent, frag, bound = self.parent, self.fragment, self.max_sort
         found: list[dict[int, str]] = [dict() for _ in range(bound + 1)]
         queue: list[tuple[int, int]] = []
+        closed: set[int] = set()  # sorts whose found set is a sublattice of the parent's
 
         def add(n: int, val: int, term: str) -> None:
             if val not in found[n]:
@@ -464,6 +471,7 @@ class GeneratedSubalgebra(FiniteAlgebra):
                     )
                 found[n][val] = term
                 queue.append((n, val))
+                closed.discard(n)
 
         for n in range(bound + 1):
             add(n, parent.zero(n), f"bot {n}")
@@ -491,6 +499,9 @@ class GeneratedSubalgebra(FiniteAlgebra):
                 columns.setdefault(n, []).append(val)
             images = {n: zip(*[parent.map_all(key, column) for key, _, _ in unary[n]])
                       for n, column in columns.items()}
+            if isinstance(parent, ConcreteAlgebra):  # skip the rows of a sort closed already
+                closed.update(n for n, column in columns.items() if len(column) > parent.width(n)
+                              and _is_sublattice(found[n], parent.width(n)))
             for n, val in chunk:
                 term = found[n][val]
                 for (_, k, template), image in zip(unary[n], next(images[n])):
@@ -498,9 +509,11 @@ class GeneratedSubalgebra(FiniteAlgebra):
                         add(k, image, template.format(term))
                 # val is row i of sort n; earlier rows whose snapshots reached past i met it
                 seen, i = found[n], len(reach[n])
+                reach[n].append(len(seen))  # > i, so it leaves the bisect below alone
+                if n in closed:  # the row's meets and joins are all in seen
+                    continue
                 others = list(seen)
                 del others[bisect_right(reach[n], i):i]
-                reach[n].append(len(seen))
                 row = [val] * len(others)
                 meets = parent.meet_all(n, row, others)
                 joins = parent.join_all(n, row, others)
@@ -578,6 +591,18 @@ class GeneratedSubalgebra(FiniteAlgebra):
 
     def element_label(self, n: int, a: int) -> str:
         return self.witness_term(n, a)
+
+
+def _is_sublattice(members: Iterable[int], width: int) -> bool:
+    """Whether width-bit masks that include 0 and the full mask are closed
+    under AND and OR: exactly when X | m(u) is a member for each member X
+    and bit u, m(u) being the AND of the members with bit u.  The members are
+    then the ORs of m(u)s, the down-sets of a preorder (Birkhoff)."""
+    column = list(members)
+    planes = _transpose(column, width)  # plane u: the members that have bit u
+    # m(u) has bit v where every member with bit u has bit v
+    ms = {sum(1 << v for v, q in enumerate(planes) if p & q == p) for p in planes}
+    return all(map(set(column).issuperset, (map(m.__or__, column) for m in ms)))
 
 
 def generated_subalgebra(parent: FiniteAlgebra, generators: Sequence[tuple[int, int]],

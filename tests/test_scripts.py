@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,9 @@ def test_run_soundness_stdout_is_reproducible():
 
 @pytest.mark.parametrize("name", ["run_embeddings", "run_gallery", "run_soundness"])
 def test_script_stdout_matches_golden(name):
-    """Default arguments; the goldens are tests/<name>.out."""
+    """Default arguments; the goldens are tests/<name>.out, and stderr holds
+    only the elapsed time."""
     run = run_script(f"{name}.py", check=False)
     assert run.returncode == 0, run.stderr.decode()
     assert run.stdout.decode() == (ROOT / "tests" / f"{name}.out").read_text()
+    assert re.fullmatch(r"elapsed: \d+\.\d+s\n", run.stderr.decode())
