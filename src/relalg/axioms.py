@@ -733,32 +733,34 @@ def _ax13(n_max: int) -> Iterator[Clause]:
 # Galleries
 
 
+def _gallery_report(alg: FiniteAlgebra, slot_values: tuple, detail: str, note: str,
+                    name: str) -> CheckReport:
+    """The report of a gallery's axiom-(0) instance of shape [1, 1], once the
+    instance replays as a violation at max_sort 2."""
+    bounds = Bounds(max_sort=2)
+    instance = SchemaInstance(axiom=0, label="", params={"shape": [1, 1]},
+                              slot_values=slot_values, detail=detail)
+    if not replay_instance(alg, instance, bounds):
+        raise AssertionError(f"{name} gallery instance failed to reproduce")
+    return CheckReport(
+        axiom=0, fragment=str(alg.fragment), mode="targeted", params_checked=1,
+        instances_checked=1, violations=[instance], seed=bounds.seed, note=note,
+    )
+
+
 def gallery_diamond() -> tuple[FiniteAlgebra, CheckReport]:
     """Product of two one-point quantifier-free algebras: every sort is the
     four-element diamond 0 < a,b < 1.  The equational axioms all hold (it is a
     product), the non-Horn schema fails: with the two unary blocks,
     c1(b) v c2(0) >= c1(a) ^ c2(b) yet b is not above a and 0 is not above b.
     """
-    bounds = Bounds(max_sort=2)
     one_point = Universe(1)
     alg = product([concrete(one_point, QF, 2), concrete(one_point, QF, 2)])
     a, b = 1, 2  # the incomparable middle elements of sort 1, canonical order
-    zero1 = alg.zero(1)
-    instance = SchemaInstance(
-        axiom=0,
-        label="",
-        params={"shape": [1, 1]},
-        slot_values=(a, b, b, zero1),
-        detail="c1(b) v c2(0) >= c1(a) ^ c2(b), but b is not >= a and 0 is not >= b",
-    )
-    if not replay_instance(alg, instance, bounds):
-        raise AssertionError("diamond gallery instance failed to reproduce")
-    report = CheckReport(
-        axiom=0, fragment=str(alg.fragment), mode="targeted", params_checked=1,
-        instances_checked=1, violations=[instance], seed=bounds.seed,
-        note="diamond gallery: product of two one-point quantifier-free algebras",
-    )
-    return alg, report
+    return alg, _gallery_report(
+        alg, (a, b, b, alg.zero(1)),
+        "c1(b) v c2(0) >= c1(a) ^ c2(b), but b is not >= a and 0 is not >= b",
+        "diamond gallery: product of two one-point quantifier-free algebras", "diamond")
 
 
 def gallery_pe_theory() -> tuple[FiniteAlgebra, CheckReport]:
@@ -768,7 +770,6 @@ def gallery_pe_theory() -> tuple[FiniteAlgebra, CheckReport]:
     subalgebra of the product generated by R, A, B satisfies the equational
     laws but c1(A) ^ c2(B) <= c1(R) v c2(R) with A and B both not below R.
     """
-    bounds = Bounds(max_sort=2)
     three = Universe(3)
     base = concrete(three, PE, 2)
     a_bits = 0b011  # {0,1}
@@ -784,18 +785,7 @@ def gallery_pe_theory() -> tuple[FiniteAlgebra, CheckReport]:
     i_r = alg.from_parent(1, e_r)
     i_a = alg.from_parent(1, e_a)
     i_b = alg.from_parent(1, e_b)
-    instance = SchemaInstance(
-        axiom=0,
-        label="",
-        params={"shape": [1, 1]},
-        slot_values=(i_a, i_b, i_r, i_r),
-        detail="c1(A) ^ c2(B) <= c1(R) v c2(R), but A is not <= R and B is not <= R",
-    )
-    if not replay_instance(alg, instance, bounds):
-        raise AssertionError("positive-existential gallery instance failed to reproduce")
-    report = CheckReport(
-        axiom=0, fragment=str(alg.fragment), mode="targeted", params_checked=1,
-        instances_checked=1, violations=[instance], seed=bounds.seed,
-        note="pe-theory gallery: generated subalgebra with a two-element sort 0",
-    )
-    return alg, report
+    return alg, _gallery_report(
+        alg, (i_a, i_b, i_r, i_r),
+        "c1(A) ^ c2(B) <= c1(R) v c2(R), but A is not <= R and B is not <= R",
+        "pe-theory gallery: generated subalgebra with a two-element sort 0", "positive-existential")

@@ -19,23 +19,21 @@ their filter/ideal generators, extend to a prime filter, and re-verify their
 postconditions exhaustively, as set comparisons of pullbacks.
 
 sort_lattice keeps each SortLattice in its algebra's store (see
-FiniteAlgebra.cached), and prime_filters its sort's list, so both live
-exactly as long as their algebra.
+FiniteAlgebra.cached), so it lives exactly as long as its algebra.
 
 Verification is one homomorphism pass (Birkhoff): a finite lattice is
 distributive exactly when a -> {join-irreducibles below a} is an injective
-(meet, join)-homomorphism into a powerset.  The pass checks a map to small
-ints on every pair, one meet_all and one join_all row per element, once per
-sort and map: _defects keeps its verdict in the algebra's store.
-SortLattice runs it on its join-irreducible masks, and only a sort that
-fails runs the pairwise checks on the order rows that name the failure.
-A sort Boolean in canonical order (2**w elements, 0 first, 1 last, meet and
-join the index AND and OR: each first-order sort) checks just those rows,
-packed; they are the pass on the identity map, which its masks then are, so
-the answers, atoms 1, 2, 4, ... and verdict 0 are read off the index bits.
-prime_filters' membership vectors are those masks, so it reads the verdict
-from the store; a filter it does not prove prime goes to the direct
-predicate is_prime_filter alone.
+(meet, join)-homomorphism into a powerset.  SortLattice runs the pass on
+its join-irreducible masks, every pair by one meet_all and one join_all row
+per element, and only a sort that fails runs the pairwise checks on the
+order rows that name the failure.  A sort Boolean in canonical order (2**w
+elements, 0 first, 1 last, meet and join the index AND and OR: each
+first-order sort) checks just those rows, packed; they are the pass on the
+identity map, which its masks then are, so the answers and atoms 1, 2, 4,
+... are read off the index bits.  The same pass proves prime_filters: its
+coordinate p is the indicator of the p-th join-irreducible's up-set, so that
+up-set is prime, and there are no others.  is_prime_filter is the
+independent direct predicate, for member sets from anywhere else.
 """
 
 from __future__ import annotations
@@ -107,7 +105,7 @@ class SortLattice:
                 raise NotALatticeError(f"bounds fail at sort-{n} element {a}")
         self._find_join_irreducibles()
         ji_mask = self._ji_mask
-        if len(set(ji_mask)) == size and not _defects(alg, n, ji_mask):
+        if len(set(ji_mask)) == size and _homomorphism_pass(alg, n, ji_mask):
             return
         # Row a checks every meet and join of a on the order rows.  Once the
         # rows before a have passed, (a, b) with b < a fails exactly where
@@ -147,7 +145,8 @@ class SortLattice:
         """Whether meet and join are the index AND and OR, 0 and 1 at the ends:
         each element's rows, packed, against idx & a*rep and idx | a*rep.  If
         so, up[a] and down[~a] AND the bit planes of a and their complements,
-        and the pass's verdict 0 on the masks, the indices, goes to the store."""
+        and the masks are the indices: the rows just checked are the
+        homomorphism pass on the identity map."""
         alg, n, size = self.algebra, self.sort, self.size
         w = size.bit_length() - 1
         if size != 1 << w or (self.zero, self.one) != (0, size - 1):
@@ -167,7 +166,6 @@ class SortLattice:
             down.append(down[a & a - 1] & ~plane)
         self.up, self.down = up, down[::-1]
         self.join_irreducibles, self._ji_mask = tuple(1 << p for p in range(w)), elems
-        alg.cached(("defects", n, tuple(elems)), lambda: 0)
         return True
 
     def _find_join_irreducibles(self) -> None:
@@ -214,25 +212,18 @@ def sort_lattice(algebra: FiniteAlgebra, sort: int) -> SortLattice:
     return algebra.cached(("lattice", sort), lambda: SortLattice(algebra, sort))
 
 
-def _defects(algebra: FiniteAlgebra, sort: int, phi: list[int]) -> int:
-    """_homomorphism_pass(phi), run once per sort and map: kept in the store."""
-    return algebra.cached(("defects", sort, tuple(phi)), lambda: _homomorphism_pass(algebra, sort, phi))
-
-
-def _homomorphism_pass(algebra: FiniteAlgebra, sort: int, phi: list[int]) -> int:
-    """The bits p at which x -> (phi[x] >> p & 1) fails to send some meet to
-    an AND or some join to an OR: 0 exactly when phi is a (meet, join)-
-    homomorphism into the powerset of its bits.  Every pair is checked, one
-    meet row and one join row per element."""
-    elems, image, out = list(range(len(phi))), phi.__getitem__, 0
+def _homomorphism_pass(algebra: FiniteAlgebra, sort: int, phi: list[int]) -> bool:
+    """Whether x -> {p : phi[x] >> p & 1} sends every meet to an AND and every
+    join to an OR: a (meet, join)-homomorphism into the powerset of phi's
+    bits.  Every pair is checked, one meet row and one join row per element,
+    up to the first row that fails."""
+    elems, image = list(range(len(phi))), phi.__getitem__
     for a in elems:
         row = [a] * len(elems)
-        for combine, results in ((phi[a].__and__, algebra.meet_all(sort, row, elems)),
-                                 (phi[a].__or__, algebra.join_all(sort, row, elems))):
-            got, want = list(map(image, results)), list(map(combine, phi))
-            if got != want:
-                out |= reduce(operator.or_, map(operator.xor, got, want))
-    return out
+        for combine, apply_all in ((phi[a].__and__, algebra.meet_all), (phi[a].__or__, algebra.join_all)):
+            if list(map(image, apply_all(sort, row, elems))) != list(map(combine, phi)):
+                return False
+    return True
 
 
 def is_prime_filter(algebra: FiniteAlgebra, sort: int, members: frozenset[int] | set[int]) -> bool:
@@ -261,38 +252,14 @@ def is_prime_filter(algebra: FiniteAlgebra, sort: int, members: frozenset[int] |
     return True
 
 
-def _prime_verdicts(algebra: FiniteAlgebra, sort: int, candidates: list) -> list[bool]:
-    """is_prime_filter of each candidate member set, from the _defects
-    verdict on V[x], bit i set where x is in candidate i: a proper candidate
-    inside the sort whose indicator preserves meets and joins is upward
-    closed, meet-closed and join-prime.  is_prime_filter decides the others.
-    A map already checked in this sort is not checked again."""
-    size = algebra.sort_size(sort)
-    if not candidates:
-        return []
-    masks = [_bitmask(map(m.__contains__, range(size))) for m in candidates]
-    inside = _bitmask(len(m) == mask.bit_count() for m, mask in zip(candidates, masks))
-    V = _transpose(masks, size)
-    sure = inside & reduce(operator.or_, V) & ~V[algebra.zero(sort)] & ~_defects(algebra, sort, V)
-    return [bool(sure >> i & 1) or is_prime_filter(algebra, sort, m)
-            for i, m in enumerate(candidates)]
-
-
 def prime_filters(lattice: SortLattice) -> list[PrimeFilter]:
-    """All prime filters: exactly the up-sets of join-irreducibles.  Each
-    output is re-verified by the direct primality predicate, all at once in
-    _prime_verdicts, which reads the lattice's homomorphism-pass verdict from
-    the store; the list is kept there under ("prime filters", sort)."""
-    def build() -> list[PrimeFilter]:
-        irr = lattice.join_irreducibles
-        verdicts = _prime_verdicts(lattice.algebra, lattice.sort, list(map(lattice.up_set, irr)))
-        for j, prime in zip(irr, verdicts):
-            if not prime:
-                raise AssertionError(
-                    f"up-set of join-irreducible {j} fails the direct primality test"
-                )
-        return [PrimeFilter(lattice.sort, j) for j in irr]
-    return list(lattice.algebra.cached(("prime filters", lattice.sort), build))
+    """All prime filters: exactly the up-sets of join-irreducibles.  A
+    SortLattice exists only once its join-irreducible masks passed as an
+    injective (meet, join)-homomorphism into a powerset.  Coordinate p of
+    that map is the indicator of the up-set of the p-th join-irreducible, so
+    that up-set is a prime filter, and a finite distributive lattice has no
+    other prime filters."""
+    return [PrimeFilter(lattice.sort, j) for j in lattice.join_irreducibles]
 
 
 def prime_filter_from_members(algebra: FiniteAlgebra, sort: int, members) -> PrimeFilter:

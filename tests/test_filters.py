@@ -110,11 +110,15 @@ def test_prime_filters_diamond():
 
 
 def test_prime_filters_match_subset_oracle_small_concretes():
-    for size in (0, 1, 2):
-        alg = concrete(Universe(size), PQF, 2)
-        for sort in range(3):
-            lat = sort_lattice(alg, sort)
-            assert all_prime_subsets(alg, sort) == {members(alg, pf) for pf in prime_filters(lat)}
+    cases = [(concrete(Universe(size), PQF, 2), sort) for size in (0, 1, 2) for sort in range(3)]
+    # the general route, whose join-irreducible masks are not the identity map
+    cases += [(chain_algebra(4), 0), (chain_algebra(8), 0)]
+    cases += [(complement_relabelled(concrete(W2, PQF, 2)), sort) for sort in range(3)]
+    cases += [(generated_subalgebra(concrete(Universe(3), PQF, 1), [(1, 0b011), (1, 0b110)]), 1)]
+    for alg, sort in cases:
+        lat = sort_lattice(alg, sort)
+        assert all_prime_subsets(alg, sort) == {members(alg, pf) for pf in prime_filters(lat)}, \
+            (alg.provenance, sort)
 
 
 def test_extend_to_prime_least_tie_break():
@@ -506,8 +510,6 @@ def test_is_prime_filter_matches_pairwise_oracle_on_every_subset():
             verdicts = [is_prime_filter(alg, sort, members) for members in subsets]
             assert verdicts == [is_prime_filter_pairwise(alg, sort, members)
                                 for members in subsets], (alg.provenance, sort)
-            # the batched verdicts of prime_filters, with their fallbacks
-            assert filters._prime_verdicts(alg, sort, subsets) == verdicts, (alg.provenance, sort)
     assert sorts == 51
 
 
@@ -542,7 +544,7 @@ def test_homomorphism_pass_accepts_exactly_when_the_pairwise_loop_passes(monkeyp
     fast = [lattice_outcome(alg, sort) for _, alg, sort in cases]
     # The pairwise loop alone: the homomorphism pass made to reject every sort.
     # A sort the loop passes then ends in the AssertionError, so "ok" never.
-    monkeypatch.setattr(filters, "_defects", lambda algebra, sort, phi: -1)
+    monkeypatch.setattr(filters, "_homomorphism_pass", lambda algebra, sort, phi: False)
     loop = []
     for _, alg, sort in cases:
         try:
@@ -565,50 +567,42 @@ def test_prime_filters_call_the_direct_predicate_only_on_fallback(monkeypatch):
 
 
 def test_lattice_and_prime_filters_share_one_homomorphism_pass(monkeypatch):
-    passes, fallbacks = [], []
-    homomorphism_pass, direct = filters._homomorphism_pass, filters.is_prime_filter
+    passes, direct = [], []
+    homomorphism_pass = filters._homomorphism_pass
     packed = SortLattice._boolean_in_canonical_order
-    defect_on = None  # the map on which the pass is made to report bit 0
+    reject = None  # the map the pass is made to reject
 
     def counted(algebra, sort, phi):
         passes.append(sort)
-        return 1 if phi == defect_on else homomorphism_pass(algebra, sort, phi)
+        return phi != reject and homomorphism_pass(algebra, sort, phi)
 
     def counted_packed(lattice):
         # the packed check is the pass on the identity map, and fails with it
         passes.append(lattice.sort)
-        return defect_on != list(range(lattice.size)) and packed(lattice)
-
-    def counted_direct(algebra, sort, members):
-        fallbacks.append(members)
-        return direct(algebra, sort, members)
+        return reject != list(range(lattice.size)) and packed(lattice)
     monkeypatch.setattr(filters, "_homomorphism_pass", counted)
-    monkeypatch.setattr(filters, "is_prime_filter", counted_direct)
+    monkeypatch.setattr(filters, "is_prime_filter", lambda *args: direct.append(args))
     monkeypatch.setattr(SortLattice, "_boolean_in_canonical_order", counted_packed)
     base = concrete(W2, FO, 3)
     for alg in (base, as_table_algebra(base)):
         passes.clear()
         lat = sort_lattice(alg, 3)
-        assert [pf.generator for pf in prime_filters(lat)] == [1 << i for i in range(8)]
         assert passes == [3]
-        # another map runs a pass of its own, once
-        up_sets = list(map(lat.up_set, lat.join_irreducibles))
+        # prime_filters runs no pass and no direct predicate of its own
         for _ in range(2):
-            assert filters._prime_verdicts(alg, 3, [up_sets[0], {lat.one}]) == [True, False]
-        assert passes == [3, 3]
-        assert fallbacks == [{lat.one}] * 2
-        fallbacks.clear()
-    # a defect reported on the lattice's own map: the general route, the
-    # pairwise loop, then the direct predicate on the filter whose bit it names
-    defect_on = lat._ji_mask
+            assert [pf.generator for pf in prime_filters(lat)] == [1 << i for i in range(8)]
+        assert passes == [3]
+        assert direct == []
+    # the pass rejecting the lattice's own map: the packed check fails, the
+    # general route's pass rejects, and the pairwise loop passes
+    reject = lat._ji_mask
     for alg in (concrete(W2, FO, 3), as_table_algebra(base)):
+        passes.clear()
         with pytest.raises(AssertionError, match="^sort 3 passes the pairwise checks, but its "
                                                  "join-irreducible masks are not an injective "
                                                  "lattice homomorphism$"):
             sort_lattice(alg, 3)
-        assert filters._prime_verdicts(alg, 3, up_sets) == [True] * 8
-        assert fallbacks == [up_sets[0]]
-        fallbacks.clear()
+        assert passes == [3, 3]
 
 
 def test_is_prime_filter_refuses_a_member_outside_the_sort():
@@ -616,7 +610,6 @@ def test_is_prime_filter_refuses_a_member_outside_the_sort():
     assert is_prime_filter(alg, 1, {1, 3})
     assert not is_prime_filter(alg, 1, {1, 3, 4})
     assert not is_prime_filter(alg, 1, {-1, 1, 3})
-    assert filters._prime_verdicts(alg, 1, [{1, 3}, {1, 3, 4}, {-1, 1, 3}]) == [True, False, False]
 
 
 def test_prime_filter_from_members_refuses_a_set_that_is_not_meet_closed():
@@ -659,6 +652,8 @@ def test_packed_route_gives_the_general_routes_answers(monkeypatch, packed_verdi
         for name in ("up", "down", "zero", "one", "join_irreducibles", "_ji_mask"):
             assert getattr(fast, name) == getattr(slow, name), (*label, name)
         assert prime_filters(fast) == prime_filters(slow), label
+        # the invariant prime_filters rests on, which the packed route never runs
+        assert filters._homomorphism_pass(fast.algebra, sort, fast._ji_mask), label
         size = fast.size
         pairs = [(r, s) for r in range(size) for s in range(size)] if size <= 16 else \
             [(rng.randrange(size), rng.randrange(size)) for _ in range(300)]
@@ -696,19 +691,21 @@ def test_other_sorts_take_the_general_route(monkeypatch, packed_verdicts):
         general_route(monkeypatch, corrupted(concrete(W2, PQF, 2), 2, "join", 15, 3), 2)
 
 
-def test_packed_route_stores_the_verdict_prime_filters_reads(monkeypatch):
+def test_packed_route_and_prime_filters_run_no_pass_and_store_no_verdict(monkeypatch):
     passes, homomorphism_pass = [], filters._homomorphism_pass
     monkeypatch.setattr(filters, "_homomorphism_pass", lambda algebra, sort, phi:
                         passes.append(sort) or homomorphism_pass(algebra, sort, phi))
-    for alg in (concrete(W2, PQF, 2), as_table_algebra(concrete(W2, PQF, 2))):
-        lat = sort_lattice(alg, 2)
-        assert alg._tables[("defects", 2, tuple(range(16)))] == 0
-        assert [pf.generator for pf in prime_filters(lat)] == [1, 2, 4, 8]
-        assert passes == []
-        # another map runs a pass of its own
-        assert filters._prime_verdicts(alg, 2, [lat.up_set(1), lat.up_set(3)]) == [True, False]
-        assert passes == [2]
+    # the packed route and prime_filters run no pass; the general route runs
+    # its one pass, in the lattice's construction
+    for alg, sort, generators, runs in ((concrete(W2, PQF, 2), 2, [1, 2, 4, 8], []),
+                                        (as_table_algebra(concrete(W2, PQF, 2)), 2, [1, 2, 4, 8], []),
+                                        (chain_algebra(4), 0, [1, 2, 3], [0])):
         passes.clear()
+        lat = sort_lattice(alg, sort)
+        assert [pf.generator for pf in prime_filters(lat)] == generators
+        assert passes == runs
+        assert {key[0] for key in alg._tables}.isdisjoint({"defects", "prime filters"})
+        assert ("lattice", sort) in alg._tables
 
 
 @pytest.mark.parametrize("universe, sort, size", [(2, 3, 256), (3, 2, 512)])
