@@ -24,10 +24,11 @@ FiniteAlgebra.cached: operation tables under their symbol keys (a table
 algebra's given tables, or the unary tables table(key) builds on first use),
 a concrete algebra's diagonals and plane index lists, and what filters.py
 keeps per sort: lattices, prime filters, verdicts.  All algebras are
-immutable after construction, with one exception: the command line sets
-element_cap on a gallery or table file it has loaded.  The store takes no
-lock: nothing starts a thread, and under the GIL dict.get and setdefault
-keep the first value stored; so an algebra pickles, store included.
+immutable after construction, with two exceptions: the command line sets
+element_cap on a gallery or table file it has loaded, and a generated
+subalgebra of a concrete parent finds its witness terms on first use.  The
+store takes no lock: nothing starts a thread, and under the GIL dict.get and
+setdefault keep the first value stored; so an algebra pickles, store included.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import operator
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
@@ -48,6 +49,7 @@ from .errors import (
     FormatError,
     FragmentError,
     InsufficientSortsError,
+    RelAlgError,
 )
 from .fragments import Fragment, parse_fragment
 from .relations import (
@@ -65,6 +67,7 @@ from .relations import (
 
 DEFAULT_ELEMENT_CAP = 1 << 20
 MORPHISM_VIOLATION_CAP = 5  # violations a MorphismReport lists
+WITNESS_PAIR_CAP = 1 << 22  # pairs the witness search meets in a concrete parent before it refuses
 
 
 class FiniteAlgebra:
@@ -417,23 +420,24 @@ class GeneratedSubalgebra(FiniteAlgebra):
     """Least subset of the parent closed under all in-bounds operations.
 
     Elements are identified by their parent value; the local index is the rank
-    in parent canonical order.  Each element records the first witnessing term
-    found by breadth-first closure (generators in input order), written in the
-    term grammar over the generator names.  The closure runs in waves, one per
-    queue snapshot: each unary symbol maps the wave's elements of a sort in
-    one parent map_all call, and then each element, in queue order, adds its
-    unary images and its row.  The row meets and joins the element with its
-    sort as found so far, in one meet_all and one join_all call, but leaves
-    out the earlier rows that already met it, so each pair is met and joined
-    once; new values are added in row order, meet before join, and a row
-    that adds nothing is not scanned.  In a concrete parent (meet is AND,
-    join is OR), a wave whose rows of a sort outnumber its bits first tests
-    the sort as found for being a sublattice (_is_sublattice, exact, after
-    Birkhoff); if it is, those rows would add nothing and are skipped, each
-    counted as having met the sort so far, until an add to the sort.  In a
-    concrete parent axioms.py runs clauses in the parent, on the images of
-    the elements (_to_parent), and maps only violations back through _wrap;
-    meet_all and join_all here serve filters.py and as_table_algebra."""
+    in parent canonical order.  In a concrete parent (meet is AND, join is OR)
+    the elements are a fixed point of two steps: per sort, the lattice step
+    (_lattice, after Birkhoff), then the unary step, each unary symbol's
+    parent map_all on the g(u) that generate the lattice.  Each element
+    records the first witnessing term found by breadth-first search
+    (generators in input order), in the term grammar over the generator
+    names.  The search runs in waves, one per queue snapshot: each unary
+    symbol maps the wave's elements of a sort in one parent map_all call, and
+    then each element, in queue order, adds its unary images and its row,
+    which meets and joins it with its sort as found so far, in one meet_all
+    and one join_all call, leaving out the earlier rows that met it already;
+    new values are added in row order, meet before join.  It closes any other
+    parent.  In a concrete one it runs on the first witness_term or
+    element_label call, skips the rows of a sort found in full, stops once
+    every sort is, and refuses past WITNESS_PAIR_CAP pairs.  There axioms.py
+    runs clauses on the elements' parent values (_to_parent) and maps only
+    violations back through _wrap; meet_all and join_all here serve
+    filters.py and as_table_algebra."""
 
     def __init__(self, parent: FiniteAlgebra, generators: Sequence[tuple[int, int]],
                  names: Sequence[str] | None = None):
@@ -452,54 +456,106 @@ class GeneratedSubalgebra(FiniteAlgebra):
             self._check_sort(sort)
             if not 0 <= g < parent.sort_size(sort):
                 raise ArityError(f"generator {g} outside parent sort {sort}")
-        self._close()
+        lazy = isinstance(parent, ConcreteAlgebra)
+        found = self._fixed_point() if lazy else self._search()
+        self._to_parent = [sorted(vals) for vals in found]
+        self._from_parent = [{val: idx for idx, val in enumerate(vals)}
+                             for vals in self._to_parent]
+        if not lazy:
+            self._witness = [[found[n][val] for val in vals]
+                             for n, vals in enumerate(self._to_parent)]
 
-    def _close(self) -> None:
-        parent, frag, bound = self.parent, self.fragment, self.max_sort
-        found: list[dict[int, str]] = [dict() for _ in range(bound + 1)]
-        queue: list[tuple[int, int]] = []
-        closed: set[int] = set()  # sorts whose found set is a sublattice of the parent's
+    @cached_property
+    def _witness(self) -> list[list[str]]:
+        """Each element's first witnessing term by rank, searched for on first use."""
+        found = self._search([len(vals) for vals in self._to_parent])
+        return [[found[n][val] for val in vals] for n, vals in enumerate(self._to_parent)]
 
-        def add(n: int, val: int, term: str) -> None:
-            if val not in found[n]:
-                if len(found[n]) >= self.element_cap:
-                    raise ElementCapExceededError(
-                        f"closure of sort {n} exceeds element cap {self.element_cap}"
-                    )
-                found[n][val] = term
-                queue.append((n, val))
-                closed.discard(n)
+    def _seeds(self) -> Iterable[tuple[int, int, str]]:
+        """(sort, parent value, term) of the constants, then of the generators."""
+        for n in range(self.max_sort + 1):
+            yield n, self.parent.zero(n), f"bot {n}"
+            yield n, self.parent.one(n), f"top {n}"
+            if self.fragment.equality:
+                for i, j in iproduct(range(1, n + 1), repeat=2):
+                    yield n, self.parent.delta(n, i, j), f"delta {n} {i} {j}"
+        yield from ((s, g, name) for (s, g), name in zip(self.generators, self.generator_names))
 
-        for n in range(bound + 1):
-            add(n, parent.zero(n), f"bot {n}")
-            add(n, parent.one(n), f"top {n}")
-            if frag.equality:
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        add(n, parent.delta(n, i, j), f"delta {n} {i} {j}")
-        for (sort, g), name in zip(self.generators, self.generator_names):
-            add(sort, g, name)
-
-        unary = []  # per sort: each unary symbol's key, result sort and term template
+    def _unary(self) -> list[list[tuple]]:
+        """Per sort: each unary symbol's key, result sort and term template."""
+        frag, bound, unary = self.fragment, self.max_sort, []
         for n in range(bound + 1):
             ops = [(("neg", n), n, "not({})")] if frag.negation else []
             if frag.exists and n >= 1:
                 ops.append((("exists", n - 1), n - 1, "exists({})"))
             unary.append(ops + [(("subst", alpha), k, alpha.term_prefix() + " {}")
                                 for k in range(bound + 1) for alpha in all_substitutions(n, k)])
+        return unary
+
+    def _check_cap(self, n: int, size: int) -> None:
+        if size > self.element_cap:
+            raise ElementCapExceededError(
+                f"closure of sort {n} exceeds element cap {self.element_cap}")
+
+    def _fixed_point(self) -> list[set[int]]:
+        """Each sort's parent values in a concrete parent.  A substitution
+        keeps ORs and ANDs, projection ORs, and negation turns ORs into ANDs,
+        so the unary step maps only the g(u) that generate each lattice."""
+        fresh = [{v for s, v, _ in self._seeds() if s == n} for n in range(self.max_sort + 1)]
+        unary, found, gens = self._unary(), [set() for _ in fresh], [set() for _ in fresh]
+        while any(fresh):
+            for n in range(len(fresh)):
+                new, fresh[n] = fresh[n] - found[n], set()
+                if new:
+                    found[n], gens[n] = self._lattice(n, gens[n] | new)
+                    column = [0, *gens[n]]  # 0's images are constants; it keeps the column nonempty
+                    for key, k, _ in unary[n]:
+                        fresh[k].update(self.parent.map_all(key, column))
+        return found
+
+    def _lattice(self, n: int, members: set[int]) -> tuple[set[int], set[int]]:
+        """The sublattice that members, 0 and the full mask generate, and the
+        g(u) that generate it: the ORs of subsets of {g(u)}, g(u) being the
+        AND of the members with bit u; in time output size times width."""
+        planes = _transpose(list(members), self.parent.width(n))  # plane u: the members with bit u
+        out, gens = {0}, set()
+        for p in planes:  # out: the ORs of subsets of the g(u) so far, so closed under OR
+            g = sum(1 << v for v, q in enumerate(planes) if p & q == p)
+            if g not in out:
+                gens.add(g)
+                out.update([g | x for x in out])
+                self._check_cap(n, len(out))
+        return out, gens
+
+    def _search(self, sizes: list[int] | None = None) -> list[dict[int, str]]:
+        """Each sort's parent values and first witnessing terms; given the
+        sort sizes, the search stops early and refuses past the pair cap."""
+        parent, bound = self.parent, self.max_sort
+        found: list[dict[int, str]] = [dict() for _ in range(bound + 1)]
+        queue: list[tuple[int, int]] = []
+
+        def add(n: int, val: int, term: str) -> None:
+            if val not in found[n]:
+                if sizes is None:
+                    self._check_cap(n, len(found[n]) + 1)
+                found[n][val] = term
+                queue.append((n, val))
+
+        for n, val, term in self._seeds():
+            add(n, val, term)
+        unary, total = self._unary(), sum(sizes) if sizes else None
         reach: list[list[int]] = [[] for _ in range(bound + 1)]  # each sort-n row's snapshot length
-        head = 0
-        while head < len(queue):
+        head = pairs = 0
+        while head < len(queue) != total:  # until the queue is drained or holds every element
             chunk, head = queue[head:], len(queue)
             columns: dict[int, list[int]] = {}
             for n, val in chunk:
                 columns.setdefault(n, []).append(val)
             images = {n: zip(*[parent.map_all(key, column) for key, _, _ in unary[n]])
                       for n, column in columns.items()}
-            if isinstance(parent, ConcreteAlgebra):  # skip the rows of a sort closed already
-                closed.update(n for n, column in columns.items() if len(column) > parent.width(n)
-                              and _is_sublattice(found[n], parent.width(n)))
             for n, val in chunk:
+                if len(queue) == total:
+                    break
                 term = found[n][val]
                 for (_, k, template), image in zip(unary[n], next(images[n])):
                     if image not in found[k]:
@@ -507,10 +563,14 @@ class GeneratedSubalgebra(FiniteAlgebra):
                 # val is row i of sort n; earlier rows whose snapshots reached past i met it
                 seen, i = found[n], len(reach[n])
                 reach[n].append(len(seen))  # > i, so it leaves the bisect below alone
-                if n in closed:  # the row's meets and joins are all in seen
+                if sizes and len(seen) == sizes[n]:  # the row's meets and joins are all in seen
                     continue
                 others = list(seen)
                 del others[bisect_right(reach[n], i):i]
+                pairs += len(others)
+                if sizes and pairs > WITNESS_PAIR_CAP:
+                    raise RelAlgError(f"witness search met more than {WITNESS_PAIR_CAP} pairs "
+                                      f"({self.provenance})")
                 row = [val] * len(others)
                 meets = parent.meet_all(n, row, others)
                 joins = parent.join_all(n, row, others)
@@ -520,14 +580,7 @@ class GeneratedSubalgebra(FiniteAlgebra):
                             add(n, m, f"and({term}, {seen[other]})")
                         if j not in seen:
                             add(n, j, f"or({term}, {seen[other]})")
-
-        self._to_parent = [sorted(found[n]) for n in range(bound + 1)]
-        self._from_parent = [
-            {val: idx for idx, val in enumerate(vals)} for vals in self._to_parent
-        ]
-        self._witness = [
-            [found[n][val] for val in self._to_parent[n]] for n in range(bound + 1)
-        ]
+        return found
 
     def sort_size(self, n: int) -> int:
         self._check_sort(n)
@@ -588,18 +641,6 @@ class GeneratedSubalgebra(FiniteAlgebra):
 
     def element_label(self, n: int, a: int) -> str:
         return self.witness_term(n, a)
-
-
-def _is_sublattice(members: Iterable[int], width: int) -> bool:
-    """Whether width-bit masks that include 0 and the full mask are closed
-    under AND and OR: exactly when X | m(u) is a member for each member X
-    and bit u, m(u) being the AND of the members with bit u.  The members are
-    then the ORs of m(u)s, the down-sets of a preorder (Birkhoff)."""
-    column = list(members)
-    planes = _transpose(column, width)  # plane u: the members that have bit u
-    # m(u) has bit v where every member with bit u has bit v
-    ms = {sum(1 << v for v, q in enumerate(planes) if p & q == p) for p in planes}
-    return all(map(set(column).issuperset, (map(m.__or__, column) for m in ms)))
 
 
 def generated_subalgebra(parent: FiniteAlgebra, generators: Sequence[tuple[int, int]],

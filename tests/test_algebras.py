@@ -16,6 +16,7 @@ from relalg import (
     FormatError,
     FragmentError,
     InsufficientSortsError,
+    RelAlgError,
     Substitution,
     TableAlgebra,
     Universe,
@@ -31,7 +32,7 @@ from relalg import (
     sort_lattice,
     verify_morphism,
 )
-from relalg.algebras import ConcreteAlgebra, _is_sublattice, _sorts
+from relalg.algebras import ConcreteAlgebra, _sorts
 from relalg.fragments import FO, PE, PQF, QF
 from relalg.relations import all_substitutions, delta as rel_delta
 
@@ -242,7 +243,8 @@ CLOSURE_PARENTS = {
     "table": lambda: as_table_algebra(concrete(Universe(2), PE, 2)),
     "generated": lambda: generated_subalgebra(concrete(Universe(2), PE, 2), [(2, 0b0110), (1, 1)]),
     # the pe-theory gallery's parent: its seeds below close sort 2 to 699, 398
-    # and 1,141 elements, in waves that outgrow its 18 bits
+    # and 1,141 elements, in waves that outgrow its 18 bits; seed 0 closes it
+    # to 131,073, past what the scalar search finishes, and has its own test
     "pe-theory": lambda: product([concrete(Universe(3), PE, 2)] * 2),
 }
 
@@ -266,8 +268,9 @@ def test_generated_closure_matches_the_scalar_bfs(kind, seed):
 
 def test_pe_theory_closure_matches_the_scalar_bfs_on_fewer_pairs(pe_theory):
     """The gallery's closure, rebuilt on a parent whose batched meets and
-    joins are counted: each pair is met once, where the scalar search meets
-    every element with its whole sort."""
+    joins are counted: the witness search meets each pair once, where the
+    scalar search meets every element with its whole sort, and it stops once
+    every element has a witness."""
     a_bits, b_bits = 0b011, 0b110
     gens = [(1, a_bits << 3 | b_bits), (1, a_bits << 3 | a_bits), (1, b_bits << 3 | b_bits)]
     parent = product([concrete(Universe(3), PE, 2)] * 2)
@@ -282,9 +285,10 @@ def test_pe_theory_closure_matches_the_scalar_bfs_on_fewer_pairs(pe_theory):
     to_parent, witness, scalar_pairs = closure_bfs(parent, gens, ["R", "A", "B"])
     assert alg._to_parent == to_parent == pe_theory[0]._to_parent
     assert alg._witness == witness == pe_theory[0]._witness
-    # 97,160 of the scalar search's 485,737 pairs: sort 2 is a sublattice from
-    # its fourth wave on, and that wave's rows are skipped
-    assert pairs["meet"] == pairs["join"] <= 97_160
+    # 35,162 of the scalar search's 485,737 pairs: the elements come from the
+    # fixed point, which meets nothing in the parent, and the witness search
+    # stops in its fourth wave, once sort 2 has all 706
+    assert pairs["meet"] == pairs["join"] <= 35_162
 
 
 def test_generated_subalgebra_refuses_bad_generators():
@@ -301,8 +305,9 @@ def test_generated_subalgebra_refuses_bad_generators():
 
 def test_closure_goes_back_to_rows_when_a_skipped_sort_grows():
     """Sort 2 starts as a five-element chain, a sublattice wider than its 4
-    bits, so the first wave skips its rows; then a substitution adds a sort-2
-    element mid-wave, and the rows after it must meet and join again."""
+    bits but not the whole closure: a substitution adds a sort-2 element
+    mid-wave, and the witness search must meet and join rows until sort 2
+    has all 16 elements."""
     parent = concrete(Universe(2), FO, 2)
     gens = [(2, 0b0001), (2, 0b0011), (2, 0b0111)]
     alg = generated_subalgebra(parent, gens)
@@ -323,22 +328,60 @@ def _pairwise_closure(members: set[int]) -> set[int]:
 
 @pytest.mark.parametrize("seed", range(10))
 def test_sublattice_test_matches_pairwise_closure(seed):
-    """_is_sublattice against its definition, on random families of w-bit
-    masks that hold 0 and the full mask; half of them are closed by
-    construction, as the sublattice some random masks generate."""
+    """The closure's lattice step, which builds the sublattice a family
+    generates, against its definition, on random families of w-bit masks
+    that hold 0 and the full mask; half of them are closed by construction,
+    as the sublattice some random masks generate."""
     rng = Random(seed)
-    verdicts = Counter()
+    grew = Counter()
     for _ in range(200):
         width = rng.randint(0, 6)
         full = (1 << width) - 1
         members = {0, full, *(rng.randint(0, full) for _ in range(rng.randint(0, 6)))}
         if rng.random() < 0.5:
             members = _pairwise_closure(members)
-        closed = _pairwise_closure(members) == members
-        verdicts[closed] += 1
-        assert _is_sublattice(rng.sample(sorted(members), len(members)), width) == closed, (
-            width, sorted(members))
-    assert verdicts[True] > 0 and verdicts[False] > 0
+        # sort 1 of a product of width one-point factors has width bits
+        parent = ConcreteAlgebra([Universe(1)] * width or [Universe(0)], PQF, 1)
+        closure = _pairwise_closure(members)
+        grew[closure != members] += 1
+        lattice, gens = generated_subalgebra(parent, [])._lattice(1, members)
+        assert lattice == closure, (width, sorted(members))
+        assert _pairwise_closure({0, full, *gens}) == closure, (width, sorted(members))
+    assert grew[True] > 0 and grew[False] > 0
+
+
+def test_pe_theory_parent_seed_0_closes_to_a_closed_set():
+    """Seed 0 of the pe-theory parent: the scalar search cannot finish it, so
+    closedness is checked instead, on seeded pairs and every unary image."""
+    parent = product([concrete(Universe(3), PE, 2)] * 2)
+    alg = generated_subalgebra(parent, [(2, 21225), (2, 254766)])
+    assert [alg.sort_size(n) for n in range(3)] == [3, 33, 131_073]
+    rng = Random(0)
+    for n in range(3):
+        members, column = alg._from_parent[n], alg._to_parent[n]
+        xs = [rng.choice(column) for _ in range(2000)]
+        ys = [rng.choice(column) for _ in xs]
+        assert members.keys() >= {*parent.meet_all(n, xs, ys), *parent.join_all(n, xs, ys)}
+        for key, arg_sorts, k in operations(parent.fragment, parent.max_sort):
+            if arg_sorts == (n,):  # a unary symbol on sort n
+                assert alg._from_parent[k].keys() >= set(parent.map_all(key, column)), key
+
+
+def test_witness_search_past_the_pair_cap_is_refused(monkeypatch, pe_theory):
+    """A fresh gallery algebra, whose witness search has not run yet."""
+    import relalg.algebras
+
+    monkeypatch.setattr(relalg.algebras, "WITNESS_PAIR_CAP", 100)
+    alg, _ = gallery_pe_theory()
+    for call in (lambda: alg.witness_term(2, 5), lambda: alg.element_label(1, 0)):
+        with pytest.raises(RelAlgError) as info:
+            call()
+        assert str(info.value) == ("witness search met more than 100 pairs "
+                                   "(generated(product(concrete(3), concrete(3))))")
+    assert [alg.sort_size(n) for n in range(3)] == [2, 10, 706]
+    assert [alg.to_parent(2, a) for a in alg.elements(2)] == pe_theory[0]._to_parent[2]
+    monkeypatch.undo()
+    assert alg.witness_term(2, 5) == pe_theory[0].witness_term(2, 5)
 
 
 def test_generated_closure_past_the_element_cap_is_refused(monkeypatch):
