@@ -22,13 +22,14 @@ where sorts are enumerated, plus eagerly in concrete() and extend().
 A table algebra is one table per symbol key.  Every algebra has one store,
 FiniteAlgebra.cached: operation tables under their symbol keys (a table
 algebra's given tables, or the unary tables table(key) builds on first use),
-a concrete algebra's diagonals and plane index lists, and what filters.py
-keeps per sort: lattices, prime filters, verdicts.  All algebras are
-immutable after construction, with two exceptions: the command line sets
-element_cap on a gallery or table file it has loaded, and a generated
-subalgebra of a concrete parent finds its witness terms on first use.  The
-store takes no lock: nothing starts a thread, and under the GIL dict.get and
-setdefault keep the first value stored; so an algebra pickles, store included.
+a concrete algebra's diagonals and plane index lists, each sort's verdict
+of boolean_in_canonical_order, and the lattice filters.py keeps per sort.
+All algebras are immutable after construction, with two exceptions: the
+command line sets element_cap on a gallery or table file it has loaded, and
+a generated subalgebra of a concrete parent finds its witness terms on first
+use.  The store takes no lock: nothing starts a thread, and under the GIL
+dict.get and setdefault keep the first value stored; so an algebra pickles,
+store included.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -59,6 +60,7 @@ from .relations import (
     all_substitutions,
     _exists_last_bits,
     _index_map,
+    _lanes,
     _rel_apply_bits,
     _transpose,
     delta as rel_delta,
@@ -173,6 +175,29 @@ class FiniteAlgebra:
         self._check_sort(n)
         return self._apply_all(("join", n), xs, ys)
 
+    def boolean_in_canonical_order(self, n: int) -> bool:
+        """Whether sort n has 2**w elements, 0 first and 1 last, and meet and
+        join the AND and OR of the indices: each element a's rows from
+        _lattice_rows, packed as w-bit lanes, against idx & a*rep and
+        idx | a*rep.  Checked once per sort and kept under ("boolean", n)."""
+        def check() -> bool:
+            size = self.sort_size(n)
+            w = size.bit_length() - 1
+            if size != 1 << w or (self.zero(n), self.one(n)) != (0, size - 1):
+                return False
+            pack = lambda row: int.from_bytes(_lanes(row, w)[0], "little")
+            idx, rep = pack(range(size)), pack([1] * size)
+            return all(pack(meets) == idx & a * rep and pack(joins) == idx | a * rep
+                       for a, (meets, joins) in enumerate(self._lattice_rows(n)))
+        return self.cached(("boolean", n), check)
+
+    def _lattice_rows(self, n: int) -> Iterable[tuple[list[int], list[int]]]:
+        """Each element's meet row and join row, by meet_all and join_all."""
+        elems = list(range(self.sort_size(n)))
+        for a in elems:
+            row = [a] * len(elems)
+            yield self.meet_all(n, row, elems), self.join_all(n, row, elems)
+
     def _require(self, feature: str) -> None:
         if not getattr(self.fragment, feature):
             raise FragmentError(f"{feature} not available in fragment {self.fragment}")
@@ -184,7 +209,9 @@ class FiniteAlgebra:
         stored wins.  This is the algebra's one store: operation tables under
         their symbol's key (see operations()), a concrete algebra's diagonals
         under theirs and its plane index lists under ("planes", *fields),
-        and sort lattices under ("lattice", n)."""
+        the verdicts of boolean_in_canonical_order under ("boolean", n) (False
+        is a value), a generated subalgebra's witness refusals under
+        ("refused", pair cap), and sort lattices under ("lattice", n)."""
         value = self._tables.get(key)
         if value is None:
             value = self._tables.setdefault(key, build())
@@ -281,7 +308,7 @@ class ConcreteAlgebra(FiniteAlgebra):
             n, n, 0, lambda u, _: rel_delta(u, n, i, j).bits))
 
     def _apply_all(self, key, xs: list[int], ys: list[int]) -> list[int]:
-        return list(map(operator.and_ if key[0] == "meet" else operator.or_, xs, ys))
+        return _and_or_all(key, xs, ys)
 
     def subst_planes(self, alpha: Substitution) -> list[int]:
         """For each bit of subst(alpha, a), lowest first, the bit of a it
@@ -467,7 +494,10 @@ class GeneratedSubalgebra(FiniteAlgebra):
 
     @cached_property
     def _witness(self) -> list[list[str]]:
-        """Each element's first witnessing term by rank, searched for on first use."""
+        """Each element's first witnessing term by rank, searched for on first
+        use.  A search refused at a pair cap is not run again under that cap."""
+        if (refusal := self._tables.get(("refused", WITNESS_PAIR_CAP))) is not None:
+            raise RelAlgError(refusal)
         found = self._search([len(vals) for vals in self._to_parent])
         return [[found[n][val] for val in vals] for n, vals in enumerate(self._to_parent)]
 
@@ -569,8 +599,9 @@ class GeneratedSubalgebra(FiniteAlgebra):
                 del others[bisect_right(reach[n], i):i]
                 pairs += len(others)
                 if sizes and pairs > WITNESS_PAIR_CAP:
-                    raise RelAlgError(f"witness search met more than {WITNESS_PAIR_CAP} pairs "
-                                      f"({self.provenance})")
+                    refusal = (f"witness search met more than {WITNESS_PAIR_CAP} pairs "
+                               f"({self.provenance})")
+                    raise RelAlgError(self.cached(("refused", WITNESS_PAIR_CAP), lambda: refusal))
                 row = [val] * len(others)
                 meets = parent.meet_all(n, row, others)
                 joins = parent.join_all(n, row, others)
@@ -695,8 +726,11 @@ class TableAlgebra(FiniteAlgebra):
     for a constant, a list over the argument sort for a unary symbol, and
     rows for meet and join.  The given tables are validated, copied into the
     algebra's store and read from there by the operations and table(key).
-    Has no sorts above the bound unless a backing algebra was attached at
-    construction; extend() then serves them from it."""
+    On a sort its stored rows prove Boolean in canonical order, at the first
+    batched call, meet_all and join_all are the AND and OR of the indices;
+    elsewhere they gather from the rows.  Has no sorts above the bound unless
+    a backing algebra was attached at construction; extend() then serves
+    them from it."""
 
     def __init__(self, fragment: Fragment, max_sort: int, sizes: Sequence[int], tables: dict,
                  extension: FiniteAlgebra | None = None):
@@ -761,7 +795,15 @@ class TableAlgebra(FiniteAlgebra):
     def _apply_all(self, key, xs: list[int], ys: list[int]) -> list[int]:
         if (table := self._tables.get(key)) is None:
             return self._extension._apply_all(key, xs, ys)
+        if self.boolean_in_canonical_order(key[1]):
+            return _and_or_all(key, xs, ys)
         return _look_up_all(table, xs, ys)
+
+    def _lattice_rows(self, n: int) -> Iterable[tuple[list[int], list[int]]]:
+        """A tabulated sort's stored rows; a served sort's batched ones."""
+        if ("meet", n) not in self._tables:
+            return super()._lattice_rows(n)
+        return zip(self._tables[("meet", n)], self._tables[("join", n)])
 
     def map_all(self, key, column: Sequence[int]) -> list[int]:
         """Above the checked sorts, in bounds, the backing's own map_all."""
@@ -829,6 +871,11 @@ class TableAlgebra(FiniteAlgebra):
             else:
                 sorts[args[0]][name] = table
         return json.dumps(data, sort_keys=True)
+
+
+def _and_or_all(key, xs: list[int], ys: list[int]) -> list[int]:
+    """meet_all or join_all as the AND or OR of the indices."""
+    return list(map(operator.and_ if key[0] == "meet" else operator.or_, xs, ys))
 
 
 def _look_up_all(table: list[list[int]], xs: list[int], ys: list[int]) -> list[int]:
@@ -909,10 +956,11 @@ _MORPHISM_MESSAGES = {
 def verify_morphism(fmap: dict[int, Sequence[int]], src: FiniteAlgebra, dst: FiniteAlgebra,
                     mode: str = "full") -> MorphismReport:
     """Check that the per-sort element map preserves every symbol that
-    operations() lists for src's fragment, on every argument tuple.  join and
-    meet are checked together, pair by pair.  mode "almost" demands only the
-    containment exists(f(r)) <= f(exists(r)) for projection instead of
-    equality."""
+    operations() lists for src's fragment, on every argument tuple, by one
+    batched call per run of tuples that vary only the last argument.
+    Violations are named in tuple order, join before meet.  mode "almost"
+    demands only the containment exists(f(r)) <= f(exists(r)) for projection
+    instead of equality, checked by one batched meet."""
     if mode not in ("full", "almost"):
         raise ValueError(f"unknown mode {mode!r}")
     violations: list[str] = []
@@ -920,22 +968,37 @@ def verify_morphism(fmap: dict[int, Sequence[int]], src: FiniteAlgebra, dst: Fin
     for key, arg_sorts, result in operations(src.fragment, min(src.max_sort, dst.max_sort)):
         if key[0] == "meet":
             continue
-        f, params = fmap[result], key[1:]
-        ops = [(name, partial(getattr(src, name), *params), partial(getattr(dst, name), *params))
-               for name in (("join", "meet") if key[0] == "join" else key[:1])]
-        for args in iproduct(*map(src.elements, arg_sorts)):
-            images = [fmap[s][a] for s, a in zip(arg_sorts, args)]
-            for name, op, image_op in ops:
-                checks += 1
-                value, target = f[op(*args)], image_op(*images)
+        elems = [list(src.elements(n)) for n in arg_sorts[:1]]
+        runs = [((), elems)] if len(arg_sorts) < 2 else \
+            (((a,), [[a] * len(elems[0]), elems[0]]) for a in elems[0])
+        for prefix, columns in runs:
+            images = [list(map(fmap[n].__getitem__, c)) for n, c in zip(arg_sorts, columns)]
+            held = []
+            for name in (("join", "meet") if key[0] == "join" else key[:1]):
+                values = list(map(fmap[result].__getitem__, _on_columns(src, name, key, columns)))
+                targets = _on_columns(dst, name, key, images)
+                checks += len(values)
                 if name == "exists" and mode == "almost":
-                    name, held = "containment", dst.leq(result, target, value)
-                else:
-                    held = value == target
-                if not held and len(violations) < MORPHISM_VIOLATION_CAP:
-                    violations.append(_MORPHISM_MESSAGES[name].format(
-                        *params, *args, sorts=arg_sorts))
+                    name, values = "containment", dst.meet_all(result, targets, values)
+                held.append((name, list(map(operator.eq, values, targets))))
+            if len(violations) < MORPHISM_VIOLATION_CAP and not all(all(ok) for _, ok in held):
+                # the tuple at position i is (*prefix, i), cut to the symbol's arity
+                violations += islice((_MORPHISM_MESSAGES[name].format(
+                    *key[1:], *(*prefix, i)[:len(arg_sorts)], sorts=arg_sorts)
+                    for i, oks in enumerate(zip(*(ok for _, ok in held)))
+                    for (name, _), ok in zip(held, oks) if not ok),
+                    MORPHISM_VIOLATION_CAP - len(violations))
     return MorphismReport(not violations, checks, violations)
+
+
+def _on_columns(algebra: FiniteAlgebra, name: str, key, columns: list[list[int]]) -> list[int]:
+    """The symbol name with key's parameters, on argument columns: a constant
+    once, a unary symbol by map_all, join or meet by join_all or meet_all."""
+    if not columns:
+        return [getattr(algebra, name)(*key[1:])]
+    if len(columns) == 1:
+        return algebra.map_all(key, columns[0])
+    return getattr(algebra, name + "_all")(*key[1:], *columns)
 
 
 def kernel(fmap: dict[int, Sequence[int]], sort: int) -> set[tuple[int, int]]:

@@ -26,11 +26,12 @@ distributive exactly when a -> {join-irreducibles below a} is an injective
 (meet, join)-homomorphism into a powerset.  SortLattice runs the pass on
 its join-irreducible masks, every pair by one meet_all and one join_all row
 per element, and only a sort that fails runs the pairwise checks on the
-order rows that name the failure.  A sort Boolean in canonical order (2**w
-elements, 0 first, 1 last, meet and join the index AND and OR: each
-first-order sort) checks just those rows, packed; they are the pass on the
-identity map, which its masks then are, so the answers and atoms 1, 2, 4,
-... are read off the index bits.  The same pass proves prime_filters: its
+order rows that name the failure.  Whether a sort is Boolean in canonical
+order (2**w elements, 0 first, 1 last, meet and join the index AND and OR:
+each first-order sort) is the algebra's stored verdict on its packed rows,
+a table's stored ones; they are the pass on the identity map, which a proved
+sort's masks then are, so its answers and atoms 1, 2, 4, ... are read off
+the index bits.  The same pass proves prime_filters: its
 coordinate p is the indicator of the p-th join-irreducible's up-set, so that
 up-set is prime, and there are no others.  is_prime_filter is the
 independent direct predicate, for member sets from anywhere else.
@@ -46,7 +47,7 @@ from typing import Sequence
 
 from .algebras import FiniteAlgebra
 from .errors import ObstructionError, PreconditionError, RelAlgError
-from .relations import (Substitution, _bitmask, _flags, _lanes, _transpose,
+from .relations import (Substitution, _bitmask, _flags, _transpose,
                         assoc_cylindrification, partitioning)
 
 
@@ -69,9 +70,10 @@ class SortLattice:
     antisymmetric and bounded by 0 and 1, and that the join-irreducible masks
     are an injective (meet, join)-homomorphism into a powerset: then the sort
     is a distributive lattice in that order, with meet and join its bounds.
-    A sort Boolean in canonical order passes it all in one packed check of
-    its rows.  Only a sort that fails runs the pairwise checks, which name the
-    first failing pair.  Order rows are int bitmasks.
+    A sort the algebra proved Boolean in canonical order passed it all in
+    the algebra's packed check of its rows.  Only a sort that fails runs the
+    pairwise checks, which name the first failing pair.  Order rows are int
+    bitmasks.
     """
 
     def __init__(self, algebra: FiniteAlgebra, sort: int):
@@ -142,23 +144,14 @@ class SortLattice:
                              f"masks are not an injective lattice homomorphism")
 
     def _boolean_in_canonical_order(self) -> bool:
-        """Whether meet and join are the index AND and OR, 0 and 1 at the ends:
-        each element's rows, packed, against idx & a*rep and idx | a*rep.  If
+        """Whether the algebra proved the sort Boolean in canonical order.  If
         so, up[a] and down[~a] AND the bit planes of a and their complements,
-        and the masks are the indices: the rows just checked are the
+        and the masks are the indices: the rows the algebra checked are the
         homomorphism pass on the identity map."""
-        alg, n, size = self.algebra, self.sort, self.size
-        w = size.bit_length() - 1
-        if size != 1 << w or (self.zero, self.one) != (0, size - 1):
+        if not self.algebra.boolean_in_canonical_order(self.sort):
             return False
-        pack = lambda row: int.from_bytes(_lanes(row, w)[0], "little")
-        elems = list(range(size))
-        idx, rep = pack(elems), pack([1] * size)
-        for a in elems:
-            row = [a] * size
-            if (pack(alg.meet_all(n, row, elems)) != idx & a * rep
-                    or pack(alg.join_all(n, row, elems)) != idx | a * rep):
-                return False
+        size = self.size
+        w, elems = size.bit_length() - 1, list(range(size))
         planes, up, down = _transpose(elems, w), [(1 << size) - 1], [(1 << size) - 1]
         for a in elems[1:]:
             plane = planes[(a & -a).bit_length() - 1]

@@ -32,7 +32,7 @@ from relalg import (
     sort_lattice,
     verify_morphism,
 )
-from relalg.algebras import ConcreteAlgebra, _sorts
+from relalg.algebras import ConcreteAlgebra, GeneratedSubalgebra, _sorts
 from relalg.fragments import FO, PE, PQF, QF
 from relalg.relations import all_substitutions, delta as rel_delta
 
@@ -382,6 +382,32 @@ def test_witness_search_past_the_pair_cap_is_refused(monkeypatch, pe_theory):
     assert [alg.to_parent(2, a) for a in alg.elements(2)] == pe_theory[0]._to_parent[2]
     monkeypatch.undo()
     assert alg.witness_term(2, 5) == pe_theory[0].witness_term(2, 5)
+
+
+def test_a_refused_witness_search_is_not_run_again_under_the_same_cap(monkeypatch):
+    """The refusal is kept with the cap it hit: later calls under that cap
+    raise it without searching, and a call under another cap searches."""
+    import relalg.algebras
+
+    searches, search = [], GeneratedSubalgebra._search
+    monkeypatch.setattr(GeneratedSubalgebra, "_search",
+                        lambda self, *args: searches.append(args) or search(self, *args))
+    monkeypatch.setattr(relalg.algebras, "WITNESS_PAIR_CAP", 100)
+    alg, _ = gallery_pe_theory()
+    assert searches == []  # a concrete parent: the elements come from the fixed point
+    messages = []
+    for call in (lambda: alg.witness_term(2, 5), lambda: alg.element_label(1, 0),
+                 lambda: alg.witness_term(0, 0)):
+        with pytest.raises(RelAlgError) as info:
+            call()
+        messages.append(str(info.value))
+    assert len(searches) == 1
+    assert messages == ["witness search met more than 100 pairs "
+                        "(generated(product(concrete(3), concrete(3))))"] * 3
+    monkeypatch.setattr(relalg.algebras, "WITNESS_PAIR_CAP", 200)
+    with pytest.raises(RelAlgError, match="^witness search met more than 200 pairs "):
+        alg.witness_term(2, 5)
+    assert len(searches) == 2
 
 
 def test_generated_closure_past_the_element_cap_is_refused(monkeypatch):

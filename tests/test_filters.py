@@ -29,7 +29,8 @@ from relalg import (
 from relalg import filters
 from relalg.filters import (NotALatticeError, PrimeFilter, SortLattice, complement_max,
                             prime_filter_from_members)
-from relalg.fragments import FO, PE, PQF
+from relalg.algebras import _look_up_all
+from relalg.fragments import FO, PE, PQF, QF
 from relalg.relations import assoc_cylindrification
 
 from oracles import extend_to_prime_scan, is_prime_filter_pairwise
@@ -197,7 +198,7 @@ def test_order_rows_and_masks_match_scalar_meets(diamond, pe_theory):
         assert lat._ji_mask == ji_mask
 
 
-def test_sort_lattice_makes_two_or_three_batched_calls_per_element(monkeypatch):
+def test_sort_lattice_makes_zero_or_three_batched_calls_per_element(monkeypatch):
     calls = []
     for name in ("meet_all", "join_all"):
         def counted(self, n, xs, ys, _op=getattr(TableAlgebra, name)):
@@ -206,13 +207,15 @@ def test_sort_lattice_makes_two_or_three_batched_calls_per_element(monkeypatch):
         monkeypatch.setattr(TableAlgebra, name, counted)
     w2 = as_table_algebra(concrete(W2, PQF, 2))
     diamond = as_table_algebra(gallery_diamond()[0])
-    # two on a Boolean sort in canonical order, three on any other
-    for alg, sort, per_element in ((w2, 0, 2), (w2, 1, 2), (w2, 2, 2), (diamond, 1, 2),
+    # none on a Boolean sort in canonical order, whose stored rows prove it,
+    # three on any other
+    for alg, sort, per_element in ((w2, 0, 0), (w2, 1, 0), (w2, 2, 0), (diamond, 1, 0),
                                    (chain_algebra(5), 0, 3),
                                    (complement_relabelled(concrete(W2, PQF, 2)), 2, 3)):
         calls.clear()
         SortLattice(alg, sort)
         assert len(calls) == per_element * alg.sort_size(sort)
+        assert alg._tables[("boolean", sort)] is (per_element == 0)
 
 
 def complement_relabelled(algebra):
@@ -725,3 +728,54 @@ def test_packed_check_at_one_and_four_byte_lanes(monkeypatch, packed_verdicts, u
         message = lattice_outcome(corrupted(base, sort, "meet", size - 1, 5), sort)
         assert packed_verdicts == [False]
         assert message == "meet of sort-2 elements 511,5 is not their greatest lower bound"
+
+
+@pytest.mark.parametrize("universe", [1, 2])
+def test_table_forms_prove_every_sort_and_answer_as_their_concrete_algebras(universe):
+    """The verdict is sound: each sort of a first-order algebra's table form
+    is proved from its stored rows, the AND and OR it then serves are the
+    stored entries, and its lattice is the concrete algebra's."""
+    rng = Random(universe)
+    for fragment in (f for base in (PQF, QF, PE, FO) for f in (base, base.with_equality())):
+        base = concrete(Universe(universe), fragment, 2)
+        tables = as_table_algebra(base)
+        for n in range(3):
+            label = (str(fragment), n)
+            assert tables.boolean_in_canonical_order(n), label
+            assert tables._tables[("boolean", n)] is True, label
+            size = tables.sort_size(n)
+            xs = [rng.randrange(size) for _ in range(300)]
+            ys = [rng.randrange(size) for _ in xs]
+            for op in ("meet", "join"):
+                assert (getattr(tables, op + "_all")(n, xs, ys)
+                        == _look_up_all(tables._tables[(op, n)], xs, ys)), (*label, op)
+            fast, slow = sort_lattice(tables, n), sort_lattice(base, n)
+            for name in ("up", "down", "join_irreducibles"):
+                assert getattr(fast, name) == getattr(slow, name), (*label, name)
+            assert prime_filters(fast) == prime_filters(slow), label
+
+
+def test_a_changed_meet_entry_fails_the_verdict_and_is_served_as_stored(monkeypatch,
+                                                                        packed_verdicts):
+    """One meet entry of a Boolean-sized sort moved to the next element: the
+    verdict is False and stored, meet_all gathers the changed entry, and the
+    lattice takes the general route to the same outcome as the packed check
+    made to fail."""
+    cases = [(1, FO, 1, 1, 0, "order not antisymmetric at sort-1 element 0"),
+             (1, PE, 2, 0, 0, "meet not idempotent at sort-2 element 0"),
+             (2, FO, 2, 15, 6, "meet of sort-2 elements 15,6 is not their greatest lower bound"),
+             (2, PQF, 1, 1, 2, "join of sort-1 elements 1,2 is not their least upper bound"),
+             (2, QF.with_equality(), 2, 5, 5, "meet not idempotent at sort-2 element 5"),
+             (2, PE, 2, 0, 15, "bounds fail at sort-2 element 0")]
+    for universe, fragment, sort, a, b, message in cases:
+        base = concrete(Universe(universe), fragment, 2)
+        mutated = corrupted(base, sort, "meet", a, b)
+        assert not mutated.boolean_in_canonical_order(sort)
+        assert mutated._tables[("boolean", sort)] is False
+        top = mutated.sort_size(sort) - 1
+        assert mutated.meet_all(sort, [a, top], [b, top]) == [((a & b) + 1) % (top + 1), top]
+        assert lattice_outcome(mutated, sort) == message
+        assert packed_verdicts == [False]
+        packed_verdicts.clear()
+        with pytest.raises(NotALatticeError, match=f"^{message}$"):
+            general_route(monkeypatch, corrupted(base, sort, "meet", a, b), sort)
