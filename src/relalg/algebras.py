@@ -22,8 +22,12 @@ where sorts are enumerated, plus eagerly in concrete() and extend().
 A table algebra is one table per symbol key.  Every algebra has one store,
 FiniteAlgebra.cached: operation tables under their symbol keys (a table
 algebra's given tables, or the unary tables table(key) builds on first use),
-a concrete algebra's diagonals and plane index lists, each sort's verdict
-of boolean_in_canonical_order, and the lattice filters.py keeps per sort.
+a concrete algebra's diagonals and plane index lists, a table algebra's
+verdict of boolean_in_canonical_order on each sort it tabulates, and the
+lattice filters.py keeps per sort.  That verdict is decided where the fact
+lives: a concrete sort is Boolean in canonical order by construction, a
+generated one exactly when it is its parent's whole Boolean sort, and a
+table's by its stored rows.
 All algebras are immutable after construction, with two exceptions: the
 command line sets element_cap on a gallery or table file it has loaded, and
 a generated subalgebra of a concrete parent finds its witness terms on first
@@ -176,27 +180,12 @@ class FiniteAlgebra:
         return self._apply_all(("join", n), xs, ys)
 
     def boolean_in_canonical_order(self, n: int) -> bool:
-        """Whether sort n has 2**w elements, 0 first and 1 last, and meet and
-        join the AND and OR of the indices: each element a's rows from
-        _lattice_rows, packed as w-bit lanes, against idx & a*rep and
-        idx | a*rep.  Checked once per sort and kept under ("boolean", n)."""
-        def check() -> bool:
-            size = self.sort_size(n)
-            w = size.bit_length() - 1
-            if size != 1 << w or (self.zero(n), self.one(n)) != (0, size - 1):
-                return False
-            pack = lambda row: int.from_bytes(_lanes(row, w)[0], "little")
-            idx, rep = pack(range(size)), pack([1] * size)
-            return all(pack(meets) == idx & a * rep and pack(joins) == idx | a * rep
-                       for a, (meets, joins) in enumerate(self._lattice_rows(n)))
-        return self.cached(("boolean", n), check)
-
-    def _lattice_rows(self, n: int) -> Iterable[tuple[list[int], list[int]]]:
-        """Each element's meet row and join row, by meet_all and join_all."""
-        elems = list(range(self.sort_size(n)))
-        for a in elems:
-            row = [a] * len(elems)
-            yield self.meet_all(n, row, elems), self.join_all(n, row, elems)
+        """Whether the algebra knows sort n to be Boolean in canonical order:
+        2**w elements, 0 first and 1 last, meet and join the AND and OR of
+        the indices.  A kind answers where the fact lives; False claims
+        nothing about the sort."""
+        self._check_sort(n)
+        return False
 
     def _require(self, feature: str) -> None:
         if not getattr(self.fragment, feature):
@@ -209,9 +198,10 @@ class FiniteAlgebra:
         stored wins.  This is the algebra's one store: operation tables under
         their symbol's key (see operations()), a concrete algebra's diagonals
         under theirs and its plane index lists under ("planes", *fields),
-        the verdicts of boolean_in_canonical_order under ("boolean", n) (False
-        is a value), a generated subalgebra's witness refusals under
-        ("refused", pair cap), and sort lattices under ("lattice", n)."""
+        a table algebra's verdicts of boolean_in_canonical_order on its
+        tabulated sorts under ("boolean", n) (False is a value), a generated
+        subalgebra's witness refusals under ("refused", pair cap), and sort
+        lattices under ("lattice", n)."""
         value = self._tables.get(key)
         if value is None:
             value = self._tables.setdefault(key, build())
@@ -282,6 +272,12 @@ class ConcreteAlgebra(FiniteAlgebra):
     def sort_size(self, n: int) -> int:
         self._check_sort(n)
         return 1 << self.width(n)
+
+    def boolean_in_canonical_order(self, n: int) -> bool:
+        """True: a sort-n index is its bitset, and meet and join are its AND
+        and OR."""
+        self._check_sort(n)
+        return True
 
     def _apply(self, key, *args) -> int:
         """Bitwise for the lattice symbols and negation, block by block for
@@ -617,6 +613,12 @@ class GeneratedSubalgebra(FiniteAlgebra):
         self._check_sort(n)
         return len(self._to_parent[n])
 
+    def boolean_in_canonical_order(self, n: int) -> bool:
+        """The parent's verdict where the closure is the parent's whole sort,
+        so that the ranks are the parent's indices; False elsewhere."""
+        return (self.sort_size(n) == self.parent.sort_size(n)
+                and self.parent.boolean_in_canonical_order(n))
+
     def to_parent(self, n: int, a: int) -> int:
         self._check_sort(n)
         return self._to_parent[n][a]
@@ -799,11 +801,26 @@ class TableAlgebra(FiniteAlgebra):
             return _and_or_all(key, xs, ys)
         return _look_up_all(table, xs, ys)
 
-    def _lattice_rows(self, n: int) -> Iterable[tuple[list[int], list[int]]]:
-        """A tabulated sort's stored rows; a served sort's batched ones."""
+    def boolean_in_canonical_order(self, n: int) -> bool:
+        """A tabulated sort's verdict is read off its stored rows: each
+        element a's meet and join rows, packed as w-bit lanes, against
+        idx & a*rep and idx | a*rep; it is checked once and kept under
+        ("boolean", n).  A served sort's verdict is the backing's."""
         if ("meet", n) not in self._tables:
-            return super()._lattice_rows(n)
-        return zip(self._tables[("meet", n)], self._tables[("join", n)])
+            self._check_sort(n)
+            return self._extension.boolean_in_canonical_order(n)
+        def check() -> bool:
+            size = self.sizes[n]
+            w = size.bit_length() - 1
+            bounds = self._tables[("zero", n)], self._tables[("one", n)]
+            if size != 1 << w or bounds != (0, size - 1):
+                return False
+            pack = lambda row: int.from_bytes(_lanes(row, w)[0], "little")
+            idx, rep = pack(range(size)), pack([1] * size)
+            rows = zip(self._tables[("meet", n)], self._tables[("join", n)])
+            return all(pack(meets) == idx & a * rep and pack(joins) == idx | a * rep
+                       for a, (meets, joins) in enumerate(rows))
+        return self.cached(("boolean", n), check)
 
     def map_all(self, key, column: Sequence[int]) -> list[int]:
         """Above the checked sorts, in bounds, the backing's own map_all."""

@@ -26,15 +26,16 @@ distributive exactly when a -> {join-irreducibles below a} is an injective
 (meet, join)-homomorphism into a powerset.  SortLattice runs the pass on
 its join-irreducible masks, every pair by one meet_all and one join_all row
 per element, and only a sort that fails runs the pairwise checks on the
-order rows that name the failure.  Whether a sort is Boolean in canonical
-order (2**w elements, 0 first, 1 last, meet and join the index AND and OR:
-each first-order sort) is the algebra's stored verdict on its packed rows,
-a table's stored ones; they are the pass on the identity map, which a proved
-sort's masks then are, so its answers and atoms 1, 2, 4, ... are read off
-the index bits.  The same pass proves prime_filters: its
-coordinate p is the indicator of the p-th join-irreducible's up-set, so that
-up-set is prime, and there are no others.  is_prime_filter is the
-independent direct predicate, for member sets from anywhere else.
+order rows that name the failure.  A sort the algebra knows Boolean in
+canonical order (see FiniteAlgebra.boolean_in_canonical_order: a concrete
+sort by construction, a generated one as its parent's whole sort, a table's
+by its stored rows) needs no pass: its masks are its indices and its atoms
+1, 2, 4, ... are its join-irreducibles.  Once the masks are proved, the
+order is mask containment, so leq and up_set read the masks alone.  The
+same pass proves prime_filters: its coordinate p is the indicator of the
+p-th join-irreducible's up-set, so that up-set is prime, and there are no
+others.  is_prime_filter is the independent direct predicate, for member
+sets from anywhere else.
 """
 
 from __future__ import annotations
@@ -64,16 +65,18 @@ class NotALatticeError(RelAlgError):
 
 
 class SortLattice:
-    """One sort of an algebra, as a bounded distributive lattice.
+    """One sort of an algebra, as a bounded distributive lattice, kept as its
+    join-irreducibles and their masks: bit p of _ji_mask[a] is set where the
+    p-th join-irreducible lies below a.
 
     Construction verifies that the order a <= b iff a = a^b is reflexive,
-    antisymmetric and bounded by 0 and 1, and that the join-irreducible masks
-    are an injective (meet, join)-homomorphism into a powerset: then the sort
-    is a distributive lattice in that order, with meet and join its bounds.
-    A sort the algebra proved Boolean in canonical order passed it all in
-    the algebra's packed check of its rows.  Only a sort that fails runs the
-    pairwise checks, which name the first failing pair.  Order rows are int
-    bitmasks.
+    antisymmetric and bounded by 0 and 1, and that the masks are an
+    injective (meet, join)-homomorphism into a powerset: then the sort is a
+    distributive lattice in that order, with meet and join its bounds, and
+    a <= b exactly when a's mask is contained in b's.  A sort the algebra
+    knows Boolean in canonical order is that lattice with atoms 1, 2, 4, ...
+    and its indices as masks, and builds nothing.  Only a sort that fails
+    runs the pairwise checks, which name the first failing pair.
     """
 
     def __init__(self, algebra: FiniteAlgebra, sort: int):
@@ -83,7 +86,10 @@ class SortLattice:
         self.size = algebra.sort_size(sort)
         self.zero = algebra.zero(sort)
         self.one = algebra.one(sort)
-        if not self._boolean_in_canonical_order():
+        if algebra.boolean_in_canonical_order(sort):
+            self.join_irreducibles = tuple(1 << p for p in range(self.size.bit_length() - 1))
+            self._ji_mask = range(self.size)
+        else:
             self._build_order()
 
     def _build_order(self) -> None:
@@ -96,8 +102,6 @@ class SortLattice:
             row = [a] * size
             up.append(_bitmask(map(operator.eq, alg.meet_all(n, row, elems), row)))
         down = _transpose(up, size)
-        self.up = up
-        self.down = down
         for a in range(size):
             if not up[a] >> a & 1:
                 raise NotALatticeError(f"meet not idempotent at sort-{n} element {a}")
@@ -105,8 +109,18 @@ class SortLattice:
                 raise NotALatticeError(f"order not antisymmetric at sort-{n} element {a}")
             if not up[self.zero] >> a & 1 or not up[a] >> self.one & 1:
                 raise NotALatticeError(f"bounds fail at sort-{n} element {a}")
-        self._find_join_irreducibles()
-        ji_mask = self._ji_mask
+        # j is join-irreducible when the join of the elements strictly below
+        # it (0 for none) is not j: in a lattice, the element whose up-set is
+        # the intersection of theirs.  The masks verify meets and joins: as an
+        # injective homomorphism into a powerset they make the sort a
+        # distributive lattice, whose join-irreducibles these then are.
+        irr = []
+        for j in elems:
+            below = compress(elems, _flags(down[j] & ~(1 << j)))
+            if reduce(operator.and_, map(up.__getitem__, below), up[self.zero]) != up[j]:
+                irr.append(j)
+        ji_mask = _transpose([up[j] for j in irr], size) if irr else [0] * size
+        self.join_irreducibles, self._ji_mask = tuple(irr), ji_mask
         if len(set(ji_mask)) == size and _homomorphism_pass(alg, n, ji_mask):
             return
         # Row a checks every meet and join of a on the order rows.  Once the
@@ -143,46 +157,16 @@ class SortLattice:
         raise AssertionError(f"sort {n} passes the pairwise checks, but its join-irreducible "
                              f"masks are not an injective lattice homomorphism")
 
-    def _boolean_in_canonical_order(self) -> bool:
-        """Whether the algebra proved the sort Boolean in canonical order.  If
-        so, up[a] and down[~a] AND the bit planes of a and their complements,
-        and the masks are the indices: the rows the algebra checked are the
-        homomorphism pass on the identity map."""
-        if not self.algebra.boolean_in_canonical_order(self.sort):
-            return False
-        size = self.size
-        w, elems = size.bit_length() - 1, list(range(size))
-        planes, up, down = _transpose(elems, w), [(1 << size) - 1], [(1 << size) - 1]
-        for a in elems[1:]:
-            plane = planes[(a & -a).bit_length() - 1]
-            up.append(up[a & a - 1] & plane)
-            down.append(down[a & a - 1] & ~plane)
-        self.up, self.down = up, down[::-1]
-        self.join_irreducibles, self._ji_mask = tuple(1 << p for p in range(w)), elems
-        return True
-
-    def _find_join_irreducibles(self) -> None:
-        """j is join-irreducible when the join of the elements strictly below
-        it (0 for none) is not j: in a lattice, the element whose up-set is
-        the intersection of theirs.  _ji_mask[a] has bit p where the p-th
-        join-irreducible lies below a.  This runs before meets and joins are
-        verified, and its masks verify them: as an injective homomorphism into
-        a powerset they make the sort a distributive lattice, whose
-        join-irreducibles these then are."""
-        up, elems = self.up, range(self.size)
-        irr = []
-        for j in elems:
-            below = compress(elems, _flags(self.down[j] & ~(1 << j)))
-            if reduce(operator.and_, map(up.__getitem__, below), up[self.zero]) != up[j]:
-                irr.append(j)
-        self.join_irreducibles = tuple(irr)
-        self._ji_mask = _transpose([up[j] for j in irr], self.size) if irr else [0] * self.size
-
     def leq(self, a: int, b: int) -> bool:
-        return bool(self.up[a] >> b & 1)
+        """a <= b: a's join-irreducible mask lies inside b's."""
+        mask_a, mask_b = self._masks(a, b)
+        return not mask_a & ~mask_b
 
     def up_set(self, a: int) -> frozenset[int]:
-        return frozenset(compress(range(self.size), _flags(self.up[a])))
+        """The elements whose join-irreducible masks contain a's."""
+        mask, = self._masks(a)
+        above = map(mask.__eq__, map(mask.__and__, self._ji_mask))
+        return frozenset(compress(range(self.size), above))
 
     def separator(self, r: int, s: int) -> int:
         """The least join-irreducible below exactly one of r and s: the
@@ -194,10 +178,14 @@ class SortLattice:
             raise PreconditionError(f"sort-{self.sort} elements {r} and {s} are not distinct")
         return self.join_irreducibles[(diff & -diff).bit_length() - 1]
 
-    def _masks(self, r: int, s: int) -> tuple[int, int]:
-        if not (0 <= r < self.size and 0 <= s < self.size):
-            raise PreconditionError(f"{r} and {s} are not both sort-{self.sort} elements")
-        return self._ji_mask[r], self._ji_mask[s]
+    def _masks(self, *elements: int) -> list[int]:
+        """The elements' join-irreducible masks; each must be a sort element."""
+        if not all(0 <= x < self.size for x in elements):
+            if len(elements) == 1:
+                raise PreconditionError(f"{elements[0]} is not a sort-{self.sort} element")
+            raise PreconditionError(f"{' and '.join(map(str, elements))} are not both "
+                                    f"sort-{self.sort} elements")
+        return list(map(self._ji_mask.__getitem__, elements))
 
 
 def sort_lattice(algebra: FiniteAlgebra, sort: int) -> SortLattice:

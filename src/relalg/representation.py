@@ -232,21 +232,23 @@ def embed(algebra: FiniteAlgebra, scope: int, rounds: int = 5) -> EmbeddingCerti
         cert.scope = scope
         return cert
     report = model.verification
-    injective = is_injective(model.fmap(), range(scope + 1))
     transcript.append(f"morphic conditions checked: {report.checks}, violations: {len(report.violations)}")
+    cert = _certificate(algebra, model, scope, "full", transcript, report)
+    if not (report.ok and cert.injective):
+        cert.status = "almost"
+    return cert
+
+
+def _certificate(algebra: FiniteAlgebra, model: FilterModel, scope: int, status: str,
+                 transcript: list[str], verification: MorphismReport | None, rounds_used: int = 0,
+                 obligations: list[str] | None = None) -> EmbeddingCertificate:
+    """The certificate for the model's map, its injectivity on sorts 0..scope
+    checked and logged as the transcript's last line."""
+    injective = is_injective(model.fmap(), range(scope + 1))
     transcript.append(f"injective on sorts 0..{scope}: {injective}")
-    status = "full" if report.ok and injective else "almost"
-    return EmbeddingCertificate(
-        status=status,
-        fragment=str(algebra.fragment),
-        scope=scope,
-        target_size=model.universe.size,
-        phi=model.phi,
-        injective=injective,
-        rounds_used=0,
-        transcript=transcript,
-        verification=report,
-    )
+    return EmbeddingCertificate(status, str(algebra.fragment), scope, model.universe.size,
+                                model.phi, injective, rounds_used, transcript,
+                                obligations or [], verification)
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +345,4 @@ def saturate(algebra: FiniteAlgebra, start: FilterModel, rounds: int) -> Embeddi
             a, b = min(merged)
             raise AssertionError(f"saturation identified sort-{n} elements {a},{b} that the "
                                  f"starting map distinguished")
-    injective = is_injective(final_map, range(bound + 1))
-    transcript.append(f"injective on sorts 0..{bound}: {injective}")
-    return EmbeddingCertificate(
-        status=status,
-        fragment=str(algebra.fragment),
-        scope=bound,
-        target_size=model.universe.size,
-        phi=model.phi,
-        injective=injective,
-        rounds_used=built,
-        transcript=transcript,
-        obligations=pending,
-        verification=report,
-    )
+    return _certificate(algebra, model, bound, status, transcript, report, built, pending)

@@ -3,7 +3,8 @@
 Everything here works on plain Python sets of tuples and never touches the
 bitset engine or its index encoding, so agreement is a genuine cross-check.
 The exceptions: is_prime_filter_pairwise asks an algebra for one scalar
-meet, join or order test per pair and never for a batch, and projection
+meet, join or order test per pair and never for a batch, boolean_rows_packed
+asks it for every meet and join row, one batched call each, and projection
 splits a concrete algebra's elements into their factor components.
 parse_relation_literal reads the text relation_literal prints, and
 tuple_apply and compose are the substitutions' action on tuples and their
@@ -127,6 +128,30 @@ def is_prime_filter_pairwise(algebra, sort: int, members) -> bool:
         for b in range(size):
             if algebra.join(sort, a, b) in members and a not in members and b not in members:
                 return False
+    return True
+
+
+def boolean_rows_packed(algebra, n: int) -> bool:
+    """Whether sort n is Boolean in canonical order (2**w elements, 0 first
+    and 1 last, meet and join the AND and OR of the indices), read off every
+    element a's meet and join rows, one meet_all and one join_all call each:
+    the rows, packed as little-endian lanes of at least w bits, must be
+    idx & a*rep and idx | a*rep."""
+    size = algebra.sort_size(n)
+    w = size.bit_length() - 1
+    if size != 1 << w or (algebra.zero(n), algebra.one(n)) != (0, size - 1):
+        return False
+    lane = max(1, (w + 7) // 8)
+
+    def pack(row):
+        return int.from_bytes(b"".join(v.to_bytes(lane, "little") for v in row), "little")
+    elems = list(range(size))
+    idx, rep = pack(elems), pack([1] * size)
+    for a in elems:
+        row = [a] * size
+        if (pack(algebra.meet_all(n, row, elems)) != idx & a * rep
+                or pack(algebra.join_all(n, row, elems)) != idx | a * rep):
+            return False
     return True
 
 

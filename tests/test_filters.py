@@ -21,6 +21,7 @@ from relalg import (
     generated_subalgebra,
     is_prime_filter,
     prime_filters,
+    product,
     pullback,
     sort_lattice,
     sum_filters,
@@ -29,11 +30,11 @@ from relalg import (
 from relalg import filters
 from relalg.filters import (NotALatticeError, PrimeFilter, SortLattice, complement_max,
                             prime_filter_from_members)
-from relalg.algebras import _look_up_all
+from relalg.algebras import FiniteAlgebra, _look_up_all
 from relalg.fragments import FO, PE, PQF, QF
 from relalg.relations import assoc_cylindrification
 
-from oracles import extend_to_prime_scan, is_prime_filter_pairwise
+from oracles import boolean_rows_packed, extend_to_prime_scan, is_prime_filter_pairwise
 
 
 W2 = Universe(2)
@@ -190,12 +191,28 @@ def test_order_rows_and_masks_match_scalar_meets(diamond, pe_theory):
         alg, n, size = lat.algebra, lat.sort, lat.size
         for a in range(size):
             for b in range(size):
-                assert (lat.down[b] >> a & 1) == (alg.meet(n, a, b) == a), (n, a, b)
+                assert lat.leq(a, b) == (alg.meet(n, a, b) == a), (n, a, b)
+            assert lat.up_set(a) == {b for b in range(size) if alg.meet(n, a, b) == a}, (n, a)
         ji_mask = [0] * size
         for p, j in enumerate(lat.join_irreducibles):
             for a in lat.up_set(j):
                 ji_mask[a] |= 1 << p
-        assert lat._ji_mask == ji_mask
+        assert list(lat._ji_mask) == ji_mask
+
+
+@pytest.mark.parametrize("call, args, message", [
+    ("up_set", (-1,), "-1 is not a sort-1 element"),
+    ("up_set", (4,), "4 is not a sort-1 element"),
+    ("leq", (-1, 3), "-1 and 3 are not both sort-1 elements"),
+    ("leq", (0, 99), "0 and 99 are not both sort-1 elements"),
+    ("leq", (4, 0), "4 and 0 are not both sort-1 elements")])
+def test_leq_and_up_set_refuse_non_elements(call, args, message):
+    """On both routes: the Boolean one, whose masks are the indices, and the
+    general one of a table relabelled so that zero is the top index."""
+    for alg in (concrete(W2, PQF, 1), complement_relabelled(concrete(W2, PQF, 1))):
+        lat = sort_lattice(alg, 1)
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            getattr(lat, call)(*args)
 
 
 def test_sort_lattice_makes_zero_or_three_batched_calls_per_element(monkeypatch):
@@ -572,40 +589,35 @@ def test_prime_filters_call_the_direct_predicate_only_on_fallback(monkeypatch):
 def test_lattice_and_prime_filters_share_one_homomorphism_pass(monkeypatch):
     passes, direct = [], []
     homomorphism_pass = filters._homomorphism_pass
-    packed = SortLattice._boolean_in_canonical_order
     reject = None  # the map the pass is made to reject
 
     def counted(algebra, sort, phi):
         passes.append(sort)
         return phi != reject and homomorphism_pass(algebra, sort, phi)
-
-    def counted_packed(lattice):
-        # the packed check is the pass on the identity map, and fails with it
-        passes.append(lattice.sort)
-        return reject != list(range(lattice.size)) and packed(lattice)
     monkeypatch.setattr(filters, "_homomorphism_pass", counted)
     monkeypatch.setattr(filters, "is_prime_filter", lambda *args: direct.append(args))
-    monkeypatch.setattr(SortLattice, "_boolean_in_canonical_order", counted_packed)
     base = concrete(W2, FO, 3)
+    # the Boolean route runs no pass, the general route its one; prime_filters
+    # runs no pass and no direct predicate of its own
     for alg in (base, as_table_algebra(base)):
-        passes.clear()
-        lat = sort_lattice(alg, 3)
-        assert passes == [3]
-        # prime_filters runs no pass and no direct predicate of its own
-        for _ in range(2):
-            assert [pf.generator for pf in prime_filters(lat)] == [1 << i for i in range(8)]
-        assert passes == [3]
-        assert direct == []
-    # the pass rejecting the lattice's own map: the packed check fails, the
-    # general route's pass rejects, and the pairwise loop passes
-    reject = lat._ji_mask
+        for runs in ([], [3]):
+            passes.clear()
+            lat = general_route(monkeypatch, alg, 3) if runs else SortLattice(alg, 3)
+            assert passes == runs
+            for _ in range(2):
+                assert [pf.generator for pf in prime_filters(lat)] == [1 << i for i in range(8)]
+            assert passes == runs
+            assert direct == []
+    # the pass rejecting the lattice's own map: the general route's pass
+    # rejects, and the pairwise loop passes
+    reject = list(range(256))
     for alg in (concrete(W2, FO, 3), as_table_algebra(base)):
         passes.clear()
         with pytest.raises(AssertionError, match="^sort 3 passes the pairwise checks, but its "
                                                  "join-irreducible masks are not an injective "
                                                  "lattice homomorphism$"):
-            sort_lattice(alg, 3)
-        assert passes == [3, 3]
+            general_route(monkeypatch, alg, 3)
+        assert passes == [3]
 
 
 def test_is_prime_filter_refuses_a_member_outside_the_sort():
@@ -622,72 +634,85 @@ def test_prime_filter_from_members_refuses_a_set_that_is_not_meet_closed():
         prime_filter_from_members(alg, 1, {1, 2, 3})
 
 
-@pytest.fixture
-def packed_verdicts(monkeypatch):
-    """The packed check's verdicts, in order, while the test runs."""
-    packed, verdicts = SortLattice._boolean_in_canonical_order, []
-
-    def recorded(lattice):
-        verdicts.append(packed(lattice))
-        return verdicts[-1]
-    monkeypatch.setattr(SortLattice, "_boolean_in_canonical_order", recorded)
-    return verdicts
-
-
 def general_route(monkeypatch, algebra, sort):
-    """The sort's lattice with the packed check made to fail."""
+    """The sort's lattice with the algebra's verdict made False."""
     with monkeypatch.context() as m:
-        m.setattr(SortLattice, "_boolean_in_canonical_order", lambda self: False)
+        m.setattr(type(algebra), "boolean_in_canonical_order", lambda self, n: False)
         return SortLattice(algebra, sort)
 
 
-def test_packed_route_gives_the_general_routes_answers(monkeypatch, packed_verdicts):
-    makers = [(lambda: concrete(W2, PQF, 2), sort) for sort in range(3)]
-    makers += [(lambda: concrete(Universe(3), FO, 2), 2), (lambda: gallery_diamond()[0], 1)]
-    makers += [(lambda make=make: as_table_algebra(make()), sort) for make, sort in makers]
+def assert_same_lattice(fast, slow, label, rng):
+    """Two lattices on one sort give the same answers: bounds, join-irreducibles
+    and masks, leq and up_set on every pair, prime filters, and separator and
+    extend_to_prime on every pair, or on 300 random pairs past 16 elements."""
+    size = fast.size
+    for name in ("zero", "one", "join_irreducibles"):
+        assert getattr(fast, name) == getattr(slow, name), (*label, name)
+    assert list(fast._ji_mask) == list(slow._ji_mask), label
+    for a in range(size):
+        assert fast.up_set(a) == slow.up_set(a), (*label, a)
+        assert [fast.leq(a, b) for b in range(size)] == [slow.leq(a, b) for b in range(size)]
+    assert prime_filters(fast) == prime_filters(slow), label
+    pairs = [(r, s) for r in range(size) for s in range(size)] if size <= 16 else \
+        [(rng.randrange(size), rng.randrange(size)) for _ in range(300)]
+    for r, s in pairs:
+        if r != s:
+            assert fast.separator(r, s) == slow.separator(r, s), (*label, r, s)
+        if not fast.leq(r, s):
+            assert extend_to_prime(fast, r, s) == extend_to_prime(slow, r, s), (*label, r, s)
+
+
+def test_packed_route_gives_the_general_routes_answers(monkeypatch):
+    makers = [(lambda: concrete(W2, PQF, 2), sort, True) for sort in range(3)]
+    makers += [(lambda: concrete(Universe(3), FO, 2), 2, True),
+               (lambda: gallery_diamond()[0], 1, True)]
+    makers += [(lambda make=make: as_table_algebra(make()), sort, True) for make, sort, _ in makers]
+    # generated sorts: the parent's whole sort, whose verdict is the parent's,
+    # and proper sub-sorts, which take the general route, Boolean in
+    # canonical order ({0, 0b011, 0b100, 0b111}) or not
+    makers += [(lambda: generated_subalgebra(concrete(W2, PQF, 2), [(2, 1), (2, 2), (2, 4), (2, 8)]),
+                sort, True) for sort in range(3)]
+    makers += [(lambda: generated_subalgebra(concrete(Universe(3), PQF, 1), [(1, 0b011), (1, 0b100)]),
+                1, False),
+               (lambda: generated_subalgebra(concrete(Universe(3), PQF, 1), [(1, 0b011), (1, 0b110)]),
+                1, False),
+               (lambda: generated_subalgebra(concrete(W2, PQF, 2), [(1, 0b01), (2, 0b0110)]), 2, False)]
     rng = Random(28)
-    for make, sort in makers:
+    for make, sort, verdict in makers:
         # each route on an algebra of its own, so neither reads the other's store
         fast, slow = sort_lattice(make(), sort), general_route(monkeypatch, make(), sort)
         label = (fast.algebra.provenance, sort)
-        assert packed_verdicts == [True], label
-        packed_verdicts.clear()
-        for name in ("up", "down", "zero", "one", "join_irreducibles", "_ji_mask"):
-            assert getattr(fast, name) == getattr(slow, name), (*label, name)
-        assert prime_filters(fast) == prime_filters(slow), label
-        # the invariant prime_filters rests on, which the packed route never runs
-        assert filters._homomorphism_pass(fast.algebra, sort, fast._ji_mask), label
-        size = fast.size
-        pairs = [(r, s) for r in range(size) for s in range(size)] if size <= 16 else \
-            [(rng.randrange(size), rng.randrange(size)) for _ in range(300)]
-        for r, s in pairs:
-            if r != s:
-                assert fast.separator(r, s) == slow.separator(r, s), (*label, r, s)
-            if not fast.leq(r, s):
-                assert extend_to_prime(fast, r, s) == extend_to_prime(slow, r, s), (*label, r, s)
+        assert fast.algebra.boolean_in_canonical_order(sort) is verdict, label
+        assert_same_lattice(fast, slow, label, rng)
+        # the invariant prime_filters rests on, which the Boolean route never runs
+        assert filters._homomorphism_pass(fast.algebra, sort, list(fast._ji_mask)), label
+    proper = generated_subalgebra(concrete(Universe(3), PQF, 1), [(1, 0b011), (1, 0b100)])
+    assert boolean_rows_packed(proper, 1) and not proper.boolean_in_canonical_order(1)
+    assert sort_lattice(proper, 1).join_irreducibles == (1, 2)
 
 
-def test_other_sorts_take_the_general_route(monkeypatch, packed_verdicts):
+def test_other_sorts_take_the_general_route(monkeypatch):
     # zero at the top index, and chains of power-of-two size
     for make, sort in ((lambda: complement_relabelled(concrete(W2, PQF, 2)), 2),
                        (lambda: chain_algebra(4), 0), (lambda: chain_algebra(8), 0)):
         lat, slow = SortLattice(make(), sort), general_route(monkeypatch, make(), sort)
-        assert packed_verdicts == [False]
-        packed_verdicts.clear()
-        for name in ("up", "down", "zero", "one", "join_irreducibles", "_ji_mask"):
+        assert not lat.algebra.boolean_in_canonical_order(sort)
+        for name in ("zero", "one", "join_irreducibles"):
             assert getattr(lat, name) == getattr(slow, name), (sort, name)
+        assert lat._ji_mask == slow._ji_mask
         if lat.zero:
             assert sorted(lat.size - 1 - j for j in lat.join_irreducibles) == [1, 2, 4, 8]
         else:
             assert lat.join_irreducibles == tuple(range(1, lat.size))
-    # one join entry off in the last row: the check reads every join row, the
-    # last fails, and the general route raises its message
+    # one join entry off in the last row: the verdict fails, the pass reads
+    # every join row and the last fails, and the pairwise loop raises its
+    # message
     rows, join_all = [], TableAlgebra.join_all
     monkeypatch.setattr(TableAlgebra, "join_all",
                         lambda self, n, xs, ys: rows.append(xs[0]) or join_all(self, n, xs, ys))
     mutated = corrupted(concrete(W2, PQF, 2), 2, "join", 15, 3)
     message = lattice_outcome(mutated, 2)
-    assert packed_verdicts == [False]
+    assert not mutated.boolean_in_canonical_order(2)
     assert rows[:17] == list(range(16)) + [0]
     assert message == "join of sort-2 elements 15,3 is not their least upper bound"
     with pytest.raises(NotALatticeError, match=f"^{message}$"):
@@ -712,21 +737,21 @@ def test_packed_route_and_prime_filters_run_no_pass_and_store_no_verdict(monkeyp
 
 
 @pytest.mark.parametrize("universe, sort, size", [(2, 3, 256), (3, 2, 512)])
-def test_packed_check_at_one_and_four_byte_lanes(monkeypatch, packed_verdicts, universe,
-                                                 sort, size):
-    """Sorts of 256 and 512 elements pack their rows in one-byte lanes and in
-    four-byte array items; the concrete and table forms both take the packed
-    route.  One meet entry off in the last row of the 512-element table
-    fails the packed check, and the general route raises its own message."""
+def test_packed_check_at_one_and_four_byte_lanes(universe, sort, size):
+    """Sorts of 256 and 512 elements: the concrete form is Boolean by
+    construction, and the table form's stored rows pack in one-byte lanes
+    and in four-byte array items.  One meet entry off in the last row of
+    the 512-element table fails the packed check, and the general route
+    raises its own message."""
     base = concrete(Universe(universe), FO, sort)
     for alg in (base, as_table_algebra(base)):
         lattice = SortLattice(alg, sort)
-        assert (lattice.size, packed_verdicts) == (size, [True])
+        assert (lattice.size, alg.boolean_in_canonical_order(sort)) == (size, True)
         assert lattice.join_irreducibles == tuple(1 << p for p in range(size.bit_length() - 1))
-        packed_verdicts.clear()
     if size == 512:
-        message = lattice_outcome(corrupted(base, sort, "meet", size - 1, 5), sort)
-        assert packed_verdicts == [False]
+        mutated = corrupted(base, sort, "meet", size - 1, 5)
+        message = lattice_outcome(mutated, sort)
+        assert not mutated.boolean_in_canonical_order(sort)
         assert message == "meet of sort-2 elements 511,5 is not their greatest lower bound"
 
 
@@ -749,18 +774,14 @@ def test_table_forms_prove_every_sort_and_answer_as_their_concrete_algebras(univ
             for op in ("meet", "join"):
                 assert (getattr(tables, op + "_all")(n, xs, ys)
                         == _look_up_all(tables._tables[(op, n)], xs, ys)), (*label, op)
-            fast, slow = sort_lattice(tables, n), sort_lattice(base, n)
-            for name in ("up", "down", "join_irreducibles"):
-                assert getattr(fast, name) == getattr(slow, name), (*label, name)
-            assert prime_filters(fast) == prime_filters(slow), label
+            assert_same_lattice(sort_lattice(tables, n), sort_lattice(base, n), label, rng)
 
 
-def test_a_changed_meet_entry_fails_the_verdict_and_is_served_as_stored(monkeypatch,
-                                                                        packed_verdicts):
+def test_a_changed_meet_entry_fails_the_verdict_and_is_served_as_stored(monkeypatch):
     """One meet entry of a Boolean-sized sort moved to the next element: the
     verdict is False and stored, meet_all gathers the changed entry, and the
-    lattice takes the general route to the same outcome as the packed check
-    made to fail."""
+    lattice takes the general route to the same outcome as the verdict made
+    to fail."""
     cases = [(1, FO, 1, 1, 0, "order not antisymmetric at sort-1 element 0"),
              (1, PE, 2, 0, 0, "meet not idempotent at sort-2 element 0"),
              (2, FO, 2, 15, 6, "meet of sort-2 elements 15,6 is not their greatest lower bound"),
@@ -775,7 +796,70 @@ def test_a_changed_meet_entry_fails_the_verdict_and_is_served_as_stored(monkeypa
         top = mutated.sort_size(sort) - 1
         assert mutated.meet_all(sort, [a, top], [b, top]) == [((a & b) + 1) % (top + 1), top]
         assert lattice_outcome(mutated, sort) == message
-        assert packed_verdicts == [False]
-        packed_verdicts.clear()
         with pytest.raises(NotALatticeError, match=f"^{message}$"):
             general_route(monkeypatch, corrupted(base, sort, "meet", a, b), sort)
+
+
+FRAGMENTS = [f for base in (PQF, QF, PE, FO) for f in (base, base.with_equality())]
+
+
+def test_the_verdict_is_the_packed_row_check_where_the_fact_lives():
+    """Against the reference that reads every row by meet_all and join_all:
+    equal on every sort of concrete algebras over |W| 0-3 (sorts 0-3, 0-2
+    for |W| = 3) and two-block products (sorts 0-2), in every fragment, and
+    on the tabulated and served sorts of table forms; on generated sorts the
+    verdict is the reference's exactly where the closure is the parent's
+    whole sort, and False elsewhere, Boolean or not."""
+    checked = 0
+    for fragment in FRAGMENTS:
+        algebras = [concrete(Universe(u), fragment, 2 if u == 3 else 3) for u in range(4)]
+        algebras += [product([concrete(Universe(u), fragment, 2), concrete(Universe(v), fragment, 2)])
+                     for u, v in ((0, 2), (1, 1), (1, 2), (2, 2))]
+        for alg in algebras:
+            for n in range(alg.max_sort + 1):
+                assert alg.boolean_in_canonical_order(n) is boolean_rows_packed(alg, n) is True, \
+                    (alg.provenance, str(fragment), n)
+                checked += 1
+    assert checked == 8 * (4 * 3 + 3 + 4 * 3)
+    for make in (lambda: concrete(W2, FO, 1), lambda: concrete(Universe(3), PQF, 1),
+                 lambda: gallery_diamond()[0]):
+        served = as_table_algebra(make(), with_extension=True).extend(2)
+        for n in range(3):
+            assert served.boolean_in_canonical_order(n) is boolean_rows_packed(served, n), n
+    assert not as_table_algebra(chain_algebra(4)).boolean_in_canonical_order(0)
+    assert not complement_relabelled(concrete(W2, PQF, 2)).boolean_in_canonical_order(2)
+    whole, proper = 0, 0
+    for alg in (generated_subalgebra(concrete(W2, PQF, 2), [(2, 1), (2, 2), (2, 4), (2, 8)]),
+                generated_subalgebra(concrete(W2, PQF, 2), [(1, 0b01), (2, 0b0110)]),
+                generated_subalgebra(concrete(Universe(3), PQF, 1), [(1, 0b011), (1, 0b100)]),
+                generated_subalgebra(concrete(Universe(3), QF, 2), [(2, 1)]),
+                generated_subalgebra(as_table_algebra(concrete(W2, FO, 2)), [(1, 1)]),
+                generated_subalgebra(chain_algebra(4), [(0, 2)])):
+        for n in range(alg.max_sort + 1):
+            is_whole = alg.sort_size(n) == alg.parent.sort_size(n)
+            whole, proper = whole + is_whole, proper + (not is_whole and boolean_rows_packed(alg, n))
+            assert alg.boolean_in_canonical_order(n) is (is_whole and boolean_rows_packed(alg, n))
+    assert (whole, proper) == (9, 3)
+
+
+def test_a_concrete_verdict_and_a_proved_lattice_make_no_batched_call(monkeypatch):
+    base = concrete(Universe(3), FO, 2)
+    algebras = [base, product([concrete(W2, PQF, 2), concrete(Universe(1), PQF, 2)]),
+                generated_subalgebra(concrete(W2, PQF, 2), [(2, 1), (2, 2), (2, 4), (2, 8)]),
+                as_table_algebra(base), as_table_algebra(concrete(W2, FO, 1), with_extension=True).extend(3)]
+    proper = generated_subalgebra(concrete(Universe(3), PQF, 1), [(1, 0b011), (1, 0b100)])
+    calls = []
+    for name in ("meet_all", "join_all"):
+        def counted(self, n, xs, ys, _op=getattr(FiniteAlgebra, name)):
+            calls.append((self.provenance, n))
+            return _op(self, n, xs, ys)
+        monkeypatch.setattr(FiniteAlgebra, name, counted)
+    for alg in algebras:
+        for n in range(alg.max_sort + 1):
+            assert alg.boolean_in_canonical_order(n)
+            assert SortLattice(alg, n).join_irreducibles == tuple(
+                1 << p for p in range(alg.sort_size(n).bit_length() - 1))
+    assert calls == []
+    # the spy sees the general route's rows
+    SortLattice(proper, 1)
+    assert calls.count(("generated(concrete(3))", 1)) == 3 * 4
