@@ -27,7 +27,7 @@ verdict of boolean_in_canonical_order on each sort it tabulates, and the
 lattice filters.py keeps per sort.  That verdict is decided where the fact
 lives: a concrete sort is Boolean in canonical order by construction, a
 generated one exactly when it is its parent's whole Boolean sort, and a
-table's by its stored rows.
+table's by its rows, as they arrive; a proved table sort keeps them packed.
 All algebras are immutable after construction, with two exceptions: the
 command line sets element_cap on a gallery or table file it has loaded, and
 a generated subalgebra of a concrete parent finds its witness terms on first
@@ -42,6 +42,7 @@ import copy
 import json
 import operator
 import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
@@ -64,7 +65,6 @@ from .relations import (
     all_substitutions,
     _exists_last_bits,
     _index_map,
-    _lanes,
     _rel_apply_bits,
     _transpose,
     delta as rel_delta,
@@ -199,7 +199,8 @@ class FiniteAlgebra:
         their symbol's key (see operations()), a concrete algebra's diagonals
         under theirs and its plane index lists under ("planes", *fields),
         a table algebra's verdicts of boolean_in_canonical_order on its
-        tabulated sorts under ("boolean", n) (False is a value), a generated
+        tabulated sorts under ("boolean", n) (False is a value; written at
+        construction, never built here), a generated
         subalgebra's witness refusals under ("refused", pair cap), and sort
         lattices under ("lattice", n)."""
         value = self._tables.get(key)
@@ -728,9 +729,12 @@ class TableAlgebra(FiniteAlgebra):
     for a constant, a list over the argument sort for a unary symbol, and
     rows for meet and join.  The given tables are validated, copied into the
     algebra's store and read from there by the operations and table(key).
-    On a sort its stored rows prove Boolean in canonical order, at the first
-    batched call, meet_all and join_all are the AND and OR of the indices;
-    elsewhere they gather from the rows.  Has no sorts above the bound unless
+    Construction decides, per tabulated sort, whether its rows prove it
+    Boolean in canonical order, and stores that verdict under ("boolean",
+    n).  A proved sort keeps its meet and join rows packed (bytes up to 256
+    elements, an unsigned array above), and its meet_all and join_all are
+    the AND and OR of the indices; any other sort keeps list rows and
+    gathers from them.  Has no sorts above the bound unless
     a backing algebra was attached at construction; extend() then serves
     them from it."""
 
@@ -752,6 +756,8 @@ class TableAlgebra(FiniteAlgebra):
             if key not in tables:
                 raise FormatError(f"missing table for {_symbol(key)}")
             self._tables[key] = self._checked(key, tables[key], arg_sorts, result)
+        for n in range(max_sort + 1):
+            self._tables[("boolean", n)] = self._proved(n)
         # Projection and diagonal tables outside the signature are kept,
         # unchecked, for to_json alone; no operation or table(key) serves them.
         self._unchecked = {key: t for key, t in tables.items() if key not in self._tables}
@@ -764,9 +770,11 @@ class TableAlgebra(FiniteAlgebra):
         """A copy of the given table, made by arity and seen as rows: its
         shape must follow the argument sorts, and its entries must be element
         indices of the result sort; a bool is not one.  A valid row is
-        checked in one pass of builtins."""
+        checked in one pass of builtins; a packed row (bytes or an unsigned
+        array) holds no bool and no negative, so only its bound is.  _proved
+        copies every row of meet and join, the only tables with rows."""
         if len(arg_sorts) == 2:
-            table = rows = [list(row) for row in table]
+            table = rows = [row if _is_packed(row) else list(row) for row in table]
             shape = (self.sizes[arg_sorts[0]], self.sizes[arg_sorts[1]])
         elif arg_sorts:
             table = list(table)
@@ -777,11 +785,32 @@ class TableAlgebra(FiniteAlgebra):
             raise FormatError(f"table for {_symbol(key)} has the wrong shape")
         size = self.sizes[result]
         for row in rows:
-            if not (set(map(type, row)) <= {int} and 0 <= min(row) and max(row) < size):
+            if not (max(row) < size if _is_packed(row) else
+                    set(map(type, row)) <= {int} and 0 <= min(row) and max(row) < size):
                 bad = next(x for x in row if type(x) is not int or not 0 <= x < size)
                 raise FormatError(f"table for {_symbol(key)} has an entry outside "
                                   f"sort {result}: {bad!r}")
         return table
+
+    def _proved(self, n: int) -> bool:
+        """Whether sort n's stored rows prove it Boolean in canonical order:
+        each element a's meet and join rows, packed as w-bit lanes, against
+        idx & a*rep and idx | a*rep.  A proved sort keeps its rows packed,
+        any other sort as lists."""
+        size, keys = self.sizes[n], (("meet", n), ("join", n))
+        w = size.bit_length() - 1
+        if size == 1 << w and (self._tables[("zero", n)], self._tables[("one", n)]) == (0, size - 1):
+            meets, joins = packed = [[_packed(row, w) for row in self._tables[key]] for key in keys]
+            pack = partial(int.from_bytes, byteorder=sys.byteorder)  # lanes as stored
+            idx, rep = pack(_packed(range(size), w)), pack(_packed([1] * size, w))
+            if all(pack(m) == idx & a * rep and pack(j) == idx | a * rep
+                   for a, (m, j) in enumerate(zip(meets, joins))):
+                self._tables.update(zip(keys, packed))
+                return True
+        elements = list(range(size))  # one int object per element, shared by the rows
+        for key in keys:
+            self._tables[key] = [list(map(elements.__getitem__, row)) for row in self._tables[key]]
+        return False
 
     def sort_size(self, n: int) -> int:
         self._check_sort(n)
@@ -797,30 +826,17 @@ class TableAlgebra(FiniteAlgebra):
     def _apply_all(self, key, xs: list[int], ys: list[int]) -> list[int]:
         if (table := self._tables.get(key)) is None:
             return self._extension._apply_all(key, xs, ys)
-        if self.boolean_in_canonical_order(key[1]):
+        if self._tables[("boolean", key[1])]:
             return _and_or_all(key, xs, ys)
         return _look_up_all(table, xs, ys)
 
     def boolean_in_canonical_order(self, n: int) -> bool:
-        """A tabulated sort's verdict is read off its stored rows: each
-        element a's meet and join rows, packed as w-bit lanes, against
-        idx & a*rep and idx | a*rep; it is checked once and kept under
-        ("boolean", n).  A served sort's verdict is the backing's."""
-        if ("meet", n) not in self._tables:
+        """A tabulated sort's verdict, proved from its rows at construction
+        and kept under ("boolean", n); a served sort's is the backing's."""
+        if (verdict := self._tables.get(("boolean", n))) is None:
             self._check_sort(n)
             return self._extension.boolean_in_canonical_order(n)
-        def check() -> bool:
-            size = self.sizes[n]
-            w = size.bit_length() - 1
-            bounds = self._tables[("zero", n)], self._tables[("one", n)]
-            if size != 1 << w or bounds != (0, size - 1):
-                return False
-            pack = lambda row: int.from_bytes(_lanes(row, w)[0], "little")
-            idx, rep = pack(range(size)), pack([1] * size)
-            rows = zip(self._tables[("meet", n)], self._tables[("join", n)])
-            return all(pack(meets) == idx & a * rep and pack(joins) == idx | a * rep
-                       for a, (meets, joins) in enumerate(rows))
-        return self.cached(("boolean", n), check)
+        return verdict
 
     def map_all(self, key, column: Sequence[int]) -> list[int]:
         """Above the checked sorts, in bounds, the backing's own map_all."""
@@ -840,6 +856,7 @@ class TableAlgebra(FiniteAlgebra):
         served.max_sort, served._extension = new_max_sort, self._extension.extend(new_max_sort)
         served._extension.ensure_enumerable(new_max_sort)  # past the cap, embed tries pairs
         served._tables = {k: self._tables[k] for k, _, _ in operations(self.fragment, len(self.sizes) - 1)}
+        served._tables.update({k: v for k, v in self._tables.items() if k[0] == "boolean"})
         return served
 
     # -- JSON ----------------------------------------------------------------
@@ -886,8 +903,22 @@ class TableAlgebra(FiniteAlgebra):
             elif name == "delta":
                 data.setdefault("delta", {})["{}:{},{}".format(*args)] = table
             else:
-                sorts[args[0]][name] = table
+                sorts[args[0]][name] = list(map(list, table)) if name in ("meet", "join") else table
         return json.dumps(data, sort_keys=True)
+
+
+def _packed(row: Iterable[int], width: int) -> bytes | array:
+    """A row of values below 2**width as bytes, or past 8 bits as the
+    narrowest unsigned array that holds them.  Values, not buffers, are
+    read: an array's items into bytes, and bytes' items into an array."""
+    if width <= 8:
+        return bytes(row.tolist() if type(row) is array else row)
+    code = next(c for c in "HILQ" if array(c).itemsize * 8 >= width)
+    return array(code, list(row) if type(row) is bytes else row)
+
+
+def _is_packed(row) -> bool:
+    return type(row) is bytes or type(row) is array and row.typecode in "BHILQ"
 
 
 def _and_or_all(key, xs: list[int], ys: list[int]) -> list[int]:
@@ -934,7 +965,8 @@ def as_table_algebra(algebra: FiniteAlgebra, with_extension: bool = False) -> Ta
         name, params = key[0], key[1:]
         if len(arg_sorts) == 2:  # meet and join: one batched row per element
             batch, elems = getattr(algebra, name + "_all"), list(range(sizes[arg_sorts[0]]))
-            tables[key] = [batch(*params, [a] * len(elems), elems) for a in elems]
+            width = (len(elems) - 1).bit_length()
+            tables[key] = [_packed(batch(*params, [a] * len(elems), elems), width) for a in elems]
         elif arg_sorts:
             tables[key] = algebra.table(key)
         else:

@@ -140,11 +140,21 @@ class Relation:
         return relation_literal(self)
 
 
-@lru_cache(maxsize=None)
 def _index_map(alpha: Substitution, size: int) -> tuple[int, ...]:
-    """For each target tuple index (arity cod) the source index (arity dom),
-    a mixed-radix sum: target coordinate j weighs the source place values
-    of the coordinates alpha sends to j."""
+    """For each target tuple index (arity cod) the source index (arity dom).
+    Over a universe of at most one point every target index (there are
+    size**cod) reads source index 0."""
+    if size <= 1:
+        return (0,) * size**alpha.cod
+    return _mixed_radix_map(alpha, size)
+
+
+# A fo-eval bench pass asks for 67 maps and a duality pass for 120; the table
+# embedding of concrete(W1, FO, 4) at scope 4 asks for 499, each twice in turn.
+@lru_cache(maxsize=1024)
+def _mixed_radix_map(alpha: Substitution, size: int) -> tuple[int, ...]:
+    """_index_map as a mixed-radix sum: target coordinate j weighs the
+    source place values of the coordinates alpha sends to j."""
     weights = [0] * alpha.cod
     for i, j in enumerate(alpha.map):
         weights[j - 1] += size ** (alpha.dom - 1 - i)
@@ -284,5 +294,19 @@ def assoc_cylindrification(n: int) -> Substitution:
 
 
 def relation_literal(r: Relation) -> str:
-    body = ",".join("(" + ",".join(str(x) for x in t) + ")" for t in r.tuples())
+    """The relation's text: its tuples in index order, those of a small
+    tuple space joined from _tuple_texts through its set bits."""
+    if r.num_tuples <= _TUPLE_TEXTS_MAX:
+        body = ",".join(compress(_tuple_texts(r.universe.size, r.arity), _flags(r.bits)))
+    else:
+        body = ",".join("(" + ",".join(map(str, t)) + ")" for t in r.tuples())
     return f"arity={r.arity} universe={r.universe.size} {{{body}}}"
+
+
+_TUPLE_TEXTS_MAX = 1 << 12  # tuples in a space whose texts _tuple_texts keeps
+
+
+@lru_cache(maxsize=16)
+def _tuple_texts(size: int, arity: int) -> tuple[str, ...]:
+    """The text "(x1,...,xn)" of every tuple, in index order."""
+    return tuple("(" + ",".join(t) + ")" for t in iproduct(map(str, range(size)), repeat=arity))

@@ -1,6 +1,9 @@
+import copy
 import gc
 import json
+import operator
 import weakref
+from array import array
 from random import Random
 
 import pytest
@@ -840,6 +843,69 @@ def test_the_verdict_is_the_packed_row_check_where_the_fact_lives():
             whole, proper = whole + is_whole, proper + (not is_whole and boolean_rows_packed(alg, n))
             assert alg.boolean_in_canonical_order(n) is (is_whole and boolean_rows_packed(alg, n))
     assert (whole, proper) == (9, 3)
+
+
+def gathered(tables):
+    """A copy of a table algebra whose meet_all and join_all look up its
+    stored rows on every tabulated sort, the verdict made False."""
+    rows = copy.copy(tables)
+    rows._tables = {**tables._tables, **{key: False for key in tables._tables if key[0] == "boolean"}}
+    return rows
+
+
+def test_the_verdict_made_at_construction_is_the_row_oracle():
+    """The table forms of the algebras the verdict test above covers, and
+    of other sorts of Boolean size: the verdict stored at construction is
+    the reference's, read off the stored rows by gathering."""
+    checked = 0
+    for fragment in FRAGMENTS:
+        algebras = [concrete(Universe(u), fragment, 2 if u == 3 else 3) for u in range(4)]
+        algebras += [product([concrete(Universe(u), fragment, 2), concrete(Universe(v), fragment, 2)])
+                     for u, v in ((0, 2), (1, 1), (1, 2), (2, 2))]
+        for alg in map(as_table_algebra, algebras):
+            for n in range(alg.max_sort + 1):
+                assert alg._tables[("boolean", n)] is boolean_rows_packed(gathered(alg), n) is True, \
+                    (alg.provenance, str(fragment), n)
+                checked += 1
+    assert checked == 8 * (4 * 3 + 3 + 4 * 3)
+    others = [(as_table_algebra(chain_algebra(4)), 0), (complement_relabelled(concrete(W2, PQF, 2)), 2),
+              (corrupted(concrete(W2, PQF, 2), 2, "join", 15, 3), 2),
+              (corrupted(concrete(Universe(3), FO, 2), 2, "meet", 511, 5), 2)]
+    for alg, sort in others:
+        assert alg._tables[("boolean", sort)] is boolean_rows_packed(gathered(alg), sort) is False
+    for make in (lambda: concrete(W2, FO, 1), lambda: concrete(Universe(3), PQF, 1),
+                 lambda: gallery_diamond()[0]):
+        tables = as_table_algebra(make(), with_extension=True)
+        served = gathered(tables).extend(2)
+        for n in range(3):
+            assert tables.extend(2).boolean_in_canonical_order(n) is boolean_rows_packed(served, n), n
+
+
+def test_proved_sorts_keep_packed_rows_and_other_sorts_lists():
+    """Meet and join rows stay packed on a proved sort, bytes up to 256
+    elements and two-byte arrays above; a sort of Boolean size that is not
+    proved holds lists, whether its rows arrived packed (as_table_algebra)
+    or as lists (a file), and answers meet_all and join_all by looking them
+    up, as it did with list rows only."""
+    tables = as_table_algebra(concrete(Universe(3), FO, 2))
+    for n, kind in ((0, bytes), (1, bytes), (2, array)):
+        assert {type(row) for op in ("meet", "join") for row in tables._tables[(op, n)]} == {kind}, n
+    assert tables._tables[("meet", 2)][0].typecode == "H"
+    rng = Random(39)
+    relabelled = complement_relabelled(concrete(W2, PQF, 2))
+    # index x stands for the bitset 15 - x: meet is OR and join is AND
+    for alg, sort, meet, join in ((relabelled, 2, operator.or_, operator.and_),
+                                  (as_table_algebra(relabelled), 2, operator.or_, operator.and_),
+                                  (chain_algebra(4), 0, min, max),
+                                  (as_table_algebra(chain_algebra(4)), 0, min, max)):
+        assert not alg.boolean_in_canonical_order(sort)
+        size = alg.sort_size(sort)
+        for op, expected in (("meet", meet), ("join", join)):
+            assert {type(row) for row in alg._tables[(op, sort)]} == {list}, (alg.provenance, op)
+            for xs in ([rng.randrange(size) for _ in range(60)], [size - 1] * 60):
+                ys = [rng.randrange(size) for _ in xs]
+                assert getattr(alg, op + "_all")(sort, xs, ys) == list(map(expected, xs, ys))
+                assert [getattr(alg, op)(sort, x, y) for x, y in zip(xs, ys)] == list(map(expected, xs, ys))
 
 
 def test_a_concrete_verdict_and_a_proved_lattice_make_no_batched_call(monkeypatch):

@@ -325,6 +325,10 @@ def test_relation_literal_round_trip_examples():
     assert parse_relation_literal("arity=2  universe=3  { ( 0 , 1 ) , ( 2 , 0 ) }") == r
     assert parse_relation_literal("arity=0 universe=2 {()}") == Relation(W2, 0, 1)
     assert parse_relation_literal("arity=1 universe=2 {}") == Relation(W2, 1, 0)
+    # past 4,096 tuples the text is built tuple by tuple, to the same form
+    big = from_set(5, 6, [(0,) * 6, (4, 3, 2, 1, 0, 4)])
+    assert relation_literal(big) == "arity=6 universe=5 {(0,0,0,0,0,0),(4,3,2,1,0,4)}"
+    assert parse_relation_literal(relation_literal(big)) == big
 
 
 def test_relation_literal_malformed():
